@@ -317,44 +317,38 @@ def wp_theta2(prec: int) -> FJExp:
 
 def form_by_name(name: str, prec: int):
     """Resolve a lower-snake form name like "theta", "ek:4", "jacobi_eis:4,4",
-    "phi:3" or "theta_const:1,0" to its expansion at the given precision."""
+    "phi:3" or "theta_const:1,0" to its expansion at the given precision.
+
+    An unknown name or arguments that do not parse raise UnknownFormError;
+    a constructor's own precondition (bad precision, odd weight) raises its
+    ValueError unchanged."""
     base, _, argtext = name.partition(":")
     try:
         args = [int(a) for a in argtext.split(",")] if argtext else []
     except ValueError:
         raise UnknownFormError(f"bad arguments for form {name!r}") from None
-    simple = {
-        "theta": theta,
-        "theta00": lambda p: theta_ab(0, 0, p),
-        "theta01": lambda p: theta_ab(0, 1, p),
-        "theta10": lambda p: theta_ab(1, 0, p),
-        "theta11": lambda p: theta_ab(1, 1, p),
-        "eta": eta,
-        "delta": delta,
-        "g2": g2,
-        "eps2": eps2,
-        "wp_theta2": wp_theta2,
+    forms = {
+        "theta": (0, theta),
+        "theta00": (0, lambda p: theta_ab(0, 0, p)),
+        "theta01": (0, lambda p: theta_ab(0, 1, p)),
+        "theta10": (0, lambda p: theta_ab(1, 0, p)),
+        "theta11": (0, lambda p: theta_ab(1, 1, p)),
+        "eta": (0, eta),
+        "delta": (0, delta),
+        "g2": (0, g2),
+        "eps2": (0, eps2),
+        "wp_theta2": (0, wp_theta2),
+        "ek": (1, eisenstein),
+        "phi": (1, phi),
+        "jacobi_eis": (2, jacobi_eis),
+        "theta_const": (2, theta_const),
     }
-    try:
-        if base in simple:
-            if args:
-                raise UnknownFormError(f"form {base!r} takes no arguments")
-            return simple[base](prec)
-        if base == "ek":
-            (k,) = args
-            return eisenstein(k, prec)
-        if base == "phi":
-            (j,) = args
-            return phi(j, prec)
-        if base == "jacobi_eis":
-            k, m = args
-            return jacobi_eis(k, m, prec)
-        if base == "theta_const":
-            two_a, two_b = args
-            return theta_const(two_a, two_b, prec)
-    except (TypeError, ValueError) as exc:
-        raise UnknownFormError(f"bad arguments for form {name!r}: {exc}") from None
-    raise UnknownFormError(f"unknown form {name!r}")
+    if base not in forms:
+        raise UnknownFormError(f"unknown form {name!r}")
+    arity, build = forms[base]
+    if len(args) != arity:
+        raise UnknownFormError(f"form {base!r} takes {arity} argument(s), got {len(args)}")
+    return build(*args, prec)
 
 
 FORM_NAMES = (

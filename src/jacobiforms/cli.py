@@ -75,6 +75,8 @@ def _cmd_verify(args) -> int:
         prec = _default_prec(0)
     if any(ch in pattern for ch in "*?["):
         ids = identities.identity_ids(pattern)
+        if not ids:
+            raise identities.UnknownIdentityError(f"no identity matches {pattern!r}")
     else:
         if pattern not in identities.REGISTRY:
             raise identities.UnknownIdentityError(pattern)

@@ -8,13 +8,15 @@ integers via generalized Bernoulli numbers, and the Cohen numbers
 
 for (-1)^r N = D f^2 with D a fundamental discriminant (D = 1 allowed).
 Rational values are `fractions.Fraction`; integer-valued results may come
-back as plain `int`.  All functions are pure; the memo caches are the
-thread-safe `functools.lru_cache`.
+back as plain `int`.  All functions are pure and safe to call from several
+threads: the memo caches are `functools.lru_cache`, and the table of
+Bernoulli numbers grows only under a lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,33 +152,42 @@ def kronecker(a: int, n: int) -> int:
 # Bernoulli machinery and L-values
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
+_bernoulli_cache: list = [1, Fraction(-1, 2)]
+_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Rat:
     """Bernoulli number B_n with the B_1 = -1/2 convention."""
     if n < 0:
         raise ValueError(f"bernoulli expects n >= 0, got {n}")
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        if m % 2:
-            _bernoulli_cache.append(Fraction(0))
-            continue
-        # sum_{k=0}^{m} C(m+1, k) B_k = 0
-        acc = sum(math.comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
-        _bernoulli_cache.append(-acc / (m + 1))
-    return as_rational(_bernoulli_cache[n])
+    if n >= len(_bernoulli_cache):
+        # entries are only ever appended, each final, so reading a short
+        # enough index needs no lock; growing the table does
+        with _bernoulli_lock:
+            while len(_bernoulli_cache) <= n:
+                m = len(_bernoulli_cache)
+                if m % 2:
+                    _bernoulli_cache.append(0)
+                    continue
+                # sum_{k=0}^{m} C(m+1, k) B_k = 0
+                acc = sum(math.comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
+                _bernoulli_cache.append(as_rational(-acc / (m + 1)))
+    return _bernoulli_cache[n]
 
 
 def bernoulli_poly(n: int, x: Rat) -> Rat:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
+    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k).
+
+    Summed in integers over the common denominator lcm(den B_k) * q^n of
+    x = p/q.  Only the tests call it, as the oracle for :func:`gen_bernoulli`.
+    """
     x = Fraction(x)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    for k in range(n, -1, -1):
-        acc += math.comb(n, k) * Fraction(bernoulli(k)) * xpow
-        xpow *= x
-    return as_rational(acc)
+    p, q = x.numerator, x.denominator
+    bs = [bernoulli(k) for k in range(n + 1)]
+    den = math.lcm(*(b.denominator for b in bs))
+    num = sum(math.comb(n, k) * b.numerator * (den // b.denominator) * p ** (n - k) * q**k
+              for k, b in enumerate(bs))
+    return as_rational(Fraction(num, den * q**n))
 
 
 def zeta_neg(s: int) -> Rat:
@@ -203,19 +214,30 @@ def is_fundamental_discriminant(d: int) -> bool:
 def gen_bernoulli(r: int, d: int) -> Rat:
     """Generalized Bernoulli number B_{r, chi_D} for fundamental D (or D = 1).
 
-    B_{r,chi} = |D|^(r-1) * sum_{a=1..|D|} chi_D(a) B_r(a/|D|).
+    The definition B_{r,chi} = |D|^(r-1) * sum_{a=1..|D|} chi_D(a) B_r(a/|D|),
+    with B_r(x) expanded by :func:`bernoulli_poly`, regroups as
+
+        B_{r,chi} = sum_{k=0..r} C(r,k) B_k |D|^(k-1) S_{r-k},
+        S_j = sum_{a=1..|D|} chi_D(a) a^j,
+
+    so the power sums S_j are plain ints and only the final r + 1 terms are
+    rational.  The defining sum over :func:`bernoulli_poly` is the test oracle.
     """
     if r < 1:
         raise ValueError(f"gen_bernoulli expects r >= 1, got {r}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     m = abs(d)
-    acc = Fraction(0)
-    for a in range(1, m + 1):
-        chi = kronecker(d, a)
-        if chi:
-            acc += chi * Fraction(bernoulli_poly(r, Fraction(a, m)))
-    return as_rational(m ** (r - 1) * acc)
+    chars = [(a, kronecker(d, a)) for a in range(1, m + 1)]
+    support = [a for a, chi in chars if chi]
+    terms = [chi for _, chi in chars if chi]  # chi_D(a) * a^j, from j = 0
+    power_sums = [sum(terms)]
+    for _ in range(r):
+        terms = [t * a for t, a in zip(terms, support)]
+        power_sums.append(sum(terms))
+    acc = sum(math.comb(r, k) * bernoulli(k) * m**k * power_sums[r - k]
+              for k in range(r + 1))
+    return as_rational(Fraction(acc) / m)
 
 
 def l_value_neg(r: int, d: int) -> Rat:

@@ -11,8 +11,9 @@ counting formulas: representations of n by eight figurate numbers, the
 classical r_8 / delta_8 divisor sums, the 16-variable analogues, and eight
 exact routes to the tau coefficients of the discriminant form.
 
-Brute-force counting is by nested enumeration with pruning; large instances
-split the tuple in half and meet in the middle through exact sum tables.
+Brute-force counting builds exact sum tables by nested enumeration with
+pruning; tuples of more than four summands are split in half and meet in the
+middle.
 """
 
 from __future__ import annotations
@@ -139,30 +140,6 @@ def _value_multiplicities(query: CountQuery) -> tuple:
     return tuple(sorted(vals.items()))
 
 
-def _count_dfs(values: tuple, m: int, n: int) -> int:
-    """Nested enumeration with pruning: walk the distinct values in order,
-    deciding how many of the m slots each value occupies."""
-    total = 0
-    kmax = len(values)
-
-    def go(i: int, slots: int, remaining: int, weight: int):
-        nonlocal total
-        if slots == 0:
-            if remaining == 0:
-                total += weight
-            return
-        if i == kmax or values[i][0] * slots > remaining:
-            return
-        v, mult = values[i]
-        top = slots if v == 0 else min(slots, remaining // v)
-        for count in range(top + 1):
-            go(i + 1, slots - count, remaining - v * count,
-               weight * math.comb(slots, count) * mult**count)
-
-    go(0, m, n, 1)
-    return total
-
-
 def _sum_table(values: tuple, k: int, cap: int) -> dict:
     """Map s -> number of k-tuples of values summing to s <= cap."""
     if k <= 4:
@@ -200,12 +177,10 @@ def _sum_table(values: tuple, k: int, cap: int) -> dict:
 def count_bruteforce(query: CountQuery) -> int:
     """Exact representation count by enumeration.
 
-    Plain pruned enumeration at desk scale; above n = 200 or 8 summands the
-    tuple is split in half and counted through exact sum tables (same
-    arithmetic, just meet-in-the-middle)."""
+    Up to four summands, pruned enumeration over the distinct values builds
+    the table of exact sums directly; longer tuples are split in half and the
+    two halves' sum tables are convolved up to n (meet in the middle)."""
     values = _value_multiplicities(query)
-    if query.m <= 8 and query.n <= 200:
-        return _count_dfs(values, query.m, query.n)
     return _sum_table(values, query.m, query.n).get(query.n, 0)
 
 

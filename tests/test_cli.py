@@ -56,6 +56,24 @@ def test_expand_unknown_form(capsys):
     assert code == 2 and "unknown" in err
 
 
+def test_expand_bad_arguments_are_unknown_names(capsys):
+    for form in ("ek:seven", "ek", "theta:1", "jacobi_eis:4"):
+        code, _, err = run(capsys, "expand", "--form", form, "--prec", "4")
+        assert code == 2 and "unknown" in err, form
+
+
+def test_expand_precondition_exit(capsys):
+    code, _, err = run(capsys, "expand", "--form", "theta", "--prec", "0")
+    assert code == 3 and "prec >= 1" in err
+    code, _, err = run(capsys, "expand", "--form", "ek:3", "--prec", "4")
+    assert code == 3 and "even k" in err
+
+
+def test_verify_glob_matching_nothing(capsys):
+    code, out, err = run(capsys, "verify", "--id", "Z*", "--prec", "4")
+    assert code == 2 and out == "" and "no identity matches" in err
+
+
 def test_verify_pass_and_fail_codes(capsys):
     code, out, _ = run(capsys, "verify", "--id", "T31-theta8", "--prec", "6")
     assert code == 0 and "pass" in out

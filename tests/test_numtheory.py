@@ -1,10 +1,13 @@
 """Number-theory layer: every operation against an independent oracle."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from jacobiforms import numtheory
 from jacobiforms.numtheory import (
     DiscDecomp,
     bernoulli,
@@ -117,6 +120,29 @@ def test_bernoulli_recurrence_oracle():
         assert acc == 0, n
 
 
+def test_bernoulli_table_grows_safely_under_threads(monkeypatch):
+    # four threads race to grow a cold table; a lost or doubled append would
+    # shift every later entry
+    expected = [bernoulli(n) for n in range(61)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(numtheory, "_bernoulli_cache", [1, Fraction(-1, 2)])
+            results = []
+            threads = [threading.Thread(target=lambda: results.append(bernoulli(60)))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected[60]] * 4
+            assert numtheory._bernoulli_cache == expected
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 def test_bernoulli_poly():
     assert bernoulli_poly(3, Fraction(1, 3)) == Fraction(1, 27)
     for n in range(8):
@@ -149,6 +175,18 @@ def test_l_values():
     assert l_value_neg(1, 1) == Fraction(-1, 2)   # zeta(0)
     with pytest.raises(ValueError):
         gen_bernoulli(3, -6)  # -6 is not a fundamental discriminant
+
+
+def test_gen_bernoulli_against_defining_sum():
+    # the power-sum route against |D|^(r-1) sum_a chi_D(a) B_r(a/|D|)
+    fundamentals = [d for d in range(-200, 201) if d and is_fundamental_discriminant(d)]
+    assert 1 in fundamentals
+    for d in fundamentals:
+        m = abs(d)
+        for r in range(1, 13):
+            acc = sum(chi * Fraction(bernoulli_poly(r, Fraction(a, m)))
+                      for a in range(1, m + 1) if (chi := kronecker(d, a)))
+            assert gen_bernoulli(r, d) == m ** (r - 1) * acc, (r, d)
 
 
 # -- discriminant decomposition -------------------------------------------------------
