@@ -4,10 +4,11 @@ the quasi-modular G_2 and the level-2 eps_2, the four weight-0 weak Jacobi
 generators phi_{0,1..4}, Jacobi-Eisenstein series E_{k,m}, and the product
 wp*theta^2 realized as eta^6 phi_{0,1} / 12.
 
-Several constructors carry built-in cross-checks (the theta series is built
-from both its Kronecker-symbol sum and the triple product and the two must
-agree; eta's Euler product is built two ways).  Constructors are pure and
-memoized with lru_cache; returned series must be treated as immutable.
+Each constructor builds by one route.  The second routes that cross-check
+them (theta from the triple product, the naive Euler product, Delta as
+eta^24) live in `jacobiforms.checks`; only the cheap normalization asserts
+of jacobi_eis and phi stay here.  Constructors are pure and memoized with
+lru_cache, and the series they return are immutable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ class UnknownFormError(KeyError):
 # theta series of level two
 # ---------------------------------------------------------------------------
 
-def _theta_from_sum(prec: int) -> FJExp:
+def _require_prec(form: str, prec: int) -> None:
+    """The precondition shared by the public constructors."""
+    if prec < 1:
+        raise ValueError(f"{form} needs prec >= 1, got {prec}")
+
+
+@lru_cache(maxsize=None)
+def theta(prec: int) -> FJExp:
+    """The odd theta series, weight 1/2 and index 1/2 (real-normalized):
+    sum over odd n of kronecker(-4, n) q^(n^2/8) zeta^(n/2)."""
+    _require_prec("theta", prec)
     big_p = 8 * prec
     terms = {}
     n = 1
@@ -39,33 +50,6 @@ def _theta_from_sum(prec: int) -> FJExp:
             terms[(s * s, s)] = kronecker(-4, s)
         n += 2
     return FJExp(8, 2, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
-
-
-def _theta_from_triple_product(prec: int) -> FJExp:
-    big_p = 8 * prec
-    acc = FJExp(8, 2, big_p, {(1, -1): -1}, weight=HALF, index=HALF, cone_slack=0)
-    for n in range(1, prec + 1):
-        for a, b in ((n - 1, 1), (n, -1), (n, 0)):
-            if 8 * a >= big_p:
-                continue
-            acc = acc * FJExp(8, 2, big_p, {(0, 0): 1, (8 * a, 2 * b): -1})
-    return acc
-
-
-@lru_cache(maxsize=None)
-def theta(prec: int) -> FJExp:
-    """The odd theta series, weight 1/2 and index 1/2 (real-normalized).
-
-    Built from both the Kronecker-symbol theta sum and the triple product;
-    the two expansions are asserted identical before either is returned.
-    """
-    if prec < 1:
-        raise ValueError("theta needs prec >= 1")
-    from_sum = _theta_from_sum(prec)
-    from_product = _theta_from_triple_product(prec)
-    if from_sum.mismatch(from_product) is not None:
-        raise RuntimeError("theta self-check failed: sum and triple product disagree")
-    return from_sum.with_meta(weight=HALF, index=HALF, cone_slack=0)
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +65,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
             f"characteristic ({two_a}/2, {two_b}/2) is not order two; "
             f"specialize a theta power instead"
         )
+    _require_prec(f"theta{two_a}{two_b}", prec)
     if (two_a, two_b) == (1, 1):
         return theta(prec)
     if two_a == 0:
@@ -106,6 +91,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
 @lru_cache(maxsize=None)
 def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
     """Theta constant: the z = 0 value of :func:`theta_ab`."""
+    _require_prec("theta_const", prec)
     return theta_ab(two_a, two_b, prec).eval_z0()
 
 
@@ -113,59 +99,33 @@ def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
 # eta, Delta, Eisenstein series
 # ---------------------------------------------------------------------------
 
-def _euler_product_naive(prec: int) -> QSeries:
-    acc = QSeries(1, prec, {0: 1})
-    for n in range(1, prec):
-        acc = acc * QSeries(1, prec, {0: 1, n: -1})
-    return acc
-
-
-def _euler_product_pentagonal(prec: int) -> QSeries:
+@lru_cache(maxsize=None)
+def euler_product(prec: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n) by the pentagonal number theorem:
+    sum over k of (-1)^k q^(k(3k-1)/2)."""
+    _require_prec("euler_product", prec)
     terms = {0: 1}
     k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= prec and e2 >= prec:
-            break
-        sign = -1 if k % 2 else 1
-        if e1 < prec:
-            terms[e1] = sign
-        if e2 < prec:
-            terms[e2] = sign
+    while k * (3 * k - 1) // 2 < prec:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < prec:
+                terms[e] = -1 if k % 2 else 1
         k += 1
     return QSeries(1, prec, terms)
 
 
 @lru_cache(maxsize=None)
-def euler_product(prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n), cross-checked against the pentagonal series."""
-    naive = _euler_product_naive(prec)
-    pent = _euler_product_pentagonal(prec)
-    if naive != pent:
-        raise RuntimeError("Euler product self-check failed")
-    return pent
-
-
-@lru_cache(maxsize=None)
 def eta(prec: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n)."""
+    _require_prec("eta", prec)
     return euler_product(prec).shifted(Fraction(1, 24))
 
 
 @lru_cache(maxsize=None)
 def delta(prec: int) -> QSeries:
-    """The discriminant cusp form q prod (1 - q^n)^24; equals eta^24."""
-    d = (euler_product(prec) ** 24).shifted(1).truncated(prec)
-    e24 = (eta(prec) ** 24).normalized()
-    if d.mismatch(e24) is not None:
-        raise RuntimeError("Delta self-check failed: eta^24 disagrees")
-    return d
-
-
-def tau_coefficient(n: int, prec_hint: int = 0) -> int:
-    """tau(n): the q^n coefficient of Delta."""
-    return delta(max(n + 1, prec_hint)).coefficient(n)
+    """The discriminant cusp form q prod (1 - q^n)^24, which equals eta^24."""
+    _require_prec("delta", prec)
+    return (euler_product(prec) ** 24).shifted(1).truncated(prec)
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +133,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for even k >= 2."""
     if k < 2 or k % 2:
         raise ValueError(f"eisenstein needs even k >= 2, got {k}")
+    _require_prec("eisenstein", prec)
     factor = Fraction(-2 * k) / Fraction(bernoulli(k))
     terms = {0: 1}
     for n in range(1, prec):
@@ -183,6 +144,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
 @lru_cache(maxsize=None)
 def g2(prec: int) -> QSeries:
     """Quasi-modular G_2 = -1/24 + sum sigma_1(n) q^n."""
+    _require_prec("g2", prec)
     terms = {0: Fraction(-1, 24)}
     for n in range(1, prec):
         terms[n] = sigma(1, n)
@@ -192,6 +154,7 @@ def g2(prec: int) -> QSeries:
 @lru_cache(maxsize=None)
 def eps2(prec: int) -> QSeries:
     """The weight-2 level-2 Eisenstein series 2 E_2(2 tau) - E_2(tau)."""
+    _require_prec("eps2", prec)
     e2 = eisenstein(2, prec)
     return (2 * e2.substituted(2).truncated(prec) - e2).truncated(prec)
 
@@ -206,6 +169,7 @@ def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     numbers H(k-1, 4n - r^2) / zeta(3 - 2k) on the support r^2 <= 4n."""
     if k < 4 or k % 2:
         raise ValueError(f"jacobi_eis_m1 needs even k >= 4, got {k}")
+    _require_prec("jacobi_eis_m1", prec)
     z = Fraction(zeta_neg(3 - 2 * k))
     terms = {}
     for n in range(prec):
@@ -225,6 +189,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     """
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
+    _require_prec("jacobi_eis", prec)
     if m == 1:
         return jacobi_eis_m1(k, prec)
     base = jacobi_eis_m1(k, m * prec)
@@ -307,6 +272,7 @@ def wp_theta2(prec: int) -> FJExp:
     wp itself is meromorphic and never constructed; only this holomorphic
     product (and its powers against theta powers) ever appears.
     """
+    _require_prec("wp_theta2", prec)
     result = (eta(prec + 1) ** 6) * phi(1, prec + 1) * Fraction(1, 12)
     return result.q_truncated(prec).with_meta(weight=3, index=1, cone_slack=0)
 

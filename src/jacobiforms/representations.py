@@ -207,146 +207,85 @@ def formula_delta8(n: int) -> int:
 # eight figurate summands: general and parity-case formulas
 # ---------------------------------------------------------------------------
 
-def _r8_general(a: int, n: int) -> Rat:
-    """sum over a*m + r*(a-1) + 3a - 4 = n, 16m >= r^2 of (-1)^r f4(m, r)."""
-    target = n - 3 * a + 4
-    acc = Fraction(0)
-    # a*(r^2/16) + r*(a-1) <= target bounds the r window
-    disc = 256 * (a - 1) ** 2 + 64 * a * target
+def _cone_points(c: int, slope: int, div: int, cone: int = 16):
+    """Integer pairs (r, m) with div*m + slope*r = c and cone*m >= r^2."""
+    # div*r^2/cone + slope*r <= c bounds the r window
+    disc = (cone * slope) ** 2 + 4 * div * cone * c
     if disc < 0:
-        return 0
+        return
     top = math.isqrt(disc)
-    r_lo = (-16 * (a - 1) - top) // (2 * a) - 2
-    r_hi = (-16 * (a - 1) + top) // (2 * a) + 2
-    for r in range(r_lo, r_hi + 1):
-        num = target - r * (a - 1)
-        if num < 0 or num % a:
-            continue
-        m = num // a
-        if 16 * m >= r * r:
-            acc += _sign(r) * Fraction(f4_coeff(m, r))
-    return as_rational(acc)
+    for r in range((-cone * slope - top) // (2 * div) - 2, (-cone * slope + top) // (2 * div) + 3):
+        num = c - slope * r
+        if num % div == 0 and cone * (num // div) >= r * r:
+            yield r, num // div
 
 
-def _r8_case_even_a_odd_n(a: int, n: int) -> Rat:
-    acc = Fraction(0)
-    target = n - 3 * a + 4
-    disc = 256 * (a - 1) ** 2 + 64 * a * target
-    if disc < 0:
-        return 0
-    top = math.isqrt(disc)
-    for r in range((-16 * (a - 1) - top) // (2 * a) - 2, (-16 * (a - 1) + top) // (2 * a) + 3):
-        if r % 2 == 0:
-            continue
-        num = target - r * (a - 1)
-        if num < 0 or num % a:
-            continue
-        m = num // a
-        if 16 * m > r * r:
-            acc += Fraction(cohen_h(3, 16 * m - r * r))
-    return as_rational(Fraction(-7, 2) * acc)
+def _f4_sum(points) -> Rat:
+    """sum over the points (r, m) of (-1)^r f4(m, r)."""
+    return as_rational(sum(_sign(r) * Fraction(f4_coeff(m, r)) for r, m in points))
+
+
+def _h3_odd_r_sum(points) -> Rat:
+    """-7/2 sum over the points with r odd and 16m > r^2 of H(3, 16m - r^2)."""
+    return as_rational(Fraction(-7, 2) * sum(Fraction(cohen_h(3, 16 * m - r * r))
+                                             for r, m in points if r % 2 and 16 * m > r * r))
 
 
 def _r8_case_odd_a_even_n(a: int, n: int) -> Rat:
     target = n - 3 * a + 4
     acc = Fraction(0)
-    disc = 256 * (a - 1) ** 2 + 64 * a * target
-    if disc >= 0:
-        top = math.isqrt(disc)
-        for r in range((-16 * (a - 1) - top) // (2 * a) - 2, (-16 * (a - 1) + top) // (2 * a) + 3):
-            num = target - r * (a - 1)
-            if num < 0 or num % a:
-                continue
-            m = num // a
-            if m % 2 and 16 * m > r * r:
-                acc += _sign(r) * Fraction(7, 2) * Fraction(cohen_h(3, 16 * m - r * r))
-    # second sum: a*m + 2*s*(a-1) + 3a - 4 = n, 4m > s^2, m odd
-    disc2 = 64 * (a - 1) ** 2 + 16 * a * target
-    if disc2 >= 0:
-        top2 = math.isqrt(disc2)
-        for s in range((-8 * (a - 1) - top2) // (2 * a) - 2, (-8 * (a - 1) + top2) // (2 * a) + 3):
-            num = target - 2 * s * (a - 1)
-            if num < 0 or num % a:
-                continue
-            m = num // a
-            if m % 2 and 4 * m > s * s:
-                acc -= Fraction(511, 2) * Fraction(cohen_h(3, 4 * m - s * s))
-    # boundary representations 16m = r^2: r = 4t, m = t^2
-    bound = math.isqrt(max(target, 0) // a + 4 * (a - 1) ** 2 + 4) + 2
-    for t in range(-bound, bound + 1):
-        if a * t * t + 4 * t * (a - 1) == target:
+    for r, m in _cone_points(target, a - 1, a):
+        if 16 * m == r * r:  # boundary representations: r = 4t, m = t^2
             acc += 1
+        elif m % 2:
+            acc += _sign(r) * Fraction(7, 2) * Fraction(cohen_h(3, 16 * m - r * r))
+    # second sum: a*m + 2*s*(a-1) + 3a - 4 = n, 4m > s^2, m odd
+    for s, m in _cone_points(target, 2 * (a - 1), a, cone=4):
+        if m % 2 and 4 * m > s * s:
+            acc -= Fraction(511, 2) * Fraction(cohen_h(3, 4 * m - s * s))
     return as_rational(acc)
+
+
+def _check_case(label: str, case: Rat, general: Rat) -> None:
+    if case != general:
+        raise RuntimeError(f"{label}: case formula {case} != general {general}")
 
 
 def r_a8_formula(a: int, n: int) -> int:
     """Representations of n by eight a-figurate numbers (all-integer
-    arguments), by the alternating f4 sum; when a parity-case divisor
-    formula applies it is evaluated too and must agree."""
+    arguments): the sum over a*m + r*(a-1) + 3a - 4 = n, 16m >= r^2 of
+    (-1)^r f4(m, r).  When a parity-case divisor formula applies it is
+    evaluated too and must agree."""
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    general = _r8_general(a, n)
+    points = list(_cone_points(n - 3 * a + 4, a - 1, a))
+    general = _f4_sum(points)
     if a % 2 == 0 and n % 2 == 1:
-        case = _r8_case_even_a_odd_n(a, n)
-        if case != general:
-            raise RuntimeError(f"R_{{{a},8}}({n}): case formula {case} != general {general}")
+        _check_case(f"R_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
     if a % 2 == 1 and n % 2 == 0:
-        case = _r8_case_odd_a_even_n(a, n)
-        if case != general:
-            raise RuntimeError(f"R_{{{a},8}}({n}): case formula {case} != general {general}")
+        _check_case(f"R_{{{a},8}}({n})", _r8_case_odd_a_even_n(a, n), general)
     if not isinstance(general, int):
         raise RuntimeError(f"R_{{{a},8}}({n}) is not an integer: {general}")
     return general
 
 
-def _r8odd_general(a: int, n: int) -> Rat:
-    """sum over 4am + r(a-2) = n, 16m >= r^2 of (-1)^r f4(m, r)."""
-    acc = Fraction(0)
-    # a*r^2/4 + r*(a-2) <= n bounds the window
-    disc = 4 * (a - 2) ** 2 + 4 * a * n
-    if disc < 0:
-        return 0
-    top = math.isqrt(disc)
-    for r in range((-2 * (a - 2) - top) // a - 2, (-2 * (a - 2) + top) // a + 3):
-        num = n - r * (a - 2)
-        if num < 0 or num % (4 * a):
-            continue
-        m = num // (4 * a)
-        if 16 * m >= r * r:
-            acc += _sign(r) * Fraction(f4_coeff(m, r))
-    return as_rational(acc)
-
-
 def r_a8odd_formula(a: int, n: int) -> int:
     """Representations of n by eight a-figurate numbers with all odd
-    arguments; the odd-a odd-n case formula is cross-asserted."""
+    arguments: the sum over 4am + r(a-2) = n, 16m >= r^2 of (-1)^r f4(m, r).
+    The odd-a odd-n case formula is cross-asserted."""
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    general = _r8odd_general(a, n)
+    points = list(_cone_points(n, a - 2, 4 * a))
+    general = _f4_sum(points)
     if a % 2 == 1 and n % 2 == 1:
-        acc = Fraction(0)
-        disc = 4 * (a - 2) ** 2 + 4 * a * n
-        if disc >= 0:
-            top = math.isqrt(disc)
-            for r in range((-2 * (a - 2) - top) // a - 2, (-2 * (a - 2) + top) // a + 3):
-                if r % 2 == 0:
-                    continue
-                num = n - r * (a - 2)
-                if num < 0 or num % (4 * a):
-                    continue
-                m = num // (4 * a)
-                if 16 * m > r * r:
-                    acc += Fraction(cohen_h(3, 16 * m - r * r))
-        case = as_rational(Fraction(-7, 2) * acc)
-        if case != general:
-            raise RuntimeError(f"R^odd_{{{a},8}}({n}): case formula {case} != general {general}")
+        _check_case(f"R^odd_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
     if not isinstance(general, int):
         raise RuntimeError(f"R^odd_{{{a},8}}({n}) is not an integer: {general}")
     return general
 
 
 # ---------------------------------------------------------------------------
-# tau of the discriminant form, by seven routes
+# tau of the discriminant form, by eight routes
 # ---------------------------------------------------------------------------
 
 TAU_ROUTES = ("direct", "via_f4", "via_f4_n", "via_f6", "via_f6_n",
@@ -359,6 +298,29 @@ def _require_odd_nonsquare(n: int, route: str):
     r = math.isqrt(n)
     if r * r == n:
         raise ValueError(f"route {route} requires n that is not an odd square (got {n})")
+
+
+def _h_sum(k: int, big_n: int, weight, boundary: bool = False) -> Fraction:
+    """sum over integers r with r^2 < N of weight(r) H(k, N - r^2); the
+    terms r^2 = N are included only when boundary is set."""
+    rmax = math.isqrt(big_n)
+    return sum((weight(r) * Fraction(cohen_h(k, big_n - r * r)) for r in range(-rmax, rmax + 1)
+                if boundary or r * r < big_n), Fraction(0))
+
+
+# moment routes: sum r^power f(n, r) over r^2 <= 16n, divided by divisor * n^n_power
+_MOMENT_ROUTES = {
+    "via_f4": (f4_coeff, 8, FACT8, 0),
+    "via_f4_n": (f4_coeff, 10, FACT10 // 3, 1),
+    "via_f6": (f6_coeff, 6, 12 * FACT6, 0),
+    "via_f6_n": (f6_coeff, 8, 4 * FACT8, 1),
+}
+
+# closed routes: c1 sum r^power H(k, 4n - r^2) + c2 sum r^power H(k, 16n - r^2)
+_CLOSED_ROUTES = {
+    "via_h3_closed": (3, 8, Fraction(-73, 45), Fraction(1, 11520)),
+    "via_h5_closed": (5, 6, Fraction(-1057, 1080), Fraction(1, 69120)),
+}
 
 
 def tau(n: int, route: str = "direct") -> Rat:
@@ -374,46 +336,20 @@ def tau(n: int, route: str = "direct") -> Rat:
     if route == "direct":
         from jacobiforms.catalog import delta
         return delta(n + 1).coefficient(n)
-    if route in ("via_f4", "via_f4_n", "via_f6", "via_f6_n"):
+    if route in _MOMENT_ROUTES:
+        coeff, power, divisor, n_power = _MOMENT_ROUTES[route]
         rmax = math.isqrt(16 * n)
-        acc = Fraction(0)
-        for r in range(-rmax, rmax + 1):
-            if route == "via_f4":
-                acc += r**8 * Fraction(f4_coeff(n, r))
-            elif route == "via_f4_n":
-                acc += r**10 * Fraction(f4_coeff(n, r))
-            elif route == "via_f6":
-                acc += r**6 * Fraction(f6_coeff(n, r))
-            else:
-                acc += r**8 * Fraction(f6_coeff(n, r))
-        if route == "via_f4":
-            return as_rational(acc / FACT8)
-        if route == "via_f4_n":
-            return as_rational(acc * 3 / (FACT10 * n))
-        if route == "via_f6":
-            return as_rational(acc / (FACT6 * 12))
-        return as_rational(acc / (FACT8 * 4 * n))
+        acc = sum(r**power * Fraction(coeff(n, r)) for r in range(-rmax, rmax + 1))
+        return as_rational(acc / (divisor * n**n_power))
     if route == "via_h11":
-        rmax = math.isqrt(4 * n)
-        z = Fraction(zeta_neg(-21))
-        acc = sum(Fraction(cohen_h(11, 4 * n - r * r)) / z for r in range(-rmax, rmax + 1)
-                  if 4 * n - r * r >= 0)
+        acc = _h_sum(11, 4 * n, lambda r: 1, boundary=True) / Fraction(zeta_neg(-21))
         acc -= Fraction(65520, 691) * sigma(11, n)
         return as_rational(Fraction(53678953, 304819200) * acc)
-    if route == "via_h3_closed":
+    if route in _CLOSED_ROUTES:
         _require_odd_nonsquare(n, route)
-        s1 = sum(Fraction(cohen_h(3, 4 * n - r * r)) * r**8
-                 for r in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1) if 4 * n > r * r)
-        s2 = sum(Fraction(cohen_h(3, 16 * n - r * r)) * r**8
-                 for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1) if 16 * n > r * r)
-        return as_rational(Fraction(-73, 45) * s1 + Fraction(1, 11520) * s2)
-    if route == "via_h5_closed":
-        _require_odd_nonsquare(n, route)
-        s1 = sum(Fraction(cohen_h(5, 4 * n - r * r)) * r**6
-                 for r in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1) if 4 * n > r * r)
-        s2 = sum(Fraction(cohen_h(5, 16 * n - r * r)) * r**6
-                 for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1) if 16 * n > r * r)
-        return as_rational(Fraction(-1057, 1080) * s1 + Fraction(1, 69120) * s2)
+        k, power, c1, c2 = _CLOSED_ROUTES[route]
+        return as_rational(c1 * _h_sum(k, 4 * n, lambda r: r**power)
+                           + c2 * _h_sum(k, 16 * n, lambda r: r**power))
     raise ValueError(f"unknown tau route {route!r} (expected one of {TAU_ROUTES})")
 
 
@@ -434,12 +370,8 @@ def delta16(n: int) -> Rat:
     61/8640 sigma_7(n+2) - 1/829440 sum (-1)^r H(7, 8(n+2) - r^2)/zeta(-13)."""
     if n % 2 == 0:
         raise ValueError("delta16 requires odd n")
-    z = Fraction(zeta_neg(-13))
-    m = n + 2
-    rmax = math.isqrt(8 * m)
-    acc = sum(_sign(r) * Fraction(cohen_h(7, 8 * m - r * r)) / z
-              for r in range(-rmax, rmax + 1) if 8 * m > r * r)
-    return as_rational(Fraction(61, 8640) * sigma(7, m) - Fraction(1, 829440) * acc)
+    acc = _h_sum(7, 8 * (n + 2), _sign) / Fraction(zeta_neg(-13))
+    return as_rational(Fraction(61, 8640) * sigma(7, n + 2) - Fraction(1, 829440) * acc)
 
 
 def r16(n: int) -> Rat:
@@ -447,8 +379,5 @@ def r16(n: int) -> Rat:
     416/135 sigma_7(n) + 2/405 sum (-1)^r H(7, 8n - r^2)/zeta(-13)."""
     if n % 2 == 0:
         raise ValueError("r16 requires odd n")
-    z = Fraction(zeta_neg(-13))
-    rmax = math.isqrt(8 * n)
-    acc = sum(_sign(r) * Fraction(cohen_h(7, 8 * n - r * r)) / z
-              for r in range(-rmax, rmax + 1) if 8 * n > r * r)
+    acc = _h_sum(7, 8 * n, _sign) / Fraction(zeta_neg(-13))
     return as_rational(Fraction(416, 135) * sigma(7, n) + Fraction(2, 405) * acc)

@@ -9,7 +9,8 @@ whose zeta-part is a finite Laurent polynomial for every q-power.
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
 operand has terms with negative q-exponent; nothing is ever emitted beyond
-the certified window.
+the certified window.  The term maps are read-only views (MappingProxyType),
+so a series, once built, can be shared without being changed.
 
 CycloElt represents an exact element of Q[x]/Phi_K(x) (x a primitive K-th
 root of unity) and only appears in torsion-point specialization, where the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional, Union
 
 from jacobiforms.numtheory import Rat, as_rational, divisors, parse_rational, rational_str
@@ -91,7 +93,7 @@ class QSeries:
             if t >= prec:
                 raise ValueError(f"term q^({t}/{qscale}) at or beyond precision {prec}")
             clean[t] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- construction helpers ------------------------------------------------
 
@@ -512,7 +514,7 @@ class CycloSeries:
         self.conductor = conductor
         self.qscale = qscale
         self.prec = prec
-        self.terms = {t: c for t, c in terms.items() if not c.is_zero()}
+        self.terms = MappingProxyType({t: c for t, c in terms.items() if not c.is_zero()})
 
     @property
     def prec_exponent(self) -> Fraction:
@@ -567,7 +569,7 @@ class FJExp:
             if t >= qprec:
                 raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {qprec}")
             clean[(t, r)] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
         self.weight = None if weight is None else as_rational(weight)
         self.index = None if index is None else as_rational(index)
         self.cone_slack = None if cone_slack is None else as_rational(cone_slack)

@@ -1,145 +1,22 @@
 """Acceptance suite: the package's exit criteria.
 
-Every comparison is an exact rational equality (tolerance 0).  Each criterion
-prints one pass/fail line (run with `pytest tests/test_acceptance.py -v -s`).
+One test per check in `jacobiforms.checks`, the same checks that
+`jacobiforms selftest` runs.  Every comparison is an exact rational equality
+(tolerance 0).  Each check prints one pass/fail line with its time (run with
+`pytest tests/test_acceptance.py -v -s`).
 """
 
-import math
-import random
-import time
-from fractions import Fraction
+import pytest
 
-from jacobiforms import catalog as cat
-from jacobiforms import identities, lattice
-from jacobiforms.numtheory import cohen_h, cohen_h_via_l_values
-from jacobiforms.representations import (
-    CountQuery,
-    count_bruteforce,
-    delta16,
-    formula_delta8,
-    formula_r8,
-    r16,
-    r_a8_formula,
-    r_a8odd_formula,
-    tau,
-    tau_applicable_routes,
-)
-from jacobiforms.series import FJExp, QSeries
+from jacobiforms import checks
+
+TIME_LIMITS_S = {"identity registry": 120, "counting oracles": 60}
 
 
-def _report(criterion, ok, detail=""):
-    print(f"acceptance criterion {criterion}: {'pass' if ok else 'FAIL'}"
-          + (f" ({detail})" if detail else ""))
-    assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def test_criterion_1_identity_suite():
-    t0 = time.time()
-    reports = identities.verify_all()  # per-identity defaults: 8, and 6 for the index-12 heavyweights
-    elapsed = time.time() - t0
-    failing = [r.id for r in reports if not r.passed]
-    _report(1, not failing and elapsed < 120,
-            f"{len(reports)} identities in {elapsed:.1f}s"
-            + (f"; failing: {failing}" if failing else ""))
-
-
-def test_criterion_2_printed_coefficient_fixtures():
-    e41 = cat.jacobi_eis_m1(4, 4)
-    ok = (e41.coefficient(1, 0), e41.coefficient(1, 1), e41.coefficient(1, 2)) == (126, 56, 1)
-    e44 = cat.jacobi_eis(4, 4, 4)
-    ok &= [e44.coefficient(1, r) for r in range(4)] == [56, 56, 28, 8]
-    ok &= cat.jacobi_eis_m1(10, 3).coefficient(1, 1) == Fraction(-860776, 43867)
-    ok &= cat.jacobi_eis_m1(12, 3).coefficient(1, 1) == Fraction(339848, 77683)
-    diff = cat.jacobi_eis_m1(12, 8).eval_z0() - cat.eisenstein(12, 8)
-    ok &= diff.agrees_with(Fraction(304819200, 53678953) * cat.delta(8))
-    _report(2, ok)
-
-
-def test_criterion_3_counting_cross_validation():
-    t0 = time.time()
-    problems = []
-    for n in range(1, 41):
-        if count_bruteforce(CountQuery("squares", 8, n)) != formula_r8(n):
-            problems.append(f"r_8({n})")
-        if count_bruteforce(CountQuery("triangular", 8, n)) != formula_delta8(n):
-            problems.append(f"delta_8({n})")
-    for a in range(1, 6):
-        for n in range(0, 31):
-            if r_a8_formula(a, n) != count_bruteforce(CountQuery("figurate", 8, n, a=a)):
-                problems.append(f"R_{{{a},8}}({n})")
-            if r_a8odd_formula(a, n) != count_bruteforce(CountQuery("figurate_odd", 8, n, a=a)):
-                problems.append(f"R^odd_{{{a},8}}({n})")
-    t10_16 = (cat.theta_const(1, 0, 26) ** 8) ** 2
-    t00_16 = ((cat.theta_const(0, 0, 24) ** 8) ** 2).substituted(2)
-    for n in range(1, 22, 2):
-        if not (delta16(n) == count_bruteforce(CountQuery("triangular", 16, n))
-                == Fraction(t10_16.coefficient(n + 2), 2**16)):
-            problems.append(f"delta_16({n})")
-        if not (r16(n) == count_bruteforce(CountQuery("squares", 16, n))
-                == t00_16.coefficient(n)):
-            problems.append(f"r_16({n})")
-    elapsed = time.time() - t0
-    _report(3, not problems and elapsed < 60,
-            f"{elapsed:.1f}s" + (f"; {problems[:4]}" if problems else ""))
-
-
-def test_criterion_4_tau_multi_route():
-    problems = []
-    for n in range(1, 51):
-        routes = tau_applicable_routes(n)
-        if n % 2 and math.isqrt(n) ** 2 != n:
-            assert "via_h3_closed" in routes and "via_h5_closed" in routes
-        values = {route: tau(n, route) for route in routes}
-        if len(set(values.values())) != 1:
-            problems.append((n, values))
-        elif not isinstance(values["direct"], int):
-            problems.append((n, "non-integral"))
-    ok = not problems and tau(1) == 1 and tau(2) == -24
-    _report(4, ok, str(problems[:2]) if problems else "n <= 50, all routes")
-
-
-def test_criterion_5_lattice_fixtures():
-    ok = lattice.vector_counts("E7", 2).get(2) == 126
-    ok &= lattice.vector_counts("A7", 2).get(2) == 56
-    ok &= lattice.jacobi_theta_e8(lattice.U2, 6).mismatch(cat.jacobi_eis_m1(4, 6)) is None
-    ok &= lattice.jacobi_theta_e8(lattice.U8, 6).mismatch(cat.jacobi_eis(4, 4, 6)) is None
-    _report(5, ok)
-
-
-def test_criterion_6_property_suites():
-    problems = []
-    # series ring laws on random small series
-    rng = random.Random(424242)
-    def rand_qs():
-        return QSeries(1, 10, {rng.randrange(0, 10): Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
-                               for _ in range(rng.randrange(0, 7))})
-    for _ in range(100):
-        a, b, c = rand_qs(), rand_qs(), rand_qs()
-        if not ((a + b) == (b + a) and (a * b) == (b * a)
-                and (a * (b + c)) == (a * b + a * c)
-                and ((a * b) * c).agrees_with(a * (b * c))):
-            problems.append("ring laws")
-            break
-    # fj_div round-trip on catalog forms
-    th = cat.theta(8)
-    for num in (th.ud(2), th.ud(3), th * th * th):
-        q = num.divide(th)
-        if not (q * th).agrees_with(num.q_truncated((q * th).prec_exponent)):
-            problems.append("fj_div round-trip")
-    # index-cone invariants
-    for form in (cat.theta(10), cat.jacobi_eis_m1(6, 8), cat.jacobi_eis(4, 4, 6),
-                 cat.wp_theta2(8), cat.phi(1, 8), cat.phi(4, 8)):
-        if form.cone_violations():
-            problems.append("index cone")
-    # Cohen dual-definition agreement to N = 200
-    for r in (1, 2, 3, 5, 7, 9, 11):
-        for n in range(0, 201):
-            if cohen_h(r, n) != cohen_h_via_l_values(r, n):
-                problems.append(f"H({r},{n})")
-                break
-    # integrality of the eight listed Jacobi-Eisenstein series
-    for k, m in ((4, 1), (4, 2), (4, 3), (4, 4), (6, 1), (6, 2), (6, 4), (8, 1)):
-        e = cat.jacobi_eis(k, m, 8)
-        if any(not isinstance(c, int) for c in e.terms.values()):
-            problems.append(f"integrality E_{{{k},{m}}}")
-    _report(6, not problems, str(problems[:4]) if problems else "all property suites")
+@pytest.mark.parametrize("check", checks.CHECKS, ids=[name.replace(" ", "-") for name, _ in checks.CHECKS])
+def test_check(check):
+    ((name, ok, detail, elapsed),) = checks.run([check])
+    print(f"{name}: {'pass' if ok else 'FAIL'} in {elapsed:.2f}s ({detail})")
+    assert ok, f"{name} failed: {detail}"
+    if name in TIME_LIMITS_S:
+        assert elapsed < TIME_LIMITS_S[name], f"{name} took {elapsed:.1f}s"

@@ -33,6 +33,18 @@ def test_theta_ab_series():
         cat.theta_ab(1, 2, 5)
 
 
+def test_returned_series_are_immutable():
+    th, d = cat.theta(4), cat.delta(4)
+    key = next(iter(th.terms))
+    before = th.terms[key]
+    with pytest.raises(TypeError):
+        th.terms[key] = 12345
+    with pytest.raises(TypeError):
+        d.terms[0] = 1
+    assert cat.theta(4).terms[key] == before
+    assert cat.delta(4).coefficient(0) == 0
+
+
 def test_eta_delta():
     eta = cat.eta(8)
     assert eta.coefficient(Fraction(1, 24)) == 1

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -129,13 +130,37 @@ def test_output_is_byte_stable(capsys):
 
 
 def test_selftest_check_groups():
-    from jacobiforms.cli import _selftest_checks
-    names = [name for name, _ in _selftest_checks()]
-    # superset of the acceptance suite: registry, fixtures, counting, tau,
-    # lattice, plus the cohen/catalog/series property groups
+    from jacobiforms import checks
+    names = [name for name, _ in checks.CHECKS]
+    # the acceptance suite's criteria plus the cohen/catalog/series property
+    # groups and the constructors' second routes
     assert names == ["identity registry", "printed fixtures", "cohen dual definition",
                      "counting oracles", "tau routes", "lattice fixtures",
-                     "catalog invariants", "series properties"]
+                     "catalog invariants", "series properties", "constructor cross-checks"]
+
+
+def test_selftest_exit_codes_and_timings(capsys, monkeypatch):
+    from jacobiforms import checks
+    passing = ("fake pass", lambda: (True, "fine"))
+    failing = ("fake fail", lambda: (False, "broken"))
+    monkeypatch.setattr(checks, "CHECKS", (passing, failing))
+    code, out, _ = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 2
+    assert lines[0].startswith("fake pass: pass") and lines[1].startswith("fake fail: FAIL")
+    assert all(re.search(r" in \d+\.\d\ds ", line) for line in lines)
+    monkeypatch.setattr(checks, "CHECKS", (passing, passing))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0 and out.count(": pass in ") == 2
+
+
+@pytest.mark.parametrize("form, name", [
+    ("theta", "theta"), ("theta00", "theta00"), ("theta_const:0,0", "theta_const"),
+    ("eta", "eta"), ("delta", "delta"), ("ek:4", "eisenstein"), ("g2", "g2"),
+])
+def test_expand_prec_zero_is_a_precondition(capsys, form, name):
+    code, out, err = run(capsys, "expand", "--form", form, "--prec", "0")
+    assert code == 3 and out == "" and f"{name} needs prec >= 1" in err
 
 
 def test_expand_json_round_trips(capsys):
