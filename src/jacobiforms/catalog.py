@@ -7,18 +7,16 @@ wp*theta^2 realized as eta^6 phi_{0,1} / 12.
 Each constructor builds by one route.  The second routes that cross-check
 them (theta from the triple product, the naive Euler product, Delta as
 eta^24) live in `jacobiforms.checks`; only the cheap normalization asserts
-of jacobi_eis and phi stay here.  Constructors are pure and memoized with
-lru_cache, and the series they return are immutable.
+of jacobi_eis and phi stay here.  Constructors are pure, their series immutable,
+and `series.memo_by_prec` cuts lower precisions from each form's highest build.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-
 from jacobiforms.numtheory import bernoulli, cohen_h, factorize, kronecker, mobius, sigma, zeta_neg
-from jacobiforms.series import FJExp, QSeries
+from jacobiforms.series import FJExp, QSeries, memo_by_prec
 
 HALF = Fraction(1, 2)
 
@@ -37,7 +35,7 @@ def _require_prec(form: str, prec: int) -> None:
         raise ValueError(f"{form} needs prec >= 1, got {prec}")
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def theta(prec: int) -> FJExp:
     """The odd theta series, weight 1/2 and index 1/2 (real-normalized):
     sum over odd n of kronecker(-4, n) q^(n^2/8) zeta^(n/2)."""
@@ -52,7 +50,7 @@ def theta(prec: int) -> FJExp:
     return FJExp(8, 2, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
     """Level-two theta series with characteristic (a, b) = (two_a/2, two_b/2).
 
@@ -88,7 +86,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
     return FJExp(8, 2, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
     """Theta constant: the z = 0 value of :func:`theta_ab`."""
     _require_prec("theta_const", prec)
@@ -99,7 +97,7 @@ def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
 # eta, Delta, Eisenstein series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def euler_product(prec: int) -> QSeries:
     """prod_{n>=1} (1 - q^n) by the pentagonal number theorem:
     sum over k of (-1)^k q^(k(3k-1)/2)."""
@@ -114,21 +112,21 @@ def euler_product(prec: int) -> QSeries:
     return QSeries(1, prec, terms)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def eta(prec: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n)."""
     _require_prec("eta", prec)
     return euler_product(prec).shifted(Fraction(1, 24))
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def delta(prec: int) -> QSeries:
     """The discriminant cusp form q prod (1 - q^n)^24, which equals eta^24."""
     _require_prec("delta", prec)
     return (euler_product(prec) ** 24).shifted(1).truncated(prec)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def eisenstein(k: int, prec: int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for even k >= 2."""
     if k < 2 or k % 2:
@@ -141,7 +139,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
     return QSeries(1, prec, terms)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def g2(prec: int) -> QSeries:
     """Quasi-modular G_2 = -1/24 + sum sigma_1(n) q^n."""
     _require_prec("g2", prec)
@@ -151,7 +149,7 @@ def g2(prec: int) -> QSeries:
     return QSeries(1, prec, terms)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def eps2(prec: int) -> QSeries:
     """The weight-2 level-2 Eisenstein series 2 E_2(2 tau) - E_2(tau)."""
     _require_prec("eps2", prec)
@@ -163,7 +161,7 @@ def eps2(prec: int) -> QSeries:
 # Jacobi-Eisenstein series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     """Index-1 Jacobi-Eisenstein series: coefficients are normalized Cohen
     numbers H(k-1, 4n - r^2) / zeta(3 - 2k) on the support r^2 <= 4n."""
@@ -180,7 +178,7 @@ def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     return FJExp(1, 1, prec, terms, weight=k, index=1, cone_slack=0)
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     """Index-m Jacobi-Eisenstein series via the index-raising operators:
 
@@ -215,7 +213,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
 # weight-0 weak Jacobi generators and the wp product
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def _xi_squared(two_a: int, two_b: int, prec: int) -> FJExp:
     """(theta_ab(tau, z) / theta_ab(tau))^2 at an internal working precision."""
     num = theta_ab(two_a, two_b, prec)
@@ -232,7 +230,7 @@ _PHI_Q0 = {
 }
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def phi(j: int, prec: int) -> FJExp:
     """The weak Jacobi form phi_{0,j} of weight 0 and index j (j = 1..4).
 
@@ -243,8 +241,7 @@ def phi(j: int, prec: int) -> FJExp:
     """
     if j not in (1, 2, 3, 4):
         raise UnknownFormError(f"phi_{{0,{j}}} is not a generator (j must be 1..4)")
-    if prec < 2:
-        raise ValueError("phi needs prec >= 2")
+    _require_prec("phi", prec)
     work = prec + 1
     if j == 1:
         result = 4 * (_xi_squared(0, 0, work) + _xi_squared(0, 1, work) + _xi_squared(1, 0, work))
@@ -264,7 +261,7 @@ def phi(j: int, prec: int) -> FJExp:
     return result
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def wp_theta2(prec: int) -> FJExp:
     """The product of the Weierstrass wp-function with theta^2, weight 3 and
     index 1, realized as eta^6 phi_{0,1} / 12.

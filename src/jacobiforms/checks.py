@@ -202,8 +202,12 @@ CHECKS = (
 
 def run(checks=None):
     """Run the given (name, check) pairs, CHECKS by default, yielding
-    (name, ok, detail, elapsed seconds) for each as it finishes."""
+    (name, ok, detail, elapsed seconds) for each as it finishes.  A check
+    that raises fails with "Type: message" as its detail."""
     for name, check in CHECKS if checks is None else checks:
         t0 = time.perf_counter()
-        ok, detail = check()
+        try:
+            ok, detail = check()
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         yield name, ok, detail, time.perf_counter() - t0

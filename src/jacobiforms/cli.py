@@ -42,10 +42,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _series_json(series) -> dict:
-    return series.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -60,7 +56,7 @@ def _cmd_expand(args) -> int:
     prec = args.prec if args.prec is not None else _default_prec(8)
     series = catalog.form_by_name(args.form, prec)
     if args.json:
-        _emit(_series_json(series))
+        _emit(series.to_json_dict())
     else:
         print(series)
     return EXIT_OK

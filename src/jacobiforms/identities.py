@@ -101,26 +101,24 @@ def _restrict(qs: QSeries, keep) -> QSeries:
     return QSeries(qs.qscale, qs.prec, terms)
 
 
-def _theta_pow(prec: int, k: int) -> FJExp:
-    return cat.theta(prec) ** k
-
-
 def _eis_2z(k: int, m: int, prec: int) -> FJExp:
     return cat.jacobi_eis(k, m, prec).ud(2)
 
 
-def _eta_pow(prec: int, k: int) -> QSeries:
-    return cat.eta(prec) ** k
+def _index4_window(coeff, prec: int) -> FJExp:
+    """coeff(n, r) on n < prec and |r| <= isqrt(16 n) + 2 (index 4 with margin)."""
+    return FJExp(1, 1, prec, {(n, r): coeff(n, r) for n in range(prec)
+                              for r in range(-math.isqrt(16 * n) - 2, math.isqrt(16 * n) + 3)})
 
 
 def _eta12_theta10_4(prec: int) -> QSeries:
     """The first level-2 cusp form eta^12 * theta_10^4 as a q-series."""
-    return (_eta_pow(prec, 12) * cat.theta_const(1, 0, prec) ** 4).truncated(prec)
+    return (cat.eta(prec) ** 12 * cat.theta_const(1, 0, prec) ** 4).truncated(prec)
 
 
 def _eta12_2tau(prec: int) -> QSeries:
     """eta(2 tau)^12."""
-    return (_eta_pow(prec, 12).substituted(2)).truncated(prec)
+    return (cat.eta(prec) ** 12).substituted(2).truncated(prec)
 
 
 def _e_series(k: int, prec: int, sub: int = 1) -> QSeries:
@@ -156,29 +154,21 @@ def _cone_violation_pair(fj: FJExp, index: int, prec: int, strict: bool):
 # ---------------------------------------------------------------------------
 
 def _b_t31_theta8(prec):
-    return _theta_pow(prec, 8), _eis_2z(4, 1, prec) - cat.jacobi_eis(4, 4, prec)
+    return cat.theta(prec) ** 8, _eis_2z(4, 1, prec) - cat.jacobi_eis(4, 4, prec)
 
 
 def _b_t31_f4(prec):
-    rhs = {}
-    for n in range(prec):
-        for r in range(-math.isqrt(16 * n) - 2, math.isqrt(16 * n) + 3):
-            rhs[(n, r)] = f4_coeff(n, r)
-    return _theta_pow(prec, 8).normalized(), FJExp(1, 1, prec, rhs)
+    return (cat.theta(prec) ** 8).normalized(), _index4_window(f4_coeff, prec)
 
 
 def _b_t31_wp8(prec):
-    lhs = (12 * cat.wp_theta2(prec)) * _theta_pow(prec, 6)
+    lhs = (12 * cat.wp_theta2(prec)) * cat.theta(prec) ** 6
     return lhs, _eis_2z(6, 1, prec) - cat.jacobi_eis(6, 4, prec)
 
 
 def _b_t31_f6(prec):
-    rhs = {}
-    for n in range(prec):
-        for r in range(-math.isqrt(16 * n) - 2, math.isqrt(16 * n) + 3):
-            rhs[(n, r)] = f6_coeff(n, r)
     lhs = _eis_2z(6, 1, prec) - cat.jacobi_eis(6, 4, prec)
-    return lhs.normalized(), FJExp(1, 1, prec, rhs)
+    return lhs.normalized(), _index4_window(f6_coeff, prec)
 
 
 def _b_r31_a(prec):
@@ -198,7 +188,7 @@ def _b_r31_c(prec):
 
 
 def _b_l32_e8(prec):
-    lhs = _theta_pow(prec, 8)
+    lhs = cat.theta(prec) ** 8
     rhs = lattice.jacobi_theta_e8(lattice.U2, prec).ud(2) - lattice.jacobi_theta_e8(lattice.U8, prec)
     return lhs, rhs
 
@@ -239,7 +229,7 @@ def _b_l21_tau(prec):
 def _b_c33_eta8(prec):
     inner = prec_for_eval_linear(prec, 4, 3, 2, 0)
     lhs = cat.euler_product(prec) ** 8
-    rhs = (_theta_pow(inner, 8).eval_linear(3, 2)).shifted(5).truncated(prec)
+    rhs = (cat.theta(inner) ** 8).eval_linear(3, 2).shifted(5).truncated(prec)
     return lhs, rhs
 
 
@@ -311,13 +301,13 @@ def _b_s32_cohen_all_n(prec):
 
 
 def _b_s32_t10_8(prec):
-    lhs = _theta_pow(prec, 8).specialize(0, HALF)
+    lhs = (cat.theta(prec) ** 8).specialize(0, HALF)
     rhs = Fraction(16, 15) * (_e_series(4, prec) - _e_series(4, prec, 2))
     return lhs, rhs
 
 
 def _b_s32_t10_8_const(prec):
-    return _theta_pow(prec, 8).specialize(0, HALF), cat.theta_const(1, 0, prec) ** 8
+    return (cat.theta(prec) ** 8).specialize(0, HALF), cat.theta_const(1, 0, prec) ** 8
 
 
 def _b_s32_t10_8_delta(prec):
@@ -365,19 +355,19 @@ def _b_s32_r8_odd(prec):
 
 
 def _b_s32_eps2_consts(prec):
-    lhs = 2 * cat.eps2(prec) * _theta_pow(prec, 8).specialize(0, HALF)
+    lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
     t10, t00, t01 = (cat.theta_const(a, b, prec) for a, b in ((1, 0), (0, 0), (0, 1)))
     rhs = (t10 ** 8) * (t00**4 + t01**4)
     return lhs.truncated(prec), rhs.truncated(prec)
 
 
 def _b_s32_eps2_eis(prec):
-    lhs = 2 * cat.eps2(prec) * _theta_pow(prec, 8).specialize(0, HALF)
+    lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
     return lhs.truncated(prec), _spec_half(6, 4, prec) - _e_series(6, prec)
 
 
 def _b_s32_eps2_level(prec):
-    lhs = 2 * cat.eps2(prec) * _theta_pow(prec, 8).specialize(0, HALF)
+    lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
     rhs = Fraction(64, 63) * (_e_series(6, prec, 2) - _e_series(6, prec))
     return lhs.truncated(prec), rhs
 
@@ -444,12 +434,12 @@ def _b_p41_diff(prec):
 
 def _b_s41_eta_a(prec):
     lhs = _eta12_theta10_4(prec)
-    rhs = 16 * (_eta_pow(prec, 8) * _eta_pow(prec, 8).substituted(2)).truncated(prec)
+    rhs = 16 * (cat.eta(prec) ** 8 * (cat.eta(prec) ** 8).substituted(2)).truncated(prec)
     return lhs, rhs
 
 
 def _b_s41_eta_b(prec):
-    lhs = (_eta_pow(prec, 6) * cat.theta_const(1, 0, prec) ** 6).truncated(prec)
+    lhs = (cat.eta(prec) ** 6 * cat.theta_const(1, 0, prec) ** 6).truncated(prec)
     return lhs, 64 * _eta12_2tau(prec)
 
 
@@ -489,7 +479,7 @@ def _b_p42_b_even(prec):
 
 
 def _eta_eta3_6(prec: int) -> QSeries:
-    return (_eta_pow(prec, 6) * _eta_pow(prec, 6).substituted(3)).truncated(prec)
+    return (cat.eta(prec) ** 6 * (cat.eta(prec) ** 6).substituted(3)).truncated(prec)
 
 
 def _b_p43_e63(prec):
@@ -517,8 +507,8 @@ def _b_p43_cn(prec):
 
 
 def _b_t44_wp2(prec):
-    th4 = _theta_pow(prec + 1, 4)
-    eta12 = _eta_pow(prec + 1, 12)
+    th4 = cat.theta(prec + 1) ** 4
+    eta12 = cat.eta(prec + 1) ** 12
     lhs = (eta12 * th4 * cat.phi(1, prec + 1) ** 2).q_truncated(prec)
     rhs = (_eis_2z(8, 1, prec) - cat.jacobi_eis(8, 4, prec)
            + Fraction(1449, 86) * (eta12 * th4 * cat.phi(2, prec + 1)).q_truncated(prec))
@@ -528,8 +518,8 @@ def _b_t44_wp2(prec):
 def _b_t44_wp3(prec):
     # the index-4 cusp corrections live on eta^18 theta^2, the weight-10
     # analogue of Delta at index 1
-    th2 = _theta_pow(prec + 1, 2)
-    eta18_th2 = _eta_pow(prec + 1, 18) * th2
+    th2 = cat.theta(prec + 1) ** 2
+    eta18_th2 = cat.eta(prec + 1) ** 18 * th2
     lhs = (eta18_th2 * cat.phi(1, prec + 1) ** 3).q_truncated(prec)
     p1, p2, p3 = (cat.phi(j, prec + 1) for j in (1, 2, 3))
     rhs = (_eis_2z(6, 1, prec) * cat.eisenstein(4, prec)
@@ -548,18 +538,18 @@ def _b_t44_wp4(prec):
 
 
 def _b_t44_theta16(prec):
-    lhs = _theta_pow(prec, 8) ** 2
+    lhs = (cat.theta(prec) ** 8) ** 2
     p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
     cusp = (p1 * p2 * p3 * Fraction(73, 11008)
             - p3 ** 2 * Fraction(45549, 2752)
             + p2 * p4 * Fraction(20713, 1376))
     rhs = (_eis_2z(8, 2, prec) - cat.jacobi_eis(8, 8, prec)
-           + (_eta_pow(prec + 1, 12) * _theta_pow(prec + 1, 4) * cusp).q_truncated(prec))
+           + (cat.eta(prec + 1) ** 12 * cat.theta(prec + 1) ** 4 * cusp).q_truncated(prec))
     return lhs, rhs
 
 
 def _b_s43_theta24(prec):
-    lhs = _theta_pow(prec, 8) ** 3
+    lhs = (cat.theta(prec) ** 8) ** 3
     p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
     e4 = cat.eisenstein(4, prec)
     eis = _eis_2z(4, 3, prec) * (e4 * e4) - cat.jacobi_eis(4, 4, prec) ** 3
@@ -700,7 +690,7 @@ def _b_intro_delta8(prec):
 
 def _b_hhol(eta_pow: int, j: int, strict: bool):
     def build(prec):
-        form = (_eta_pow(prec + 1, eta_pow) * cat.phi(j, prec + 1)).q_truncated(prec)
+        form = (cat.eta(prec + 1) ** eta_pow * cat.phi(j, prec + 1)).q_truncated(prec)
         return _cone_violation_pair(form, j, prec, strict)
     return build
 

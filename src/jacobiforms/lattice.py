@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from jacobiforms.series import FJExp
+from jacobiforms.series import FJExp, memo_by_prec
 
 U2 = (1, -1, 0, 0, 0, 0, 0, 0)
 U8 = (2, 1, 1, 1, 1, 0, 0, 0)
@@ -118,7 +118,7 @@ def vector_counts(lattice: str, max_norm: int) -> dict:
     return counts
 
 
-@lru_cache(maxsize=None)
+@memo_by_prec
 def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
     doubled_u = [2 * x for x in u]
     max_doubled = 8 * prec - 8  # (v,v) < 2*prec, norms are even

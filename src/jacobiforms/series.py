@@ -9,8 +9,8 @@ whose zeta-part is a finite Laurent polynomial for every q-power.
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
 operand has terms with negative q-exponent; nothing is ever emitted beyond
-the certified window.  The term maps are read-only views (MappingProxyType),
-so a series, once built, can be shared without being changed.
+the certified window.  Series are read-only once built (term maps are
+MappingProxyType views; setting an attribute raises), so callers can share one.
 
 CycloElt represents an exact element of Q[x]/Phi_K(x) (x a primitive K-th
 root of unity) and only appears in torsion-point specialization, where the
@@ -20,8 +20,10 @@ root-of-unity phases live before they cancel to rationals.
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 from typing import Optional, Union
 
@@ -71,6 +73,13 @@ def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+_set = object.__setattr__  # __init__ writes slots through this; later writes raise
+
+
+def _read_only(self, name, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # one-variable series
 # ---------------------------------------------------------------------------
@@ -79,12 +88,13 @@ class QSeries:
     """Truncated series sum_t c_t q^(t/qscale), certified for t < prec."""
 
     __slots__ = ("qscale", "prec", "terms")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
         if qscale < 1:
             raise ValueError("qscale must be a positive integer")
-        self.qscale = qscale
-        self.prec = prec
+        _set(self, "qscale", qscale)
+        _set(self, "prec", prec)
         clean = {}
         for t, c in terms.items():
             c = as_rational(c)
@@ -93,7 +103,7 @@ class QSeries:
             if t >= prec:
                 raise ValueError(f"term q^({t}/{qscale}) at or beyond precision {prec}")
             clean[t] = c
-        self.terms = MappingProxyType(clean)
+        _set(self, "terms", MappingProxyType(clean))
 
     # -- construction helpers ------------------------------------------------
 
@@ -214,8 +224,6 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QSeries(self.qscale, self.prec, {})
             return QSeries(self.qscale, self.prec, {t: c * other for t, c in self.terms.items()})
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -429,14 +437,15 @@ class CycloElt:
     """Element of Q[x]/Phi_K(x) in the power basis, x = exp(2 pi i / K)."""
 
     __slots__ = ("conductor", "coords")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, coords):
-        self.conductor = conductor
+        _set(self, "conductor", conductor)
         coords = tuple(Fraction(c) for c in coords)
         deg = len(cyclotomic_poly(conductor)) - 1
         if len(coords) != deg:
             raise ValueError(f"expected {deg} coordinates for conductor {conductor}")
-        self.coords = coords
+        _set(self, "coords", coords)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloElt":
@@ -449,10 +458,6 @@ class CycloElt:
         row = _root_power_rows(conductor)[j % conductor]
         c = Fraction(coeff)
         return cls(conductor, tuple(c * x for x in row))
-
-    @classmethod
-    def from_rational(cls, conductor: int, value: RatLike) -> "CycloElt":
-        return cls.from_root_power(conductor, 0, value)
 
     def __add__(self, other: "CycloElt") -> "CycloElt":
         if self.conductor != other.conductor:
@@ -509,12 +514,13 @@ class CycloSeries:
     """A q-series with CycloElt coefficients (specialization intermediate)."""
 
     __slots__ = ("conductor", "qscale", "prec", "terms")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, qscale: int, prec: int, terms: dict):
-        self.conductor = conductor
-        self.qscale = qscale
-        self.prec = prec
-        self.terms = MappingProxyType({t: c for t, c in terms.items() if not c.is_zero()})
+        _set(self, "conductor", conductor)
+        _set(self, "qscale", qscale)
+        _set(self, "prec", prec)
+        _set(self, "terms", MappingProxyType({t: c for t, c in terms.items() if not c.is_zero()}))
 
     @property
     def prec_exponent(self) -> Fraction:
@@ -553,14 +559,15 @@ class FJExp:
     """
 
     __slots__ = ("qscale", "zscale", "qprec", "terms", "weight", "index", "cone_slack")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, zscale: int, qprec: int, terms: dict,
                  weight=None, index=None, cone_slack=None):
         if qscale < 1 or zscale < 1:
             raise ValueError("scales must be positive integers")
-        self.qscale = qscale
-        self.zscale = zscale
-        self.qprec = qprec
+        _set(self, "qscale", qscale)
+        _set(self, "zscale", zscale)
+        _set(self, "qprec", qprec)
         clean = {}
         for (t, r), c in terms.items():
             c = as_rational(c)
@@ -569,10 +576,10 @@ class FJExp:
             if t >= qprec:
                 raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {qprec}")
             clean[(t, r)] = c
-        self.terms = MappingProxyType(clean)
-        self.weight = None if weight is None else as_rational(weight)
-        self.index = None if index is None else as_rational(index)
-        self.cone_slack = None if cone_slack is None else as_rational(cone_slack)
+        _set(self, "terms", MappingProxyType(clean))
+        _set(self, "weight", None if weight is None else as_rational(weight))
+        _set(self, "index", None if index is None else as_rational(index))
+        _set(self, "cone_slack", None if cone_slack is None else as_rational(cone_slack))
 
     # -- construction ----------------------------------------------------------
 
@@ -610,11 +617,6 @@ class FJExp:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lowest_q_exponent(self) -> Optional[Fraction]:
-        if not self.terms:
-            return None
-        return Fraction(min(t for t, _ in self.terms), self.qscale)
 
     def coefficient(self, q_exp: RatLike, z_exp: RatLike) -> Rat:
         e = Fraction(q_exp)
@@ -725,8 +727,6 @@ class FJExp:
     __radd__ = __add__
 
     def __sub__(self, other) -> "FJExp":
-        if isinstance(other, QSeries):
-            other = FJExp.from_qseries(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "FJExp":
@@ -734,9 +734,6 @@ class FJExp:
 
     def __mul__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return FJExp(self.qscale, self.zscale, self.qprec, {},
-                             weight=self.weight, index=self.index, cone_slack=self.cone_slack)
             return FJExp(self.qscale, self.zscale, self.qprec,
                          {k: c * other for k, c in self.terms.items()},
                          weight=self.weight, index=self.index, cone_slack=self.cone_slack)
@@ -1091,7 +1088,7 @@ def _laurent_div_exact(num: dict, den: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# precision planning helpers
+# precision planning helpers and the precision memo of the form constructors
 # ---------------------------------------------------------------------------
 
 def prec_for_specialize(target: RatLike, index: RatLike, lam: RatLike, slack: RatLike) -> int:
@@ -1116,3 +1113,43 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     m, b, w = Fraction(index), Fraction(slack), Fraction(target)
     y = (d * _sqrt_upper(m) + _sqrt_upper(d * d * m + c * (w + d * b))) / c
     return _floor_frac(y * y) + 2
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def memo_by_prec(build):
+    """Memoize a pure constructor `build(*args, prec)` whose series is
+    certified below prec + c, c fixed per form: keep one build per `args`,
+    the one at the highest precision `top`, and cut any request with
+    1 <= prec <= top from it; any other request goes to `build`.  Builds run
+    outside the lock (constructors call each other) and replace the kept one
+    only if higher.  `cache_info` and `cache_clear` are as in lru_cache."""
+    kept: dict = {}  # args before the precision -> (top, series)
+    counts = [0, 0]  # hits, misses
+    lock = threading.Lock()
+
+    @wraps(build)
+    def memo(*args):
+        key, prec = args[:-1], args[-1]
+        with lock:
+            top, series = kept.get(key, (0, None))
+            hit = 1 <= prec <= top
+            counts[0 if hit else 1] += 1
+        if hit:
+            cut = series.q_truncated if isinstance(series, FJExp) else series.truncated
+            return cut(series.prec_exponent - (top - prec))
+        series = build(*args)
+        with lock:
+            if prec > kept.get(key, (0,))[0]:
+                kept[key] = (prec, series)
+        return series
+
+    def cache_clear() -> None:
+        with lock:
+            kept.clear()
+            counts[:] = [0, 0]
+
+    memo.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(kept))
+    memo.cache_clear = cache_clear
+    return memo

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jacobiforms import catalog as cat
+from jacobiforms import lattice
 from jacobiforms.catalog import UnknownFormError
 from jacobiforms.series import FJExp, QSeries
 
@@ -41,8 +42,69 @@ def test_returned_series_are_immutable():
         th.terms[key] = 12345
     with pytest.raises(TypeError):
         d.terms[0] = 1
+    with pytest.raises(AttributeError):
+        th.qprec = 8
+    with pytest.raises(AttributeError):
+        d.prec = 99
     assert cat.theta(4).terms[key] == before
-    assert cat.delta(4).coefficient(0) == 0
+    assert cat.theta(4).prec_exponent == 4
+    assert cat.delta(4).coefficient(0) == 0 and cat.delta(5).prec_exponent == 5
+
+
+# (memo, arguments before the precision, highest precision built)
+SERVED_CASES = [
+    *((cat.theta_ab, ab, 8) for ab in ((0, 0), (0, 1), (1, 0), (1, 1))),
+    *((cat.theta_const, ab, 8) for ab in ((0, 0), (0, 1), (1, 0), (1, 1))),
+    (cat.theta, (), 8), (cat.euler_product, (), 8), (cat.eta, (), 8), (cat.delta, (), 8),
+    (cat.eisenstein, (4,), 8), (cat.g2, (), 8), (cat.eps2, (), 8),
+    (cat.jacobi_eis_m1, (4,), 8), (cat.jacobi_eis, (4, 4), 8), (cat.jacobi_eis, (6, 3), 8),
+    (cat._xi_squared, (0, 0), 8), (cat._xi_squared, (1, 0), 8),
+    *((cat.phi, (j,), 8) for j in (1, 2, 3, 4)),
+    (cat.wp_theta2, (), 8),
+    (lattice._jacobi_theta_e8_cached, (lattice.U2,), 6),
+    (lattice._jacobi_theta_e8_cached, (lattice.U8,), 6),
+]
+
+
+def _fingerprint(series):
+    return (series.to_json_dict(), getattr(series, "weight", None),
+            getattr(series, "index", None), getattr(series, "cone_slack", None))
+
+
+def test_served_build_equals_fresh_build(clear_memos):
+    for memo, args, top in SERVED_CASES:
+        fresh = {}
+        for p in range(1, top + 1):
+            clear_memos()
+            fresh[p] = _fingerprint(memo(*args, p))
+        # the memo now keeps the build at top; every lower precision is cut from it
+        for p in range(1, top + 1):
+            hits = memo.cache_info().hits
+            assert _fingerprint(memo(*args, p)) == fresh[p], (memo.__name__, args, p)
+            assert memo.cache_info().hits == hits + 1, (memo.__name__, args, p)
+    cat.theta(8)
+    cat.theta_ab(0, 0, 8)
+    with pytest.raises(ValueError, match="theta needs prec >= 1"):
+        cat.theta(0)
+    with pytest.raises(ValueError, match="theta00 needs prec >= 1"):
+        cat.theta_ab(0, 0, 0)
+
+
+def test_memos_expose_lru_cache_counters(clear_memos):
+    # found the way the benchmark tracer finds them, which reads the misses
+    # of theta, phi, jacobi_eis and jacobi_eis_m1
+    memos = {name: obj for name, obj in vars(cat).items()
+             if hasattr(obj, "cache_info") and obj.__module__ == cat.__name__}
+    assert {"theta", "phi", "jacobi_eis", "jacobi_eis_m1"} <= set(memos)
+    clear_memos()
+    for memo in memos.values():
+        info = memo.cache_info()
+        assert info._fields == ("hits", "misses", "maxsize", "currsize")
+        assert tuple(info) == (0, 0, None, 0), memo.__name__
+    cat.theta(3), cat.theta(2), cat.theta(5), cat.theta(4)
+    assert tuple(cat.theta.cache_info()) == (2, 2, None, 1)
+    cat.theta.cache_clear()
+    assert tuple(cat.theta.cache_info()) == (0, 0, None, 0)
 
 
 def test_eta_delta():

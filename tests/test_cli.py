@@ -152,11 +152,20 @@ def test_selftest_exit_codes_and_timings(capsys, monkeypatch):
     monkeypatch.setattr(checks, "CHECKS", (passing, passing))
     code, out, _ = run(capsys, "selftest")
     assert code == 0 and out.count(": pass in ") == 2
+    # a check that raises fails with the exception and the later ones still run
+    raising = ("fake raise", lambda: 1 // 0)
+    monkeypatch.setattr(checks, "CHECKS", (raising, passing))
+    code, out, _ = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 2
+    assert lines[0].startswith("fake raise: FAIL") and "(ZeroDivisionError: " in lines[0]
+    assert lines[1].startswith("fake pass: pass")
 
 
 @pytest.mark.parametrize("form, name", [
     ("theta", "theta"), ("theta00", "theta00"), ("theta_const:0,0", "theta_const"),
     ("eta", "eta"), ("delta", "delta"), ("ek:4", "eisenstein"), ("g2", "g2"),
+    ("phi:1", "phi"),
 ])
 def test_expand_prec_zero_is_a_precondition(capsys, form, name):
     code, out, err = run(capsys, "expand", "--form", form, "--prec", "0")

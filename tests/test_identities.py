@@ -98,13 +98,18 @@ def test_under_delivering_builder_trips():
         del ids.REGISTRY[short.id]
 
 
-def test_concurrent_verification():
-    # constructors memoize behind thread-safe caches; verification is pure
+def test_concurrent_verification(clear_memos):
+    # constructors memoize behind a thread-safe precision memo that builds
+    # outside its lock and keeps the higher build; verification is pure
     from concurrent.futures import ThreadPoolExecutor
     chosen = ["T31-theta8", "T31-wp8", "R31-a", "L21-e10", "S32-t10-8",
               "S32-eps2-eis", "P41-diff", "S42-phivals-relation",
               "INTRO-r8", "H-hol-eta6phi1", "C33-eta8", "S32-spec-e44"]
+    jobs = [(i, prec) for i in chosen for prec in (4, 7, 5, 6)]
+    clear_memos()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        reports = list(pool.map(lambda i: verify(i, 5), chosen))
+        reports = list(pool.map(lambda job: verify(*job), jobs))
     assert all(r.passed for r in reports)
-    assert [r.id for r in reports] == chosen
+    assert [(r.id, r.prec) for r in reports] == jobs
+    clear_memos()
+    assert reports == [verify(*job) for job in jobs]

@@ -1,11 +1,14 @@
 """One-variable series engine: ring laws, inversion, precision semantics."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from jacobiforms.series import CycloElt, CycloSeries, QSeries, cyclotomic_poly
+from jacobiforms.series import CycloElt, CycloSeries, QSeries, cyclotomic_poly, memo_by_prec
 
 
 def random_qseries(rng, prec=12, scale=1, laurent=False):
@@ -152,3 +155,44 @@ def test_cycloseries_times_root():
     cs = CycloSeries(4, 1, 5, {2: elt})
     qs = cs.times_root(-1, 4).to_qseries()
     assert qs.coefficient(2) == 1
+
+
+def test_precision_memo_under_threads():
+    started, release = threading.Event(), threading.Event()
+
+    @memo_by_prec
+    def geometric(k, prec):
+        if k == 0 and prec == 5:  # held until a higher build is kept
+            started.set()
+            release.wait(10)
+        return QSeries(1, prec, {t: k for t in range(prec)})
+
+    # a lower build that finishes last does not replace the higher one
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        low = pool.submit(geometric, 0, 5)
+        assert started.wait(10)
+        geometric(0, 10)
+        release.set()
+        assert low.result(timeout=10) == QSeries(1, 5, {t: 0 for t in range(5)})
+    hits = geometric.cache_info().hits
+    geometric(0, 10)
+    assert geometric.cache_info().hits == hits + 1
+
+    # no counter update or kept build is lost under many threads
+    jobs = [(k, prec) for _ in range(20) for k in (1, 2, 3) for prec in range(1, 30)]
+    random.Random(5).shuffle(jobs)
+    geometric.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda job: geometric(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r == QSeries(1, prec, {t: k for t in range(prec)})
+               for r, (k, prec) in zip(results, jobs))
+    hits, misses, maxsize, currsize = geometric.cache_info()
+    assert hits + misses == len(jobs) and maxsize is None and currsize == 3
+    for k in (1, 2, 3):  # the highest build is the one kept
+        geometric(k, 29)
+    assert geometric.cache_info().hits == hits + 3
