@@ -8,7 +8,9 @@ run the same checks.  Every comparison is exact.
 
 The "constructor cross-checks" rebuild theta from the triple product, the
 Euler product as a naive product, and Delta as eta^24, and compare them with
-the catalog's one-route constructors.
+the catalog's one-route constructors.  The "lattice fixtures" check compares
+the E8 Jacobi theta series, counted coordinate by coordinate, with a tally
+over the enumerated E8 vectors.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from jacobiforms.series import FJExp, QSeries
 
 THETA_CHECK_PREC = 28
 EULER_CHECK_PREC = 51
+LATTICE_CHECK_PREC = 4
 
 
 def check_registry():
@@ -98,6 +101,16 @@ def check_tau():
     return True, "all routes, n <= 50"
 
 
+def _e8_theta_by_enumeration(u, prec: int) -> dict:
+    """The terms of the E8 Jacobi theta series on u below q^prec, tallied
+    over the enumerated doubled vectors w = 2v as ((w,w)/8, (w,2u)/4)."""
+    terms: dict = {}
+    for w in lattice._e8_doubled_vectors(8 * prec - 8):
+        key = (sum(x * x for x in w) // 8, sum(2 * a * b for a, b in zip(w, u)) // 4)
+        terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
 def check_lattice():
     if lattice.vector_counts("E7", 2).get(2) != 126:
         return False, "E7 root count"
@@ -107,7 +120,11 @@ def check_lattice():
         return False, "Theta_{E8,u2} != E_{4,1}"
     if lattice.jacobi_theta_e8(lattice.U8, 6).mismatch(catalog.jacobi_eis(4, 4, 6)) is not None:
         return False, "Theta_{E8,u8} != E_{4,4}"
-    return True, "root counts and theta series fixtures"
+    p = LATTICE_CHECK_PREC
+    for name, u in (("u2", lattice.U2), ("u8", lattice.U8)):
+        if dict(lattice.jacobi_theta_e8(u, p).terms) != _e8_theta_by_enumeration(u, p):
+            return False, f"Theta_{{E8,{name}}} at prec {p}: coordinate count != enumeration"
+    return True, f"root counts, theta series fixtures, coordinate count vs enumeration at prec {p}"
 
 
 def check_catalog():

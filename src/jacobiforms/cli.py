@@ -7,8 +7,9 @@ and selftest (every check in jacobiforms.checks, one timed line each).
 
 Output is deterministic and byte-stable for fixed inputs: term lists are
 sorted, rationals print canonically, and exact values are JSON strings.
-Exit codes: 0 success / all pass, 1 verification failure, 2 unknown form or
-identity, 3 precondition violation.  JF_DEFAULT_PREC overrides the default
+Exit codes: 0 success / all pass, 1 verification failure or an internal
+check that raised (one "error: Type: message" line on stderr), 2 unknown form
+or identity, 3 precondition violation.  JF_DEFAULT_PREC overrides the default
 precision where no --prec is given.
 """
 
@@ -21,6 +22,7 @@ import sys
 
 from jacobiforms import catalog, identities, lattice, representations
 from jacobiforms.numtheory import cohen_h, parse_rational, rational_str
+from jacobiforms.series import InexactDivision, NonRationalResult
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -221,6 +223,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (RuntimeError, InexactDivision, NonRationalResult) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

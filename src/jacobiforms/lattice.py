@@ -1,12 +1,16 @@
-"""Short-vector enumeration in E8, E7, A7 and the Jacobi theta series of E8.
+"""Short-vector counts in E8, E7, A7 and the Jacobi theta series of E8.
 
-E8 is realized as D8 together with the coset D8 + (1/2, ..., 1/2); vectors
-are enumerated in doubled coordinates (u = 2v, all coordinates of equal
-parity, coordinate sum = 0 mod 4) with norm pruning.  E7 is the orthogonal
-complement in E8 of a fixed root U2, A7 the sum-zero hyperplane of Z^8.
-Root counts of the complements (126 and 56) are asserted whenever a theta
-series is built on a vector of norm 2 or a primitive vector of norm 8 -
-they certify the choice of vectors against the series fixtures.
+E8 is realized as D8 together with the coset D8 + (1/2, ..., 1/2) (Conway-
+Sloane, SPLAG, ch. 4 sec. 8.1), in doubled coordinates: w = 2v, all
+coordinates of equal parity, coordinate sum = 0 mod 4.  The Jacobi theta
+series is counted coordinate by coordinate, once per parity class: the
+state (norm so far, dot product with 2u so far, coordinate sum mod 4) maps
+to its multiplicity, so vectors with equal data are never told apart.  The
+explicit enumeration with norm pruning serves `vector_counts` and the tests.
+E7 is the orthogonal complement in E8 of a fixed root U2, A7 the sum-zero
+hyperplane of Z^8.  Root counts of the complements (126 and 56) are asserted
+whenever a theta series is built on a vector of norm 2 or a primitive vector
+of norm 8 - they certify the choice of vectors against the series fixtures.
 """
 
 from __future__ import annotations
@@ -121,13 +125,26 @@ def vector_counts(lattice: str, max_norm: int) -> dict:
 @memo_by_prec
 def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
     doubled_u = [2 * x for x in u]
-    max_doubled = 8 * prec - 8  # (v,v) < 2*prec, norms are even
+    max_doubled = max(8 * prec - 8, 0)  # (v,v) < 2*prec, norms are even
+    top = isqrt(max_doubled)
     terms: dict = {}
-    for w in _e8_doubled_vectors(max(max_doubled, 0)):
-        t = sum(x * x for x in w) // 8  # (v,v)/2
-        r = sum(a * b for a, b in zip(w, doubled_u)) // 4  # (v,u)
-        key = (t, r)
-        terms[key] = terms.get(key, 0) + 1
+    for parity in (0, 1):
+        xs = [x for x in range(-top, top + 1) if (x - parity) % 2 == 0]
+        # (w.w, w.(2u), coordinate sum mod 4) of the coordinates so far -> count
+        states = {(0, 0, 0): 1}
+        for c in doubled_u:
+            grown: dict = {}
+            for (n, d, s), count in states.items():
+                for x in xs:
+                    nx = n + x * x
+                    if nx <= max_doubled:
+                        key = (nx, d + x * c, (s + x) % 4)
+                        grown[key] = grown.get(key, 0) + count
+            states = grown
+        for (n, d, s), count in states.items():
+            if s == 0:
+                key = (n // 8, d // 4)  # ((v,v)/2, (v,u))
+                terms[key] = terms.get(key, 0) + count
     norm = sum(x * x for x in u)
     series = FJExp(1, 1, prec, terms, weight=4, index=Fraction(norm, 2), cone_slack=0)
     # root-count certificates for the two configurations the package relies on

@@ -707,6 +707,8 @@ class FJExp:
                      weight=self.weight, index=self.index, cone_slack=self.cone_slack)
 
     def __add__(self, other) -> "FJExp":
+        if isinstance(other, (int, Fraction)):
+            other = QSeries(self.qscale, self.qprec, {0: other} if other else {})
         if isinstance(other, QSeries):
             other = FJExp.from_qseries(other)
         if not isinstance(other, FJExp):

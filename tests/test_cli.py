@@ -2,10 +2,12 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from jacobiforms.cli import main
+from jacobiforms.series import CycloElt, InexactDivision, NonRationalResult
 
 
 def run(capsys, *argv):
@@ -160,6 +162,21 @@ def test_selftest_exit_codes_and_timings(capsys, monkeypatch):
     assert code == 1 and len(lines) == 2
     assert lines[0].startswith("fake raise: FAIL") and "(ZeroDivisionError: " in lines[0]
     assert lines[1].startswith("fake pass: pass")
+
+
+@pytest.mark.parametrize("target, exc", [
+    ("jacobiforms.identities.verify", RuntimeError("norm-2 certificate failed: complement has != 126 roots")),
+    ("jacobiforms.identities.verify", InexactDivision(Fraction(3, 2))),
+    ("jacobiforms.catalog.form_by_name", NonRationalResult(Fraction(1, 4), CycloElt.from_root_power(8, 1))),
+])
+def test_internal_errors_exit_1_without_traceback(capsys, monkeypatch, target, exc):
+    def raise_it(*_):
+        raise exc
+    monkeypatch.setattr(target, raise_it)
+    argv = ("verify", "--id", "L32-e8") if target.endswith("verify") else ("expand", "--form", "theta")
+    code, out, err = run(capsys, *argv, "--prec", "4")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [f"error: {type(exc).__name__}: {exc}"]
 
 
 @pytest.mark.parametrize("form, name", [

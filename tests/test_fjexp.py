@@ -121,6 +121,16 @@ def test_mul_with_qseries_and_scalar():
     assert scaled.index == 4
 
 
+def test_add_and_subtract_scalar():
+    th = cat.theta(4)
+    one = QSeries(th.qscale, th.qprec, {0: 1})
+    for total, expected in ((th + 1, th + one), (1 + th, th + one),
+                            (th - 1, th - one), (1 - th, -th + one)):
+        assert total == expected
+    assert (th + 1).coefficient(0, 0) == 1 and (1 - th).coefficient(Fraction(1, 8), HALF) == -1
+    assert (th + HALF).coefficient(0, 0) == HALF
+
+
 def test_specialize_fixtures():
     th = cat.theta(12)
     th8 = th**8

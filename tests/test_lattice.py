@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jacobiforms import catalog as cat
-from jacobiforms import lattice
+from jacobiforms import checks, identities, lattice
 
 
 def test_root_counts():
@@ -47,15 +47,29 @@ def test_theta_on_primitive_norm8_is_e44():
 
 
 def test_theta_independent_of_vector_in_orbit():
-    # a different root, including one from the half-integer coset
-    other_roots = [
-        (0, 0, 0, 1, 0, 0, -1, 0),
-        tuple([Fraction(1, 2)] * 6 + [Fraction(-1, 2)] * 2),
+    # a root from the half-integer coset is rejected: only integer vectors are accepted
+    with pytest.raises(ValueError):
+        lattice.jacobi_theta_e8(tuple([Fraction(1, 2)] * 6 + [Fraction(-1, 2)] * 2), 5)
+    orbits = [
+        (lattice.U2, [(0, 0, 0, 1, 0, 0, -1, 0), (0, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, -1, -1)]),
+        (lattice.U8, [(-2, 1, 1, 1, -1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 2)]),
     ]
-    reference = lattice.jacobi_theta_e8(lattice.U2, 5)
-    for u in other_roots:
-        if all(isinstance(x, int) for x in u):
-            assert lattice.jacobi_theta_e8(u, 5).mismatch(reference) is None
+    for u, others in orbits:
+        reference = lattice.jacobi_theta_e8(u, 5)
+        for v in others:
+            assert lattice.jacobi_theta_e8(v, 5).mismatch(reference) is None, v
+
+
+@pytest.mark.parametrize("u", [lattice.U2, lattice.U8, (1, 1, 1, 1, 0, 0, 0, 0), (2, -2, 0, 0, 0, 0, 0, 0)])
+def test_coordinate_count_matches_enumeration(u, clear_memos):
+    # the coordinate-by-coordinate count against a tally of the enumerated vectors
+    for p in range(1, 7):
+        clear_memos()
+        assert dict(lattice.jacobi_theta_e8(u, p).terms) == checks._e8_theta_by_enumeration(u, p), p
+
+
+def test_e8_identity_at_precision_24():
+    assert identities.verify("L32-e8", 24).passed
 
 
 def test_theta_halfinteger_vector_rejected_with_message():
