@@ -24,11 +24,11 @@ def main():
     theta_u2 = lattice.jacobi_theta_e8(lattice.U2, 4)
     theta_u8 = lattice.jacobi_theta_e8(lattice.U8, 4)
     print("u2 =", lattice.U2, " -> index", theta_u2.index)
-    print("Theta_{E8,u2} =", theta_u2.q_truncated(2))
+    print("Theta_{E8,u2} =", theta_u2.truncated(2))
     print("   E_{4,1}    =", cat.jacobi_eis_m1(4, 2))
     print()
     print("u8 =", lattice.U8, " -> index", theta_u8.index)
-    print("Theta_{E8,u8} =", theta_u8.q_truncated(2))
+    print("Theta_{E8,u8} =", theta_u8.truncated(2))
     print("   E_{4,4}    =", cat.jacobi_eis(4, 4, 2))
     print()
 

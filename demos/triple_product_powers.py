@@ -22,7 +22,7 @@ def main():
     print()
 
     th8 = (th ** 8).normalized()
-    print("theta^8 =", th8.q_truncated(3))
+    print("theta^8 =", th8.truncated(3))
     print()
 
     e41_2z = cat.jacobi_eis_m1(4, 3).ud(2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from jacobiforms.numtheory import bernoulli, cohen_h, factorize, kronecker, mobius, sigma, zeta_neg
-from jacobiforms.series import FJExp, QSeries, memo_by_prec
+from jacobiforms.series import FJExp, QSeries, memo_by_prec, require_prec
 
 HALF = Fraction(1, 2)
 
@@ -29,17 +29,11 @@ class UnknownFormError(KeyError):
 # theta series of level two
 # ---------------------------------------------------------------------------
 
-def _require_prec(form: str, prec: int) -> None:
-    """The precondition shared by the public constructors."""
-    if prec < 1:
-        raise ValueError(f"{form} needs prec >= 1, got {prec}")
-
-
 @memo_by_prec
 def theta(prec: int) -> FJExp:
     """The odd theta series, weight 1/2 and index 1/2 (real-normalized):
     sum over odd n of kronecker(-4, n) q^(n^2/8) zeta^(n/2)."""
-    _require_prec("theta", prec)
+    require_prec("theta", prec)
     big_p = 8 * prec
     terms = {}
     n = 1
@@ -63,7 +57,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
             f"characteristic ({two_a}/2, {two_b}/2) is not order two; "
             f"specialize a theta power instead"
         )
-    _require_prec(f"theta{two_a}{two_b}", prec)
+    require_prec(f"theta{two_a}{two_b}", prec)
     if (two_a, two_b) == (1, 1):
         return theta(prec)
     if two_a == 0:
@@ -89,7 +83,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
 @memo_by_prec
 def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
     """Theta constant: the z = 0 value of :func:`theta_ab`."""
-    _require_prec("theta_const", prec)
+    require_prec("theta_const", prec)
     return theta_ab(two_a, two_b, prec).eval_z0()
 
 
@@ -101,7 +95,7 @@ def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
 def euler_product(prec: int) -> QSeries:
     """prod_{n>=1} (1 - q^n) by the pentagonal number theorem:
     sum over k of (-1)^k q^(k(3k-1)/2)."""
-    _require_prec("euler_product", prec)
+    require_prec("euler_product", prec)
     terms = {0: 1}
     k = 1
     while k * (3 * k - 1) // 2 < prec:
@@ -115,14 +109,14 @@ def euler_product(prec: int) -> QSeries:
 @memo_by_prec
 def eta(prec: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n)."""
-    _require_prec("eta", prec)
+    require_prec("eta", prec)
     return euler_product(prec).shifted(Fraction(1, 24))
 
 
 @memo_by_prec
 def delta(prec: int) -> QSeries:
     """The discriminant cusp form q prod (1 - q^n)^24, which equals eta^24."""
-    _require_prec("delta", prec)
+    require_prec("delta", prec)
     return (euler_product(prec) ** 24).shifted(1).truncated(prec)
 
 
@@ -131,7 +125,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for even k >= 2."""
     if k < 2 or k % 2:
         raise ValueError(f"eisenstein needs even k >= 2, got {k}")
-    _require_prec("eisenstein", prec)
+    require_prec("eisenstein", prec)
     factor = Fraction(-2 * k) / Fraction(bernoulli(k))
     terms = {0: 1}
     for n in range(1, prec):
@@ -142,7 +136,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
 @memo_by_prec
 def g2(prec: int) -> QSeries:
     """Quasi-modular G_2 = -1/24 + sum sigma_1(n) q^n."""
-    _require_prec("g2", prec)
+    require_prec("g2", prec)
     terms = {0: Fraction(-1, 24)}
     for n in range(1, prec):
         terms[n] = sigma(1, n)
@@ -152,7 +146,7 @@ def g2(prec: int) -> QSeries:
 @memo_by_prec
 def eps2(prec: int) -> QSeries:
     """The weight-2 level-2 Eisenstein series 2 E_2(2 tau) - E_2(tau)."""
-    _require_prec("eps2", prec)
+    require_prec("eps2", prec)
     e2 = eisenstein(2, prec)
     return (2 * e2.substituted(2).truncated(prec) - e2).truncated(prec)
 
@@ -167,7 +161,7 @@ def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     numbers H(k-1, 4n - r^2) / zeta(3 - 2k) on the support r^2 <= 4n."""
     if k < 4 or k % 2:
         raise ValueError(f"jacobi_eis_m1 needs even k >= 4, got {k}")
-    _require_prec("jacobi_eis_m1", prec)
+    require_prec("jacobi_eis_m1", prec)
     z = Fraction(zeta_neg(3 - 2 * k))
     terms = {}
     for n in range(prec):
@@ -187,7 +181,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     """
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
-    _require_prec("jacobi_eis", prec)
+    require_prec("jacobi_eis", prec)
     if m == 1:
         return jacobi_eis_m1(k, prec)
     base = jacobi_eis_m1(k, m * prec)
@@ -203,7 +197,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     pref = Fraction(1, m ** (k - 1))
     for p, _ in factorize(m):
         pref *= Fraction(p ** (k - 1), p ** (k - 1) + 1)
-    result = (acc * pref).q_truncated(prec).with_meta(weight=k, index=m, cone_slack=0)
+    result = (acc * pref).truncated(prec).with_meta(weight=k, index=m, cone_slack=0)
     if result.coefficient(0, 0) != 1:
         raise RuntimeError(f"E_{{{k},{m}}} normalization check failed")
     return result
@@ -241,7 +235,7 @@ def phi(j: int, prec: int) -> FJExp:
     """
     if j not in (1, 2, 3, 4):
         raise UnknownFormError(f"phi_{{0,{j}}} is not a generator (j must be 1..4)")
-    _require_prec("phi", prec)
+    require_prec("phi", prec)
     work = prec + 1
     if j == 1:
         result = 4 * (_xi_squared(0, 0, work) + _xi_squared(0, 1, work) + _xi_squared(1, 0, work))
@@ -255,7 +249,7 @@ def phi(j: int, prec: int) -> FJExp:
     else:
         th = theta(work)
         result = th.ud(3).divide(th)
-    result = result.q_truncated(prec).normalized().with_meta(weight=0, index=j, cone_slack=j)
+    result = result.truncated(prec).normalized().with_meta(weight=0, index=j, cone_slack=j)
     if result.q_slice(0) != _PHI_Q0[j]:
         raise RuntimeError(f"phi_{{0,{j}}} self-check failed: wrong q^0 term")
     return result
@@ -269,9 +263,9 @@ def wp_theta2(prec: int) -> FJExp:
     wp itself is meromorphic and never constructed; only this holomorphic
     product (and its powers against theta powers) ever appears.
     """
-    _require_prec("wp_theta2", prec)
+    require_prec("wp_theta2", prec)
     result = (eta(prec + 1) ** 6) * phi(1, prec + 1) * Fraction(1, 12)
-    return result.q_truncated(prec).with_meta(weight=3, index=1, cone_slack=0)
+    return result.truncated(prec).with_meta(weight=3, index=1, cone_slack=0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def check_series_properties():
     th = catalog.theta(8)
     for num in (th.ud(2), th.ud(3), th * th * th):
         q = num.divide(th)
-        if not (q * th).agrees_with(num.q_truncated((q * th).prec_exponent)):
+        if not (q * th).agrees_with(num.truncated((q * th).prec_exponent)):
             return False, "division round-trip"
     for form in (catalog.theta(10), catalog.jacobi_eis_m1(6, 8), catalog.jacobi_eis(4, 4, 6),
                  catalog.wp_theta2(8), catalog.phi(1, 8), catalog.phi(4, 8)):

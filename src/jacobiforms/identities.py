@@ -145,8 +145,8 @@ def _cone_violation_pair(fj: FJExp, index: int, prec: int, strict: bool):
         disc = 4 * Fraction(t, fj.qscale) * index - Fraction(r, fj.zscale) ** 2
         if disc < 0 or (strict and disc == 0):
             bad[(t, r)] = c
-    lhs = FJExp(fj.qscale, fj.zscale, fj.qprec, bad)
-    return lhs, FJExp(fj.qscale, fj.zscale, fj.qprec, {})
+    lhs = FJExp(fj.qscale, fj.zscale, fj.prec, bad)
+    return lhs, FJExp(fj.qscale, fj.zscale, fj.prec, {})
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +509,9 @@ def _b_p43_cn(prec):
 def _b_t44_wp2(prec):
     th4 = cat.theta(prec + 1) ** 4
     eta12 = cat.eta(prec + 1) ** 12
-    lhs = (eta12 * th4 * cat.phi(1, prec + 1) ** 2).q_truncated(prec)
+    lhs = (eta12 * th4 * cat.phi(1, prec + 1) ** 2).truncated(prec)
     rhs = (_eis_2z(8, 1, prec) - cat.jacobi_eis(8, 4, prec)
-           + Fraction(1449, 86) * (eta12 * th4 * cat.phi(2, prec + 1)).q_truncated(prec))
+           + Fraction(1449, 86) * (eta12 * th4 * cat.phi(2, prec + 1)).truncated(prec))
     return lhs, rhs
 
 
@@ -520,20 +520,20 @@ def _b_t44_wp3(prec):
     # analogue of Delta at index 1
     th2 = cat.theta(prec + 1) ** 2
     eta18_th2 = cat.eta(prec + 1) ** 18 * th2
-    lhs = (eta18_th2 * cat.phi(1, prec + 1) ** 3).q_truncated(prec)
+    lhs = (eta18_th2 * cat.phi(1, prec + 1) ** 3).truncated(prec)
     p1, p2, p3 = (cat.phi(j, prec + 1) for j in (1, 2, 3))
     rhs = (_eis_2z(6, 1, prec) * cat.eisenstein(4, prec)
            - cat.jacobi_eis(4, 4, prec) * cat.eisenstein(6, prec)
-           + 36 * (eta18_th2 * (p1 * p2 - 2 * p3)).q_truncated(prec))
+           + 36 * (eta18_th2 * (p1 * p2 - 2 * p3)).truncated(prec))
     return lhs, rhs
 
 
 def _b_t44_wp4(prec):
     p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
-    lhs = (cat.delta(prec + 1) * p1**4).q_truncated(prec)
+    lhs = (cat.delta(prec + 1) * p1**4).truncated(prec)
     rhs = (_eis_2z(6, 1, prec) * cat.eisenstein(6, prec)
            - cat.jacobi_eis(4, 4, prec) * cat.eisenstein(8, prec)
-           + 48 * (cat.delta(prec + 1) * (p1**2 * p2 - 9 * p1 * p3 + 12 * p4)).q_truncated(prec))
+           + 48 * (cat.delta(prec + 1) * (p1**2 * p2 - 9 * p1 * p3 + 12 * p4)).truncated(prec))
     return lhs, rhs
 
 
@@ -544,7 +544,7 @@ def _b_t44_theta16(prec):
             - p3 ** 2 * Fraction(45549, 2752)
             + p2 * p4 * Fraction(20713, 1376))
     rhs = (_eis_2z(8, 2, prec) - cat.jacobi_eis(8, 8, prec)
-           + (cat.eta(prec + 1) ** 12 * cat.theta(prec + 1) ** 4 * cusp).q_truncated(prec))
+           + (cat.eta(prec + 1) ** 12 * cat.theta(prec + 1) ** 4 * cusp).truncated(prec))
     return lhs, rhs
 
 
@@ -556,7 +556,7 @@ def _b_s43_theta24(prec):
     cusp = (-24 * (p1**2 * p2 * p4**2) + 36 * p2**6
             + p3 * (-38 * p1 * p2**4 - 477 * p1 * p2 * p3**2 + 486 * p2**3 * p3
                     + 702 * p3**3 + 55 * p1**2 * p3 * p4 + 160 * p1 * p2**2 * p4))
-    rhs = eis + (cat.delta(prec + 1) * cusp).q_truncated(prec)
+    rhs = eis + (cat.delta(prec + 1) * cusp).truncated(prec)
     return lhs, rhs
 
 
@@ -690,7 +690,7 @@ def _b_intro_delta8(prec):
 
 def _b_hhol(eta_pow: int, j: int, strict: bool):
     def build(prec):
-        form = (cat.eta(prec + 1) ** eta_pow * cat.phi(j, prec + 1)).q_truncated(prec)
+        form = (cat.eta(prec + 1) ** eta_pow * cat.phi(j, prec + 1)).truncated(prec)
         return _cone_violation_pair(form, j, prec, strict)
     return build
 
@@ -819,18 +819,10 @@ def verify(identity_id: str, prec: Optional[int] = None) -> IdentityReport:
             f"{identity_id}: builder delivered a window "
             f"{min(lhs.prec_exponent, rhs.prec_exponent)} < requested {prec}"
         )
-    if isinstance(lhs, FJExp):
-        lhs, rhs = lhs.q_truncated(prec), rhs.q_truncated(prec)
-        mm = lhs.mismatch(rhs)
-        if mm is None:
-            return IdentityReport(identity_id, prec, "pass")
-        return IdentityReport(identity_id, prec, "fail", mm)
-    lhs, rhs = lhs.truncated(prec), rhs.truncated(prec)
-    mm = lhs.mismatch(rhs)
+    mm = lhs.truncated(prec).mismatch(rhs.truncated(prec))
     if mm is None:
         return IdentityReport(identity_id, prec, "pass")
-    q, a, b = mm
-    return IdentityReport(identity_id, prec, "fail", (q, None, a, b))
+    return IdentityReport(identity_id, prec, "fail", mm)
 
 
 def identity_ids(pattern: str = "*") -> list:

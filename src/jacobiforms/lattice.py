@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from jacobiforms.series import FJExp, memo_by_prec
+from jacobiforms.series import FJExp, memo_by_prec, require_prec
 
 U2 = (1, -1, 0, 0, 0, 0, 0, 0)
 U8 = (2, 1, 1, 1, 1, 0, 0, 0)
@@ -125,7 +125,7 @@ def vector_counts(lattice: str, max_norm: int) -> dict:
 @memo_by_prec
 def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
     doubled_u = [2 * x for x in u]
-    max_doubled = max(8 * prec - 8, 0)  # (v,v) < 2*prec, norms are even
+    max_doubled = 8 * prec - 8  # (v,v) < 2*prec, norms are even
     top = isqrt(max_doubled)
     terms: dict = {}
     for parity in (0, 1):
@@ -160,6 +160,7 @@ def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
 def jacobi_theta_e8(u, prec: int) -> FJExp:
     """Jacobi theta series of E8 against the vector u:
     sum over v in E8 of q^((v,v)/2) zeta^((v,u)); weight 4, index (u,u)/2."""
+    require_prec("jacobi_theta_e8", prec)
     u = tuple(u)
     if any(not isinstance(x, int) for x in u):
         raise ValueError("u must be an integer vector (half-integer vectors: double a lattice basis instead)")

@@ -6,6 +6,13 @@ for all exponents t/s < P/s; larger ones are truncated).  FJExp is the
 two-variable analogue, a Fourier-Jacobi expansion sum c * q^(t/s) zeta^(r/w)
 whose zeta-part is a finite Laurent polynomial for every q-power.
 
+Both are subclasses of one term-map core, QSeries being the case w = 1 with
+every zeta-index 0, so they share one vocabulary: `prec` is the precision
+P in units of 1/s, `prec_exponent` is P/s, `truncated(e)` cuts the certified
+window to q-exponents below e, and `mismatch` returns the first difference
+on the common window as (q_exp, z_exp, lhs, rhs), with z_exp None for a
+QSeries, or None when there is none.  Only the products stay per class.
+
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
 operand has terms with negative q-exponent; nothing is ever emitted beyond
@@ -81,29 +88,202 @@ def _read_only(self, name, *_):
 
 
 # ---------------------------------------------------------------------------
-# one-variable series
+# the term-map core shared by QSeries and FJExp
 # ---------------------------------------------------------------------------
 
-class QSeries:
-    """Truncated series sum_t c_t q^(t/qscale), certified for t < prec."""
+class _Series:
+    """A read-only map from grid keys to nonzero rationals, certified for
+    every q-index t < prec; a key stands for q^(t/qscale) zeta^(r/zscale).
+
+    Subclasses supply the hooks: `_split` (key -> (t, r)); `_below(p)`, a
+    key that sorts above exactly the keys of q-index < p, so that the hot
+    filters compare keys without splitting them; `_rescaled_terms`, the
+    term map re-keyed by (t, r) -> (t*qmul//qdiv, r*zmul//zdiv); `_rebuilt`,
+    a copy with new data that keeps its own metadata unless `meta`
+    overrides it; `_lifted`, an addend as this type or None; and
+    `_sum_meta`, the metadata of a sum.
+    """
 
     __slots__ = ("qscale", "prec", "terms")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
-        if qscale < 1:
-            raise ValueError("qscale must be a positive integer")
+        if qscale < 1 or self.zscale < 1:
+            raise ValueError("scales must be positive integers")
         _set(self, "qscale", qscale)
         _set(self, "prec", prec)
+        edge = self._below(prec)
         clean = {}
-        for t, c in terms.items():
+        for k, c in terms.items():
             c = as_rational(c)
             if c == 0:
                 continue
-            if t >= prec:
-                raise ValueError(f"term q^({t}/{qscale}) at or beyond precision {prec}")
-            clean[t] = c
+            if k >= edge:
+                t = self._split(k)[0]
+                raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {prec}")
+            clean[k] = c
         _set(self, "terms", MappingProxyType(clean))
+
+    @property
+    def prec_exponent(self) -> Fraction:
+        return Fraction(self.prec, self.qscale)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _q_index(self, q_exp: RatLike) -> Fraction:
+        """q_exp in units of 1/qscale; raises beyond the certified window."""
+        e = Fraction(q_exp)
+        if e >= self.prec_exponent:
+            raise ValueError(f"exponent {e} is beyond certified precision {self.prec_exponent}")
+        return e * self.qscale
+
+    # -- scale and precision management ---------------------------------------
+
+    def rescaled(self, s: int, w: Optional[int] = None):
+        """Same series on finer scales (w defaults to the current
+        zeta-scale); each must be a multiple of the old one."""
+        w = self.zscale if w is None else w
+        if s % self.qscale or w % self.zscale:
+            raise ValueError("new scales must be multiples of the old ones")
+        ks, kw = s // self.qscale, w // self.zscale
+        if ks == 1 and kw == 1:
+            return self
+        return self._rebuilt(s, w, self.prec * ks, self._rescaled_terms(ks, 1, kw, 1))
+
+    def normalized(self):
+        """Reduce to the minimal scales representing the same certified data.
+
+        The precision bound participates in the q-gcd so that no certified
+        information is lost; the result is idempotent.
+        """
+        split = self._split
+        gs, gw = math.gcd(self.qscale, self.prec), self.zscale
+        for k in self.terms:
+            t, r = split(k)
+            gs, gw = math.gcd(gs, t), math.gcd(gw, r)
+            if gs == 1 and gw == 1:
+                return self
+        if gs == 1 and gw == 1:
+            return self
+        return self._rebuilt(self.qscale // gs, self.zscale // gw, self.prec // gs,
+                             self._rescaled_terms(1, gs, 1, gw))
+
+    def truncated(self, prec_exp: RatLike):
+        """The same series, certified only below q^prec_exp."""
+        bound = Fraction(prec_exp)
+        if bound >= self.prec_exponent:
+            return self
+        new_p = _floor_frac(bound * self.qscale)
+        edge = self._below(new_p)
+        return self._rebuilt(self.qscale, self.zscale, new_p,
+                             {k: c for k, c in self.terms.items() if k < edge})
+
+    def _aligned(self, other):
+        s = math.lcm(self.qscale, other.qscale)
+        w = math.lcm(self.zscale, other.zscale)
+        return self.rescaled(s, w), other.rescaled(s, w)
+
+    # -- ring operations --------------------------------------------------------
+
+    def __neg__(self):
+        return self._rebuilt(self.qscale, self.zscale, self.prec,
+                             {k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = QSeries(self.qscale, self.prec, {0: other})
+        other = self._lifted(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._aligned(other)
+        prec = min(a.prec, b.prec)
+        edge = a._below(prec)
+        terms = {k: c for k, c in a.terms.items() if k < edge}
+        for k, c in b.terms.items():
+            if k < edge:
+                terms[k] = terms.get(k, 0) + c
+        return a._rebuilt(a.qscale, a.zscale, prec, terms, **a._sum_meta(b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _powered(self, n: int, result):
+        """result * self^n for n >= 0, by binary powering."""
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- comparison -------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.normalized(), other.normalized()
+        return (a.qscale == b.qscale and a.zscale == b.zscale and a.prec == b.prec
+                and a.terms == b.terms)
+
+    __hash__ = None
+
+    def _mismatch(self, other, zeta: bool):
+        """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
+        common certified q-window, or None when the series agree there; the
+        z-exp is None when not `zeta`."""
+        a, b = self._aligned(other)
+        edge = a._below(min(a.prec, b.prec))
+        for k in sorted(set(a.terms) | set(b.terms)):
+            if k >= edge:
+                break
+            ca, cb = a.terms.get(k, 0), b.terms.get(k, 0)
+            if ca != cb:
+                t, r = a._split(k)
+                return (Fraction(t, a.qscale), Fraction(r, a.zscale) if zeta else None, ca, cb)
+        return None
+
+    def agrees_with(self, other) -> bool:
+        return self.mismatch(other) is None
+
+
+# ---------------------------------------------------------------------------
+# one-variable series
+# ---------------------------------------------------------------------------
+
+class QSeries(_Series):
+    """Truncated series sum_t c_t q^(t/qscale), certified for t < prec: the
+    core with zscale 1 and zeta-index 0, keyed by t alone."""
+
+    __slots__ = ()
+    zscale = 1
+
+    @staticmethod
+    def _split(t):
+        return t, 0
+
+    @staticmethod
+    def _below(p):
+        return p
+
+    def _rescaled_terms(self, qmul, qdiv, zmul, zdiv) -> dict:
+        return {t * qmul // qdiv: c for t, c in self.terms.items()}
+
+    def _rebuilt(self, qscale, zscale, prec, terms, **meta) -> "QSeries":
+        return QSeries(qscale, prec, terms)
+
+    def _lifted(self, other):
+        return other if isinstance(other, QSeries) else None
+
+    def _sum_meta(self, other) -> dict:
+        return {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -111,11 +291,6 @@ class QSeries:
     def one(cls, prec_exp: RatLike) -> "QSeries":
         p = Fraction(prec_exp)
         return cls(p.denominator, p.numerator, {0: 1})
-
-    @classmethod
-    def zero(cls, prec_exp: RatLike) -> "QSeries":
-        p = Fraction(prec_exp)
-        return cls(p.denominator, p.numerator, {})
 
     @classmethod
     def from_exponents(cls, pairs, prec_exp: RatLike) -> "QSeries":
@@ -133,13 +308,6 @@ class QSeries:
 
     # -- basic queries ---------------------------------------------------------
 
-    @property
-    def prec_exponent(self) -> Fraction:
-        return Fraction(self.prec, self.qscale)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def lowest_exponent(self) -> Optional[Fraction]:
         if not self.terms:
             return None
@@ -147,80 +315,12 @@ class QSeries:
 
     def coefficient(self, exponent: RatLike) -> Rat:
         """Coefficient at q^exponent; raises beyond the certified window."""
-        e = Fraction(exponent)
-        if e >= self.prec_exponent:
-            raise ValueError(f"exponent {e} is beyond certified precision {self.prec_exponent}")
-        t = e * self.qscale
+        t = self._q_index(exponent)
         if t.denominator != 1:
             return 0
         return self.terms.get(t.numerator, 0)
 
-    def coefficients(self) -> list:
-        """Sorted list of (exponent, coefficient) pairs."""
-        return [(Fraction(t, self.qscale), c) for t, c in sorted(self.terms.items())]
-
-    # -- scale and precision management ---------------------------------------
-
-    def rescaled(self, s: int) -> "QSeries":
-        """Same series on a finer scale; s must be a multiple of qscale."""
-        if s == self.qscale:
-            return self
-        if s % self.qscale:
-            raise ValueError("new scale must be a multiple of the old one")
-        k = s // self.qscale
-        return QSeries(s, self.prec * k, {t * k: c for t, c in self.terms.items()})
-
-    def normalized(self) -> "QSeries":
-        """Reduce to the minimal scale representing the same certified data.
-
-        The precision bound participates in the gcd so that no certified
-        information is lost; the result is idempotent.
-        """
-        g = math.gcd(self.qscale, self.prec)
-        for t in self.terms:
-            g = math.gcd(g, t)
-            if g == 1:
-                return self
-        if g == 1:
-            return self
-        return QSeries(self.qscale // g, self.prec // g, {t // g: c for t, c in self.terms.items()})
-
-    def truncated(self, prec_exp: RatLike) -> "QSeries":
-        bound = Fraction(prec_exp)
-        if bound >= self.prec_exponent:
-            return self
-        new_p = _floor_frac(bound * self.qscale)
-        return QSeries(self.qscale, new_p, {t: c for t, c in self.terms.items() if t < new_p})
-
-    def _aligned(self, other: "QSeries"):
-        s = math.lcm(self.qscale, other.qscale)
-        return self.rescaled(s), other.rescaled(s)
-
     # -- ring operations --------------------------------------------------------
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.qscale, self.prec, {t: -c for t, c in self.terms.items()})
-
-    def __add__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(self.qscale, self.prec, {0: other} if other else {})
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        a, b = self._aligned(other)
-        prec = min(a.prec, b.prec)
-        terms = {t: c for t, c in a.terms.items() if t < prec}
-        for t, c in b.terms.items():
-            if t < prec:
-                terms[t] = terms.get(t, 0) + c
-        return QSeries(a.qscale, prec, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QSeries":
-        return self + (-other if isinstance(other, QSeries) else -as_rational(other))
-
-    def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -245,15 +345,7 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries(self.qscale, self.prec, {0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return self._powered(n, QSeries(self.qscale, self.prec, {0: 1}))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s)."""
@@ -302,29 +394,10 @@ class QSeries:
 
     # -- comparison -------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        return a.qscale == b.qscale and a.prec == b.prec and a.terms == b.terms
-
-    __hash__ = None
-
     def mismatch(self, other: "QSeries"):
-        """First differing (exponent, self-coeff, other-coeff) on the common
-        certified window, or None when the series agree there."""
-        a, b = self._aligned(other)
-        window = min(a.prec, b.prec)
-        for t in sorted(set(a.terms) | set(b.terms)):
-            if t >= window:
-                break
-            ca, cb = a.terms.get(t, 0), b.terms.get(t, 0)
-            if ca != cb:
-                return (Fraction(t, a.qscale), ca, cb)
-        return None
-
-    def agrees_with(self, other: "QSeries") -> bool:
-        return self.mismatch(other) is None
+        """First differing (exponent, None, self-coeff, other-coeff) on the
+        common certified window, or None when the series agree there."""
+        return self._mismatch(other, zeta=False)
 
     # -- serialization ------------------------------------------------------------
 
@@ -549,8 +622,9 @@ class CycloSeries:
 # two-variable Fourier-Jacobi expansions
 # ---------------------------------------------------------------------------
 
-class FJExp:
-    """Truncated Fourier-Jacobi expansion sum c * q^(t/qscale) zeta^(r/zscale).
+class FJExp(_Series):
+    """Truncated Fourier-Jacobi expansion sum c * q^(t/qscale) zeta^(r/zscale),
+    keyed by (t, r).
 
     `weight`, `index` and `cone_slack` are optional metadata.  cone_slack = b
     certifies |r/zscale| <= 2*sqrt((t/qscale)*index) + b on all Fourier
@@ -558,28 +632,43 @@ class FJExp:
     it is what makes torsion-point specialization precision certifiable.
     """
 
-    __slots__ = ("qscale", "zscale", "qprec", "terms", "weight", "index", "cone_slack")
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = ("zscale", "weight", "index", "cone_slack")
 
-    def __init__(self, qscale: int, zscale: int, qprec: int, terms: dict,
+    def __init__(self, qscale: int, zscale: int, prec: int, terms: dict,
                  weight=None, index=None, cone_slack=None):
-        if qscale < 1 or zscale < 1:
-            raise ValueError("scales must be positive integers")
-        _set(self, "qscale", qscale)
         _set(self, "zscale", zscale)
-        _set(self, "qprec", qprec)
-        clean = {}
-        for (t, r), c in terms.items():
-            c = as_rational(c)
-            if c == 0:
-                continue
-            if t >= qprec:
-                raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {qprec}")
-            clean[(t, r)] = c
-        _set(self, "terms", MappingProxyType(clean))
+        super().__init__(qscale, prec, terms)
         _set(self, "weight", None if weight is None else as_rational(weight))
         _set(self, "index", None if index is None else as_rational(index))
         _set(self, "cone_slack", None if cone_slack is None else as_rational(cone_slack))
+
+    @staticmethod
+    def _split(key):
+        return key
+
+    @staticmethod
+    def _below(p):
+        return (p,)  # (t, r) < (p,) exactly when t < p
+
+    def _rescaled_terms(self, qmul, qdiv, zmul, zdiv) -> dict:
+        return {(t * qmul // qdiv, r * zmul // zdiv): c for (t, r), c in self.terms.items()}
+
+    def _rebuilt(self, qscale, zscale, prec, terms, **meta) -> "FJExp":
+        meta = {"weight": self.weight, "index": self.index, "cone_slack": self.cone_slack, **meta}
+        return FJExp(qscale, zscale, prec, terms, **meta)
+
+    def _lifted(self, other):
+        if isinstance(other, QSeries):
+            return FJExp.from_qseries(other)
+        return other if isinstance(other, FJExp) else None
+
+    def _sum_meta(self, other) -> dict:
+        index = self.index if self.index == other.index else None
+        slack = None
+        if self.cone_slack is not None and other.cone_slack is not None and index is not None:
+            slack = max(self.cone_slack, other.cone_slack)
+        return {"weight": self.weight if self.weight == other.weight else None,
+                "index": index, "cone_slack": slack}
 
     # -- construction ----------------------------------------------------------
 
@@ -587,11 +676,6 @@ class FJExp:
     def one(cls, prec_exp: RatLike) -> "FJExp":
         p = Fraction(prec_exp)
         return cls(p.denominator, 1, p.numerator, {(0, 0): 1}, weight=0, index=0, cone_slack=0)
-
-    @classmethod
-    def zero(cls, prec_exp: RatLike) -> "FJExp":
-        p = Fraction(prec_exp)
-        return cls(p.denominator, 1, p.numerator, {}, weight=None, index=None, cone_slack=0)
 
     @classmethod
     def from_qseries(cls, qs: QSeries) -> "FJExp":
@@ -603,7 +687,7 @@ class FJExp:
     def with_meta(self, weight=None, index=None, cone_slack=None) -> "FJExp":
         """Copy with metadata replaced (None leaves a field unchanged)."""
         return FJExp(
-            self.qscale, self.zscale, self.qprec, self.terms,
+            self.qscale, self.zscale, self.prec, self.terms,
             weight=self.weight if weight is None else weight,
             index=self.index if index is None else index,
             cone_slack=self.cone_slack if cone_slack is None else cone_slack,
@@ -612,17 +696,12 @@ class FJExp:
     # -- queries -----------------------------------------------------------------
 
     @property
-    def prec_exponent(self) -> Fraction:
-        return Fraction(self.qprec, self.qscale)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def qprec(self) -> int:
+        """Read-only alias of `prec`, still read by bench/test_bench.py."""
+        return self.prec
 
     def coefficient(self, q_exp: RatLike, z_exp: RatLike) -> Rat:
-        e = Fraction(q_exp)
-        if e >= self.prec_exponent:
-            raise ValueError(f"exponent {e} is beyond certified precision {self.prec_exponent}")
-        t = e * self.qscale
+        t = self._q_index(q_exp)
         r = Fraction(z_exp) * self.zscale
         if t.denominator != 1 or r.denominator != 1:
             return 0
@@ -630,10 +709,7 @@ class FJExp:
 
     def q_slice(self, q_exp: RatLike) -> dict:
         """The zeta-Laurent polynomial at one q-power, as {z-exponent: coeff}."""
-        e = Fraction(q_exp)
-        if e >= self.prec_exponent:
-            raise ValueError(f"exponent {e} is beyond certified precision {self.prec_exponent}")
-        t = e * self.qscale
+        t = self._q_index(q_exp)
         if t.denominator != 1:
             return {}
         tn = t.numerator
@@ -659,94 +735,19 @@ class FJExp:
                 out.append(((x, rr), c))
         return out
 
-    # -- scale and precision management -------------------------------------------
-
-    def rescaled(self, s: int, w: int) -> "FJExp":
-        if s % self.qscale or w % self.zscale:
-            raise ValueError("new scales must be multiples of the old ones")
-        ks, kw = s // self.qscale, w // self.zscale
-        if ks == 1 and kw == 1:
-            return self
-        return FJExp(s, w, self.qprec * ks,
-                     {(t * ks, r * kw): c for (t, r), c in self.terms.items()},
-                     weight=self.weight, index=self.index, cone_slack=self.cone_slack)
-
-    def normalized(self) -> "FJExp":
-        gs = math.gcd(self.qscale, self.qprec)
-        gw = self.zscale
-        for t, r in self.terms:
-            gs = math.gcd(gs, t)
-            gw = math.gcd(gw, r)
-            if gs == 1 and gw == 1:
-                return self
-        if gs == 1 and gw == 1:
-            return self
-        return FJExp(self.qscale // gs, self.zscale // gw, self.qprec // gs,
-                     {(t // gs, r // gw): c for (t, r), c in self.terms.items()},
-                     weight=self.weight, index=self.index, cone_slack=self.cone_slack)
-
-    def q_truncated(self, prec_exp: RatLike) -> "FJExp":
-        bound = Fraction(prec_exp)
-        if bound >= self.prec_exponent:
-            return self
-        new_p = _floor_frac(bound * self.qscale)
-        return FJExp(self.qscale, self.zscale, new_p,
-                     {(t, r): c for (t, r), c in self.terms.items() if t < new_p},
-                     weight=self.weight, index=self.index, cone_slack=self.cone_slack)
-
-    def _aligned(self, other: "FJExp"):
-        s = math.lcm(self.qscale, other.qscale)
-        w = math.lcm(self.zscale, other.zscale)
-        return self.rescaled(s, w), other.rescaled(s, w)
-
     # -- ring operations --------------------------------------------------------------
-
-    def __neg__(self) -> "FJExp":
-        return FJExp(self.qscale, self.zscale, self.qprec,
-                     {k: -c for k, c in self.terms.items()},
-                     weight=self.weight, index=self.index, cone_slack=self.cone_slack)
-
-    def __add__(self, other) -> "FJExp":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(self.qscale, self.qprec, {0: other} if other else {})
-        if isinstance(other, QSeries):
-            other = FJExp.from_qseries(other)
-        if not isinstance(other, FJExp):
-            return NotImplemented
-        a, b = self._aligned(other)
-        prec = min(a.qprec, b.qprec)
-        terms = {k: c for k, c in a.terms.items() if k[0] < prec}
-        for k, c in b.terms.items():
-            if k[0] < prec:
-                terms[k] = terms.get(k, 0) + c
-        weight = a.weight if a.weight == b.weight else None
-        index = a.index if a.index == b.index else None
-        slack = None
-        if a.cone_slack is not None and b.cone_slack is not None and index is not None:
-            slack = max(a.cone_slack, b.cone_slack)
-        return FJExp(a.qscale, a.zscale, prec, terms, weight=weight, index=index, cone_slack=slack)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FJExp":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "FJExp":
-        return (-self) + other
 
     def __mul__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
-            return FJExp(self.qscale, self.zscale, self.qprec,
-                         {k: c * other for k, c in self.terms.items()},
-                         weight=self.weight, index=self.index, cone_slack=self.cone_slack)
-        if isinstance(other, QSeries):
-            other = FJExp.from_qseries(other)
-        if not isinstance(other, FJExp):
+            return self._rebuilt(self.qscale, self.zscale, self.prec,
+                                 {k: c * other for k, c in self.terms.items()})
+        other = self._lifted(other)
+        if other is None:
             return NotImplemented
         a, b = self._aligned(other)
         lo_a = min((t for t, _ in a.terms), default=0)
         lo_b = min((t for t, _ in b.terms), default=0)
-        prec = min(a.qprec + min(lo_b, 0), b.qprec + min(lo_a, 0))
+        prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
         out: dict = {}
         for (t1, r1), c1 in a.terms.items():
             for (t2, r2), c2 in b.terms.items():
@@ -767,15 +768,7 @@ class FJExp:
     def __pow__(self, n: int) -> "FJExp":
         if n < 0:
             raise ValueError("negative powers of Fourier-Jacobi expansions are not supported")
-        result = FJExp.one(self.prec_exponent)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return self._powered(n, FJExp.one(self.prec_exponent))
 
     def divide(self, den: "FJExp") -> "FJExp":
         """Exact quotient: per q-order, the residual zeta-polynomial must be
@@ -786,10 +779,10 @@ class FJExp:
         d_lo = min(t for t, _ in b.terms)
         b0 = {r: c for (t, r), c in b.terms.items() if t == d_lo}
         if not a.terms:
-            return FJExp(a.qscale, a.zscale, a.qprec - d_lo, {},
+            return FJExp(a.qscale, a.zscale, a.prec - d_lo, {},
                          weight=None, index=None, cone_slack=None)
         n_lo = min(t for t, _ in a.terms)
-        out_prec = min(a.qprec - d_lo, b.qprec - 2 * d_lo + n_lo)
+        out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + n_lo)
         rem = dict(a.terms)
         quot: dict = {}
         while rem:
@@ -835,7 +828,7 @@ class FJExp:
         out: dict = {}
         for (t, _), c in self.terms.items():
             out[t] = out.get(t, 0) + c
-        return QSeries(self.qscale, self.qprec, out)
+        return QSeries(self.qscale, self.prec, out)
 
     def ud(self, d: int) -> "FJExp":
         """The operator z -> d*z; the index is multiplied by d^2."""
@@ -843,11 +836,10 @@ class FJExp:
             raise ValueError("U_d expects a positive integer")
         if d == 1:
             return self
-        return FJExp(self.qscale, self.zscale, self.qprec,
-                     {(t, d * r): c for (t, r), c in self.terms.items()},
-                     weight=self.weight,
-                     index=None if self.index is None else d * d * self.index,
-                     cone_slack=None if self.cone_slack is None else d * self.cone_slack)
+        return self._rebuilt(self.qscale, self.zscale, self.prec,
+                             {(t, d * r): c for (t, r), c in self.terms.items()},
+                             index=None if self.index is None else d * d * self.index,
+                             cone_slack=None if self.cone_slack is None else d * self.cone_slack)
 
     def vl(self, l: int, k: Optional[int] = None) -> "FJExp":
         """Index-raising Hecke-type operator V_l at weight k.
@@ -867,7 +859,7 @@ class FJExp:
             raise ValueError("V_l requires integral q- and zeta-scales")
         if l == 1:
             return a
-        new_prec = (a.qprec + l - 1) // l
+        new_prec = (a.prec + l - 1) // l
         out: dict = {}
         for d in divisors(l):
             dd = d * d
@@ -977,27 +969,13 @@ class FJExp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FJExp):
             return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        return (a.qscale == b.qscale and a.zscale == b.zscale and a.qprec == b.qprec
-                and a.terms == b.terms and a.weight == b.weight and a.index == b.index)
-
-    __hash__ = None
+        return (self.weight == other.weight and self.index == other.index
+                and _Series.__eq__(self, other))
 
     def mismatch(self, other: "FJExp"):
         """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
         common certified q-window, or None."""
-        a, b = self._aligned(other)
-        window = min(a.qprec, b.qprec)
-        for (t, r) in sorted(set(a.terms) | set(b.terms)):
-            if t >= window:
-                continue
-            ca, cb = a.terms.get((t, r), 0), b.terms.get((t, r), 0)
-            if ca != cb:
-                return (Fraction(t, a.qscale), Fraction(r, a.zscale), ca, cb)
-        return None
-
-    def agrees_with(self, other: "FJExp") -> bool:
-        return self.mismatch(other) is None
+        return self._mismatch(other, zeta=True)
 
     # -- serialization ----------------------------------------------------------------------
 
@@ -1005,7 +983,7 @@ class FJExp:
         return {
             "qscale": self.qscale,
             "zscale": self.zscale,
-            "prec": self.qprec,
+            "prec": self.prec,
             "terms": [[t, r, rational_str(c)] for (t, r), c in sorted(self.terms.items())],
         }
 
@@ -1035,7 +1013,7 @@ class FJExp:
         return " + ".join(parts) + f" + O(q^{_exp_str(self.prec_exponent)})"
 
     def __repr__(self) -> str:
-        return (f"FJExp(qscale={self.qscale}, zscale={self.zscale}, qprec={self.qprec}, "
+        return (f"FJExp(qscale={self.qscale}, zscale={self.zscale}, prec={self.prec}, "
                 f"{len(self.terms)} terms, weight={self.weight}, index={self.index})")
 
 
@@ -1117,6 +1095,12 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     return _floor_frac(y * y) + 2
 
 
+def require_prec(form: str, prec: int) -> None:
+    """The precondition shared by the public form constructors."""
+    if prec < 1:
+        raise ValueError(f"{form} needs prec >= 1, got {prec}")
+
+
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -1139,8 +1123,7 @@ def memo_by_prec(build):
             hit = 1 <= prec <= top
             counts[0 if hit else 1] += 1
         if hit:
-            cut = series.q_truncated if isinstance(series, FJExp) else series.truncated
-            return cut(series.prec_exponent - (top - prec))
+            return series.truncated(series.prec_exponent - (top - prec))
         series = build(*args)
         with lock:
             if prec > kept.get(key, (0,))[0]:

@@ -147,7 +147,7 @@ def test_jacobi_eisenstein_e44_row_and_closed_route():
     assert [e44.coefficient(1, r) for r in range(4)] == [56, 56, 28, 8]
     # the direct index-4 route: (E_{4,1}|V_4 - E_{4,1}(tau,2z)) / 72
     e41 = cat.jacobi_eis_m1(4, 24)
-    closed = (e41.vl(4) - e41.q_truncated(6).ud(2)) * Fraction(1, 72)
+    closed = (e41.vl(4) - e41.truncated(6).ud(2)) * Fraction(1, 72)
     assert e44.agrees_with(closed)
 
 

@@ -96,18 +96,18 @@ def test_divide_roundtrip_on_catalog_forms():
     for num, den in ((th.ud(2), th), (th.ud(3), th), (th * th, th)):
         q = num.divide(den)
         back = q * den
-        assert back.agrees_with(num.q_truncated(back.prec_exponent))
+        assert back.agrees_with(num.truncated(back.prec_exponent))
     assert th.divide(th).agrees_with(FJExp.one(1))
     # (a * b) / b recovers a for denominators with invertible lowest term
     for a, b in ((cat.theta(7) ** 8, cat.phi(2, 7)),
                  (cat.jacobi_eis_m1(4, 7), cat.theta(7) ** 2)):
         q = (a * b).divide(b)
-        assert q.agrees_with(a.q_truncated(q.prec_exponent))
+        assert q.agrees_with(a.truncated(q.prec_exponent))
 
 
 def test_divide_inexact_raises():
     th = cat.theta(6)
-    bad = th.ud(2) + FJExp(8, 2, th.qprec, {(0, 0): 1})
+    bad = th.ud(2) + FJExp(8, 2, th.prec, {(0, 0): 1})
     with pytest.raises(InexactDivision) as err:
         (bad).divide(th)
     assert err.value.q_exponent is not None
@@ -123,12 +123,17 @@ def test_mul_with_qseries_and_scalar():
 
 def test_add_and_subtract_scalar():
     th = cat.theta(4)
-    one = QSeries(th.qscale, th.qprec, {0: 1})
+    one = QSeries(th.qscale, th.prec, {0: 1})
     for total, expected in ((th + 1, th + one), (1 + th, th + one),
                             (th - 1, th - one), (1 - th, -th + one)):
         assert total == expected
     assert (th + 1).coefficient(0, 0) == 1 and (1 - th).coefficient(Fraction(1, 8), HALF) == -1
     assert (th + HALF).coefficient(0, 0) == HALF
+
+
+def test_qseries_minus_fjexp():
+    one = QSeries(8, 32, {0: 1})
+    assert one - cat.theta(4) == -(cat.theta(4) - one)
 
 
 def test_specialize_fixtures():
@@ -218,14 +223,18 @@ def test_fj_json_roundtrip():
                  "terms": [[1, -2, "1/3"], [1, 2, "5"]]}
 
 
-def test_q_truncated_and_coefficient_guards():
+def test_truncated_and_coefficient_guards():
     e = cat.jacobi_eis_m1(4, 8)
-    t = e.q_truncated(3)
+    t = e.truncated(3)
     assert t.prec_exponent == 3
     with pytest.raises(ValueError):
         t.coefficient(3, 0)
     with pytest.raises(ValueError):
         t.q_slice(5)
+    # the precision edge cuts whole q-rows, negative zeta-powers included
+    with pytest.raises(ValueError):
+        FJExp(1, 1, 2, {(2, -1): 1})
+    assert dict(FJExp(1, 1, 3, {(1, 1): 2, (2, -1): 1}).truncated(2).terms) == {(1, 1): 2}
 
 
 def test_divide_fuzz_reconstructs_factor():
@@ -244,4 +253,54 @@ def test_divide_fuzz_reconstructs_factor():
                 rng.randrange(-6, 7), rng.randrange(1, 4))
         q = FJExp(1, 1, 8, {k: c for k, c in q_terms.items() if c})
         got = (q * b).divide(b)
-        assert got.agrees_with(q.q_truncated(got.prec_exponent))
+        assert got.agrees_with(q.truncated(got.prec_exponent))
+
+
+def random_laurent_qseries(rng):
+    """A QSeries on a random scale, with Laurent terms and coefficients of
+    mixed denominators."""
+    scale = rng.choice((1, 2, 3, 8, 24))
+    prec = rng.randrange(1, 4 * scale)
+    terms = {}
+    for _ in range(rng.randrange(0, 9)):
+        terms[rng.randrange(-2 * scale, prec)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+    return QSeries(scale, prec, terms)
+
+
+def test_shared_core_agrees_on_lifted_qseries():
+    # every operation of the shared core commutes with FJExp.from_qseries
+    lift = FJExp.from_qseries
+    ops = {
+        "add": (lambda a, b: a + b),
+        "sub": (lambda a, b: a - b),
+        "neg": (lambda a, b: -a),
+        "scalar": (lambda a, b: 3 * a),
+        "truncated": (lambda a, b: a.truncated(b.prec_exponent - 1)),
+        "normalized": (lambda a, b: a.normalized()),
+        "rescaled": (lambda a, b: a.rescaled(a.qscale * b.qscale)),
+    }
+    rng = random.Random(2718)
+    for _ in range(150):
+        a, b = random_laurent_qseries(rng), random_laurent_qseries(rng)
+        for name, op in ops.items():
+            one_var, two_var = lift(op(a, b)), op(lift(a), lift(b))
+            assert one_var == two_var, name
+            assert one_var.to_json_dict() == two_var.to_json_dict(), name
+
+
+def test_mismatch_reports_the_same_place_for_both_types():
+    lift = FJExp.from_qseries
+    rng = random.Random(161803)
+    found = 0
+    for _ in range(200):
+        a = random_laurent_qseries(rng)
+        b = a + QSeries(a.qscale, a.prec, {rng.randrange(-a.qscale, a.prec): rng.randrange(-1, 2)})
+        one_var, two_var = a.mismatch(b), lift(a).mismatch(lift(b))
+        if one_var is None:
+            assert two_var is None
+            continue
+        found += 1
+        q, z, lhs, rhs = one_var
+        assert z is None and lhs != rhs
+        assert two_var == (q, 0, lhs, rhs)
+    assert found > 50

@@ -7,7 +7,7 @@ import pytest
 from jacobiforms import catalog as cat
 from jacobiforms import identities as ids
 from jacobiforms.identities import Identity, IdentityReport, UnknownIdentityError, verify, verify_all
-from jacobiforms.series import QSeries
+from jacobiforms.series import FJExp, QSeries
 
 
 FAST_SPOT_CHECKS = [
@@ -72,6 +72,17 @@ def test_failure_report_mechanics():
         assert js["status"] == "fail"
         assert js["mismatch"]["lhs"] == "240" and js["mismatch"]["q_exponent"] == "1"
         assert "240 != -504" in str(report)
+        # a false two-variable identity: theta^2 against theta^2 with one
+        # coefficient moved, reported with its zeta-exponent
+        def fj_sides(prec):
+            sq = cat.theta(prec) ** 2
+            bumped = dict(sq.terms)
+            bumped[(2, 2)] += 1
+            return sq, FJExp(sq.qscale, sq.zscale, sq.prec, bumped)
+        ids.REGISTRY[bogus.id] = Identity(bogus.id, bogus.description, fj_sides)
+        report = verify("TEST-bogus", 4)
+        assert report.first_mismatch == (Fraction(1, 4), 1, 1, 2)
+        assert report.to_json_dict()["mismatch"]["z_exponent"] == "1"
     finally:
         del ids.REGISTRY[bogus.id]
 

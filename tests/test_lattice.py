@@ -38,6 +38,12 @@ def test_membership_and_primitivity():
         lattice.jacobi_theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("prec", [0, -1])
+def test_theta_e8_rejects_empty_precision(prec):
+    with pytest.raises(ValueError, match=f"jacobi_theta_e8 needs prec >= 1, got {prec}"):
+        lattice.jacobi_theta_e8(lattice.U2, prec)
+
+
 def test_theta_on_root_is_e41():
     assert lattice.jacobi_theta_e8(lattice.U2, 6).mismatch(cat.jacobi_eis_m1(4, 6)) is None
 
