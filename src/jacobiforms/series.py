@@ -11,7 +11,10 @@ every zeta-index 0, so they share one vocabulary: `prec` is the precision
 P in units of 1/s, `prec_exponent` is P/s, `truncated(e)` cuts the certified
 window to q-exponents below e, and `mismatch` returns the first difference
 on the common window as (q_exp, z_exp, lhs, rhs), with z_exp None for a
-QSeries, or None when there is none.  Only the products stay per class.
+QSeries, or None when there is none.  Each class keeps its own `__mul__`,
+but both multiply through one module-level kernel, `_product`: Kronecker
+substitution packs each operand's grid into one integer, so that a product
+is one big-int multiply instead of a loop over term pairs.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
@@ -27,7 +30,9 @@ root-of-unity phases live before they cancel to rationals.
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -88,6 +93,108 @@ def _read_only(self, name, *_):
 
 
 # ---------------------------------------------------------------------------
+# the product kernel shared by QSeries and FJExp
+# ---------------------------------------------------------------------------
+
+def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
+    """The exact product of two term maps below q-index `bound`, with keys
+    t (or (t, r) when `zeta`) and nonzero rational values, by Kronecker
+    substitution: one big-int multiply instead of a loop over term pairs.
+
+    Terms that cannot land below the bound are dropped.  Each operand is
+    shifted to start at index 0, and the q- and zeta-grids are divided by
+    the gcd of the shifted indices over both operands (eta's q^(1/24) would
+    otherwise leave t on a stride of 24).  Each operand is scaled to
+    integers by the lcm of its denominators and laid out t-major in one
+    int, one signed k-byte slot per grid point.  A product slot sums at
+    most one pair per term of either operand, so its size is at most
+    min(sum|a| * max|b|, max|a| * sum|b|) <= max|a| * max|b| * min(#a, #b),
+    and k keeps that below half the slot range.  Adding half the range to
+    every slot of the product then removes the borrows between slots, which
+    are read straight from its bytes.
+    """
+    if not a or not b:
+        return {}
+    ta0, tb0 = (min(a)[0], min(b)[0]) if zeta else (min(a), min(b))
+    origin = ta0 + tb0
+    if origin >= bound:
+        return {}
+    ta, ra, ca, da = _operand(a, bound - tb0, zeta)
+    tb, rb, cb, db = _operand(b, bound - ta0, zeta)
+    gt = math.gcd(*[t - ta0 for t in ta], *[t - tb0 for t in tb]) or 1
+    rows = (bound - origin + gt - 1) // gt  # product rows below the bound
+    if zeta:
+        ra0, rb0 = min(ra), min(rb)
+        gr = math.gcd(*[r - ra0 for r in ra], *[r - rb0 for r in rb]) or 1
+        width = (max(ra) - ra0 + max(rb) - rb0) // gr + 1
+        ia = [(t - ta0) // gt * width + (r - ra0) // gr for t, r in zip(ta, ra)]
+        ib = [(t - tb0) // gt * width + (r - rb0) // gr for t, r in zip(tb, rb)]
+    else:
+        width = 1
+        ia = [(t - ta0) // gt for t in ta]
+        ib = [(t - tb0) // gt for t in tb]
+    most = min(sum(map(abs, ca)) * max(map(abs, cb)), max(map(abs, ca)) * sum(map(abs, cb)))
+    k = most.bit_length() // 8 + 1  # bytes per slot: most < 2^(8k - 1)
+    n_slots = max(ia) + max(ib) + 1
+    bias = 1 << (8 * k - 1)
+    prod = (_packed(ia, ca, k) * _packed(ib, cb, k)
+            + int.from_bytes((b"\x00" * (k - 1) + b"\x80") * n_slots, "little"))
+    slots = _slots(prod.to_bytes(n_slots * k, "little"), k, min(n_slots, rows * width))
+    den = da * db
+    if not zeta:
+        return {origin + gt * s: v - bias if den == 1 else Fraction(v - bias, den)
+                for s, v in enumerate(slots) if v != bias}
+    r00, out = ra0 + rb0, {}
+    for start in range(0, len(slots), width):
+        t = origin + gt * (start // width)
+        for w, v in enumerate(slots[start:start + width]):
+            if v != bias:
+                out[(t, r00 + gr * w)] = v - bias if den == 1 else Fraction(v - bias, den)
+    return out
+
+
+def _operand(terms: dict, limit: int, zeta: bool) -> tuple:
+    """The q-indices, zeta-indices (None unless `zeta`) and coefficients of
+    the terms with q-index < limit, the coefficients scaled to integers by
+    the lcm d of their denominators, and d."""
+    if zeta:
+        ts, rs, cs = zip(*[(t, r, c) for (t, r), c in terms.items() if t < limit])
+    else:
+        ts, rs = [t for t in terms if t < limit], None
+        cs = [terms[t] for t in ts]
+    d = math.lcm(*[c.denominator for c in cs])
+    if d > 1:
+        cs = [c.numerator * (d // c.denominator) for c in cs]
+    return ts, rs, cs, d
+
+
+_WORD = {array(code).itemsize: code for code in "BHILQ"}  # array typecode by byte size
+
+
+def _packed(index: list, coeffs: list, k: int) -> int:
+    """sum coeffs[j] * 2^(8k * index[j]), built from bytes."""
+    size = (max(index) + 1) * k
+    pos, neg = bytearray(size), bytearray(size)
+    for i, c in zip(index, coeffs):
+        if c > 0:
+            pos[i * k:i * k + k] = c.to_bytes(k, "little")
+        else:
+            neg[i * k:i * k + k] = (-c).to_bytes(k, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _slots(data: bytes, k: int, n: int) -> list:
+    """The first n k-byte little-endian slots of data, as ints; slots of
+    one machine word are read in one pass through an array."""
+    if k not in _WORD:
+        return [int.from_bytes(data[i:i + k], "little") for i in range(0, n * k, k)]
+    words = array(_WORD[k], data[:n * k])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+# ---------------------------------------------------------------------------
 # the term-map core shared by QSeries and FJExp
 # ---------------------------------------------------------------------------
 
@@ -101,7 +208,8 @@ class _Series:
     term map re-keyed by (t, r) -> (t*qmul//qdiv, r*zmul//zdiv); `_rebuilt`,
     a copy with new data that keeps its own metadata unless `meta`
     overrides it; `_lifted`, an addend as this type or None; and
-    `_sum_meta`, the metadata of a sum.
+    `_sum_meta`, the metadata of a sum.  Products are not in the core: each
+    subclass's `__mul__` calls the shared kernel `_product` on its term map.
     """
 
     __slots__ = ("qscale", "prec", "terms")
@@ -331,14 +439,7 @@ class QSeries(_Series):
         lo_a = min(a.terms) if a.terms else 0
         lo_b = min(b.terms) if b.terms else 0
         prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
-        out: dict = {}
-        for t1, c1 in a.terms.items():
-            for t2, c2 in b.terms.items():
-                t = t1 + t2
-                if t >= prec:
-                    continue
-                out[t] = out.get(t, 0) + c1 * c2
-        return QSeries(a.qscale, prec, out)
+        return QSeries(a.qscale, prec, _product(a.terms, b.terms, prec, zeta=False))
 
     __rmul__ = __mul__
 
@@ -748,14 +849,7 @@ class FJExp(_Series):
         lo_a = min((t for t, _ in a.terms), default=0)
         lo_b = min((t for t, _ in b.terms), default=0)
         prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
-        out: dict = {}
-        for (t1, r1), c1 in a.terms.items():
-            for (t2, r2), c2 in b.terms.items():
-                t = t1 + t2
-                if t >= prec:
-                    continue
-                key = (t, r1 + r2)
-                out[key] = out.get(key, 0) + c1 * c2
+        out = _product(a.terms, b.terms, prec, zeta=True)
         weight = None if (a.weight is None or b.weight is None) else a.weight + b.weight
         index = None if (a.index is None or b.index is None) else a.index + b.index
         slack = None
@@ -936,29 +1030,42 @@ class FJExp(_Series):
         mu = Fraction(mu)
         shift = m * lam * lam
         bound = self._unknown_tail_bound(Fraction(1), lam, shift) if lam else self.prec_exponent
+        # a term's exponent and phase angle, as integers e and a over the
+        # common denominators den_e and den_a
+        den_e = math.lcm(self.qscale, self.zscale * lam.denominator, shift.denominator)
+        e_t, e_0 = den_e // self.qscale, shift.numerator * (den_e // shift.denominator)
+        e_r = lam.numerator * (den_e // (self.zscale * lam.denominator))
+        a_r, a_0 = mu / self.zscale, mu * m * lam
+        den_a = math.lcm(a_r.denominator, a_0.denominator)
+        a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, a_0))
+        top = math.ceil(bound * den_e)  # e / den_e < bound exactly when e < top
         entries = []
-        conductor = 1
         for (t, r), c in self.terms.items():
-            rz = Fraction(r, self.zscale)
-            e = Fraction(t, self.qscale) + rz * lam + shift
-            if e >= bound:
-                continue
-            angle = mu * (rz + m * lam)
-            angle -= _floor_frac(angle)
-            conductor = math.lcm(conductor, angle.denominator)
-            entries.append((e, angle, c))
+            e = t * e_t + r * e_r + e_0
+            if e < top:
+                entries.append((e, (r * a_r + a_0) % den_a, c))
+        # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
+        g_e = math.gcd(den_e, *[e for e, _, _ in entries])
+        g_a = math.gcd(den_a, *[a for _, a, _ in entries])
+        conductor = den_a // g_a
         if conductor > 48:
             raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
-        scale = bound.denominator
-        for e, _, _ in entries:
-            scale = math.lcm(scale, e.denominator)
+        scale = math.lcm(bound.denominator, den_e // g_e)
         prec = _floor_frac(bound * scale)
-        acc: dict = {}
-        for e, angle, c in entries:
-            t = e.numerator * (scale // e.denominator)
-            j = int(angle * conductor)
-            elt = CycloElt.from_root_power(conductor, j, c)
-            acc[t] = acc[t] + elt if t in acc else elt
+        # sum the coefficients per (q-index, root power), then one CycloElt per q-index
+        sums: dict = {}
+        for e, a, c in entries:
+            by_root = sums.setdefault(e * scale // den_e, {})
+            by_root[a // g_a] = by_root.get(a // g_a, 0) + c
+        rows = _root_power_rows(conductor)
+        acc = {}
+        for t, by_root in sums.items():
+            coords = [0] * len(rows[0])
+            for j, c in by_root.items():
+                for i, x in enumerate(rows[j]):
+                    if x:
+                        coords[i] += c * x
+            acc[t] = CycloElt(conductor, coords)
         result = CycloSeries(conductor, scale, prec, acc)
         if cyclotomic:
             return result

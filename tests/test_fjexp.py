@@ -304,3 +304,66 @@ def test_mismatch_reports_the_same_place_for_both_types():
         assert z is None and lhs != rhs
         assert two_var == (q, 0, lhs, rhs)
     assert found > 50
+
+
+# -- certified windows: more input precision changes nothing already certified -------
+
+def assert_extends(lo, hi, target=None):
+    """`hi`, built from more precise inputs than `lo`, certifies at least
+    lo's window and agrees with lo on all of it."""
+    assert lo.prec_exponent <= hi.prec_exponent
+    assert lo.agrees_with(hi)
+    if target is not None:
+        assert lo.prec_exponent >= target
+
+
+PRODUCTS = (
+    lambda p: cat.theta(p) ** 3 * cat.jacobi_eis_m1(4, p),
+    lambda p: cat.phi(2, p) * cat.phi(3, p),
+    lambda p: cat.eta(p) ** 5 * cat.phi(1, p),
+    lambda p: cat.phi(1, p) * cat.delta(p).inverse(),  # a Laurent factor
+    lambda p: cat.eisenstein(4, p) * cat.eta(p).inverse() ** 2,
+)
+
+# (form at precision p, index, slack, lam, mu) with rational specializations
+SPECIALIZED = (
+    (lambda p: cat.theta(p) ** 8, 4, 0, HALF, HALF),
+    (lambda p: cat.theta(p) ** 8, 4, 0, -HALF, 0),
+    (lambda p: cat.jacobi_eis(4, 2, p), 2, 0, HALF, HALF),
+    (lambda p: cat.phi(2, p), 2, 2, HALF, HALF),
+    (lambda p: cat.phi(1, p), 1, 1, 0, HALF),
+)
+
+# (form at precision p, index, slack, tau_mult, z_mult)
+EVALUATED = (
+    (lambda p: cat.theta(p) ** 8, 4, 0, 3, 2),
+    (lambda p: cat.jacobi_eis(4, 2, p), 2, 0, 2, -1),
+    (lambda p: cat.phi(3, p), 3, 3, 2, HALF),
+)
+
+QUOTIENTS = (
+    lambda p: cat.theta(p).ud(2).divide(cat.theta(p)),
+    lambda p: (cat.theta(p) ** 8 * cat.phi(2, p)).divide(cat.phi(2, p)),
+    lambda p: (cat.jacobi_eis_m1(4, p) * cat.theta(p) ** 2).divide(cat.theta(p) ** 2),
+)
+
+INVERSES = (
+    lambda p: cat.theta_const(0, 0, p).inverse(),
+    lambda p: cat.delta(p).inverse(),
+    lambda p: cat.eta(p).inverse(),
+)
+
+
+@pytest.mark.parametrize("extra", [1, 3])
+@pytest.mark.parametrize("target", [2, 5, 8])
+def test_certified_windows_only_grow(target, extra):
+    for build in PRODUCTS + QUOTIENTS + INVERSES:
+        assert_extends(build(target), build(target + extra))
+    for form, index, slack, lam, mu in SPECIALIZED:
+        p = prec_for_specialize(target, index, lam, slack)
+        lo = form(p).specialize(lam, mu, index=index)
+        assert_extends(lo, form(p + extra).specialize(lam, mu, index=index), target)
+    for form, index, slack, tau_mult, z_mult in EVALUATED:
+        p = prec_for_eval_linear(target, index, tau_mult, z_mult, slack)
+        lo = form(p).eval_linear(tau_mult, z_mult)
+        assert_extends(lo, form(p + extra).eval_linear(tau_mult, z_mult), target)

@@ -1,5 +1,6 @@
 """One-variable series engine: ring laws, inversion, precision semantics."""
 
+import math
 import random
 import sys
 import threading
@@ -8,7 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from jacobiforms.series import CycloElt, CycloSeries, QSeries, cyclotomic_poly, memo_by_prec
+from jacobiforms import catalog
+from jacobiforms.numtheory import as_rational
+from jacobiforms.series import (
+    CycloElt,
+    CycloSeries,
+    FJExp,
+    QSeries,
+    _product,
+    cyclotomic_poly,
+    memo_by_prec,
+)
 
 
 def random_qseries(rng, prec=12, scale=1, laurent=False):
@@ -196,3 +207,143 @@ def test_precision_memo_under_threads():
     for k in (1, 2, 3):  # the highest build is the one kept
         geometric(k, 29)
     assert geometric.cache_info().hits == hits + 3
+
+
+# -- the product kernel against the term-pair loop it replaced ------------------------
+
+def product_by_pairs(a, b, bound, zeta):
+    """The oracle: every term pair, summed per key below the q-index bound."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = (k1[0] + k2[0], k1[1] + k2[1]) if zeta else k1 + k2
+            if (key[0] if zeta else key) < bound:
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def product_by_pairs_of(x, y):
+    """The oracle for `x * y` on series, with the precision rule of `__mul__`."""
+    if isinstance(y, FJExp) and isinstance(x, QSeries):
+        x = FJExp.from_qseries(x)
+    if isinstance(x, FJExp) and isinstance(y, QSeries):
+        y = FJExp.from_qseries(y)
+    a, b = x._aligned(y)
+    zeta = isinstance(a, FJExp)
+    lo_a = min((a._split(k)[0] for k in a.terms), default=0)
+    lo_b = min((b._split(k)[0] for k in b.terms), default=0)
+    prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
+    return a.qscale, a.zscale, prec, product_by_pairs(a.terms, b.terms, prec, zeta)
+
+
+def assert_mul_matches(x, y):
+    prod = x * y
+    assert (prod.qscale, prod.zscale, prod.prec, dict(prod.terms)) == product_by_pairs_of(x, y)
+
+
+def random_terms(rng, n, t_range, r_range, zeta, big=False, denominators=(1,)):
+    terms = {}
+    for _ in range(n):
+        t = rng.randrange(*t_range)
+        key = (t, rng.randrange(*r_range)) if zeta else t
+        top = 10**30 if big else 50
+        c = Fraction(rng.randrange(-top, top + 1), rng.choice(denominators))
+        if c:
+            terms[key] = c.numerator if c.denominator == 1 else c
+    return terms
+
+
+@pytest.mark.parametrize("zeta", [False, True])
+def test_kernel_random_sparse_and_dense(zeta):
+    rng = random.Random(4001 + zeta)
+    for trial in range(150):
+        dense = trial % 2
+        n = rng.randrange(1, 60 if dense else 8)
+        span = (0, max(2, n // 3) if dense else 40)
+        rs = (-4, 5) if dense else (-30, 31)
+        dens = rng.choice([(1,), (1, 2, 3), (7, 11, 13, 5)])
+        a = random_terms(rng, n, span, rs, zeta, big=trial % 5 == 0, denominators=dens)
+        b = random_terms(rng, rng.randrange(1, 60 if dense else 8), span, rs, zeta,
+                         denominators=rng.choice([(1,), (2, 9)]))
+        bound = rng.randrange(0, 2 * span[1] + 2)
+        assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+
+
+@pytest.mark.parametrize("zeta", [False, True])
+def test_kernel_laurent_strides_and_bounds(zeta):
+    rng = random.Random(23 + zeta)
+    for _ in range(150):
+        stride_t, stride_r = rng.choice([1, 2, 8, 24]), rng.choice([1, 2, 3])
+        off_a, off_b = rng.randrange(-60, 10), rng.randrange(-60, 10)
+        a = {(off_a + stride_t * k[0], stride_r * k[1] - 7) if zeta else off_a + stride_t * k: c
+             for k, c in random_terms(rng, rng.randrange(1, 12), (0, 9), (-5, 6), zeta).items()}
+        b = {(off_b + stride_t * k[0], stride_r * k[1] + 1) if zeta else off_b + stride_t * k: c
+             for k, c in random_terms(rng, rng.randrange(1, 12), (0, 9), (-5, 6), zeta,
+                                      denominators=(1, 4, 6)).items()}
+        if not a or not b:
+            continue
+        lowest = min(k[0] if zeta else k for k in a) + min(k[0] if zeta else k for k in b)
+        for bound in (lowest - 1, lowest, lowest + 1, lowest + rng.randrange(2, 300), 10**6):
+            assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+    for empty, other in (({}, {(1, 1) if zeta else 1: 2}), ({(0, 0) if zeta else 0: 3}, {})):
+        assert _product(empty, other, 10, zeta) == {} == _product(other, empty, 10, zeta)
+
+
+@pytest.mark.parametrize("zeta", [False, True])
+@pytest.mark.parametrize("bits", [8, 16, 24, 32, 64, 72, 128])
+def test_kernel_saturates_its_slots(zeta, bits):
+    # dense operands, every coefficient +-top, sized so that one product slot
+    # sums min(#a, #b) products of top*top and so needs exactly `bits` bits:
+    # a slot one bit narrower carries into its neighbour
+    rng = random.Random(bits)
+    n = 4
+    top = math.isqrt((2**bits - 1) // n)
+    assert (n * top * top).bit_length() == bits and n * top * top > 2 ** (bits - 1)
+    keys = [(t, r) for t in range(2) for r in range(2)] if zeta else list(range(n))
+    # with signs (-1)^(t+r), every pair landing in one slot adds with one sign
+    parity = (lambda k: sum(k) % 2) if zeta else (lambda k: k % 2)
+    for _ in range(4):
+        sign_a, sign_b = rng.choice([1, -1]), rng.choice([1, -1])
+        a = {k: sign_a * top * (-1) ** parity(k) for k in keys}
+        b = {k: sign_b * top * (-1) ** parity(k) for k in keys}
+        got = _product(a, b, 10**3, zeta)
+        assert max(map(abs, got.values())) == n * top * top
+        assert got == product_by_pairs(a, b, 10**3, zeta)
+        # the same with denominators, which the kernel scales away
+        a = {k: as_rational(Fraction(c, 7)) for k, c in a.items()}
+        assert _product(a, b, 10**3, zeta) == product_by_pairs(a, b, 10**3, zeta)
+
+
+def test_mul_on_mixed_scales_and_eta_strides():
+    rng = random.Random(1975)
+    eta = catalog.eta(12)
+    assert_mul_matches(eta, eta)
+    assert_mul_matches(eta, catalog.euler_product(12))
+    assert_mul_matches(eta ** 3, eta.inverse())
+    assert_mul_matches(eta, catalog.theta(6))
+    for _ in range(120):
+        x_prec, y_prec = rng.randrange(1, 60), rng.randrange(1, 40)
+        x = QSeries(rng.choice([1, 3, 8, 24]), x_prec,
+                    random_terms(rng, rng.randrange(0, 10), (-10, x_prec), None, False,
+                                 denominators=(1, 5)))
+        y = FJExp(rng.choice([1, 2, 8]), rng.choice([1, 2, 3]), y_prec,
+                  {k: c for k, c in random_terms(rng, rng.randrange(0, 10), (-3, 40), (-6, 7), True,
+                                                 denominators=(1, 3)).items() if k[0] < y_prec})
+        assert_mul_matches(x, x)
+        assert_mul_matches(x, y)
+        assert_mul_matches(y, x)
+        assert_mul_matches(y, y)
+
+
+CATALOG_FORMS = ("theta", "theta00", "theta01", "theta10", "theta11", "eta", "delta", "ek:4",
+                 "ek:12", "g2", "eps2", "phi:1", "phi:2", "phi:3", "phi:4", "jacobi_eis:4,1",
+                 "jacobi_eis:6,2", "jacobi_eis:4,4", "theta_const:0,0", "theta_const:0,1", "theta_const:1,0",
+                 "wp_theta2")
+
+
+@pytest.mark.parametrize("name", CATALOG_FORMS)
+def test_mul_on_catalog_forms(name):
+    for p in range(1, 13):
+        form, theta = catalog.form_by_name(name, p), catalog.theta(p)
+        assert_mul_matches(form, form)
+        assert_mul_matches(form, theta)
