@@ -29,7 +29,7 @@ def as_rational(x) -> Rat:
     """Coerce to an exact rational, collapsing Fractions with denominator 1."""
     if isinstance(x, int):
         return x
-    f = x if type(x) is Fraction else Fraction(x)
+    f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 

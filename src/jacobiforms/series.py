@@ -30,9 +30,7 @@ root-of-unity phases live before they cancel to rationals.
 from __future__ import annotations
 
 import math
-import sys
 import threading
-from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -139,7 +137,9 @@ def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
     bias = 1 << (8 * k - 1)
     prod = (_packed(ia, ca, k) * _packed(ib, cb, k)
             + int.from_bytes((b"\x00" * (k - 1) + b"\x80") * n_slots, "little"))
-    slots = _slots(prod.to_bytes(n_slots * k, "little"), k, min(n_slots, rows * width))
+    data = prod.to_bytes(n_slots * k, "little")
+    slots = [int.from_bytes(data[i:i + k], "little")
+             for i in range(0, min(n_slots, rows * width) * k, k)]
     den = da * db
     if not zeta:
         return {origin + gt * s: v - bias if den == 1 else Fraction(v - bias, den)
@@ -168,9 +168,6 @@ def _operand(terms: dict, limit: int, zeta: bool) -> tuple:
     return ts, rs, cs, d
 
 
-_WORD = {array(code).itemsize: code for code in "BHILQ"}  # array typecode by byte size
-
-
 def _packed(index: list, coeffs: list, k: int) -> int:
     """sum coeffs[j] * 2^(8k * index[j]), built from bytes."""
     size = (max(index) + 1) * k
@@ -181,17 +178,6 @@ def _packed(index: list, coeffs: list, k: int) -> int:
         else:
             neg[i * k:i * k + k] = (-c).to_bytes(k, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _slots(data: bytes, k: int, n: int) -> list:
-    """The first n k-byte little-endian slots of data, as ints; slots of
-    one machine word are read in one pass through an array."""
-    if k not in _WORD:
-        return [int.from_bytes(data[i:i + k], "little") for i in range(0, n * k, k)]
-    words = array(_WORD[k], data[:n * k])
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tolist()
 
 
 # ---------------------------------------------------------------------------
