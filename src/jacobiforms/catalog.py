@@ -4,18 +4,20 @@ the quasi-modular G_2 and the level-2 eps_2, the four weight-0 weak Jacobi
 generators phi_{0,1..4}, Jacobi-Eisenstein series E_{k,m}, and the product
 wp*theta^2 realized as eta^6 phi_{0,1} / 12.
 
-Each constructor builds by one route.  The second routes that cross-check
-them (theta from the triple product, the naive Euler product, Delta as
-eta^24) live in `jacobiforms.checks`; only the cheap normalization asserts
-of jacobi_eis and phi stay here.  Constructors are pure, their series immutable,
-and `series.memo_by_prec` cuts lower precisions from each form's highest build.
+Each constructor builds by one route; E_{k,m} sums Cohen numbers coefficient
+by coefficient (Eichler-Zagier, Thm 2.1).  The second routes that cross-check
+them (theta from the triple product, the naive Euler product, Delta as eta^24)
+live in `jacobiforms.checks`, the U_d V_l route to E_{k,m} in the tests; only
+the cheap normalization asserts of jacobi_eis and phi stay here.  Constructors
+are pure, their series immutable, and `series.memo_by_prec` cuts lower
+precisions from each form's highest build.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from jacobiforms.numtheory import bernoulli, cohen_h, factorize, kronecker, mobius, sigma, zeta_neg
+from jacobiforms.numtheory import bernoulli, cohen_h, divisors, factorize, kronecker, mobius, sigma, zeta_neg
 from jacobiforms.series import FJExp, QSeries, memo_by_prec, require_prec
 
 HALF = Fraction(1, 2)
@@ -155,52 +157,50 @@ def eps2(prec: int) -> QSeries:
 # Jacobi-Eisenstein series
 # ---------------------------------------------------------------------------
 
-@memo_by_prec
-def jacobi_eis_m1(k: int, prec: int) -> FJExp:
-    """Index-1 Jacobi-Eisenstein series: coefficients are normalized Cohen
-    numbers H(k-1, 4n - r^2) / zeta(3 - 2k) on the support r^2 <= 4n."""
+def _jacobi_eis(name: str, k: int, m: int, prec: int) -> FJExp:
+    """E_{k,m} below q^prec by the formula of :func:`jacobi_eis`, for the constructor `name`."""
     if k < 4 or k % 2:
-        raise ValueError(f"jacobi_eis_m1 needs even k >= 4, got {k}")
-    require_prec("jacobi_eis_m1", prec)
-    z = Fraction(zeta_neg(3 - 2 * k))
+        raise ValueError(f"{name} needs even k >= 4, got {k}")
+    require_prec(name, prec)
+    pref = Fraction(math.prod(Fraction(p ** (k - 1), p ** (k - 1) + 1) for p, _ in factorize(m)),
+                    m ** (k - 1)) / zeta_neg(3 - 2 * k)
+    squares = [(d, mobius(d), m // (d * d)) for d in divisors(m) if m % (d * d) == 0 and mobius(d)]
     terms = {}
     for n in range(prec):
-        rmax = math.isqrt(4 * n)
-        for r in range(-rmax, rmax + 1):
-            if r * r <= 4 * n:
-                terms[(n, r)] = Fraction(cohen_h(k - 1, 4 * n - r * r)) / z
-    return FJExp(1, 1, prec, terms, weight=k, index=1, cone_slack=0)
+        for r in range(math.isqrt(4 * n * m) + 1):
+            disc, acc = 4 * n * m - r * r, 0
+            for d, mu, l in squares:
+                if r % d == 0:
+                    for e in divisors(math.gcd(n, r // d, l)):
+                        h, rest = divmod(disc, d * d * e * e)
+                        if not rest:
+                            acc += mu * e ** (k - 1) * cohen_h(k - 1, h)
+            if acc:
+                terms[(n, r)] = terms[(n, -r)] = pref * acc
+    if terms.get((0, 0)) != 1:
+        raise RuntimeError(f"E_{{{k},{m}}} normalization check failed")
+    return FJExp(1, 1, prec, terms, weight=k, index=m, cone_slack=0)
+
+
+@memo_by_prec
+def jacobi_eis_m1(k: int, prec: int) -> FJExp:
+    """E_{k,1}, the m = 1 case of :func:`jacobi_eis`: c(n, r) = H(k-1, 4n - r^2) / zeta(3 - 2k)."""
+    return _jacobi_eis("jacobi_eis_m1", k, 1, prec)
 
 
 @memo_by_prec
 def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
-    """Index-m Jacobi-Eisenstein series via the index-raising operators:
+    """Jacobi-Eisenstein series E_{k,m}, even k >= 4, from Cohen numbers
+    (Eichler-Zagier, *The Theory of Jacobi Forms*, Thm 2.1): for r^2 <= 4nm,
 
-        E_{k,m} = m^(1-k) prod_{p|m} (1 + p^(1-k))^(-1)
-                  * sum_{d^2|m} mu(d) (E_{k,1} | U_d V_{m/d^2}).
-    """
+        c(n, r) = P / zeta(3-2k) * sum_{d^2|m} mu(d) [d | r]
+                  * sum_{e | gcd(n, r/d, m/d^2)} e^(k-1) H(k-1, (4nm - r^2) / (d^2 e^2))
+
+    with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
+    and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term."""
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
-    require_prec("jacobi_eis", prec)
-    if m == 1:
-        return jacobi_eis_m1(k, prec)
-    base = jacobi_eis_m1(k, m * prec)
-    acc = None
-    for d in range(1, math.isqrt(m) + 1):
-        if m % (d * d):
-            continue
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        piece = base.ud(d).vl(m // (d * d), k) * mu
-        acc = piece if acc is None else acc + piece
-    pref = Fraction(1, m ** (k - 1))
-    for p, _ in factorize(m):
-        pref *= Fraction(p ** (k - 1), p ** (k - 1) + 1)
-    result = (acc * pref).truncated(prec).with_meta(weight=k, index=m, cone_slack=0)
-    if result.coefficient(0, 0) != 1:
-        raise RuntimeError(f"E_{{{k},{m}}} normalization check failed")
-    return result
+    return _jacobi_eis("jacobi_eis", k, m, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ Rat = Union[int, Fraction]
 
 
 def as_rational(x) -> Rat:
-    """Coerce to an exact rational, collapsing Fractions with denominator 1."""
+    """Coerce to an exact rational, collapsing Fractions with denominator 1.
+    A Fraction that is not an integer is returned as is."""
     if isinstance(x, int):
+        return x
+    if type(x) is Fraction and x.denominator != 1:
         return x
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f

@@ -1,5 +1,6 @@
 """Catalog constructors against printed expansions and classical relations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from jacobiforms import catalog as cat
 from jacobiforms import lattice
 from jacobiforms.catalog import UnknownFormError
+from jacobiforms.numtheory import cohen_h, factorize, mobius, zeta_neg
 from jacobiforms.series import FJExp, QSeries
 
 HALF = Fraction(1, 2)
@@ -149,6 +151,65 @@ def test_jacobi_eisenstein_e44_row_and_closed_route():
     e41 = cat.jacobi_eis_m1(4, 24)
     closed = (e41.vl(4) - e41.truncated(6).ud(2)) * Fraction(1, 72)
     assert e44.agrees_with(closed)
+
+
+def eis_by_operators(k, m, prec):
+    """The oracle: E_{k,m} through the index-raising operators,
+
+        E_{k,m} = m^(1-k) prod_{p|m} (1 + p^(1-k))^(-1)
+                  * sum_{d^2|m} mu(d) (E_{k,1} | U_d V_{m/d^2}),
+
+    from the whole index-1 series E_{k,1} at precision m * prec, whose
+    coefficients are H(k-1, 4n - r^2) / zeta(3 - 2k)."""
+    z = Fraction(zeta_neg(3 - 2 * k))
+    base = {}
+    for n in range(m * prec):
+        rmax = math.isqrt(4 * n)
+        for r in range(-rmax, rmax + 1):
+            base[(n, r)] = Fraction(cohen_h(k - 1, 4 * n - r * r)) / z
+    base = FJExp(1, 1, m * prec, base, weight=k, index=1, cone_slack=0)
+    acc = None
+    for d in range(1, math.isqrt(m) + 1):
+        if m % (d * d) or mobius(d) == 0:
+            continue
+        piece = base.ud(d).vl(m // (d * d), k) * mobius(d)
+        acc = piece if acc is None else acc + piece
+    pref = Fraction(1, m ** (k - 1))
+    for p, _ in factorize(m):
+        pref *= Fraction(p ** (k - 1), p ** (k - 1) + 1)
+    return (acc * pref).truncated(prec).with_meta(weight=k, index=m, cone_slack=0)
+
+
+def test_jacobi_eis_against_operator_route(clear_memos):
+    # m = 4, 8, 9, 12 are the indices with a square divisor d > 1
+    clear_memos()
+    for k in (4, 6, 8, 10, 12):
+        for m in range(1, 13):
+            for p in (1, 3, 8):
+                new, old = cat.jacobi_eis(k, m, p), eis_by_operators(k, m, p)
+                assert dict(new.terms) == dict(old.terms), (k, m, p)
+                assert _fingerprint(new) == _fingerprint(old), (k, m, p)
+                assert (new.qscale, new.zscale, new.prec) == (old.qscale, old.zscale, old.prec)
+        assert _fingerprint(cat.jacobi_eis_m1(k, 8)) == _fingerprint(eis_by_operators(k, 1, 8))
+
+
+def test_jacobi_eis_builds_no_index_one_base(clear_memos):
+    clear_memos()
+    cat.jacobi_eis(4, 12, 6)
+    assert cat.jacobi_eis.cache_info().misses == 1
+    assert cat.jacobi_eis_m1.cache_info().misses == 0
+
+
+def test_jacobi_eis_checks_its_weight():
+    for k in (5, 2, 0):
+        with pytest.raises(ValueError, match=f"jacobi_eis needs even k >= 4, got {k}"):
+            cat.jacobi_eis(k, 4, 3)
+        with pytest.raises(ValueError, match=f"jacobi_eis_m1 needs even k >= 4, got {k}"):
+            cat.jacobi_eis_m1(k, 3)
+    with pytest.raises(ValueError, match="jacobi_eis needs m >= 1"):
+        cat.jacobi_eis(4, 0, 3)
+    with pytest.raises(ValueError, match="jacobi_eis needs prec >= 1"):
+        cat.jacobi_eis(4, 2, 0)
 
 
 def test_ekm_restriction_is_ek():

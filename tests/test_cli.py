@@ -1,8 +1,12 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,17 @@ def test_expand_precondition_exit(capsys):
     assert code == 3 and "prec >= 1" in err
     code, _, err = run(capsys, "expand", "--form", "ek:3", "--prec", "4")
     assert code == 3 and "even k" in err
+    code, out, err = run(capsys, "expand", "--form", "jacobi_eis:5,4", "--prec", "3")
+    assert code == 3 and out == "" and "jacobi_eis needs even k >= 4, got 5" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "jacobiforms", "cohen", "--r", "3", "--N", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-2/9"
 
 
 def test_verify_glob_matching_nothing(capsys):

@@ -296,3 +296,13 @@ def test_rational_strings():
     assert parse_rational("7") == 7
     for x in (Fraction(3, 7), Fraction(-11, 4), 0, -5):
         assert parse_rational(rational_str(x)) == x
+
+
+def test_as_rational_keeps_fractions_and_collapses_integers():
+    half = Fraction(1, 2)
+    assert numtheory.as_rational(half) is half
+    four = numtheory.as_rational(Fraction(4, 1))
+    assert four == 4 and type(four) is int
+    assert type(numtheory.as_rational(Fraction(-6, 3))) is int
+    assert numtheory.as_rational("3/6") == half
+    assert numtheory.as_rational(7) == 7
