@@ -19,25 +19,27 @@ from typing import Callable, Optional
 
 from jacobiforms import catalog as cat
 from jacobiforms import lattice
+from jacobiforms.catalog import HALF
 from jacobiforms.numtheory import cohen_h, rational_str, sigma, sigma_rational, zeta_neg
 from jacobiforms.representations import (
+    _h3_odd_r_sum,
+    _odd_nonsquare,
+    _sign,
+    cone_points,
+    delta16,
     f4_coeff,
     f6_coeff,
     formula_delta8,
     formula_r8,
+    h_window_sum,
+    r16,
     tau,
 )
 from jacobiforms.series import FJExp, QSeries, prec_for_eval_linear, prec_for_specialize
 
-HALF = Fraction(1, 2)
-
 
 class UnknownIdentityError(KeyError):
     """An identity id that is not in the registry."""
-
-
-def _sign(r: int) -> int:
-    return -1 if r & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -242,22 +244,15 @@ def _b_c33_eta8_eis(prec):
     return lhs, rhs
 
 
-def _f4_shear_sum(n: int, tau_mult: int, z_mult: int, offset: int) -> Fraction:
-    """sum of f4(m, r) over tau_mult*m + z_mult*r + offset = n, 16m >= r^2."""
-    acc = Fraction(0)
-    for m in range(0, n + 9):
-        num = n - offset - tau_mult * m
-        if num % z_mult:
-            continue
-        r = num // z_mult
-        if 16 * m >= r * r:
-            acc += Fraction(f4_coeff(m, r))
-    return acc
+def _f4_cone_sum(points) -> Fraction:
+    """sum of f4(m, r) over the cone points (r, m)."""
+    return sum((Fraction(f4_coeff(m, r)) for r, m in points), Fraction(0))
 
 
 def _b_c33_eta8_conv(prec):
     lhs = cat.euler_product(prec) ** 8
-    return lhs, _qs_from(prec, lambda n: _f4_shear_sum(n, 3, 2, 5))
+    # 3m + 2r + 5 = n, 16m >= r^2
+    return lhs, _qs_from(prec, lambda n: _f4_cone_sum(cone_points(n - 5, 2, 3)))
 
 
 def _b_s32_spec(k: int, m: int, combo):
@@ -270,29 +265,21 @@ def _b_s32_spec(k: int, m: int, combo):
     return build
 
 
-def _cohen_sum_even_odd(r_cohen: int, n: int, parity: int) -> Fraction:
-    acc = Fraction(0)
-    for r in range(-math.isqrt(8 * n), math.isqrt(8 * n) + 1):
-        if r % 2 == parity and 8 * n > r * r:
-            acc += Fraction(cohen_h(r_cohen, 8 * n - r * r))
-    return acc
+def _odd(r: int) -> int:
+    return r & 1
 
 
 def _b_s32_cohen(r_cohen: int, parity: int, factor: Fraction, sig: int):
     def build(prec):
-        odd = lambda n: n % 2 == 1
-        lhs = _qs_from(prec, lambda n: _cohen_sum_even_odd(r_cohen, n, parity),
-                       [n for n in range(1, prec) if odd(n)])
-        rhs = _qs_from(prec, lambda n: factor * sigma(sig, n),
-                       [n for n in range(1, prec) if odd(n)])
-        return lhs, rhs
+        keys = range(1, prec, 2)
+        lhs = _qs_from(prec, lambda n: h_window_sum(r_cohen, 8 * n, lambda r: r % 2 == parity), keys)
+        return lhs, _qs_from(prec, lambda n: factor * sigma(sig, n), keys)
     return build
 
 
 def _b_s32_cohen_all_n(prec):
-    def lhs_fn(n):
-        return sum(Fraction(cohen_h(3, 4 * n - r * r))
-                   for r in range(1, math.isqrt(4 * n) + 1, 2) if 4 * n > r * r)
+    def lhs_fn(n):  # positive odd r: half the symmetric sum
+        return HALF * h_window_sum(3, 4 * n, _odd)
     def rhs_fn(n):
         return (Fraction(-2, 9) * sigma(3, n) - Fraction(2, 7) * sigma_rational(3, Fraction(n, 2))
                 + Fraction(32, 63) * sigma_rational(3, Fraction(n, 4)))
@@ -311,15 +298,10 @@ def _b_s32_t10_8_const(prec):
 
 
 def _b_s32_t10_8_delta(prec):
-    def applicable(n):
-        return n % 2 == 1 and math.isqrt(n) ** 2 != n
-    keys = [n for n in range(1, prec) if applicable(n)]
+    keys = [n for n in range(1, prec) if _odd_nonsquare(n)]
     def rhs_fn(n):
-        s16 = sum(_sign(r) * Fraction(cohen_h(3, 16 * n - r * r))
-                  for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1) if 16 * n > r * r)
-        s4 = sum(Fraction(cohen_h(3, 4 * n - r * r))
-                 for r in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1) if 4 * n > r * r)
-        return Fraction(7, 2) * s16 - Fraction(511, 2) * s4
+        return (Fraction(7, 2) * h_window_sum(3, 16 * n, _sign)
+                - Fraction(511, 2) * h_window_sum(3, 4 * n, lambda r: 1))
     return (_qs_from(prec, lambda n: 256 * formula_delta8(n - 1), keys),
             _qs_from(prec, rhs_fn, keys))
 
@@ -339,19 +321,15 @@ def _b_s32_t01_8_e44(prec):
 
 def _b_s32_t01_8_conv(prec):
     lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2).truncated(prec)
-    return lhs, _qs_from(prec, lambda n: _f4_shear_sum(n, 2, 1, 2))
+    # 2m + r + 2 = n, 16m >= r^2
+    return lhs, _qs_from(prec, lambda n: _f4_cone_sum(cone_points(n - 2, 1, 2)))
 
 
 def _b_s32_r8_odd(prec):
-    keys = [n for n in range(1, prec) if n % 2 == 1]
-    def rhs_fn(n):
-        acc = Fraction(0)
-        for m in range(0, n + 9):
-            r = n - 2 - 2 * m
-            if 16 * m > r * r:
-                acc += Fraction(cohen_h(3, 16 * m - r * r))
-        return Fraction(-7, 2) * acc
-    return _qs_from(prec, lambda n: formula_r8(n), keys), _qs_from(prec, rhs_fn, keys)
+    keys = range(1, prec, 2)
+    # 2m + r = n - 2, 16m > r^2 (r is odd with n)
+    return (_qs_from(prec, formula_r8, keys),
+            _qs_from(prec, lambda n: _h3_odd_r_sum(cone_points(n - 2, 1, 2)), keys))
 
 
 def _b_s32_eps2_consts(prec):
@@ -417,13 +395,10 @@ def _b_p41_e82_series(prec):
 
 def _b_p41_an(prec):
     a_series = _eta12_theta10_4(prec)
-    keys = [n for n in range(1, prec) if n % 2 == 1]
     z = Fraction(zeta_neg(-13))
     def rhs_fn(n):
-        acc = sum(_sign(r) * Fraction(cohen_h(7, 8 * n - r * r)) / z
-                  for r in range(-math.isqrt(8 * n), math.isqrt(8 * n) + 1) if r * r < 8 * n)
-        return Fraction(86, 135) * sigma(7, n) + Fraction(17, 6480) * acc
-    return _restrict(a_series, lambda n: n % 2 == 1), _qs_from(prec, rhs_fn, keys)
+        return Fraction(86, 135) * sigma(7, n) + Fraction(17, 6480) * h_window_sum(7, 8 * n, _sign) / z
+    return _restrict(a_series, _odd), _qs_from(prec, rhs_fn, range(1, prec, 2))
 
 
 def _b_p41_diff(prec):
@@ -456,22 +431,17 @@ def _b_p42_diff(prec):
 
 
 def _b_p42_b_odd(prec):
-    lhs = _restrict(_eta12_2tau(prec), lambda k: k % 2 == 1)
-    keys = [k for k in range(1, prec) if k % 2 == 1]
-    def rhs_fn(k):
-        n = (k - 1) // 2
-        acc = sum(_sign(r) * Fraction(cohen_h(5, 8 * n + 4 - r * r))
-                  for r in range(-math.isqrt(8 * n + 4), math.isqrt(8 * n + 4) + 1)
-                  if r * r <= 8 * n + 4)
-        return Fraction(11, 12) * acc - Fraction(1, 18) * sigma(5, k)
-    return lhs, _qs_from(prec, rhs_fn, keys)
+    lhs = _restrict(_eta12_2tau(prec), _odd)
+    def rhs_fn(k):  # 4k = 8n + 4 for k = 2n + 1
+        return (Fraction(11, 12) * h_window_sum(5, 4 * k, _sign, boundary=True)
+                - Fraction(1, 18) * sigma(5, k))
+    return lhs, _qs_from(prec, rhs_fn, range(1, prec, 2))
 
 
 def _b_p42_b_even(prec):
     keys = range(1, prec)
-    def lhs_fn(n):
-        return sum(Fraction(cohen_h(5, 8 * n - r * r))
-                   for r in range(1, math.isqrt(8 * n) + 1, 2) if r * r < 8 * n)
+    def lhs_fn(n):  # positive odd r: half the symmetric sum
+        return HALF * h_window_sum(5, 8 * n, _odd)
     def rhs_fn(n):
         return (Fraction(31, 33) * sigma(5, 2 * n) + sigma(5, n)
                 - Fraction(64, 33) * sigma_rational(5, Fraction(n, 2)))
@@ -625,18 +595,16 @@ def _b_s42_t01_16(prec):
 
 
 def _b_s42_delta16(prec):
-    from jacobiforms.representations import delta16
     t10_16 = ((cat.theta_const(1, 0, prec + 3) ** 8) ** 2).normalized()
-    keys = [n for n in range(1, prec) if n % 2 == 1]
+    keys = range(1, prec, 2)
     lhs = _qs_from(prec, lambda n: Fraction(t10_16.coefficient(n + 2), 65536), keys)
     rhs = _qs_from(prec, delta16, keys)
     return lhs, rhs
 
 
 def _b_s42_r16(prec):
-    from jacobiforms.representations import r16
     t00_16 = ((cat.theta_const(0, 0, prec) ** 8) ** 2).substituted(2)
-    keys = [n for n in range(1, prec) if n % 2 == 1]
+    keys = range(1, prec, 2)
     lhs = _qs_from(prec, lambda n: t00_16.coefficient(n), keys)
     rhs = _qs_from(prec, r16, keys)
     return lhs, rhs

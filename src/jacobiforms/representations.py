@@ -11,6 +11,11 @@ counting formulas: representations of n by eight figurate numbers, the
 classical r_8 / delta_8 divisor sums, the 16-variable analogues, and eight
 exact routes to the tau coefficients of the discriminant form.
 
+Every weighted window sum of Cohen numbers, sum_r w(r) H(k, N - r^2), goes
+through `h_window_sum`, and every sum over the lattice points of a sheared
+cone through `cone_points`; these two are the one reader of H over windows,
+here and in the identity registry.
+
 Brute-force counting builds exact sum tables by nested enumeration with
 pruning; tuples of more than four summands are split in half and meet in the
 middle.
@@ -40,33 +45,35 @@ def _sign(r: int) -> int:
 # coefficient formulas
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def f4_coeff(n: int, r: int) -> Rat:
-    """Fourier coefficient of the eighth power of the triple product at
-    q^n zeta^r, from Cohen numbers (0 outside the cone 16n >= r^2)."""
+# k -> (c4, cd): f(n, r) = c4 H(k, disc/4) + cd sum_{d | (n,r,4)} d^k H(k, disc/d^2)
+_F_CONSTANTS = {3: (Fraction(-511, 2), Fraction(7, 2)), 5: (Fraction(-1057, 8), Fraction(1, 8))}
+
+
+def _f_coeff(k: int, n: int, r: int) -> Rat:
+    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r."""
     disc = 16 * n - r * r
     if disc < 0 or n < 0:
         return 0
     if disc == 0:
         return 1 if n % 2 else 0
-    acc = Fraction(-511, 2) * Fraction(cohen_h(3, Fraction(disc, 4)))
+    c4, cd = _F_CONSTANTS[k]
+    acc = c4 * Fraction(cohen_h(k, Fraction(disc, 4)))
     for d in divisors(math.gcd(n, r, 4)):
-        acc += Fraction(7, 2) * d**3 * Fraction(cohen_h(3, Fraction(disc, d * d)))
+        acc += cd * d**k * Fraction(cohen_h(k, Fraction(disc, d * d)))
     return as_rational(acc)
+
+
+@lru_cache(maxsize=None)
+def f4_coeff(n: int, r: int) -> Rat:
+    """Fourier coefficient of the eighth power of the triple product at
+    q^n zeta^r, from Cohen numbers (0 outside the cone 16n >= r^2)."""
+    return _f_coeff(3, n, r)
 
 
 @lru_cache(maxsize=None)
 def f6_coeff(n: int, r: int) -> Rat:
     """Fourier coefficient of 12*wp*theta^8 at q^n zeta^r, from H(5, .)."""
-    disc = 16 * n - r * r
-    if disc < 0 or n < 0:
-        return 0
-    if disc == 0:
-        return 1 if n % 2 else 0
-    acc = Fraction(-1057, 8) * Fraction(cohen_h(5, Fraction(disc, 4)))
-    for d in divisors(math.gcd(n, r, 4)):
-        acc += Fraction(1, 8) * d**5 * Fraction(cohen_h(5, Fraction(disc, d * d)))
-    return as_rational(acc)
+    return _f_coeff(5, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +211,19 @@ def formula_delta8(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# eight figurate summands: general and parity-case formulas
+# windows of Cohen numbers: the one reader of H over r-windows and cone points
 # ---------------------------------------------------------------------------
 
-def _cone_points(c: int, slope: int, div: int, cone: int = 16):
+def h_window_sum(k: int, big_n: int, weight, boundary: bool = False) -> Fraction:
+    """sum over integers r with r^2 < N of weight(r) H(k, N - r^2); the
+    terms r^2 = N are included only when boundary is set, and H is read
+    only where the weight is nonzero."""
+    rmax = math.isqrt(big_n)
+    return sum((w * Fraction(cohen_h(k, big_n - r * r)) for r in range(-rmax, rmax + 1)
+                if (boundary or r * r < big_n) and (w := weight(r))), Fraction(0))
+
+
+def cone_points(c: int, slope: int, div: int, cone: int = 16):
     """Integer pairs (r, m) with div*m + slope*r = c and cone*m >= r^2."""
     # div*r^2/cone + slope*r <= c bounds the r window
     disc = (cone * slope) ** 2 + 4 * div * cone * c
@@ -219,6 +235,10 @@ def _cone_points(c: int, slope: int, div: int, cone: int = 16):
         if num % div == 0 and cone * (num // div) >= r * r:
             yield r, num // div
 
+
+# ---------------------------------------------------------------------------
+# eight figurate summands: general and parity-case formulas
+# ---------------------------------------------------------------------------
 
 def _f4_sum(points) -> Rat:
     """sum over the points (r, m) of (-1)^r f4(m, r)."""
@@ -234,13 +254,13 @@ def _h3_odd_r_sum(points) -> Rat:
 def _r8_case_odd_a_even_n(a: int, n: int) -> Rat:
     target = n - 3 * a + 4
     acc = Fraction(0)
-    for r, m in _cone_points(target, a - 1, a):
+    for r, m in cone_points(target, a - 1, a):
         if 16 * m == r * r:  # boundary representations: r = 4t, m = t^2
             acc += 1
         elif m % 2:
             acc += _sign(r) * Fraction(7, 2) * Fraction(cohen_h(3, 16 * m - r * r))
     # second sum: a*m + 2*s*(a-1) + 3a - 4 = n, 4m > s^2, m odd
-    for s, m in _cone_points(target, 2 * (a - 1), a, cone=4):
+    for s, m in cone_points(target, 2 * (a - 1), a, cone=4):
         if m % 2 and 4 * m > s * s:
             acc -= Fraction(511, 2) * Fraction(cohen_h(3, 4 * m - s * s))
     return as_rational(acc)
@@ -258,7 +278,7 @@ def r_a8_formula(a: int, n: int) -> int:
     evaluated too and must agree."""
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    points = list(_cone_points(n - 3 * a + 4, a - 1, a))
+    points = list(cone_points(n - 3 * a + 4, a - 1, a))
     general = _f4_sum(points)
     if a % 2 == 0 and n % 2 == 1:
         _check_case(f"R_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
@@ -275,7 +295,7 @@ def r_a8odd_formula(a: int, n: int) -> int:
     The odd-a odd-n case formula is cross-asserted."""
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    points = list(_cone_points(n, a - 2, 4 * a))
+    points = list(cone_points(n, a - 2, 4 * a))
     general = _f4_sum(points)
     if a % 2 == 1 and n % 2 == 1:
         _check_case(f"R^odd_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
@@ -292,20 +312,9 @@ TAU_ROUTES = ("direct", "via_f4", "via_f4_n", "via_f6", "via_f6_n",
               "via_h11", "via_h3_closed", "via_h5_closed")
 
 
-def _require_odd_nonsquare(n: int, route: str):
-    if n % 2 == 0:
-        raise ValueError(f"route {route} requires odd n (got {n})")
-    r = math.isqrt(n)
-    if r * r == n:
-        raise ValueError(f"route {route} requires n that is not an odd square (got {n})")
-
-
-def _h_sum(k: int, big_n: int, weight, boundary: bool = False) -> Fraction:
-    """sum over integers r with r^2 < N of weight(r) H(k, N - r^2); the
-    terms r^2 = N are included only when boundary is set."""
-    rmax = math.isqrt(big_n)
-    return sum((weight(r) * Fraction(cohen_h(k, big_n - r * r)) for r in range(-rmax, rmax + 1)
-                if boundary or r * r < big_n), Fraction(0))
+def _odd_nonsquare(n: int) -> bool:
+    """The side condition of the closed H(3)/H(5) routes."""
+    return n % 2 == 1 and math.isqrt(n) ** 2 != n
 
 
 # moment routes: sum r^power f(n, r) over r^2 <= 16n, divided by divisor * n^n_power
@@ -342,21 +351,22 @@ def tau(n: int, route: str = "direct") -> Rat:
         acc = sum(r**power * Fraction(coeff(n, r)) for r in range(-rmax, rmax + 1))
         return as_rational(acc / (divisor * n**n_power))
     if route == "via_h11":
-        acc = _h_sum(11, 4 * n, lambda r: 1, boundary=True) / Fraction(zeta_neg(-21))
+        acc = h_window_sum(11, 4 * n, lambda r: 1, boundary=True) / Fraction(zeta_neg(-21))
         acc -= Fraction(65520, 691) * sigma(11, n)
         return as_rational(Fraction(53678953, 304819200) * acc)
     if route in _CLOSED_ROUTES:
-        _require_odd_nonsquare(n, route)
+        if not _odd_nonsquare(n):
+            raise ValueError(f"route {route} requires odd n that is not a square (got {n})")
         k, power, c1, c2 = _CLOSED_ROUTES[route]
-        return as_rational(c1 * _h_sum(k, 4 * n, lambda r: r**power)
-                           + c2 * _h_sum(k, 16 * n, lambda r: r**power))
+        return as_rational(c1 * h_window_sum(k, 4 * n, lambda r: r**power)
+                           + c2 * h_window_sum(k, 16 * n, lambda r: r**power))
     raise ValueError(f"unknown tau route {route!r} (expected one of {TAU_ROUTES})")
 
 
 def tau_applicable_routes(n: int) -> list:
     """Routes whose side conditions hold at n."""
     out = ["direct", "via_f4", "via_f4_n", "via_f6", "via_f6_n", "via_h11"]
-    if n % 2 and math.isqrt(n) ** 2 != n:
+    if _odd_nonsquare(n):
         out += ["via_h3_closed", "via_h5_closed"]
     return out
 
@@ -370,7 +380,7 @@ def delta16(n: int) -> Rat:
     61/8640 sigma_7(n+2) - 1/829440 sum (-1)^r H(7, 8(n+2) - r^2)/zeta(-13)."""
     if n % 2 == 0:
         raise ValueError("delta16 requires odd n")
-    acc = _h_sum(7, 8 * (n + 2), _sign) / Fraction(zeta_neg(-13))
+    acc = h_window_sum(7, 8 * (n + 2), _sign) / Fraction(zeta_neg(-13))
     return as_rational(Fraction(61, 8640) * sigma(7, n + 2) - Fraction(1, 829440) * acc)
 
 
@@ -379,5 +389,5 @@ def r16(n: int) -> Rat:
     416/135 sigma_7(n) + 2/405 sum (-1)^r H(7, 8n - r^2)/zeta(-13)."""
     if n % 2 == 0:
         raise ValueError("r16 requires odd n")
-    acc = _h_sum(7, 8 * n, _sign) / Fraction(zeta_neg(-13))
+    acc = h_window_sum(7, 8 * n, _sign) / Fraction(zeta_neg(-13))
     return as_rational(Fraction(416, 135) * sigma(7, n) + Fraction(2, 405) * acc)

@@ -141,15 +141,20 @@ def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
     slots = [int.from_bytes(data[i:i + k], "little")
              for i in range(0, min(n_slots, rows * width) * k, k)]
     den = da * db
+
+    def value(v: int) -> Rat:
+        """A slot as a canonical rational: an int wherever den divides it."""
+        q, rem = divmod(v - bias, den)
+        return Fraction(v - bias, den) if rem else q
+
     if not zeta:
-        return {origin + gt * s: v - bias if den == 1 else Fraction(v - bias, den)
-                for s, v in enumerate(slots) if v != bias}
+        return {origin + gt * s: value(v) for s, v in enumerate(slots) if v != bias}
     r00, out = ra0 + rb0, {}
     for start in range(0, len(slots), width):
         t = origin + gt * (start // width)
         for w, v in enumerate(slots[start:start + width]):
             if v != bias:
-                out[(t, r00 + gr * w)] = v - bias if den == 1 else Fraction(v - bias, den)
+                out[(t, r00 + gr * w)] = value(v)
     return out
 
 

@@ -124,3 +124,18 @@ def test_concurrent_verification(clear_memos):
     assert [(r.id, r.prec) for r in reports] == jobs
     clear_memos()
     assert reports == [verify(*job) for job in jobs]
+
+
+# the identities whose sides are Cohen-number window sums over r or over cone
+# points (representations.h_window_sum / cone_points), well above the default
+# precision, where the windows are wide
+WINDOW_SUM_IDS = [
+    "C33-eta8-conv", "S32-t01-8-conv",
+    "S32-cohen-h3-even", "S32-cohen-h3-odd", "S32-cohen-h5-even", "S32-cohen-h5-odd", "S32-cohen-h3-all",
+    "S32-t10-8-delta", "S32-r8-odd", "P41-an", "P42-b-odd", "P42-b-even",
+]
+
+
+@pytest.mark.parametrize("identity_id", WINDOW_SUM_IDS)
+def test_window_sum_identities_at_precision_32(identity_id):
+    assert verify(identity_id, 32).passed

@@ -314,6 +314,24 @@ def test_kernel_saturates_its_slots(zeta, bits):
         assert _product(a, b, 10**3, zeta) == product_by_pairs(a, b, 10**3, zeta)
 
 
+@pytest.mark.parametrize("zeta", [False, True])
+def test_kernel_returns_ints_where_denominators_cancel(zeta):
+    # (1/2 + 1/3 q)(2 + 3 q) = 1 + 13/6 q + q^2: the lcm 6 of the operand
+    # denominators divides the outer slots, which come back as ints
+    key = (lambda t, r: (t, r)) if zeta else (lambda t, r: t)
+    a = {key(0, 1): Fraction(1, 2), key(1, 1): Fraction(1, 3)}
+    b = {key(0, 1): 2, key(1, 1): 3}
+    got = _product(a, b, 10, zeta)
+    assert got == {key(0, 2): 1, key(1, 2): Fraction(13, 6), key(2, 2): 1}
+    assert type(got[key(0, 2)]) is int and type(got[key(2, 2)]) is int
+    rng = random.Random(6)
+    for _ in range(100):
+        a = random_terms(rng, rng.randrange(1, 12), (0, 9), (-3, 4), zeta, denominators=(2, 3, 5))
+        b = random_terms(rng, rng.randrange(1, 12), (0, 9), (-3, 4), zeta, denominators=(1, 4, 6))
+        for v in _product(a, b, 20, zeta).values():
+            assert type(v) is int or v.denominator > 1
+
+
 def test_mul_on_mixed_scales_and_eta_strides():
     rng = random.Random(1975)
     eta = catalog.eta(12)
