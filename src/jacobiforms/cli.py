@@ -79,7 +79,7 @@ def _cmd_verify(args) -> int:
         ids = [pattern]
     reports = [identities.verify(i, prec) for i in ids]
     if args.json:
-        _emit([r.to_json_dict() for r in reports])
+        _emit([{**r.to_json_dict(), "build_s": r.build_s, "compare_s": r.compare_s} for r in reports])
     else:
         for r in reports:
             print(r)

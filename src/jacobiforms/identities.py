@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -56,6 +57,9 @@ class IdentityReport:
     prec: int
     status: str  # "pass" | "fail"
     first_mismatch: Optional[tuple] = None  # (q_exp, z_exp | None, lhs, rhs)
+    # seconds to build both sides and to compare them: not part of the result
+    build_s: float = field(default=0.0, compare=False)
+    compare_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -781,16 +785,17 @@ def verify(identity_id: str, prec: Optional[int] = None) -> IdentityReport:
         prec = ident.default_prec
     if prec <= 0:
         raise ValueError(f"empty comparison window: prec must be >= 1, got {prec}")
+    start = time.perf_counter()
     lhs, rhs = ident.build(prec)
+    built = time.perf_counter()
     if min(lhs.prec_exponent, rhs.prec_exponent) < prec:
         raise RuntimeError(
             f"{identity_id}: builder delivered a window "
             f"{min(lhs.prec_exponent, rhs.prec_exponent)} < requested {prec}"
         )
     mm = lhs.truncated(prec).mismatch(rhs.truncated(prec))
-    if mm is None:
-        return IdentityReport(identity_id, prec, "pass")
-    return IdentityReport(identity_id, prec, "fail", mm)
+    return IdentityReport(identity_id, prec, "pass" if mm is None else "fail", mm,
+                          built - start, time.perf_counter() - built)
 
 
 def identity_ids(pattern: str = "*") -> list:

@@ -317,12 +317,12 @@ def _odd_nonsquare(n: int) -> bool:
     return n % 2 == 1 and math.isqrt(n) ** 2 != n
 
 
-# moment routes: sum r^power f(n, r) over r^2 <= 16n, divided by divisor * n^n_power
+# moment routes: sum r^power f(n, r) over r^2 <= 16n, / (divisor * n^n_power); f read per call
 _MOMENT_ROUTES = {
-    "via_f4": (f4_coeff, 8, FACT8, 0),
-    "via_f4_n": (f4_coeff, 10, FACT10 // 3, 1),
-    "via_f6": (f6_coeff, 6, 12 * FACT6, 0),
-    "via_f6_n": (f6_coeff, 8, 4 * FACT8, 1),
+    "via_f4": ("f4_coeff", 8, FACT8, 0),
+    "via_f4_n": ("f4_coeff", 10, FACT10 // 3, 1),
+    "via_f6": ("f6_coeff", 6, 12 * FACT6, 0),
+    "via_f6_n": ("f6_coeff", 8, 4 * FACT8, 1),
 }
 
 # closed routes: c1 sum r^power H(k, 4n - r^2) + c2 sum r^power H(k, 16n - r^2)
@@ -346,7 +346,8 @@ def tau(n: int, route: str = "direct") -> Rat:
         from jacobiforms.catalog import delta
         return delta(n + 1).coefficient(n)
     if route in _MOMENT_ROUTES:
-        coeff, power, divisor, n_power = _MOMENT_ROUTES[route]
+        name, power, divisor, n_power = _MOMENT_ROUTES[route]
+        coeff = globals()[name]
         rmax = math.isqrt(16 * n)
         acc = sum(r**power * Fraction(coeff(n, r)) for r in range(-rmax, rmax + 1))
         return as_rational(acc / (divisor * n**n_power))

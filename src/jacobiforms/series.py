@@ -22,9 +22,12 @@ operand has terms with negative q-exponent; nothing is ever emitted beyond
 the certified window.  Series are read-only once built (term maps are
 MappingProxyType views; setting an attribute raises), so callers can share one.
 
-CycloElt represents an exact element of Q[x]/Phi_K(x) (x a primitive K-th
-root of unity) and only appears in torsion-point specialization, where the
-root-of-unity phases live before they cancel to rationals.
+FJExp.specialize and FJExp.eval_linear certify their output window exactly
+from the expansion's support cone, and the planners prec_for_specialize and
+prec_for_eval_linear return the least input precision whose window reaches a
+target, decided by that same bound (_TailBound).  CycloElt is an exact element
+of Q[x]/Phi_K(x), x a primitive K-th root of unity, where the phases of a
+specialization live before they cancel to rationals.
 """
 
 from __future__ import annotations
@@ -66,21 +69,6 @@ class NonRationalResult(ArithmeticError):
             f"(conductor {value.conductor}); use cyclotomic=True for the "
             f"cyclotomic-valued variant"
         )
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    r = math.isqrt(n * d)
-    if r * r == n * d:
-        return Fraction(r, d)
-    return Fraction(r + 1, d)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 _set = object.__setattr__  # __init__ writes slots through this; later writes raise
@@ -273,7 +261,7 @@ class _Series:
         bound = Fraction(prec_exp)
         if bound >= self.prec_exponent:
             return self
-        new_p = _floor_frac(bound * self.qscale)
+        new_p = math.floor(bound * self.qscale)
         edge = self._below(new_p)
         return self._rebuilt(self.qscale, self.zscale, new_p,
                              {k: c for k, c in self.terms.items() if k < edge})
@@ -390,20 +378,6 @@ class QSeries(_Series):
     def one(cls, prec_exp: RatLike) -> "QSeries":
         p = Fraction(prec_exp)
         return cls(p.denominator, p.numerator, {0: 1})
-
-    @classmethod
-    def from_exponents(cls, pairs, prec_exp: RatLike) -> "QSeries":
-        """Build from (exponent, coefficient) pairs with rational exponents."""
-        pairs = [(Fraction(e), as_rational(c)) for e, c in pairs]
-        p = Fraction(prec_exp)
-        s = p.denominator
-        for e, _ in pairs:
-            s = math.lcm(s, e.denominator)
-        terms: dict = {}
-        for e, c in pairs:
-            t = e.numerator * (s // e.denominator)
-            terms[t] = terms.get(t, 0) + c
-        return cls(s, p.numerator * (s // p.denominator), terms)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -965,42 +939,23 @@ class FJExp(_Series):
 
     # -- evaluation and specialization ---------------------------------------------------
 
-    def _unknown_tail_bound(self, coef_tau: Fraction, coef_z: Fraction, shift: Fraction) -> Fraction:
-        """Lower bound for coef_tau*x + coef_z*(r/w) + shift over the unknown
-        region x >= prec_exponent, using the certified support cone."""
-        x0 = self.prec_exponent
-        if coef_z == 0:
-            return coef_tau * x0 + shift
-        if self.index is None or self.cone_slack is None:
-            raise ValueError(
-                "cannot certify output precision: the expansion carries no "
-                "support-cone metadata (index and cone_slack)"
-            )
-        m = Fraction(self.index)
-        b = Fraction(self.cone_slack)
-        ad = abs(Fraction(coef_z))
-        c = Fraction(coef_tau)
-        if m == 0:
-            # cone degenerates to |r/w| <= b
-            return c * x0 - ad * b + shift
-        xstar = (ad / c) * (ad / c) * m
-        if x0 <= xstar:
-            return -(ad * ad * m) / c - ad * b + shift
-        return c * x0 - ad * (2 * _sqrt_upper(x0 * m) + b) + shift
-
     def eval_linear(self, tau_mult: int, z_mult: RatLike) -> QSeries:
         """The one-variable series of (tau, z) -> (c*tau, d*tau): each term
         c q^(t/s) zeta^(r/w) contributes at q-exponent c*(t/s) + d*(r/w)."""
-        if tau_mult < 1:
-            raise ValueError("tau multiplier must be a positive integer")
         d = Fraction(z_mult)
-        bound = self._unknown_tail_bound(Fraction(tau_mult), d, Fraction(0))
-        pairs = []
+        bound = _tail_bound(self.prec_exponent, tau_mult, d, 0, self.index, self.cone_slack)
+        # a term's exponent as an integer e over den; the window is e < top
+        den = math.lcm(self.qscale, self.zscale * d.denominator)
+        e_t = tau_mult * (den // self.qscale)
+        e_r = d.numerator * (den // (self.zscale * d.denominator))
+        top = bound.top(den)
+        sums: dict = {}
         for (t, r), c in self.terms.items():
-            e = tau_mult * Fraction(t, self.qscale) + d * Fraction(r, self.zscale)
-            if e < bound:
-                pairs.append((e, c))
-        return QSeries.from_exponents(pairs, bound)
+            e = t * e_t + r * e_r
+            if e < top:
+                sums[e] = sums.get(e, 0) + c
+        g = math.gcd(den, top, *sums)
+        return QSeries(den // g, top // g, {e // g: c for e, c in sums.items()})
 
     def specialize(self, lam: RatLike, mu: RatLike, index: Optional[RatLike] = None,
                    cyclotomic: bool = False):
@@ -1013,14 +968,12 @@ class FJExp(_Series):
         to a QSeries when every coefficient is rational, otherwise it raises
         NonRationalResult (or returns the CycloSeries when cyclotomic=True).
         """
-        m = Fraction(index) if index is not None else (
-            None if self.index is None else Fraction(self.index))
-        if m is None:
+        if index is None and self.index is None:
             raise ValueError("an index is required to specialize (none in metadata)")
-        lam = Fraction(lam)
-        mu = Fraction(mu)
+        m = Fraction(self.index if index is None else index)
+        lam, mu = Fraction(lam), Fraction(mu)
         shift = m * lam * lam
-        bound = self._unknown_tail_bound(Fraction(1), lam, shift) if lam else self.prec_exponent
+        bound = _tail_bound(self.prec_exponent, 1, lam, shift, self.index, self.cone_slack)
         # a term's exponent and phase angle, as integers e and a over the
         # common denominators den_e and den_a
         den_e = math.lcm(self.qscale, self.zscale * lam.denominator, shift.denominator)
@@ -1029,24 +982,23 @@ class FJExp(_Series):
         a_r, a_0 = mu / self.zscale, mu * m * lam
         den_a = math.lcm(a_r.denominator, a_0.denominator)
         a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, a_0))
-        top = math.ceil(bound * den_e)  # e / den_e < bound exactly when e < top
+        top = bound.top(den_e)  # the window: e < top
         entries = []
         for (t, r), c in self.terms.items():
             e = t * e_t + r * e_r + e_0
             if e < top:
                 entries.append((e, (r * a_r + a_0) % den_a, c))
         # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
-        g_e = math.gcd(den_e, *[e for e, _, _ in entries])
+        g_e = math.gcd(den_e, top, *[e for e, _, _ in entries])
         g_a = math.gcd(den_a, *[a for _, a, _ in entries])
         conductor = den_a // g_a
         if conductor > 48:
             raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
-        scale = math.lcm(bound.denominator, den_e // g_e)
-        prec = _floor_frac(bound * scale)
+        scale, prec = den_e // g_e, top // g_e
         # sum the coefficients per (q-index, root power), then one CycloElt per q-index
         sums: dict = {}
         for e, a, c in entries:
-            by_root = sums.setdefault(e * scale // den_e, {})
+            by_root = sums.setdefault(e // g_e, {})
             by_root[a // g_a] = by_root.get(a // g_a, 0) + c
         rows = _root_power_rows(conductor)
         acc = {}
@@ -1058,9 +1010,7 @@ class FJExp(_Series):
                         coords[i] += c * x
             acc[t] = CycloElt(conductor, coords)
         result = CycloSeries(conductor, scale, prec, acc)
-        if cyclotomic:
-            return result
-        return result.to_qseries()
+        return result if cyclotomic else result.to_qseries()
 
     # -- comparison ----------------------------------------------------------------------
 
@@ -1169,28 +1119,66 @@ def _laurent_div_exact(num: dict, den: dict) -> dict:
 # precision planning helpers and the precision memo of the form constructors
 # ---------------------------------------------------------------------------
 
+class _TailBound(namedtuple("_TailBound", "base root2")):
+    """B = base - sqrt(root2), base and root2 >= 0 rational, so decided exactly:
+    the least q-exponent at which a pull-back puts an unknown term."""
+
+    __slots__ = ()
+
+    def admits(self, e: RatLike) -> bool:
+        """Whether e <= B, so that a window below q^e is certified."""
+        k = self.base - e
+        return k >= 0 and k * k >= self.root2
+
+    def top(self, den: int) -> int:
+        """The largest T with T/den <= B: floor(B*den) is t or t - 1 below,
+        because isqrt(floor(root2*den^2)) is floor(sqrt(root2)*den)."""
+        t = math.floor(self.base * den) - math.isqrt(math.floor(self.root2 * den * den))
+        return t if self.admits(Fraction(t, den)) else t - 1
+
+
+def _tail_bound(x0, c, d, shift, m, b) -> _TailBound:
+    """The least value of c*x + d*rho + shift (c > 0) over the unknown region
+    x >= x0 of an expansion with support cone |rho| <= 2*sqrt(m*x) + b (rho
+    the zeta-exponent).  Over rho it is c*x - |d|*(2*sqrt(m*x) + b) + shift,
+    which is least at x* = m*(d/c)^2."""
+    if c <= 0:
+        raise ValueError("tau multiplier must be a positive integer")
+    ad = abs(Fraction(d))
+    if not ad:
+        return _TailBound(c * x0 + shift, 0)
+    if m is None or b is None:
+        raise ValueError("cannot certify output precision: the expansion carries no "
+                         "support-cone metadata (index and cone_slack)")
+    if m and c * c * x0 <= ad * ad * m:  # x0 <= x*
+        return _TailBound(shift - ad * ad * m / c - ad * b, 0)
+    return _TailBound(c * x0 - ad * b + shift, 4 * ad * ad * m * x0)
+
+
+def _least_prec(target: RatLike, *bound) -> int:
+    """The least whole-q precision P >= 1 at which _tail_bound(P, *bound) admits `target`."""
+    p = 1
+    while not _tail_bound(p, *bound).admits(target):
+        p += 1
+    return p
+
+
 def prec_for_specialize(target: RatLike, index: RatLike, lam: RatLike, slack: RatLike) -> int:
-    """Input q-precision (in whole q-units) sufficient for `specialize` at
-    z = lam*tau + mu to be certified below `target`."""
-    lam = abs(Fraction(lam))
-    if lam == 0:
-        return math.ceil(Fraction(target))
-    m, b, w = Fraction(index), Fraction(slack), Fraction(target)
-    y = lam * _sqrt_upper(m) + _sqrt_upper(w + lam * b)
-    return _floor_frac(y * y) + 2
+    """The least whole-q input precision P at which `specialize` along
+    z = lam*tau + mu certifies its window up to `target` (an integer, or any
+    point of the output's exponent grid) for an expansion of this index and
+    cone slack.  It asks the certifier's own bound: P certifies the target
+    and P - 1 does not."""
+    lam, m = Fraction(lam), Fraction(index)
+    return _least_prec(target, 1, lam, m * lam * lam, m, Fraction(slack))
 
 
 def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
                          z_mult: RatLike, slack: RatLike) -> int:
-    """Input q-precision sufficient for `eval_linear(tau_mult, z_mult)` to be
-    certified below `target`."""
-    d = abs(Fraction(z_mult))
-    c = Fraction(tau_mult)
-    if d == 0:
-        return math.ceil(Fraction(target) / c)
-    m, b, w = Fraction(index), Fraction(slack), Fraction(target)
-    y = (d * _sqrt_upper(m) + _sqrt_upper(d * d * m + c * (w + d * b))) / c
-    return _floor_frac(y * y) + 2
+    """The least whole-q input precision P at which
+    `eval_linear(tau_mult, z_mult)` certifies its window up to `target`,
+    decided by the certifier's own bound as in `prec_for_specialize`."""
+    return _least_prec(target, tau_mult, z_mult, 0, Fraction(index), Fraction(slack))
 
 
 def require_prec(form: str, prec: int) -> None:
@@ -1208,7 +1196,8 @@ def memo_by_prec(build):
     the one at the highest precision `top`, and cut any request with
     1 <= prec <= top from it; any other request goes to `build`.  Builds run
     outside the lock (constructors call each other) and replace the kept one
-    only if higher.  `cache_info` and `cache_clear` are as in lru_cache."""
+    only if higher.  `cache_info` and `cache_clear` are as in lru_cache;
+    `cache_precisions()` maps each kept `args` to the precision of its build."""
     kept: dict = {}  # args before the precision -> (top, series)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()
@@ -1233,6 +1222,11 @@ def memo_by_prec(build):
             kept.clear()
             counts[:] = [0, 0]
 
+    def cache_precisions() -> dict:
+        with lock:
+            return {key: top for key, (top, _) in kept.items()}
+
     memo.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(kept))
     memo.cache_clear = cache_clear
+    memo.cache_precisions = cache_precisions
     return memo

@@ -100,6 +100,7 @@ def test_verify_pass_and_fail_codes(capsys):
     payload = json.loads(out)
     assert {p["id"] for p in payload} == {"INTRO-r8", "INTRO-delta8"}
     assert all(p["status"] == "pass" for p in payload)
+    assert all(p["build_s"] > 0 and p["compare_s"] > 0 for p in payload)
     code, _, err = run(capsys, "verify", "--id", "NOPE", "--prec", "4")
     assert code == 2
     code, _, err = run(capsys, "verify", "--id", "T31-theta8", "--prec", "0")

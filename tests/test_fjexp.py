@@ -1,5 +1,6 @@
 """Two-variable expansions: operators, division, specialization, precision."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -196,6 +197,69 @@ def test_prec_planning_helpers():
         p = prec_for_eval_linear(target, 4, 3, 2, 0)
         out = (cat.theta(p) ** 8).eval_linear(3, 2)
         assert out.prec_exponent >= target
+    # the registry's pull-backs at target 12: phi_{0,j}(tau, (tau+1)/2),
+    # E_{k,m}(tau, (tau+1)/2) and the C33/S32 maps (index, c, d)
+    assert [prec_for_specialize(12, j, HALF, j) for j in (1, 2, 3, 4)] == [17, 19, 21, 23]
+    assert prec_for_specialize(13, 1, HALF, 1) == 18
+    assert [prec_for_specialize(12, m, HALF, 0) for m in (1, 2, 4)] == [16, 18, 20]
+    assert [prec_for_eval_linear(12, m, c, d, 0) for m, c, d in ((4, 3, 2), (1, 3, 1), (4, 2, 1))] == [14, 6, 14]
+    # the bound grows with P only for a positive tau multiplier
+    for tau_mult in (0, -1):
+        with pytest.raises(ValueError, match="tau multiplier"):
+            prec_for_eval_linear(4, 1, tau_mult, 1, 0)
+        with pytest.raises(ValueError, match="tau multiplier"):
+            cat.theta(4).eval_linear(tau_mult, 1)
+
+
+def full_cone(index, slack, prec):
+    """Coefficient 1 on every (n, r), n < prec, of the cone
+    |r| <= 2*sqrt(n*index) + slack: a pull-back's window can only be sound
+    if the terms on the cone's edge, which no form has to spare, stay out."""
+    rmax = [math.isqrt(4 * n * index) + slack for n in range(prec)]
+    terms = {(n, r): 1 for n in range(prec) for r in range(-rmax[n], rmax[n] + 1)}
+    return FJExp(1, 1, prec, terms, index=index, cone_slack=slack)
+
+
+# the planners against the certifier: every catalog form with cone metadata
+# and three full cones, five pull-back slopes lam (with mu = 0 and 1/2) and
+# five maps (c, d)
+SWEEP_FORMS = (
+    lambda p: full_cone(1, 1, p),
+    lambda p: full_cone(2, 2, p),
+    lambda p: full_cone(3, 0, p),
+    lambda p: cat.theta(p),
+    lambda p: cat.theta(p) ** 8,
+    *(lambda p, j=j: cat.phi(j, p) for j in (1, 2, 3, 4)),
+    lambda p: cat.jacobi_eis(4, 2, p),
+    lambda p: cat.jacobi_eis(6, 3, p),
+    lambda p: cat.wp_theta2(p),
+)
+SWEEP_SLOPES = (HALF, Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), 1)
+SWEEP_MAPS = ((3, 2), (3, 1), (2, 1), (2, -1), (1, HALF))
+
+
+@pytest.mark.parametrize("target", [2, 5, 8])
+def test_planned_precision_is_the_least_sound_one(target):
+    # the planned P certifies the target, P - 1 does not, and the window at
+    # P agrees with a build from six more q-orders
+    for form in SWEEP_FORMS:
+        index, slack = form(1).index, form(1).cone_slack
+        for lam in SWEEP_SLOPES:
+            p = prec_for_specialize(target, index, lam, slack)
+            hi = form(p + 6)
+            for mu in (0, HALF):
+                assert form(p).specialize(lam, mu, cyclotomic=True).prec_exponent >= target
+                if p > 1:
+                    assert form(p - 1).specialize(lam, mu, cyclotomic=True).prec_exponent < target
+            lo = form(p).specialize(lam, 0)
+            assert lo.agrees_with(hi.specialize(lam, 0)), (index, lam)
+        for tau_mult, z_mult in SWEEP_MAPS:
+            p = prec_for_eval_linear(target, index, tau_mult, z_mult, slack)
+            lo = form(p).eval_linear(tau_mult, z_mult)
+            assert lo.prec_exponent >= target
+            assert lo.agrees_with(form(p + 6).eval_linear(tau_mult, z_mult)), (index, tau_mult, z_mult)
+            if p > 1:
+                assert form(p - 1).eval_linear(tau_mult, z_mult).prec_exponent < target
 
 
 def test_specialize_without_cone_metadata_rejected():
@@ -332,6 +396,7 @@ SPECIALIZED = (
     (lambda p: cat.jacobi_eis(4, 2, p), 2, 0, HALF, HALF),
     (lambda p: cat.phi(2, p), 2, 2, HALF, HALF),
     (lambda p: cat.phi(1, p), 1, 1, 0, HALF),
+    *((lambda p, j=j: cat.phi(j, p), j, j, Fraction(1, 3), 0) for j in (1, 2, 3, 4)),
 )
 
 # (form at precision p, index, slack, tau_mult, z_mult)
@@ -339,6 +404,7 @@ EVALUATED = (
     (lambda p: cat.theta(p) ** 8, 4, 0, 3, 2),
     (lambda p: cat.jacobi_eis(4, 2, p), 2, 0, 2, -1),
     (lambda p: cat.phi(3, p), 3, 3, 2, HALF),
+    *((lambda p, j=j: cat.phi(j, p), j, j, 1, Fraction(1, 3)) for j in (1, 2, 3, 4)),
 )
 
 QUOTIENTS = (

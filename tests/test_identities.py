@@ -90,6 +90,16 @@ def test_failure_report_mechanics():
 def test_pass_report_json():
     r = verify("INTRO-r8", 4)
     assert r.to_json_dict() == {"id": "INTRO-r8", "prec": 4, "status": "pass"}
+    # the timings are carried but are not part of the result
+    assert r.build_s > 0 and r.compare_s > 0
+    assert r == IdentityReport("INTRO-r8", 4, "pass", None, r.build_s + 1, 0.0)
+
+
+def test_torsion_pull_back_builds_at_the_least_certified_precision(clear_memos):
+    # phi_{0,2}(tau, (tau+1)/2) below q^12 needs phi_{0,2} below q^19 and no more
+    clear_memos()
+    assert verify("S42-phivals-2-tau", 12).passed
+    assert cat.phi.cache_precisions() == {(2,): 19}
 
 
 def test_registry_descriptions_are_single_lines():

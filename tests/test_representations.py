@@ -155,3 +155,17 @@ def test_case_formula_tripwire_catches_corruption(monkeypatch):
     monkeypatch.setattr(reps, "f4_coeff", poisoned)
     with pytest.raises(RuntimeError):
         reps.r_a8_formula(2, 9)
+
+
+def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
+    # the moment routes name their coefficient function instead of binding
+    # it at import, so a replaced representations.f4_coeff reaches tau
+    import jacobiforms.representations as reps
+    original = reps.f4_coeff
+    seen = []
+    def poisoned(n, r):
+        seen.append((n, r))
+        return original(n, r) + (1 if (n, r) == (3, 1) else 0)
+    monkeypatch.setattr(reps, "f4_coeff", poisoned)
+    assert tau(3, "via_f4") == 252 + Fraction(1, 40320)  # 1^8 / 8!
+    assert (3, 1) in seen
