@@ -5,7 +5,7 @@ theta_00^k(2 tau) generates the counts r_k(n) of representations by k
 squares, theta_10^k the counts delta_k(n) by k triangular numbers.  The
 eighth powers reduce to the classical divisor sums; the sixteenth powers
 acquire a Cohen-number correction term.  Both are cross-checked against
-plain enumeration here.
+brute-force counts here.
 """
 
 from jacobiforms import catalog as cat

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: cohen (Cohen numbers), expand (named-form q-expansions),
-verify (identity registry), count (representation counts), tau
-(discriminant-form coefficients by route), lattice (short-vector counts),
-and selftest (every check in jacobiforms.checks, one timed line each).
+verify (identity registry), count (representation counts: r8, delta8,
+r16, delta16, figurate), tau (discriminant-form coefficients by route),
+lattice (short-vector counts), and selftest (every check in
+jacobiforms.checks, one timed line each).
 
 Output is deterministic and byte-stable for fixed inputs: term lists are
 sorted, rationals print canonically, and exact values are JSON strings.
@@ -86,22 +87,30 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+# counts without a figurate parameter: what -> (closed formula, kind, summands)
+_PLAIN_COUNTS = {
+    "r8": (representations.formula_r8, "squares", 8),
+    "delta8": (representations.formula_delta8, "triangular", 8),
+    "r16": (representations.r16, "squares", 16),
+    "delta16": (representations.delta16, "triangular", 16),
+}
+
+
 def _count_query(args) -> tuple:
-    if args.what == "r8":
-        value = representations.formula_r8(args.n)
-        query = representations.CountQuery("squares", 8, args.n)
-    elif args.what == "delta8":
-        value = representations.formula_delta8(args.n)
-        query = representations.CountQuery("triangular", 8, args.n)
+    if args.what in _PLAIN_COUNTS:
+        if args.a is not None or args.odd:
+            raise ValueError(f"count {args.what} takes no --a or --odd")
+        formula, kind, m = _PLAIN_COUNTS[args.what]
+        query = representations.CountQuery(kind, m, args.n)
+        return formula(args.n), query
+    if args.a is None:
+        raise ValueError("count figurate requires --a")
+    if args.odd:
+        value = representations.r_a8odd_formula(args.a, args.n)
+        query = representations.CountQuery("figurate_odd", 8, args.n, a=args.a)
     else:
-        if args.a is None:
-            raise ValueError("count figurate requires --a")
-        if args.odd:
-            value = representations.r_a8odd_formula(args.a, args.n)
-            query = representations.CountQuery("figurate_odd", 8, args.n, a=args.a)
-        else:
-            value = representations.r_a8_formula(args.a, args.n)
-            query = representations.CountQuery("figurate", 8, args.n, a=args.a)
+        value = representations.r_a8_formula(args.a, args.n)
+        query = representations.CountQuery("figurate", 8, args.n, a=args.a)
     return value, query
 
 
@@ -188,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("count", help="representation counts")
-    p.add_argument("what", choices=("r8", "delta8", "figurate"))
+    p.add_argument("what", choices=(*_PLAIN_COUNTS, "figurate"))
     p.add_argument("--a", type=int)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--n", type=int, required=True)

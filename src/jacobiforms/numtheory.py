@@ -213,6 +213,35 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
+# chi_D of the 2-part D2 in {1, -4, 8, -8} of a fundamental D, on a mod |D2|
+_CHI_TWO_PART = {1: (1,), -4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
+                 -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+
+def _character_values(d: int) -> list:
+    """chi_D(a) for a = 1..|D|, D fundamental: the product of the characters
+    of the prime discriminants p* = +-p = 1 mod 4 (a Legendre table mod each
+    odd p | D) and of the 2-part D / prod p*, each table of period q repeated
+    |D|/q times.  The primes come from the factorization that
+    :func:`is_fundamental_discriminant` has already cached."""
+    m = abs(d)
+    two, tables = d, []
+    for p, _ in factorize(m if d % 2 else m // 4):
+        if p == 2:
+            continue
+        tab = [-1] * p
+        tab[0] = 0
+        for x in range(1, p // 2 + 1):
+            tab[x * x % p] = 1
+        tables.append(tab)
+        two //= p if p % 4 == 1 else -p
+    tables.append(_CHI_TWO_PART[two])
+    chi = [1] * m
+    for tab in tables:
+        chi = [c * t for c, t in zip(chi, (tab[1:] + tab[:1]) * (m // len(tab)))]
+    return chi
+
+
 @lru_cache(maxsize=None)
 def gen_bernoulli(r: int, d: int) -> Rat:
     """Generalized Bernoulli number B_{r, chi_D} for fundamental D (or D = 1).
@@ -224,16 +253,19 @@ def gen_bernoulli(r: int, d: int) -> Rat:
         S_j = sum_{a=1..|D|} chi_D(a) a^j,
 
     so the power sums S_j are plain ints and only the final r + 1 terms are
-    rational.  The defining sum over :func:`bernoulli_poly` is the test oracle.
+    rational.  chi_D(1..|D|) is one table, the elementwise product of the
+    periodic tables of D's prime-discriminant characters; no Kronecker
+    symbol is evaluated.  The defining sum over :func:`bernoulli_poly` and
+    :func:`kronecker` is the test oracle.
     """
     if r < 1:
         raise ValueError(f"gen_bernoulli expects r >= 1, got {r}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     m = abs(d)
-    chars = [(a, kronecker(d, a)) for a in range(1, m + 1)]
-    support = [a for a, chi in chars if chi]
-    terms = [chi for _, chi in chars if chi]  # chi_D(a) * a^j, from j = 0
+    chars = _character_values(d)
+    support = [a for a, chi in enumerate(chars, 1) if chi]
+    terms = [chi for chi in chars if chi]  # chi_D(a) * a^j, from j = 0
     power_sums = [sum(terms)]
     for _ in range(r):
         terms = [t * a for t, a in zip(terms, support)]

@@ -16,9 +16,8 @@ through `h_window_sum`, and every sum over the lattice points of a sheared
 cone through `cone_points`; these two are the one reader of H over windows,
 here and in the identity registry.
 
-Brute-force counting builds exact sum tables by nested enumeration with
-pruning; tuples of more than four summands are split in half and meet in the
-middle.
+Brute-force counting fills one table of exact counts per sum s <= n, one
+summand at a time (a dynamic program over the attainable values).
 """
 
 from __future__ import annotations
@@ -147,48 +146,25 @@ def _value_multiplicities(query: CountQuery) -> tuple:
     return tuple(sorted(vals.items()))
 
 
-def _sum_table(values: tuple, k: int, cap: int) -> dict:
-    """Map s -> number of k-tuples of values summing to s <= cap."""
-    if k <= 4:
-        table: dict = {}
-
-        def go(i: int, slots: int, acc: int, weight: int):
-            if slots == 0:
-                table[acc] = table.get(acc, 0) + weight
-                return
-            if i == len(values):
-                return
-            v, mult = values[i]
-            if v > 0 and acc + v * slots > cap:
-                top = min(slots, (cap - acc) // v)
-            else:
-                top = slots
-            for count in range(top + 1):
-                go(i + 1, slots - count, acc + v * count,
-                   weight * math.comb(slots, count) * mult**count)
-
-        go(0, k, 0, 1)
-        return table
-    half = k // 2
-    t1 = _sum_table(values, half, cap)
-    t2 = t1 if k - half == half else _sum_table(values, k - half, cap)
-    out: dict = {}
-    for s1, c1 in t1.items():
-        for s2, c2 in t2.items():
-            s = s1 + s2
-            if s <= cap:
-                out[s] = out.get(s, 0) + c1 * c2
-    return out
-
-
 def count_bruteforce(query: CountQuery) -> int:
-    """Exact representation count by enumeration.
+    """Exact representation count by one dynamic-programming table.
 
-    Up to four summands, pruned enumeration over the distinct values builds
-    the table of exact sums directly; longer tuples are split in half and the
-    two halves' sum tables are convolved up to n (meet in the middle)."""
+    table[s] counts the tuples of the summands placed so far that sum to
+    s <= n; each of the m summands adds every attainable value, weighted by
+    the number of x giving it, to every nonzero entry."""
+    n = query.n
     values = _value_multiplicities(query)
-    return _sum_table(values, query.m, query.n).get(query.n, 0)
+    table = [1] + [0] * n
+    for _ in range(query.m):
+        nxt = [0] * (n + 1)
+        for s, c in enumerate(table):
+            if c:
+                for v, mult in values:
+                    if s + v > n:
+                        break
+                    nxt[s + v] += c * mult
+        table = nxt
+    return table[n]
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,27 @@ def test_count(capsys):
     assert code == 3 and "--a" in err
 
 
+@pytest.mark.parametrize("argv", [("r8", "--n", "5", "--a", "3", "--odd", "--json"),
+                                  ("delta8", "--n", "5", "--odd"),
+                                  ("r16", "--n", "5", "--a", "2")])
+def test_count_rejects_figurate_flags_on_plain_counts(capsys, argv):
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "--a or --odd" in err
+
+
+def test_count_sixteen_variables(capsys):
+    code, out, _ = run(capsys, "count", "r16", "--n", "5", "--oracle")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "140736" and "agrees" in lines[1]
+    code, out, _ = run(capsys, "count", "delta16", "--n", "5", "--oracle", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == payload["oracle"] == "6048"
+    assert payload["query"] == {"what": "delta16", "n": "5"}
+    code, out, err = run(capsys, "count", "delta16", "--n", "4")
+    assert code == 3 and out == "" and err == "error: delta16 requires odd n\n"
+
+
 def test_lattice_json(capsys):
     code, out, _ = run(capsys, "lattice", "E7", "--max-norm", "4")
     assert code == 0

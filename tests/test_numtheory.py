@@ -177,10 +177,20 @@ def test_l_values():
         gen_bernoulli(3, -6)  # -6 is not a fundamental discriminant
 
 
+def test_character_table_against_kronecker():
+    # the product of prime-discriminant characters is chi_D = (D|.) on 1..|D|
+    fundamentals = [d for d in range(-1000, 1001) if d and is_fundamental_discriminant(d)]
+    assert 1 in fundamentals
+    for d in fundamentals:
+        assert numtheory._character_values(d) == [kronecker(d, a) for a in range(1, abs(d) + 1)], d
+
+
 def test_gen_bernoulli_against_defining_sum():
     # the power-sum route against |D|^(r-1) sum_a chi_D(a) B_r(a/|D|)
+    # beyond |D| <= 200: 2-parts -8 and 8, and four odd primes
     fundamentals = [d for d in range(-200, 201) if d and is_fundamental_discriminant(d)]
-    assert 1 in fundamentals
+    fundamentals += [-520, 1320, -1155]
+    assert 1 in fundamentals and all(map(is_fundamental_discriminant, fundamentals))
     for d in fundamentals:
         m = abs(d)
         for r in range(1, 13):

@@ -1,5 +1,7 @@
 """Counting formulas against brute-force enumeration and series extraction."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from jacobiforms import catalog as cat
 from jacobiforms.representations import (
     CountQuery,
+    _value_multiplicities,
     count_bruteforce,
     delta16,
     f4_coeff,
@@ -59,6 +62,85 @@ def test_count_fixture_values():
         CountQuery("figurate", 8, 1)  # missing a
     with pytest.raises(ValueError):
         CountQuery("nonsense", 8, 1)
+
+
+# -- the counting oracle: enumeration over the distinct values -----------------
+
+def _sum_table(values: tuple, k: int, cap: int) -> dict:
+    """Map s -> number of k-tuples of values summing to s <= cap.
+
+    Up to four summands, pruned enumeration over the distinct values builds
+    the table of exact sums directly; longer tuples are split in half and the
+    two halves' sum tables are convolved up to cap (meet in the middle)."""
+    if k <= 4:
+        table: dict = {}
+
+        def go(i: int, slots: int, acc: int, weight: int):
+            if slots == 0:
+                table[acc] = table.get(acc, 0) + weight
+                return
+            if i == len(values):
+                return
+            v, mult = values[i]
+            if v > 0 and acc + v * slots > cap:
+                top = min(slots, (cap - acc) // v)
+            else:
+                top = slots
+            for count in range(top + 1):
+                go(i + 1, slots - count, acc + v * count,
+                   weight * math.comb(slots, count) * mult**count)
+
+        go(0, k, 0, 1)
+        return table
+    half = k // 2
+    t1 = _sum_table(values, half, cap)
+    t2 = t1 if k - half == half else _sum_table(values, k - half, cap)
+    out: dict = {}
+    for s1, c1 in t1.items():
+        for s2, c2 in t2.items():
+            s = s1 + s2
+            if s <= cap:
+                out[s] = out.get(s, 0) + c1 * c2
+    return out
+
+
+COUNT_KINDS = ([("squares", None), ("triangular", None)]
+               + [(kind, a) for kind in ("figurate", "figurate_odd") for a in range(1, 6)])
+
+
+@pytest.mark.parametrize("kind, a", COUNT_KINDS)
+def test_count_table_matches_enumeration(kind, a):
+    cap = 40
+    values = _value_multiplicities(CountQuery(kind, 1, cap, a=a))
+    for m in (1, 2, 3, 4, 5, 8):
+        table = _sum_table(values, m, cap)
+        for n in range(cap + 1):
+            assert count_bruteforce(CountQuery(kind, m, n, a=a)) == table.get(n, 0), (m, n)
+    table = _sum_table(values, 16, 21)
+    for n in range(1, 22, 2):
+        assert count_bruteforce(CountQuery(kind, 16, n, a=a)) == table.get(n, 0), (16, n)
+
+
+def _literal_value(kind, a, x):
+    if kind == "squares":
+        return x * x
+    if kind == "triangular":
+        return x * (x + 1) // 2 if x >= 0 else None
+    if kind == "figurate_odd" and x % 2 == 0:
+        return None
+    return (a * x * x + (a - 2) * x) // 2
+
+
+@pytest.mark.parametrize("kind, a", COUNT_KINDS)
+def test_count_matches_literal_tuples(kind, a):
+    # every m-tuple of arguments |x| <= 30 (all values <= 12 lie there), one value per argument
+    cap = 12
+    vals = [v for x in range(-30, 31)
+            if (v := _literal_value(kind, a, x)) is not None and v <= cap]
+    for m in (1, 2, 3):
+        sums = [sum(t) for t in itertools.product(vals, repeat=m)]
+        for n in range(cap + 1):
+            assert count_bruteforce(CountQuery(kind, m, n, a=a)) == sums.count(n), (m, n)
 
 
 def test_jacobi_formulas_bruteforce_slice():
@@ -133,6 +215,12 @@ def test_sixteen_variable_formulas_slice():
         r16(2)
     with pytest.raises(ValueError):
         delta16(4)
+
+
+def test_sixteen_variable_formulas_at_larger_n():
+    for n in (201, 401):
+        assert r16(n) == count_bruteforce(CountQuery("squares", 16, n))
+        assert delta16(n) == count_bruteforce(CountQuery("triangular", 16, n))
 
 
 def test_sixteen_variable_series_extraction():
