@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from jacobiforms.numtheory import bernoulli, cohen_h, divisors, factorize, kronecker, mobius, sigma, zeta_neg
+from jacobiforms.numtheory import bernoulli, cohen_h, divisors, factorize, mobius, sigma, zeta_neg
 from jacobiforms.series import FJExp, QSeries, memo_by_prec, require_prec
 
 HALF = Fraction(1, 2)
@@ -34,25 +34,21 @@ class UnknownFormError(KeyError):
 @memo_by_prec
 def theta(prec: int) -> FJExp:
     """The odd theta series, weight 1/2 and index 1/2 (real-normalized):
-    sum over odd n of kronecker(-4, n) q^(n^2/8) zeta^(n/2)."""
+    sum over odd n of kronecker(-4, n) q^(n^2/8) zeta^(n/2), which is
+    theta_ab(1, 1)."""
     require_prec("theta", prec)
-    big_p = 8 * prec
-    terms = {}
-    n = 1
-    while n * n < big_p:
-        for s in (n, -n):
-            terms[(s * s, s)] = kronecker(-4, s)
-        n += 2
-    return FJExp(8, 2, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
+    return theta_ab(1, 1, prec)
 
 
 @memo_by_prec
 def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
-    """Level-two theta series with characteristic (a, b) = (two_a/2, two_b/2).
+    """Level-two theta series with characteristic (a, b) = (two_a/2, two_b/2):
+    sum over n = two_a (mod 2) of (-1)^(two_b*floor(n/2)) q^(n^2/8) zeta^(n/2),
+    on its minimal scales.
 
     Only the four order-two characteristics exist here; the (1,1) case is
-    returned real-normalized (equal to :func:`theta`).  Other rational
-    characteristics are reached through `FJExp.specialize` on theta powers.
+    real-normalized (it is :func:`theta`).  Other rational characteristics
+    are reached through `FJExp.specialize` on theta powers.
     """
     if (two_a, two_b) not in ((0, 0), (0, 1), (1, 0), (1, 1)):
         raise UnknownFormError(
@@ -60,26 +56,10 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
             f"specialize a theta power instead"
         )
     require_prec(f"theta{two_a}{two_b}", prec)
-    if (two_a, two_b) == (1, 1):
-        return theta(prec)
-    if two_a == 0:
-        big_p = 2 * prec
-        terms = {}
-        n = 0
-        while n * n < big_p:
-            for s in {n, -n}:
-                terms[(s * s, s)] = (-1 if s & 1 else 1) if two_b else 1
-            n += 1
-        return FJExp(2, 1, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
-    # (1, 0): q^(1/8) zeta^(1/2) sum q^(n(n+1)/2) zeta^n
-    big_p = 8 * prec
-    terms = {}
-    n = 0
-    while 4 * n * (n + 1) + 1 < big_p:
-        for s in (n, -n - 1):
-            terms[(4 * s * (s + 1) + 1, 2 * s + 1)] = 1
-        n += 1
-    return FJExp(8, 2, big_p, terms, weight=HALF, index=HALF, cone_slack=0)
+    top = math.isqrt(8 * prec - 1)  # n^2 < 8 * prec
+    terms = {(n * n, n): (-1) ** (two_b * (n // 2) % 2)
+             for n in range(-top, top + 1) if (n - two_a) % 2 == 0}
+    return FJExp(8, 2, 8 * prec, terms, weight=HALF, index=HALF, cone_slack=0).normalized()
 
 
 @memo_by_prec

@@ -10,7 +10,8 @@ The "constructor cross-checks" rebuild theta from the triple product, the
 Euler product as a naive product, and Delta as eta^24, and compare them with
 the catalog's one-route constructors.  The "lattice fixtures" check compares
 the E8 Jacobi theta series, counted coordinate by coordinate, with a tally
-over the enumerated E8 vectors.
+over the E8 vectors enumerated here (`_e8_doubled_vectors`, the oracle of
+the lattice counts, which `lattice.vector_counts` reads off that series).
 """
 
 from __future__ import annotations
@@ -101,11 +102,35 @@ def check_tau():
     return True, "all routes, n <= 50"
 
 
+def _e8_doubled_vectors(max_doubled_norm: int) -> list:
+    """All doubled E8 vectors w (= 2v) with sum(w_i^2) <= max_doubled_norm,
+    by depth-first search over the two parity classes with squared-norm
+    pruning."""
+    out = []
+
+    def go(parity, i, budget, total, prefix):
+        if i == 8:
+            if total % 4 == 0:
+                out.append(tuple(prefix))
+            return
+        top = math.isqrt(budget)
+        x = -top
+        if (x - parity) % 2:
+            x += 1
+        while x <= top:
+            go(parity, i + 1, budget - x * x, total + x, prefix + [x])
+            x += 2
+
+    go(0, 0, max_doubled_norm, 0, [])
+    go(1, 0, max_doubled_norm, 0, [])
+    return out
+
+
 def _e8_theta_by_enumeration(u, prec: int) -> dict:
     """The terms of the E8 Jacobi theta series on u below q^prec, tallied
     over the enumerated doubled vectors w = 2v as ((w,w)/8, (w,2u)/4)."""
     terms: dict = {}
-    for w in lattice._e8_doubled_vectors(8 * prec - 8):
+    for w in _e8_doubled_vectors(8 * prec - 8):
         key = (sum(x * x for x in w) // 8, sum(2 * a * b for a, b in zip(w, u)) // 4)
         terms[key] = terms.get(key, 0) + 1
     return terms

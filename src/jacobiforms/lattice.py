@@ -5,12 +5,14 @@ Sloane, SPLAG, ch. 4 sec. 8.1), in doubled coordinates: w = 2v, all
 coordinates of equal parity, coordinate sum = 0 mod 4.  The Jacobi theta
 series is counted coordinate by coordinate, once per parity class: the
 state (norm so far, dot product with 2u so far, coordinate sum mod 4) maps
-to its multiplicity, so vectors with equal data are never told apart.  The
-explicit enumeration with norm pruning serves `vector_counts` and the tests.
-E7 is the orthogonal complement in E8 of a fixed root U2, A7 the sum-zero
-hyperplane of Z^8.  Root counts of the complements (126 and 56) are asserted
-whenever a theta series is built on a vector of norm 2 or a primitive vector
-of norm 8 - they certify the choice of vectors against the series fixtures.
+to its multiplicity, so vectors with equal data are never told apart.
+`vector_counts` reads every count off that series: E8 at z = 0, E7 as the
+zeta^0 column on U2 (the orthogonal complement of a root) and A7 as the
+zeta^0 column on U8 (the complement of a primitive vector of norm 8).  Root
+counts of the complements (126 and 56) are asserted whenever a theta series
+is built on a vector of norm 2 or a primitive vector of norm 8 - they
+certify the choice of vectors against the series fixtures.  The explicit
+enumeration of E8 vectors lives in `jacobiforms.checks`, as the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 
 from jacobiforms.series import FJExp, memo_by_prec, require_prec
 
@@ -47,79 +50,22 @@ def is_primitive_e8(v) -> bool:
     return in_e8(v) and not in_e8(tuple(Fraction(x) / 2 for x in v))
 
 
-def _e8_doubled_vectors(max_doubled_norm: int, constraint=None):
-    """All doubled E8 vectors u (= 2v) with sum(u_i^2) <= max_doubled_norm.
-
-    `constraint` is an optional integer 8-vector c; only u with u . c = 0
-    are kept.  Depth-first search over the two parity classes with
-    squared-norm pruning.
-    """
-    out = []
-    c = constraint
-
-    def go(parity, i, budget, total, dot, prefix):
-        if i == 8:
-            if total % 4 == 0 and (c is None or dot == 0):
-                out.append(tuple(prefix))
-            return
-        top = isqrt(budget)
-        x = -top
-        if (x - parity) % 2:
-            x += 1
-        while x <= top:
-            go(parity, i + 1, budget - x * x, total + x,
-               dot + (x * c[i] if c is not None else 0), prefix + [x])
-            x += 2
-
-    go(0, 0, max_doubled_norm, 0, 0, [])
-    go(1, 0, max_doubled_norm, 0, 0, [])
-    return out
-
-
-def _a7_vectors(max_norm: int):
-    """Integer 8-vectors with coordinate sum 0 and norm <= max_norm."""
-    out = []
-
-    def go(i, budget, total, prefix):
-        if i == 8:
-            if total == 0:
-                out.append(tuple(prefix))
-            return
-        remaining = 8 - i
-        top = isqrt(budget)
-        for x in range(-top, top + 1):
-            nb = budget - x * x
-            nt = total + x
-            # Cauchy-Schwarz: the remaining coordinates must absorb -nt
-            if nt * nt > nb * (remaining - 1) and remaining > 1:
-                continue
-            if remaining == 1 and nt != 0:
-                continue
-            go(i + 1, nb, nt, prefix + [x])
-
-    go(0, max_norm, 0, [])
-    return out
-
-
 @lru_cache(maxsize=None)
-def vector_counts(lattice: str, max_norm: int) -> dict:
-    """Exact number of lattice vectors of each norm <= max_norm."""
+def vector_counts(lattice: str, max_norm: int) -> MappingProxyType:
+    """Exact number of lattice vectors of each norm <= max_norm, read off the
+    E8 theta series: E8 at z = 0, E7 and A7 in the zeta^0 columns on U2 and
+    U8.  The map is read-only, since every caller shares the cached one."""
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
     name = lattice.upper()
-    counts: dict = {}
-    if name == "A7":
-        for v in _a7_vectors(max_norm):
-            n = sum(x * x for x in v)
-            counts[n] = counts.get(n, 0) + 1
-    elif name in ("E8", "E7"):
-        constraint = U2 if name == "E7" else None
-        for u in _e8_doubled_vectors(4 * max_norm, constraint):
-            n = sum(x * x for x in u) // 4
-            counts[n] = counts.get(n, 0) + 1
-    else:
+    if name not in LATTICES:
         raise ValueError(f"unknown lattice {lattice!r} (expected one of {LATTICES})")
-    return counts
+    series = _jacobi_theta_e8_cached(U8 if name == "A7" else U2, max_norm // 2 + 1)
+    if name == "E8":
+        counts = {2 * t: c for t, c in series.eval_z0().terms.items()}
+    else:
+        counts = {2 * t: c for (t, r), c in series.terms.items() if r == 0}
+    return MappingProxyType(counts)
 
 
 @memo_by_prec

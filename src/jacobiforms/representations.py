@@ -353,8 +353,10 @@ def tau_applicable_routes(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def delta16(n: int) -> Rat:
-    """Sixteen triangular numbers, closed form for odd n:
+    """Sixteen triangular numbers, closed form for odd n >= 1:
     61/8640 sigma_7(n+2) - 1/829440 sum (-1)^r H(7, 8(n+2) - r^2)/zeta(-13)."""
+    if n < 1:
+        raise ValueError("delta16 expects n >= 1")
     if n % 2 == 0:
         raise ValueError("delta16 requires odd n")
     acc = h_window_sum(7, 8 * (n + 2), _sign) / Fraction(zeta_neg(-13))
@@ -362,8 +364,10 @@ def delta16(n: int) -> Rat:
 
 
 def r16(n: int) -> Rat:
-    """Sixteen squares, closed form for odd n:
+    """Sixteen squares, closed form for odd n >= 1:
     416/135 sigma_7(n) + 2/405 sum (-1)^r H(7, 8n - r^2)/zeta(-13)."""
+    if n < 1:
+        raise ValueError("r16 expects n >= 1")
     if n % 2 == 0:
         raise ValueError("r16 requires odd n")
     acc = h_window_sum(7, 8 * n, _sign) / Fraction(zeta_neg(-13))

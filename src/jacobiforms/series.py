@@ -22,8 +22,11 @@ operand has terms with negative q-exponent; nothing is ever emitted beyond
 the certified window.  Series are read-only once built (term maps are
 MappingProxyType views; setting an attribute raises), so callers can share one.
 
-FJExp.specialize and FJExp.eval_linear certify their output window exactly
-from the expansion's support cone, and the planners prec_for_specialize and
+There is one division: FJExp.divide, exact Laurent division per q-order;
+QSeries.inverse divides 1 by the series through it, at zeta-index 0.  There
+is one pull-back window, FJExp._pullback, shared by FJExp.specialize and
+FJExp.eval_linear: it certifies the output window exactly from the
+expansion's support cone, and the planners prec_for_specialize and
 prec_for_eval_linear return the least input precision whose window reaches a
 target, decided by that same bound (_TailBound).  CycloElt is an exact element
 of Q[x]/Phi_K(x), x a primitive K-th root of unity, where the phases of a
@@ -414,28 +417,14 @@ class QSeries(_Series):
         return self._powered(n, QSeries(self.qscale, self.prec, {0: 1}))
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse as a Laurent series in q^(1/s)."""
+        """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
+        by this series through `FJExp.divide`, at zeta-index 0."""
         if not self.terms:
             raise ZeroDivisionError("cannot invert a series with zero lowest coefficient")
-        lo = min(self.terms)
-        c0 = Fraction(self.terms[lo])
-        shifted = {t - lo: c for t, c in self.terms.items()}
-        n_coeffs = self.prec - lo  # inverse of the unit part is certified below this
-        inv = {0: 1 / c0}
-        # recurrence: b_t = -(sum_{0<i<=t} a_i b_{t-i}) / a_0
-        keys = sorted(k for k in shifted if 0 < k < n_coeffs)
-        for t in range(1, n_coeffs):
-            acc = 0
-            for i in keys:
-                if i > t:
-                    break
-                b = inv.get(t - i)
-                if b:
-                    acc += shifted[i] * b
-            if acc:
-                inv[t] = -acc / c0
-        out_prec = self.prec - 2 * lo
-        return QSeries(self.qscale, out_prec, {t - lo: c for t, c in inv.items() if t - lo < out_prec})
+        # 1 is certified as far as the inverse of the unit part needs it
+        one = FJExp(self.qscale, 1, self.prec - min(self.terms), {(0, 0): 1})
+        quot = one.divide(FJExp.from_qseries(self))
+        return QSeries(quot.qscale, quot.prec, {t: c for (t, _), c in quot.terms.items()})
 
     def __truediv__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -856,9 +845,13 @@ class FJExp(_Series):
                 raise InexactDivision(Fraction(t_min, a.qscale)) from None
             for r, c in q_block.items():
                 quot[(q_order, r)] = c
-            # subtract q_block * den from the remainder
+            # subtract q_block * den from the remainder, skipping the products
+            # at or beyond the output window: they are never read
+            limit = out_prec + d_lo - q_order
             for rq, qc in q_block.items():
                 for (t2, r2), c2 in b.terms.items():
+                    if t2 >= limit:
+                        continue
                     key = (q_order + t2, rq + r2)
                     v = rem.get(key, 0) - qc * c2
                     if v:
@@ -939,23 +932,43 @@ class FJExp(_Series):
 
     # -- evaluation and specialization ---------------------------------------------------
 
+    def _pullback(self, c: int, lam: Fraction, shift: Fraction, mu: Fraction,
+                  phase0: Fraction) -> tuple:
+        """The pull-back along (tau, z) -> (c*tau, lam*tau + mu), times
+        q^shift e^(2 pi i phase0), on its certified window: a term at
+        q^(t/s) zeta^(r/w) lands at q-exponent c*(t/s) + lam*(r/w) + shift
+        with phase e^(2 pi i (mu*(r/w) + phase0)).  Returns (scale, prec,
+        conductor, sums), sums[(e, j)] being the coefficient sum at
+        q^(e/scale) with phase exp(2 pi i j/conductor), certified for
+        e < prec."""
+        bound = _tail_bound(self.prec_exponent, c, lam, shift, self.index, self.cone_slack)
+        # a term's exponent and phase angle, as integers e and a over the
+        # common denominators den_e and den_a
+        den_e = math.lcm(self.qscale, self.zscale * lam.denominator, shift.denominator)
+        e_t, e_0 = c * (den_e // self.qscale), shift.numerator * (den_e // shift.denominator)
+        e_r = lam.numerator * (den_e // (self.zscale * lam.denominator))
+        a_r = mu / self.zscale
+        den_a = math.lcm(a_r.denominator, phase0.denominator)
+        a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, phase0))
+        top = bound.top(den_e)  # the window: e < top
+        sums: dict = {}
+        for (t, r), v in self.terms.items():
+            e = t * e_t + r * e_r + e_0
+            if e < top:
+                key = (e, (r * a_r + a_0) % den_a)
+                sums[key] = sums.get(key, 0) + v
+        # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
+        g_e = math.gcd(den_e, top, *[e for e, _ in sums])
+        g_a = math.gcd(den_a, *[a for _, a in sums])
+        return (den_e // g_e, top // g_e, den_a // g_a,
+                {(e // g_e, a // g_a): v for (e, a), v in sums.items()})
+
     def eval_linear(self, tau_mult: int, z_mult: RatLike) -> QSeries:
         """The one-variable series of (tau, z) -> (c*tau, d*tau): each term
         c q^(t/s) zeta^(r/w) contributes at q-exponent c*(t/s) + d*(r/w)."""
-        d = Fraction(z_mult)
-        bound = _tail_bound(self.prec_exponent, tau_mult, d, 0, self.index, self.cone_slack)
-        # a term's exponent as an integer e over den; the window is e < top
-        den = math.lcm(self.qscale, self.zscale * d.denominator)
-        e_t = tau_mult * (den // self.qscale)
-        e_r = d.numerator * (den // (self.zscale * d.denominator))
-        top = bound.top(den)
-        sums: dict = {}
-        for (t, r), c in self.terms.items():
-            e = t * e_t + r * e_r
-            if e < top:
-                sums[e] = sums.get(e, 0) + c
-        g = math.gcd(den, top, *sums)
-        return QSeries(den // g, top // g, {e // g: c for e, c in sums.items()})
+        zero = Fraction(0)
+        scale, prec, _, sums = self._pullback(tau_mult, Fraction(z_mult), zero, zero, zero)
+        return QSeries(scale, prec, {e: v for (e, _), v in sums.items()})
 
     def specialize(self, lam: RatLike, mu: RatLike, index: Optional[RatLike] = None,
                    cyclotomic: bool = False):
@@ -972,44 +985,19 @@ class FJExp(_Series):
             raise ValueError("an index is required to specialize (none in metadata)")
         m = Fraction(self.index if index is None else index)
         lam, mu = Fraction(lam), Fraction(mu)
-        shift = m * lam * lam
-        bound = _tail_bound(self.prec_exponent, 1, lam, shift, self.index, self.cone_slack)
-        # a term's exponent and phase angle, as integers e and a over the
-        # common denominators den_e and den_a
-        den_e = math.lcm(self.qscale, self.zscale * lam.denominator, shift.denominator)
-        e_t, e_0 = den_e // self.qscale, shift.numerator * (den_e // shift.denominator)
-        e_r = lam.numerator * (den_e // (self.zscale * lam.denominator))
-        a_r, a_0 = mu / self.zscale, mu * m * lam
-        den_a = math.lcm(a_r.denominator, a_0.denominator)
-        a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, a_0))
-        top = bound.top(den_e)  # the window: e < top
-        entries = []
-        for (t, r), c in self.terms.items():
-            e = t * e_t + r * e_r + e_0
-            if e < top:
-                entries.append((e, (r * a_r + a_0) % den_a, c))
-        # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
-        g_e = math.gcd(den_e, top, *[e for e, _, _ in entries])
-        g_a = math.gcd(den_a, *[a for _, a, _ in entries])
-        conductor = den_a // g_a
+        scale, prec, conductor, sums = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
         if conductor > 48:
             raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
-        scale, prec = den_e // g_e, top // g_e
-        # sum the coefficients per (q-index, root power), then one CycloElt per q-index
-        sums: dict = {}
-        for e, a, c in entries:
-            by_root = sums.setdefault(e // g_e, {})
-            by_root[a // g_a] = by_root.get(a // g_a, 0) + c
+        # one CycloElt per q-index, from the sums per root power
         rows = _root_power_rows(conductor)
-        acc = {}
-        for t, by_root in sums.items():
-            coords = [0] * len(rows[0])
-            for j, c in by_root.items():
-                for i, x in enumerate(rows[j]):
-                    if x:
-                        coords[i] += c * x
-            acc[t] = CycloElt(conductor, coords)
-        result = CycloSeries(conductor, scale, prec, acc)
+        coords: dict = {}
+        for (e, j), v in sums.items():
+            row = coords.setdefault(e, [0] * len(rows[0]))
+            for i, x in enumerate(rows[j]):
+                if x:
+                    row[i] += v * x
+        result = CycloSeries(conductor, scale, prec,
+                             {e: CycloElt(conductor, row) for e, row in coords.items()})
         return result if cyclotomic else result.to_qseries()
 
     # -- comparison ----------------------------------------------------------------------
@@ -1142,7 +1130,7 @@ def _tail_bound(x0, c, d, shift, m, b) -> _TailBound:
     x >= x0 of an expansion with support cone |rho| <= 2*sqrt(m*x) + b (rho
     the zeta-exponent).  Over rho it is c*x - |d|*(2*sqrt(m*x) + b) + shift,
     which is least at x* = m*(d/c)^2."""
-    if c <= 0:
+    if not isinstance(c, int) or c <= 0:
         raise ValueError("tau multiplier must be a positive integer")
     ad = abs(Fraction(d))
     if not ad:

@@ -149,6 +149,21 @@ def test_lattice_json(capsys):
     assert payload == {"0": "1", "2": "126", "4": "756"}
 
 
+# `lattice NAME --max-norm 12` prints these counts for norms 0, 2, ..., 12
+LATTICE_TO_NORM_12 = {
+    "E7": (1, 126, 756, 2072, 4158, 7560, 11592),
+    "A7": (1, 56, 420, 896, 2366, 3360, 6440),
+    "E8": (1, 240, 2160, 6720, 17520, 30240, 60480),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_TO_NORM_12)
+def test_lattice_output_bytes(capsys, name):
+    code, out, _ = run(capsys, "lattice", name, "--max-norm", "12")
+    rows = ",\n".join(f'  "{2 * i}": "{c}"' for i, c in enumerate(LATTICE_TO_NORM_12[name]))
+    assert code == 0 and out == "{\n" + rows + "\n}\n"
+
+
 def test_env_default_prec(capsys, monkeypatch):
     monkeypatch.setenv("JF_DEFAULT_PREC", "3")
     code, out, _ = run(capsys, "expand", "--form", "ek:4", "--json")

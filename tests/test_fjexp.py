@@ -203,8 +203,9 @@ def test_prec_planning_helpers():
     assert prec_for_specialize(13, 1, HALF, 1) == 18
     assert [prec_for_specialize(12, m, HALF, 0) for m in (1, 2, 4)] == [16, 18, 20]
     assert [prec_for_eval_linear(12, m, c, d, 0) for m, c, d in ((4, 3, 2), (1, 3, 1), (4, 2, 1))] == [14, 6, 14]
-    # the bound grows with P only for a positive tau multiplier
-    for tau_mult in (0, -1):
+    # the bound grows with P only for a positive tau multiplier, and the
+    # exponents stay on one integer grid only for an integral one
+    for tau_mult in (0, -1, Fraction(3, 2)):
         with pytest.raises(ValueError, match="tau multiplier"):
             prec_for_eval_linear(4, 1, tau_mult, 1, 0)
         with pytest.raises(ValueError, match="tau multiplier"):

@@ -1,11 +1,15 @@
-"""Lattice enumeration and the E8 Jacobi theta series."""
+"""Lattice counts, the E8 Jacobi theta series, and the enumerations they
+are checked against."""
 
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from jacobiforms import catalog as cat
 from jacobiforms import checks, identities, lattice
+from jacobiforms.numtheory import sigma
 
 
 def test_root_counts():
@@ -16,6 +20,60 @@ def test_root_counts():
         assert lattice.vector_counts(name, 0) == {0: 1}
     with pytest.raises(ValueError):
         lattice.vector_counts("D4", 2)
+
+
+def test_vector_counts_are_read_only():
+    # every caller shares the cached map, so none may change it
+    counts = lattice.vector_counts("E8", 2)
+    with pytest.raises(TypeError):
+        counts[2] = 5
+    assert lattice.vector_counts("E8", 2) is counts
+    assert counts == {0: 1, 2: 240}
+
+
+def _a7_vectors(max_norm: int):
+    """Integer 8-vectors with coordinate sum 0 and norm <= max_norm."""
+    out = []
+
+    def go(i, budget, total, prefix):
+        if i == 8:
+            if total == 0:
+                out.append(tuple(prefix))
+            return
+        remaining = 8 - i
+        top = isqrt(budget)
+        for x in range(-top, top + 1):
+            nb = budget - x * x
+            nt = total + x
+            # Cauchy-Schwarz: the remaining coordinates must absorb -nt
+            if nt * nt > nb * (remaining - 1) and remaining > 1:
+                continue
+            if remaining == 1 and nt != 0:
+                continue
+            go(i + 1, nb, nt, prefix + [x])
+
+    go(0, max_norm, 0, [])
+    return out
+
+
+def test_a7_counts_match_sum_zero_enumeration():
+    tally = Counter(sum(x * x for x in v) for v in _a7_vectors(12))
+    for n in range(13):
+        assert lattice.vector_counts("A7", n) == {k: c for k, c in tally.items() if k <= n}, n
+
+
+def test_e7_counts_match_enumerated_complement_of_root():
+    # E7 is the zeta^0 column of the enumerated E8 theta series on U2
+    terms = checks._e8_theta_by_enumeration(lattice.U2, 7)
+    for n in range(13):
+        expected = {2 * t: c for (t, r), c in terms.items() if r == 0 and 2 * t <= n}
+        assert lattice.vector_counts("E7", n) == expected, n
+
+
+def test_e8_counts_are_240_sigma3():
+    expected = {0: 1, **{2 * n: 240 * sigma(3, n) for n in range(1, 21)}}
+    assert lattice.vector_counts("E8", 40) == expected
+    assert lattice.vector_counts("E8", 41) == expected
 
 
 def test_e8_theta_series_counts_match_e4():

@@ -217,6 +217,13 @@ def test_sixteen_variable_formulas_slice():
         delta16(4)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+@pytest.mark.parametrize("formula", [r16, delta16], ids=["r16", "delta16"])
+def test_sixteen_variable_formulas_reject_n_below_one(formula, n):
+    with pytest.raises(ValueError, match=f"^{formula.__name__} expects n >= 1$"):
+        formula(n)
+
+
 def test_sixteen_variable_formulas_at_larger_n():
     for n in (201, 401):
         assert r16(n) == count_bruteforce(CountQuery("squares", 16, n))

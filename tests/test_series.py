@@ -74,6 +74,48 @@ def test_inverse_roundtrip_random():
         assert prod.agrees_with(QSeries.one(prod.prec_exponent))
 
 
+# -- inversion against the recurrence it replaced ------------------------------------
+
+def inverse_by_recurrence(a: QSeries) -> QSeries:
+    """The inverse by b_t = -(sum_{0<i<=t} a_i b_{t-i}) / a_0 on the unit part
+    of a, certified below prec - lo (lo the lowest index), then shifted by
+    q^(-lo/s) and cut to prec - 2*lo."""
+    lo = min(a.terms)
+    c0 = Fraction(a.terms[lo])
+    shifted = {t - lo: c for t, c in a.terms.items()}
+    n_coeffs = a.prec - lo
+    inv = {0: 1 / c0}
+    keys = sorted(k for k in shifted if 0 < k < n_coeffs)
+    for t in range(1, n_coeffs):
+        acc = sum(shifted[i] * inv.get(t - i, 0) for i in keys if i <= t)
+        if acc:
+            inv[t] = -acc / c0
+    out_prec = a.prec - 2 * lo
+    return QSeries(a.qscale, out_prec, {t - lo: c for t, c in inv.items() if t - lo < out_prec})
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_inverse_matches_recurrence(dense, fractions):
+    rng = random.Random(1975 + 2 * dense + fractions)
+
+    def coeff():
+        c = rng.choice((-1, 1)) * rng.randrange(1, 10)
+        return Fraction(c, rng.randrange(1, 7)) if fractions else c
+
+    for _ in range(60):
+        scale = rng.choice((1, 2, 3, 8, 24))
+        prec = rng.randrange(1, 40)
+        lo = rng.randrange(-6, prec)  # the lowest index, negative for a Laurent series
+        rest = range(lo + 1, prec)
+        rest = rest if dense else rng.sample(rest, min(len(rest), rng.randrange(0, 5)))
+        a = QSeries(scale, prec, {t: coeff() for t in (lo, *rest)})
+        inv, expected = a.inverse(), inverse_by_recurrence(a)
+        assert (inv.qscale, inv.prec, inv.terms) == (expected.qscale, expected.prec, expected.terms)
+    with pytest.raises(ZeroDivisionError, match="^cannot invert a series with zero lowest coefficient$"):
+        QSeries(2, 5, {}).inverse()
+
+
 def test_mul_precision_with_negative_orders():
     # a Laurent factor must lower the certified window of the product
     a = QSeries(1, 5, {-2: 1})
