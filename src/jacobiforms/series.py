@@ -14,7 +14,10 @@ on the common window as (q_exp, z_exp, lhs, rhs), with z_exp None for a
 QSeries, or None when there is none.  Each class keeps its own `__mul__`,
 but both multiply through one module-level kernel, `_product`: Kronecker
 substitution packs each operand's grid into one integer, so that a product
-is one big-int multiply instead of a loop over term pairs.
+is one big-int multiply instead of a loop over term pairs.  Slots of up to
+8 bytes are machine words, packed and read by one struct call each; wider
+slots are byte slices.  A square packs its one operand once, and powers
+start from their first factor, never from a product by 1.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
@@ -22,7 +25,8 @@ operand has terms with negative q-exponent; nothing is ever emitted beyond
 the certified window.  Series are read-only once built (term maps are
 MappingProxyType views; setting an attribute raises), so callers can share one.
 
-There is one division: FJExp.divide, exact Laurent division per q-order;
+There is one division: FJExp.divide, exact Laurent division per q-order,
+in integer steps wherever the leading coefficient divides as ints;
 QSeries.inverse divides 1 by the series through it, at zeta-index 0.  There
 is one pull-back window, FJExp._pullback, shared by FJExp.specialize and
 FJExp.eval_linear: it certifies the output window exactly from the
@@ -36,6 +40,7 @@ specialization live before they cancel to rationals.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -98,9 +103,15 @@ def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
     int, one signed k-byte slot per grid point.  A product slot sums at
     most one pair per term of either operand, so its size is at most
     min(sum|a| * max|b|, max|a| * sum|b|) <= max|a| * max|b| * min(#a, #b),
-    and k keeps that below half the slot range.  Adding half the range to
-    every slot of the product then removes the borrows between slots, which
-    are read straight from its bytes.
+    and k keeps that below half the slot range.  A k of at most 8 bytes is
+    rounded up to a machine word (1, 2, 4 or 8 bytes), so that an operand
+    is packed by one struct.pack and the product read by one struct.unpack;
+    wider slots are written and read as byte slices.  An operand is packed
+    in two's complement, and the sign bit of each slot then takes off the
+    borrow that slot owes.  Adding half the range to each slot read removes
+    the borrows between the product's slots, and flipping the sign bits back
+    leaves each slot's signed value.  A square (`a is b`) prepares and packs
+    its operand once.
     """
     if not a or not b:
         return {}
@@ -108,8 +119,9 @@ def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
     origin = ta0 + tb0
     if origin >= bound:
         return {}
+    square = a is b
     ta, ra, ca, da = _operand(a, bound - tb0, zeta)
-    tb, rb, cb, db = _operand(b, bound - ta0, zeta)
+    tb, rb, cb, db = (ta, ra, ca, da) if square else _operand(b, bound - ta0, zeta)
     gt = math.gcd(*[t - ta0 for t in ta], *[t - tb0 for t in tb]) or 1
     rows = (bound - origin + gt - 1) // gt  # product rows below the bound
     if zeta:
@@ -117,36 +129,42 @@ def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
         gr = math.gcd(*[r - ra0 for r in ra], *[r - rb0 for r in rb]) or 1
         width = (max(ra) - ra0 + max(rb) - rb0) // gr + 1
         ia = [(t - ta0) // gt * width + (r - ra0) // gr for t, r in zip(ta, ra)]
-        ib = [(t - tb0) // gt * width + (r - rb0) // gr for t, r in zip(tb, rb)]
+        ib = ia if square else [(t - tb0) // gt * width + (r - rb0) // gr for t, r in zip(tb, rb)]
     else:
         width = 1
         ia = [(t - ta0) // gt for t in ta]
-        ib = [(t - tb0) // gt for t in tb]
+        ib = ia if square else [(t - tb0) // gt for t in tb]
     most = min(sum(map(abs, ca)) * max(map(abs, cb)), max(map(abs, ca)) * sum(map(abs, cb)))
     k = most.bit_length() // 8 + 1  # bytes per slot: most < 2^(8k - 1)
-    n_slots = max(ia) + max(ib) + 1
-    bias = 1 << (8 * k - 1)
-    prod = (_packed(ia, ca, k) * _packed(ib, cb, k)
-            + int.from_bytes((b"\x00" * (k - 1) + b"\x80") * n_slots, "little"))
-    data = prod.to_bytes(n_slots * k, "little")
-    slots = [int.from_bytes(data[i:i + k], "little")
-             for i in range(0, min(n_slots, rows * width) * k, k)]
+    k, word = _WORDS.get(k, (k, None))  # word: the struct letter, None above 8 bytes
+    n = min(max(ia) + max(ib) + 1, rows * width)  # the slots read, below the bound
+    signs = int.from_bytes((b"\x00" * (k - 1) + b"\x80") * n, "little")
+    pa = _packed(ia, ca, k, word, signs)
+    prod = pa * pa if square else pa * _packed(ib, cb, k, word, signs)
+    data = (((prod + signs) & ((1 << 8 * k * n) - 1)) ^ signs).to_bytes(n * k, "little")
+    if word:
+        slots = struct.unpack(f"<{n}{word}", data)
+    else:
+        slots = [int.from_bytes(data[i:i + k], "little", signed=True) for i in range(0, n * k, k)]
     den = da * db
-
-    def value(v: int) -> Rat:
-        """A slot as a canonical rational: an int wherever den divides it."""
-        q, rem = divmod(v - bias, den)
-        return Fraction(v - bias, den) if rem else q
-
+    if den > 1:
+        slots = [v and _ratio(v, den) for v in slots]
     if not zeta:
-        return {origin + gt * s: value(v) for s, v in enumerate(slots) if v != bias}
-    r00, out = ra0 + rb0, {}
-    for start in range(0, len(slots), width):
-        t = origin + gt * (start // width)
-        for w, v in enumerate(slots[start:start + width]):
-            if v != bias:
-                out[(t, r00 + gr * w)] = value(v)
-    return out
+        return {origin + gt * s: v for s, v in enumerate(slots) if v}
+    r0 = ra0 + rb0
+    return {(origin + gt * (s // width), r0 + gr * (s % width)): v
+            for s, v in enumerate(slots) if v}
+
+
+# slot bytes k <= 8 -> (the machine word k rounds up to, its struct letter)
+_WORDS = {1: (1, "b"), 2: (2, "h"), 3: (4, "i"), 4: (4, "i"),
+          5: (8, "q"), 6: (8, "q"), 7: (8, "q"), 8: (8, "q")}
+
+
+def _ratio(v: int, den: int) -> Rat:
+    """v / den as a canonical rational: an int wherever den divides v."""
+    q, rem = divmod(v, den)
+    return Fraction(v, den) if rem else q
 
 
 def _operand(terms: dict, limit: int, zeta: bool) -> tuple:
@@ -164,16 +182,25 @@ def _operand(terms: dict, limit: int, zeta: bool) -> tuple:
     return ts, rs, cs, d
 
 
-def _packed(index: list, coeffs: list, k: int) -> int:
-    """sum coeffs[j] * 2^(8k * index[j]), built from bytes."""
-    size = (max(index) + 1) * k
-    pos, neg = bytearray(size), bytearray(size)
-    for i, c in zip(index, coeffs):
-        if c > 0:
-            pos[i * k:i * k + k] = c.to_bytes(k, "little")
-        else:
-            neg[i * k:i * k + k] = (-c).to_bytes(k, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _packed(index: list, coeffs: list, k: int, word: Optional[str], signs: int) -> int:
+    """sum coeffs[j] * 2^(8k * index[j]) for |coeffs[j]| < 2^(8k - 1): the
+    coefficients laid out in two's complement, by one struct.pack of the
+    machine word with letter `word` or, when it is None, as k-byte slices,
+    read back as one unsigned int u.  A negative slot reads 2^(8k) too high
+    and has its sign bit set, so u - 2 * (u & signs) is the sum, `signs`
+    holding the sign bit of every slot."""
+    size = max(index) + 1
+    if word:
+        dense = [0] * size
+        for i, c in zip(index, coeffs):
+            dense[i] = c
+        u = int.from_bytes(struct.pack(f"<{size}{word}", *dense), "little")
+    else:
+        buf = bytearray(size * k)
+        for i, c in zip(index, coeffs):
+            buf[i * k:i * k + k] = c.to_bytes(k, "little", signed=True)
+        u = int.from_bytes(buf, "little")
+    return u - ((u & signs) << 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +232,8 @@ class _Series:
         edge = self._below(prec)
         clean = {}
         for k, c in terms.items():
-            c = as_rational(c)
+            if type(c) is not int:
+                c = as_rational(c)
             if c == 0:
                 continue
             if k >= edge:
@@ -303,16 +331,18 @@ class _Series:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _powered(self, n: int, result):
-        """result * self^n for n >= 0, by binary powering."""
-        base = self
-        while n:
+    def _powered(self, n: int):
+        """self^n for n >= 1, by binary powering from the first factor.
+        Starting from 1 would cost one more product and, for a base with
+        negative q-exponents, narrow the certified window by their depth."""
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- comparison -------------------------------------------------------------
 
@@ -412,9 +442,11 @@ class QSeries(_Series):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QSeries":
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return self._powered(n, QSeries(self.qscale, self.prec, {0: 1}))
+        return self._powered(n) if n else QSeries(self.qscale, self.prec, {0: 1})
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
@@ -814,9 +846,11 @@ class FJExp(_Series):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "FJExp":
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative powers of Fourier-Jacobi expansions are not supported")
-        return self._powered(n, FJExp.one(self.prec_exponent))
+        return self._powered(n) if n else FJExp.one(self.prec_exponent)
 
     def divide(self, den: "FJExp") -> "FJExp":
         """Exact quotient: per q-order, the residual zeta-polynomial must be
@@ -1082,7 +1116,7 @@ def _laurent_div_exact(num: dict, den: dict) -> dict:
         return {}
     nmin, dmin = min(num), min(den)
     dmax = max(den)
-    dlead = Fraction(den[dmax])
+    dlead = den[dmax]
     qmin = nmin - dmin
     rem = dict(num)
     quot: dict = {}
@@ -1091,8 +1125,12 @@ def _laurent_div_exact(num: dict, den: dict) -> dict:
         qdeg = rmax - dmax
         if qdeg < qmin:
             raise InexactDivision(Fraction(0))
-        coef = Fraction(rem[rmax]) / dlead
-        quot[qdeg] = as_rational(coef)
+        top = rem[rmax]
+        if type(top) is int and type(dlead) is int and not top % dlead:
+            coef = top // dlead  # an integer step keeps the remainder in ints
+        else:
+            coef = as_rational(Fraction(top) / dlead)
+        quot[qdeg] = coef
         for rd, dc in den.items():
             key = qdeg + rd
             v = rem.get(key, 0) - coef * dc

@@ -1,5 +1,7 @@
 """Two-variable expansions: operators, division, specialization, precision."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,11 +9,14 @@ from fractions import Fraction
 import pytest
 
 from jacobiforms import catalog as cat
+from jacobiforms import series
+from jacobiforms.numtheory import as_rational
 from jacobiforms.series import (
     FJExp,
     InexactDivision,
     NonRationalResult,
     QSeries,
+    _laurent_div_exact,
     prec_for_eval_linear,
     prec_for_specialize,
 )
@@ -319,6 +324,133 @@ def test_divide_fuzz_reconstructs_factor():
         q = FJExp(1, 1, 8, {k: c for k, c in q_terms.items() if c})
         got = (q * b).divide(b)
         assert got.agrees_with(q.truncated(got.prec_exponent))
+
+
+# -- Laurent division against the all-Fraction steps it replaced --------------------
+
+def laurent_div_by_fractions(num: dict, den: dict) -> dict:
+    """The oracle: exact division in Q[z, 1/z] with every step in Fraction."""
+    if not den:
+        raise ZeroDivisionError("Laurent division by zero")
+    if not num:
+        return {}
+    dmax, qmin = max(den), min(num) - min(den)
+    dlead = Fraction(den[dmax])
+    rem, quot = dict(num), {}
+    while rem:
+        rmax = max(rem)
+        qdeg = rmax - dmax
+        if qdeg < qmin:
+            raise InexactDivision(Fraction(0))
+        coef = Fraction(rem[rmax]) / dlead
+        quot[qdeg] = as_rational(coef)
+        for rd, dc in den.items():
+            v = rem.get(qdeg + rd, 0) - coef * dc
+            if v:
+                rem[qdeg + rd] = v
+            else:
+                rem.pop(qdeg + rd, None)
+    return quot
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: as_rational(c) for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("lead", [1, -1, 2, Fraction(3, 5)], ids=str)
+def test_laurent_division_matches_fraction_steps(lead):
+    rng = random.Random(f"laurent-{lead}")
+
+    def poly(n, coeff):
+        return {e: coeff() for e in rng.sample(range(-5, 5), n)}
+
+    def small():
+        return rng.choice((-1, 1)) * rng.randrange(1, 7)
+
+    def mixed():
+        return as_rational(Fraction(small(), rng.choice((1, 1, 2, 5))))
+
+    for trial in range(80):
+        den = poly(rng.randrange(0, 4), mixed if trial % 2 else small)
+        den[max(den, default=0) + rng.randrange(1, 3)] = lead  # the leading coefficient
+        quot = poly(rng.randrange(1, 6), mixed if trial % 3 == 0 else small)
+        num = laurent_mul(quot, den)
+        got = _laurent_div_exact(num, den)
+        assert got == laurent_div_by_fractions(num, den) == quot
+        assert all(type(c) is int or c.denominator > 1 for c in got.values())
+        if len(den) > 1:  # one extra term makes the division inexact
+            e = rng.randrange(min(num) - 3, max(num) + 4)
+            bad = {**num, e: num.get(e, 0) + mixed()}
+            bad = {k: c for k, c in bad.items() if c}
+            for divide in (_laurent_div_exact, laurent_div_by_fractions):
+                with pytest.raises(InexactDivision):
+                    divide(bad, den)
+
+
+def test_inexact_division_fails_at_the_same_q_order(monkeypatch):
+    # a perturbed row of theta(tau, 2z) or of a product of random expansions:
+    # the integer steps raise where the all-Fraction steps raise, and agree
+    # with them on the unperturbed products
+    rng = random.Random(8)
+    th = cat.theta(10)
+    cases = [(th.ud(2) + FJExp(8, 2, th.prec, {(t, 0): 1}), th) for t in (1, 9, 25, 49)]
+    for _ in range(30):
+        den = random_fj(rng, prec=10) + FJExp(1, 1, 10, {(0, 3): Fraction(3, 5), (0, -1): 2})
+        num = random_fj(rng, prec=10) * den
+        row = rng.randrange(0, 4)
+        cases += [(num, den), (num + FJExp(1, 1, 10, {(row, 7): 1}), den)]
+    for num, den in cases:
+        outcomes = []
+        for divide in (_laurent_div_exact, laurent_div_by_fractions):
+            monkeypatch.setattr(series, "_laurent_div_exact", divide)
+            try:
+                quot = num.divide(den)
+                outcomes.append((quot.prec, dict(quot.terms)))
+            except InexactDivision as err:
+                outcomes.append(err.q_exponent)
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], Fraction) or den is not th
+
+
+def canonical_digest(forms) -> str:
+    h = hashlib.sha256()
+    for x in forms:
+        data = x.to_json_dict()
+        data["meta"] = [str(getattr(x, f, None)) for f in ("weight", "index", "cone_slack")]
+        h.update(json.dumps(data, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# sha256 of the outputs at p = 8, 16 and 40, captured from the all-Fraction
+# Laurent steps, the byte-slice kernel and powers started from 1
+OUTPUT_DIGESTS = {
+    "theta(2z)/theta": ("d489ed6c39a6c5b9a9b54d9c7993402a7fcd4655b6a42f4cf0d14bd82b627f75",
+                        lambda p: cat.theta(p).ud(2).divide(cat.theta(p))),
+    "theta(3z)/theta": ("bd4b2a7e712e5ecea4c1a31e8f881c8fdb7f3270de633311f79ad1db2751b615",
+                        lambda p: cat.theta(p).ud(3).divide(cat.theta(p))),
+    "E4/E6": ("fe0dbc72eed84aef5891b1a14f7a9c422a706c218956563f875c8ddc05e6a51b",
+              lambda p: cat.eisenstein(4, p) / cat.eisenstein(6, p)),
+    "1/E6": ("752c82f3f8c8a0c676244536febcec08dbcf18cde1e38b25bfd391c762aaa576",
+             lambda p: cat.eisenstein(6, p).inverse()),
+    "1/eta": ("b70cab1d7bd2f62003407dfaaf98dd7fe0f52e4726698a0a80bf61216f555570",
+              lambda p: cat.eta(p).inverse()),
+    "1/Delta": ("719a725f1b9ae31bac4e9a41bf0d2e30841cdf25b533e81d761abb7cc5160627",
+                lambda p: cat.delta(p).inverse()),
+    "theta^8": ("be2d698774b77fab6097390b45fb1c07b01d146ac12d4774ede401fe7687ef88",
+                lambda p: cat.theta(p) ** 8),
+    "eta^24": ("21d2812b1cc10827b2b979c1c318e5b9be2934c11612b8d902ed53518f08f47d",
+               lambda p: cat.eta(p) ** 24),
+}
+
+
+@pytest.mark.parametrize("name", OUTPUT_DIGESTS)
+def test_quotients_inverses_and_powers_keep_their_bytes(name):
+    digest, build = OUTPUT_DIGESTS[name]
+    assert canonical_digest(build(p) for p in (8, 16, 40)) == digest
 
 
 def random_laurent_qseries(rng):

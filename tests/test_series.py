@@ -58,6 +58,44 @@ def test_pow():
     assert (a**-2).agrees_with(a.inverse() * a.inverse())
 
 
+def laurent_bases(rng):
+    """Series with negative lowest q-exponents: inverses of cusp forms, a
+    weak Jacobi form over Delta, and random Laurent QSeries and FJExp."""
+    yield catalog.eta(12).inverse()
+    yield catalog.delta(12).inverse()
+    yield catalog.phi(1, 8) * catalog.delta(8).inverse()
+    for _ in range(12):
+        prec = rng.randrange(4, 12)
+        q_terms = random_terms(rng, rng.randrange(1, 6), (-3, prec), None, False, denominators=(1, 3))
+        yield QSeries(rng.choice((1, 2, 8)), prec, {**q_terms, -rng.randrange(1, 3): 1})
+        fj_terms = random_terms(rng, rng.randrange(1, 6), (-2, prec), (-3, 4), True, denominators=(1, 2))
+        yield FJExp(rng.choice((1, 2)), rng.choice((1, 2)), prec, {**fj_terms, (-1, 0): 2})
+
+
+def test_powers_match_repeated_products():
+    # binary powering from the first factor certifies prec + (n - 1) * lo,
+    # the window of x * ... * x; a start from 1 lost another |lo|
+    for x in laurent_bases(random.Random(2024)):
+        lo = min(x._split(k)[0] for k in x.terms)
+        assert lo < 0
+        assert x ** 1 == x and x ** 0 == type(x).one(x.prec_exponent)
+        product = x
+        for n in range(2, 6):
+            product = product * x
+            assert x ** n == product
+            assert (x ** n).prec == x.prec + (n - 1) * lo
+    for base in (catalog.theta(6), catalog.eta(6)):  # lowest exponent > 0
+        assert base ** 3 == base * base * base and base ** 1 is base
+
+
+@pytest.mark.parametrize("base", [lambda: catalog.theta(4), lambda: catalog.eta(4)],
+                         ids=["FJExp", "QSeries"])
+@pytest.mark.parametrize("n", [2.0, Fraction(1, 2), "2"], ids=repr)
+def test_non_int_exponents_are_unsupported(base, n):
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow\(\)"):
+        base() ** n
+
+
 def test_inverse_roundtrip_random():
     rng = random.Random(7)
     for _ in range(100):
@@ -309,6 +347,8 @@ def test_kernel_random_sparse_and_dense(zeta):
                          denominators=rng.choice([(1,), (2, 9)]))
         bound = rng.randrange(0, 2 * span[1] + 2)
         assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+        # a square packs its one operand once
+        assert _product(a, a, bound, zeta) == product_by_pairs(a, a, bound, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
@@ -327,16 +367,21 @@ def test_kernel_laurent_strides_and_bounds(zeta):
         lowest = min(k[0] if zeta else k for k in a) + min(k[0] if zeta else k for k in b)
         for bound in (lowest - 1, lowest, lowest + 1, lowest + rng.randrange(2, 300), 10**6):
             assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+            for x in (a, b):
+                assert _product(x, x, bound, zeta) == product_by_pairs(x, x, bound, zeta)
     for empty, other in (({}, {(1, 1) if zeta else 1: 2}), ({(0, 0) if zeta else 0: 3}, {})):
         assert _product(empty, other, 10, zeta) == {} == _product(other, empty, 10, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
-@pytest.mark.parametrize("bits", [8, 16, 24, 32, 64, 72, 128])
+@pytest.mark.parametrize("bits", [7, 8, 16, 24, 32, 40, 48, 56, 63, 64, 72, 128])
 def test_kernel_saturates_its_slots(zeta, bits):
     # dense operands, every coefficient +-top, sized so that one product slot
     # sums min(#a, #b) products of top*top and so needs exactly `bits` bits:
-    # a slot one bit narrower carries into its neighbour
+    # a slot one bit narrower carries into its neighbour.  The bits cover
+    # every slot width k = bits // 8 + 1 up to 8 bytes, where the kernel
+    # rounds k up to a machine word (so a word one size narrower fails
+    # here), and the byte slices above it.
     rng = random.Random(bits)
     n = 4
     top = math.isqrt((2**bits - 1) // n)
@@ -348,12 +393,14 @@ def test_kernel_saturates_its_slots(zeta, bits):
         sign_a, sign_b = rng.choice([1, -1]), rng.choice([1, -1])
         a = {k: sign_a * top * (-1) ** parity(k) for k in keys}
         b = {k: sign_b * top * (-1) ** parity(k) for k in keys}
-        got = _product(a, b, 10**3, zeta)
-        assert max(map(abs, got.values())) == n * top * top
-        assert got == product_by_pairs(a, b, 10**3, zeta)
+        for x, y in ((a, b), (a, a)):
+            got = _product(x, y, 10**3, zeta)
+            assert max(map(abs, got.values())) == n * top * top
+            assert got == product_by_pairs(x, y, 10**3, zeta)
         # the same with denominators, which the kernel scales away
         a = {k: as_rational(Fraction(c, 7)) for k, c in a.items()}
         assert _product(a, b, 10**3, zeta) == product_by_pairs(a, b, 10**3, zeta)
+        assert _product(a, a, 10**3, zeta) == product_by_pairs(a, a, 10**3, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
