@@ -130,18 +130,28 @@ def eps2(prec: int) -> QSeries:
     """The weight-2 level-2 Eisenstein series 2 E_2(2 tau) - E_2(tau)."""
     require_prec("eps2", prec)
     e2 = eisenstein(2, prec)
-    return (2 * e2.substituted(2).truncated(prec) - e2).truncated(prec)
+    return 2 * e2.substituted(2) - e2
 
 
 # ---------------------------------------------------------------------------
 # Jacobi-Eisenstein series
 # ---------------------------------------------------------------------------
 
-def _jacobi_eis(name: str, k: int, m: int, prec: int) -> FJExp:
-    """E_{k,m} below q^prec by the formula of :func:`jacobi_eis`, for the constructor `name`."""
+@memo_by_prec
+def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
+    """Jacobi-Eisenstein series E_{k,m}, even k >= 4, from Cohen numbers
+    (Eichler-Zagier, *The Theory of Jacobi Forms*, Thm 2.1): for r^2 <= 4nm,
+
+        c(n, r) = P / zeta(3-2k) * sum_{d^2|m} mu(d) [d | r]
+                  * sum_{e | gcd(n, r/d, m/d^2)} e^(k-1) H(k-1, (4nm - r^2) / (d^2 e^2))
+
+    with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
+    and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term."""
+    if m < 1:
+        raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
     if k < 4 or k % 2:
-        raise ValueError(f"{name} needs even k >= 4, got {k}")
-    require_prec(name, prec)
+        raise ValueError(f"jacobi_eis needs even k >= 4, got {k}")
+    require_prec("jacobi_eis", prec)
     pref = Fraction(math.prod(Fraction(p ** (k - 1), p ** (k - 1) + 1) for p, _ in factorize(m)),
                     m ** (k - 1)) / zeta_neg(3 - 2 * k)
     squares = [(d, mobius(d), m // (d * d)) for d in divisors(m) if m % (d * d) == 0 and mobius(d)]
@@ -165,22 +175,10 @@ def _jacobi_eis(name: str, k: int, m: int, prec: int) -> FJExp:
 @memo_by_prec
 def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     """E_{k,1}, the m = 1 case of :func:`jacobi_eis`: c(n, r) = H(k-1, 4n - r^2) / zeta(3 - 2k)."""
-    return _jacobi_eis("jacobi_eis_m1", k, 1, prec)
-
-
-@memo_by_prec
-def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
-    """Jacobi-Eisenstein series E_{k,m}, even k >= 4, from Cohen numbers
-    (Eichler-Zagier, *The Theory of Jacobi Forms*, Thm 2.1): for r^2 <= 4nm,
-
-        c(n, r) = P / zeta(3-2k) * sum_{d^2|m} mu(d) [d | r]
-                  * sum_{e | gcd(n, r/d, m/d^2)} e^(k-1) H(k-1, (4nm - r^2) / (d^2 e^2))
-
-    with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
-    and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term."""
-    if m < 1:
-        raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
-    return _jacobi_eis("jacobi_eis", k, m, prec)
+    if k < 4 or k % 2:
+        raise ValueError(f"jacobi_eis_m1 needs even k >= 4, got {k}")
+    require_prec("jacobi_eis_m1", prec)
+    return jacobi_eis(k, 1, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +242,8 @@ def wp_theta2(prec: int) -> FJExp:
     product (and its powers against theta powers) ever appears.
     """
     require_prec("wp_theta2", prec)
-    result = (eta(prec + 1) ** 6) * phi(1, prec + 1) * Fraction(1, 12)
-    return result.truncated(prec).with_meta(weight=3, index=1, cone_slack=0)
+    result = (eta(prec) ** 6) * phi(1, prec) * Fraction(1, 12)
+    return result.with_meta(weight=3, index=1, cone_slack=0)
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,8 @@ def check_catalog():
         if any(not isinstance(c, int) for c in catalog.jacobi_eis(k, m, 8).terms.values()):
             return False, f"E_{{{k},{m}}} has non-integral coefficients"
     two_eta3 = 2 * (catalog.eta(8) ** 3)
-    prod = (catalog.theta_const(0, 0, 8) * catalog.theta_const(0, 1, 8)
-            * catalog.theta_const(1, 0, 8)).truncated(8)
-    if two_eta3.truncated(8).mismatch(prod) is not None:
+    prod = catalog.theta_const(0, 0, 8) * catalog.theta_const(0, 1, 8) * catalog.theta_const(1, 0, 8)
+    if two_eta3.mismatch(prod) is not None:
         return False, "2 eta^3 != theta_00 theta_01 theta_10"
     return True, "E_{k,m}(tau,0), E_{8,1} product, integrality, 2 eta^3"
 
@@ -187,7 +186,7 @@ def check_series_properties():
     th = catalog.theta(8)
     for num in (th.ud(2), th.ud(3), th * th * th):
         q = num.divide(th)
-        if not (q * th).agrees_with(num.truncated((q * th).prec_exponent)):
+        if not (q * th).agrees_with(num):
             return False, "division round-trip"
     for form in (catalog.theta(10), catalog.jacobi_eis_m1(6, 8), catalog.jacobi_eis(4, 4, 6),
                  catalog.wp_theta2(8), catalog.phi(1, 8), catalog.phi(4, 8)):

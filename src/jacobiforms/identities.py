@@ -7,6 +7,15 @@ series / lattice primitives at a requested precision, and verifies exact
 equality of the coefficient maps on that window.  Verification is never
 probabilistic: a single differing coefficient fails the identity and is
 reported with its exponents and both values.
+
+`verify` owns the comparison window: it rejects a side certified on a
+window that ends below q^prec and compares both sides exactly below q^prec,
+so a builder returns each side on any window that reaches prec and never
+truncates.  A builder asks a constructor for one of three precisions: prec
+itself; what an exact planner (`prec_for_specialize`, `prec_for_eval_linear`)
+returns for the target prec, less any shift that then raises the pulled-back
+window; or prec + k, where a named Laurent step (a shift, an inverse, a
+coefficient read past q^prec) uses up k, stated in a one-line comment.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Callable, Optional
 from jacobiforms import catalog as cat
 from jacobiforms import lattice
 from jacobiforms.catalog import HALF
-from jacobiforms.numtheory import cohen_h, rational_str, sigma, sigma_rational, zeta_neg
+from jacobiforms.numtheory import rational_str, sigma, sigma_rational, zeta_neg
 from jacobiforms.representations import (
     _h3_odd_r_sum,
     _odd_nonsquare,
@@ -112,38 +121,33 @@ def _eis_2z(k: int, m: int, prec: int) -> FJExp:
 
 
 def _index4_window(coeff, prec: int) -> FJExp:
-    """coeff(n, r) on n < prec and |r| <= isqrt(16 n) + 2 (index 4 with margin)."""
+    """coeff(n, r) on n < prec and r^2 <= 16 n, the index-4 cone: f4 and f6
+    vanish outside it, and a term of the other side there still mismatches."""
     return FJExp(1, 1, prec, {(n, r): coeff(n, r) for n in range(prec)
-                              for r in range(-math.isqrt(16 * n) - 2, math.isqrt(16 * n) + 3)})
+                              for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1)})
 
 
 def _eta12_theta10_4(prec: int) -> QSeries:
     """The first level-2 cusp form eta^12 * theta_10^4 as a q-series."""
-    return (cat.eta(prec) ** 12 * cat.theta_const(1, 0, prec) ** 4).truncated(prec)
+    return cat.eta(prec) ** 12 * cat.theta_const(1, 0, prec) ** 4
 
 
 def _eta12_2tau(prec: int) -> QSeries:
     """eta(2 tau)^12."""
-    return (cat.eta(prec) ** 12).substituted(2).truncated(prec)
+    return (cat.eta(prec) ** 12).substituted(2)
 
 
 def _e_series(k: int, prec: int, sub: int = 1) -> QSeries:
-    e = cat.eisenstein(k, prec if sub == 1 else (prec + sub - 1) // sub)
-    return e.substituted(sub).truncated(prec) if sub != 1 else e
+    """E_k(sub * tau)."""
+    return cat.eisenstein(k, (prec + sub - 1) // sub).substituted(sub)
 
 
-def _spec_half(k: int, m: int, prec: int) -> QSeries:
-    """E_{k,m}(tau, 1/2) as an exact q-series."""
-    return cat.jacobi_eis(k, m, prec).specialize(0, HALF)
+def _spec_half(k: int, m: int, prec: int, lam: Fraction = Fraction(0)) -> QSeries:
+    """E_{k,m} pulled back to z = lam*tau + 1/2, automorphy prefactor included."""
+    return cat.jacobi_eis(k, m, prec_for_specialize(prec, m, lam, 0)).specialize(lam, HALF)
 
 
-def _spec_tau_half(k: int, m: int, prec: int) -> QSeries:
-    """E_{k,m} pulled back to z = (tau+1)/2, automorphy prefactor included."""
-    inner = prec_for_specialize(prec, m, HALF, 0)
-    return cat.jacobi_eis(k, m, inner).specialize(HALF, HALF).truncated(prec)
-
-
-def _cone_violation_pair(fj: FJExp, index: int, prec: int, strict: bool):
+def _cone_violation_pair(fj: FJExp, index: int, strict: bool):
     """Terms outside the holomorphic (or, when strict, cuspidal) cone,
     paired with a zero expansion of the same precision."""
     bad = {}
@@ -183,7 +187,7 @@ def _b_r31_a(prec):
 
 
 def _b_r31_b(prec):
-    th = cat.theta(prec + 1)
+    th = cat.theta(prec)
     lhs = th.ud(2) ** 2 * th**6 * cat.phi(2, prec)
     return lhs, cat.jacobi_eis_m1(4, prec).ud(3) - cat.jacobi_eis(4, 9, prec)
 
@@ -233,18 +237,18 @@ def _b_l21_tau(prec):
 
 
 def _b_c33_eta8(prec):
-    inner = prec_for_eval_linear(prec, 4, 3, 2, 0)
+    inner = prec_for_eval_linear(prec - 5, 4, 3, 2, 0)  # shifted(5) raises the window by 5
     lhs = cat.euler_product(prec) ** 8
-    rhs = (cat.theta(inner) ** 8).eval_linear(3, 2).shifted(5).truncated(prec)
+    rhs = (cat.theta(inner) ** 8).eval_linear(3, 2).shifted(5)
     return lhs, rhs
 
 
 def _b_c33_eta8_eis(prec):
     lhs = cat.euler_product(prec) ** 8
     p1 = prec_for_eval_linear(prec, 1, 3, 1, 0)
-    p2 = prec_for_eval_linear(prec, 4, 3, 2, 0)
+    p2 = prec_for_eval_linear(prec - 5, 4, 3, 2, 0)  # shifted(5) raises the window by 5
     rhs = (cat.jacobi_eis_m1(4, p1).eval_linear(3, 1)
-           - cat.jacobi_eis(4, 4, p2).eval_linear(3, 2).shifted(5)).truncated(prec)
+           - cat.jacobi_eis(4, 4, p2).eval_linear(3, 2).shifted(5))
     return lhs, rhs
 
 
@@ -311,20 +315,20 @@ def _b_s32_t10_8_delta(prec):
 
 
 def _b_s32_t01_8(prec):
-    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2).truncated(prec)
+    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2)
     rhs = Fraction(-1, 15) * _e_series(4, prec) + Fraction(16, 15) * _e_series(4, prec, 2)
     return lhs, rhs
 
 
 def _b_s32_t01_8_e44(prec):
-    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2).truncated(prec)
-    inner = prec_for_eval_linear(prec, 4, 2, 1, 0)
-    rhs = _e_series(4, prec, 2) - cat.jacobi_eis(4, 4, inner).eval_linear(2, 1).shifted(2).truncated(prec)
+    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2)
+    inner = prec_for_eval_linear(prec - 2, 4, 2, 1, 0)  # shifted(2) raises the window by 2
+    rhs = _e_series(4, prec, 2) - cat.jacobi_eis(4, 4, inner).eval_linear(2, 1).shifted(2)
     return lhs, rhs
 
 
 def _b_s32_t01_8_conv(prec):
-    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2).truncated(prec)
+    lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2)
     # 2m + r + 2 = n, 16m >= r^2
     return lhs, _qs_from(prec, lambda n: _f4_cone_sum(cone_points(n - 2, 1, 2)))
 
@@ -339,19 +343,17 @@ def _b_s32_r8_odd(prec):
 def _b_s32_eps2_consts(prec):
     lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
     t10, t00, t01 = (cat.theta_const(a, b, prec) for a, b in ((1, 0), (0, 0), (0, 1)))
-    rhs = (t10 ** 8) * (t00**4 + t01**4)
-    return lhs.truncated(prec), rhs.truncated(prec)
+    return lhs, (t10 ** 8) * (t00**4 + t01**4)
 
 
 def _b_s32_eps2_eis(prec):
     lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
-    return lhs.truncated(prec), _spec_half(6, 4, prec) - _e_series(6, prec)
+    return lhs, _spec_half(6, 4, prec) - _e_series(6, prec)
 
 
 def _b_s32_eps2_level(prec):
     lhs = 2 * cat.eps2(prec) * (cat.theta(prec) ** 8).specialize(0, HALF)
-    rhs = Fraction(64, 63) * (_e_series(6, prec, 2) - _e_series(6, prec))
-    return lhs.truncated(prec), rhs
+    return lhs, Fraction(64, 63) * (_e_series(6, prec, 2) - _e_series(6, prec))
 
 
 def _b_s32_spec_64_62(prec):
@@ -359,16 +361,13 @@ def _b_s32_spec_64_62(prec):
 
 
 def _b_s32_eps2_tau_half(prec):
-    t10, t00, t01 = (cat.theta_const(a, b, prec + 1) for a, b in ((1, 0), (0, 0), (0, 1)))
-    lhs = (t00 ** 8) * (t01**4 - t10**4)
-    rhs = _e_series(6, prec) - _spec_tau_half(6, 4, prec)
-    return lhs.truncated(prec), rhs
+    t10, t00, t01 = (cat.theta_const(a, b, prec) for a, b in ((1, 0), (0, 0), (0, 1)))
+    return (t00 ** 8) * (t01**4 - t10**4), _e_series(6, prec) - _spec_half(6, 4, prec, HALF)
 
 
 def _b_s32_eps2_wp(prec):
     lhs = cat.wp_theta2(prec).specialize(0, HALF)
-    rhs = cat.eps2(prec) * (cat.theta_const(1, 0, prec) ** 2) * Fraction(1, 6)
-    return lhs, rhs.truncated(prec)
+    return lhs, cat.eps2(prec) * (cat.theta_const(1, 0, prec) ** 2) * Fraction(1, 6)
 
 
 def _b_p41(coeff: Fraction, m: int):
@@ -381,16 +380,13 @@ def _b_p41(coeff: Fraction, m: int):
 
 
 def _e82_half_coeff(n: int) -> Fraction:
-    z = Fraction(zeta_neg(-13))
-    acc = Fraction(0)
-    for r in range(-math.isqrt(8 * n), math.isqrt(8 * n) + 1):
-        if r * r > 8 * n:
-            continue
-        inner = Fraction(0)
-        for d in ((1,) if math.gcd(n, r, 2) == 1 else (1, 2)):
-            inner += d**7 * Fraction(cohen_h(7, Fraction(8 * n - r * r, d * d))) / z
-        acc += _sign(r) * inner / 129
-    return acc
+    """The q^n coefficient of E_{8,2}(tau, 1/2): sum over r^2 <= 8n of (-1)^r
+    sum_{d | (n, r, 2)} d^7 H(7, (8n - r^2)/d^2), over 129 zeta(-13); the
+    d = 2 terms are r = 2s, H(7, 2n - s^2)."""
+    acc = h_window_sum(7, 8 * n, _sign, boundary=True)
+    if n % 2 == 0:
+        acc += 128 * h_window_sum(7, 2 * n, lambda r: 1, boundary=True)
+    return acc / (129 * Fraction(zeta_neg(-13)))
 
 
 def _b_p41_e82_series(prec):
@@ -413,13 +409,11 @@ def _b_p41_diff(prec):
 
 def _b_s41_eta_a(prec):
     lhs = _eta12_theta10_4(prec)
-    rhs = 16 * (cat.eta(prec) ** 8 * (cat.eta(prec) ** 8).substituted(2)).truncated(prec)
-    return lhs, rhs
+    return lhs, 16 * (cat.eta(prec) ** 8 * (cat.eta(prec) ** 8).substituted(2))
 
 
 def _b_s41_eta_b(prec):
-    lhs = (cat.eta(prec) ** 6 * cat.theta_const(1, 0, prec) ** 6).truncated(prec)
-    return lhs, 64 * _eta12_2tau(prec)
+    return cat.eta(prec) ** 6 * cat.theta_const(1, 0, prec) ** 6, 64 * _eta12_2tau(prec)
 
 
 def _b_p42_e61(prec):
@@ -453,7 +447,7 @@ def _b_p42_b_even(prec):
 
 
 def _eta_eta3_6(prec: int) -> QSeries:
-    return (cat.eta(prec) ** 6 * (cat.eta(prec) ** 6).substituted(3)).truncated(prec)
+    return cat.eta(prec) ** 6 * (cat.eta(prec) ** 6).substituted(3)
 
 
 def _b_p43_e63(prec):
@@ -463,143 +457,125 @@ def _b_p43_e63(prec):
     return lhs, rhs
 
 
+def _p43_cn_coeff(n: int) -> Fraction:
+    """The q^n coefficient of (eta(tau) eta(3 tau))^6: sigma terms plus 13/864
+    of the sum over r^2 <= 12n of w(r) sum_{d | (n, r, 3)} d^5 H(5, (12n - r^2)/d^2),
+    w(r) = 1 at 3 | r and -1/2 otherwise; the d = 3 terms are r = 3s,
+    H(5, 4n/3 - s^2)."""
+    acc = h_window_sum(5, 12 * n, lambda r: 1 if r % 3 == 0 else Fraction(-1, 2), boundary=True)
+    if n % 3 == 0:
+        acc += 243 * h_window_sum(5, 4 * n // 3, lambda r: 1, boundary=True)
+    return (Fraction(61, 3168) * sigma(5, n) - Fraction(4941, 352) * sigma_rational(5, Fraction(n, 3))
+            + Fraction(13, 864) * acc)
+
+
 def _b_p43_cn(prec):
-    lhs = _eta_eta3_6(prec)
-    def rhs_fn(n):
-        acc = Fraction(0)
-        for r in range(-math.isqrt(12 * n), math.isqrt(12 * n) + 1):
-            if r * r > 12 * n:
-                continue
-            w = Fraction(1) if r % 3 == 0 else Fraction(-1, 2)
-            inner = Fraction(0)
-            for d in ((1, 3) if (n % 3 == 0 and r % 3 == 0) else (1,)):
-                inner += d**5 * Fraction(cohen_h(5, Fraction(12 * n - r * r, d * d)))
-            acc += w * inner
-        return (Fraction(61, 3168) * sigma(5, n) - Fraction(4941, 352) * sigma_rational(5, Fraction(n, 3))
-                + Fraction(13, 864) * acc)
-    return lhs, _qs_from(prec, rhs_fn, range(1, prec))
+    return _eta_eta3_6(prec), _qs_from(prec, _p43_cn_coeff, range(1, prec))
 
 
 def _b_t44_wp2(prec):
-    th4 = cat.theta(prec + 1) ** 4
-    eta12 = cat.eta(prec + 1) ** 12
-    lhs = (eta12 * th4 * cat.phi(1, prec + 1) ** 2).truncated(prec)
+    eta12_th4 = cat.eta(prec) ** 12 * cat.theta(prec) ** 4
     rhs = (_eis_2z(8, 1, prec) - cat.jacobi_eis(8, 4, prec)
-           + Fraction(1449, 86) * (eta12 * th4 * cat.phi(2, prec + 1)).truncated(prec))
-    return lhs, rhs
+           + Fraction(1449, 86) * (eta12_th4 * cat.phi(2, prec)))
+    return eta12_th4 * cat.phi(1, prec) ** 2, rhs
 
 
 def _b_t44_wp3(prec):
     # the index-4 cusp corrections live on eta^18 theta^2, the weight-10
     # analogue of Delta at index 1
-    th2 = cat.theta(prec + 1) ** 2
-    eta18_th2 = cat.eta(prec + 1) ** 18 * th2
-    lhs = (eta18_th2 * cat.phi(1, prec + 1) ** 3).truncated(prec)
-    p1, p2, p3 = (cat.phi(j, prec + 1) for j in (1, 2, 3))
+    eta18_th2 = cat.eta(prec) ** 18 * cat.theta(prec) ** 2
+    p1, p2, p3 = (cat.phi(j, prec) for j in (1, 2, 3))
     rhs = (_eis_2z(6, 1, prec) * cat.eisenstein(4, prec)
            - cat.jacobi_eis(4, 4, prec) * cat.eisenstein(6, prec)
-           + 36 * (eta18_th2 * (p1 * p2 - 2 * p3)).truncated(prec))
-    return lhs, rhs
+           + 36 * (eta18_th2 * (p1 * p2 - 2 * p3)))
+    return eta18_th2 * p1 ** 3, rhs
 
 
 def _b_t44_wp4(prec):
-    p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
-    lhs = (cat.delta(prec + 1) * p1**4).truncated(prec)
+    p1, p2, p3, p4 = (cat.phi(j, prec) for j in (1, 2, 3, 4))
     rhs = (_eis_2z(6, 1, prec) * cat.eisenstein(6, prec)
            - cat.jacobi_eis(4, 4, prec) * cat.eisenstein(8, prec)
-           + 48 * (cat.delta(prec + 1) * (p1**2 * p2 - 9 * p1 * p3 + 12 * p4)).truncated(prec))
-    return lhs, rhs
+           + 48 * (cat.delta(prec) * (p1**2 * p2 - 9 * p1 * p3 + 12 * p4)))
+    return cat.delta(prec) * p1**4, rhs
 
 
 def _b_t44_theta16(prec):
-    lhs = (cat.theta(prec) ** 8) ** 2
-    p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
+    p1, p2, p3, p4 = (cat.phi(j, prec) for j in (1, 2, 3, 4))
     cusp = (p1 * p2 * p3 * Fraction(73, 11008)
             - p3 ** 2 * Fraction(45549, 2752)
             + p2 * p4 * Fraction(20713, 1376))
     rhs = (_eis_2z(8, 2, prec) - cat.jacobi_eis(8, 8, prec)
-           + (cat.eta(prec + 1) ** 12 * cat.theta(prec + 1) ** 4 * cusp).truncated(prec))
-    return lhs, rhs
+           + cat.eta(prec) ** 12 * cat.theta(prec) ** 4 * cusp)
+    return (cat.theta(prec) ** 8) ** 2, rhs
 
 
 def _b_s43_theta24(prec):
     lhs = (cat.theta(prec) ** 8) ** 3
-    p1, p2, p3, p4 = (cat.phi(j, prec + 1) for j in (1, 2, 3, 4))
+    p1, p2, p3, p4 = (cat.phi(j, prec) for j in (1, 2, 3, 4))
     e4 = cat.eisenstein(4, prec)
     eis = _eis_2z(4, 3, prec) * (e4 * e4) - cat.jacobi_eis(4, 4, prec) ** 3
     cusp = (-24 * (p1**2 * p2 * p4**2) + 36 * p2**6
             + p3 * (-38 * p1 * p2**4 - 477 * p1 * p2 * p3**2 + 486 * p2**3 * p3
                     + 702 * p3**3 + 55 * p1**2 * p3 * p4 + 160 * p1 * p2**2 * p4))
-    rhs = eis + (cat.delta(prec + 1) * cusp).truncated(prec)
-    return lhs, rhs
+    return lhs, eis + cat.delta(prec) * cusp
 
 
-def _e44_half_cubed(prec: int) -> QSeries:
-    e = _spec_half(4, 4, prec)
-    return (e * e * e).truncated(prec)
+def _t10_24_sides(prec: int) -> tuple:
+    """theta_10^24 and E_4^3 - E_{4,4}(tau, 1/2)^3, the two sides of the
+    S43-t10-24 identities before their cusp corrections."""
+    return ((cat.theta_const(1, 0, prec) ** 8) ** 3,
+            _e_series(4, prec) ** 3 - _spec_half(4, 4, prec) ** 3)
 
 
 def _b_s43_t10_24_phi(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 3
-    phi1_half = cat.phi(1, prec + 1).specialize(0, HALF, index=1)
-    rhs = (_e_series(4, prec) ** 3 - _e44_half_cubed(prec)
-           - 48 * (cat.delta(prec) * phi1_half * phi1_half).truncated(prec)
-           + 2304 * cat.delta(prec))
-    return lhs.truncated(prec), rhs.truncated(prec)
+    lhs, eis = _t10_24_sides(prec)
+    phi1_half = cat.phi(1, prec).specialize(0, HALF, index=1)
+    return lhs, eis - 48 * (cat.delta(prec) * phi1_half * phi1_half) + 2304 * cat.delta(prec)
 
 
 def _b_s43_t10_24(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 3
-    rhs = (_e_series(4, prec) ** 3 - _e44_half_cubed(prec)
-           - 48 * (_eta12_theta10_4(prec) * cat.eisenstein(4, prec)).truncated(prec))
-    return lhs.truncated(prec), rhs
+    lhs, eis = _t10_24_sides(prec)
+    return lhs, eis - 48 * (_eta12_theta10_4(prec) * cat.eisenstein(4, prec))
 
 
 def _b_s43_t10_24_e8m(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 3
-    rhs = (_e_series(4, prec) ** 3 - _e44_half_cubed(prec)
-           - Fraction(688, 45) * (cat.eisenstein(4, prec)
-                                  * (_spec_half(8, 2, prec) - _spec_half(8, 4, prec))).truncated(prec))
-    return lhs.truncated(prec), rhs
+    lhs, eis = _t10_24_sides(prec)
+    diff = _spec_half(8, 2, prec) - _spec_half(8, 4, prec)
+    return lhs, eis - Fraction(688, 45) * (cat.eisenstein(4, prec) * diff)
+
+
+def _t10_16(prec: int) -> QSeries:
+    return (cat.theta_const(1, 0, prec) ** 8) ** 2
 
 
 def _b_s42_t10_16_a(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 2
     rhs = (_e_series(8, prec) - _spec_half(8, 8, prec)
            - Fraction(20713, 688) * _eta12_theta10_4(prec))
-    return lhs.truncated(prec), rhs
+    return _t10_16(prec), rhs
 
 
 def _b_s42_t10_16_b(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 2
     rhs = (Fraction(256, 255) * (_e_series(8, prec) - _e_series(8, prec, 2))
            - Fraction(512, 17) * _eta12_theta10_4(prec))
-    return lhs.truncated(prec), rhs
+    return _t10_16(prec), rhs
 
 
 def _b_s42_t10_16_c(prec):
-    t10 = cat.theta_const(1, 0, prec)
-    lhs = (t10 ** 8) ** 2
     rhs = (Fraction(1952, 2025) * _e_series(8, prec) + Fraction(18688, 2025) * _e_series(8, prec, 2)
            - Fraction(1376, 135) * _spec_half(8, 2, prec))
-    return lhs.truncated(prec), rhs
+    return _t10_16(prec), rhs
 
 
 def _b_s42_t01_16(prec):
-    t01 = cat.theta_const(0, 1, prec)
-    lhs = ((t01 ** 8) ** 2).substituted(2).truncated(prec)
+    lhs = ((cat.theta_const(0, 1, prec) ** 8) ** 2).substituted(2)
     rhs = (Fraction(-13, 2025) * _e_series(8, prec) + Fraction(3328, 2025) * _e_series(8, prec, 2)
            - Fraction(86, 135) * _spec_half(8, 2, prec))
     return lhs, rhs
 
 
 def _b_s42_delta16(prec):
-    t10_16 = ((cat.theta_const(1, 0, prec + 3) ** 8) ** 2).normalized()
+    # reads q^(n + 2) for odd n < prec, so the window must pass q^(prec + 1)
+    t10_16 = _t10_16(prec + 2).normalized()
     keys = range(1, prec, 2)
     lhs = _qs_from(prec, lambda n: Fraction(t10_16.coefficient(n + 2), 65536), keys)
     rhs = _qs_from(prec, delta16, keys)
@@ -616,13 +592,8 @@ def _b_s42_r16(prec):
 
 def _b_phival_const(j: int, lam: Fraction, value: int):
     def build(prec):
-        if lam == 0:
-            lhs = cat.phi(j, prec).specialize(0, HALF, index=j)
-        else:
-            inner = prec_for_specialize(prec, j, lam, j)
-            lhs = cat.phi(j, max(inner, 2)).specialize(lam, HALF, index=j).truncated(prec)
-        rhs = QSeries(1, prec, {0: value} if value else {})
-        return lhs, rhs
+        lhs = cat.phi(j, prec_for_specialize(prec, j, lam, j)).specialize(lam, HALF, index=j)
+        return lhs, QSeries(1, prec, {0: value})
     return build
 
 
@@ -632,38 +603,36 @@ def _b_phival_relation(prec):
 
 
 def _b_phival_1_half(prec):
-    t00 = cat.theta_const(0, 0, prec + 1)
-    t01 = cat.theta_const(0, 1, prec + 1)
-    lhs = cat.phi(1, prec + 1).specialize(0, HALF, index=1) * (t00**2 * t01**2)
-    rhs = 4 * (t01**4 + t00**4)
-    return lhs.truncated(prec), rhs.truncated(prec)
+    t00, t01 = cat.theta_const(0, 0, prec), cat.theta_const(0, 1, prec)
+    lhs = cat.phi(1, prec).specialize(0, HALF, index=1) * (t00**2 * t01**2)
+    return lhs, 4 * (t01**4 + t00**4)
 
 
 def _b_phival_1_tau_half(prec):
-    inner = max(prec_for_specialize(prec + 1, 1, HALF, 1), 2)
+    inner = prec_for_specialize(prec, 1, HALF, 1)
     cyc = cat.phi(1, inner).specialize(HALF, HALF, index=1, cyclotomic=True)
-    lhs = cyc.times_root(-1, 4).to_qseries().truncated(prec)  # divide by i
-    t10 = cat.theta_const(1, 0, prec + 2)
-    t01 = cat.theta_const(0, 1, prec + 2)
-    t10sq, t01sq = t10 * t10, t01 * t01
-    rhs = (4 * (t10sq * t01sq.inverse() - t01sq * t10sq.inverse())).truncated(prec)
-    return lhs, rhs
+    lhs = cyc.times_root(-1, 4).to_qseries()  # divide by i
+    # theta_10^2 starts at q^(1/4): its inverse is certified 1/2 short of prec + 1
+    t10sq = cat.theta_const(1, 0, prec + 1) ** 2
+    t01sq = cat.theta_const(0, 1, prec + 1) ** 2
+    return lhs, 4 * (t10sq * t01sq.inverse() - t01sq * t10sq.inverse())
 
 
 def _b_intro_r8(prec):
-    lhs = (cat.theta_const(0, 0, prec) ** 8).substituted(2).truncated(prec)
+    lhs = (cat.theta_const(0, 0, prec) ** 8).substituted(2)
     return lhs, _qs_from(prec, lambda n: 1 if n == 0 else formula_r8(n))
 
 
 def _b_intro_delta8(prec):
-    lhs = ((cat.theta_const(1, 0, prec + 2) ** 8) * Fraction(1, 256)).shifted(-1).truncated(prec)
+    # shifted(-1) moves the window down by one
+    lhs = ((cat.theta_const(1, 0, prec + 1) ** 8) * Fraction(1, 256)).shifted(-1)
     return lhs, _qs_from(prec, formula_delta8)
 
 
 def _b_hhol(eta_pow: int, j: int, strict: bool):
     def build(prec):
-        form = (cat.eta(prec + 1) ** eta_pow * cat.phi(j, prec + 1)).truncated(prec)
-        return _cone_violation_pair(form, j, prec, strict)
+        form = cat.eta(prec) ** eta_pow * cat.phi(j, prec)
+        return _cone_violation_pair(form, j, strict)
     return build
 
 
@@ -793,7 +762,11 @@ def verify(identity_id: str, prec: Optional[int] = None) -> IdentityReport:
             f"{identity_id}: builder delivered a window "
             f"{min(lhs.prec_exponent, rhs.prec_exponent)} < requested {prec}"
         )
-    mm = lhs.truncated(prec).mismatch(rhs.truncated(prec))
+    # mismatch reports the lowest difference on the common window, which
+    # reaches prec; one at or above q^prec lies outside the comparison
+    mm = lhs.mismatch(rhs)
+    if mm is not None and mm[0] >= prec:
+        mm = None
     return IdentityReport(identity_id, prec, "pass" if mm is None else "fail", mm,
                           built - start, time.perf_counter() - built)
 

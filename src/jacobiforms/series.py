@@ -409,8 +409,9 @@ class QSeries(_Series):
 
     @classmethod
     def one(cls, prec_exp: RatLike) -> "QSeries":
+        """1 certified below q^prec_exp: O(q^prec_exp) when that is <= 0."""
         p = Fraction(prec_exp)
-        return cls(p.denominator, p.numerator, {0: 1})
+        return cls(p.denominator, p.numerator, {0: 1} if p > 0 else {})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -446,7 +447,7 @@ class QSeries(_Series):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return self._powered(n) if n else QSeries(self.qscale, self.prec, {0: 1})
+        return self._powered(n) if n else QSeries(self.qscale, self.prec, {0: 1} if self.prec > 0 else {})
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
@@ -761,8 +762,10 @@ class FJExp(_Series):
 
     @classmethod
     def one(cls, prec_exp: RatLike) -> "FJExp":
+        """1 certified below q^prec_exp: O(q^prec_exp) when that is <= 0."""
         p = Fraction(prec_exp)
-        return cls(p.denominator, 1, p.numerator, {(0, 0): 1}, weight=0, index=0, cone_slack=0)
+        return cls(p.denominator, 1, p.numerator, {(0, 0): 1} if p > 0 else {},
+                   weight=0, index=0, cone_slack=0)
 
     @classmethod
     def from_qseries(cls, qs: QSeries) -> "FJExp":

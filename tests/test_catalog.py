@@ -204,6 +204,15 @@ def test_jacobi_eis_builds_no_index_one_base(clear_memos):
     assert cat.jacobi_eis_m1.cache_info().misses == 0
 
 
+def test_jacobi_eis_m1_is_served_by_jacobi_eis(clear_memos):
+    # one build of E_{k,1} per precision, whichever constructor asks first
+    clear_memos()
+    e41 = cat.jacobi_eis_m1(4, 8)
+    assert cat.jacobi_eis.cache_info()[:2] == (0, 1)
+    assert cat.jacobi_eis(4, 1, 8) == e41
+    assert cat.jacobi_eis.cache_info()[:2] == (1, 1)
+
+
 def test_jacobi_eis_checks_its_weight():
     for k in (5, 2, 0):
         with pytest.raises(ValueError, match=f"jacobi_eis needs even k >= 4, got {k}"):

@@ -88,6 +88,19 @@ def test_powers_match_repeated_products():
         assert base ** 3 == base * base * base and base ** 1 is base
 
 
+@pytest.mark.parametrize("cls", [QSeries, FJExp])
+def test_one_below_q0_is_the_empty_series(cls):
+    # 1 is certified below q^P only as O(q^P) when P <= 0: no window holds q^0
+    lift = (lambda qs: qs) if cls is QSeries else FJExp.from_qseries
+    laurent = lift(catalog.delta(4).inverse() ** 4)  # certified below q^-1
+    empty = QSeries(1, 0, {}) if cls is QSeries else FJExp(1, 1, 0, {})
+    cases = [(laurent ** 0, -1), (empty ** 0, 0), (cls.one(0), 0),
+             (cls.one(Fraction(-3, 2)), Fraction(-3, 2)), (lift(QSeries(2, -1, {})) ** 0, Fraction(-1, 2))]
+    for x, p in cases:
+        assert type(x) is cls and x.is_zero() and x.prec_exponent == p
+    assert lift(QSeries(1, 1, {})) ** 0 == cls.one(1) and not cls.one(Fraction(1, 8)).is_zero()
+
+
 @pytest.mark.parametrize("base", [lambda: catalog.theta(4), lambda: catalog.eta(4)],
                          ids=["FJExp", "QSeries"])
 @pytest.mark.parametrize("n", [2.0, Fraction(1, 2), "2"], ids=repr)
