@@ -252,15 +252,10 @@ def _b_c33_eta8_eis(prec):
     return lhs, rhs
 
 
-def _f4_cone_sum(points) -> Fraction:
-    """sum of f4(m, r) over the cone points (r, m)."""
-    return sum((Fraction(f4_coeff(m, r)) for r, m in points), Fraction(0))
-
-
 def _b_c33_eta8_conv(prec):
     lhs = cat.euler_product(prec) ** 8
     # 3m + 2r + 5 = n, 16m >= r^2
-    return lhs, _qs_from(prec, lambda n: _f4_cone_sum(cone_points(n - 5, 2, 3)))
+    return lhs, _qs_from(prec, lambda n: sum(f4_coeff(m, r) for r, m in cone_points(n - 5, 2, 3)))
 
 
 def _b_s32_spec(k: int, m: int, combo):
@@ -330,7 +325,7 @@ def _b_s32_t01_8_e44(prec):
 def _b_s32_t01_8_conv(prec):
     lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2)
     # 2m + r + 2 = n, 16m >= r^2
-    return lhs, _qs_from(prec, lambda n: _f4_cone_sum(cone_points(n - 2, 1, 2)))
+    return lhs, _qs_from(prec, lambda n: sum(f4_coeff(m, r) for r, m in cone_points(n - 2, 1, 2)))
 
 
 def _b_s32_r8_odd(prec):

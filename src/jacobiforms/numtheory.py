@@ -4,13 +4,19 @@ Everything here returns exact values: divisor sums, the Kronecker symbol,
 Bernoulli numbers and polynomials, Dirichlet L-values at non-positive
 integers via generalized Bernoulli numbers, and the Cohen numbers
 
-    H(r, N) = L(1-r, chi_D) * sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d)
+    H(r, N) = L(1-r, chi_D) * prod_{p^e || f} E_p,
+    E_p = sigma_{2r-1}(p^e) - chi_D(p) p^(r-1) sigma_{2r-1}(p^(e-1)),
 
-for (-1)^r N = D f^2 with D a fundamental discriminant (D = 1 allowed).
-Rational values are `fractions.Fraction`; integer-valued results may come
-back as plain `int`.  All functions are pure and safe to call from several
-threads: the memo caches are `functools.lru_cache`, and the table of
-Bernoulli numbers grows only under a lock.
+for (-1)^r N = D f^2 with D a fundamental discriminant (D = 1 allowed): the
+product is the Euler product of the twisted divisor sum
+sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), which is multiplicative
+in f.  Values stay plain `int` wherever they are integers; a
+`fractions.Fraction` enters only where a denominator can arise (a Bernoulli
+number, a division), and each rational-valued public function returns
+through :func:`as_rational` once, so an integer result is an `int` and any
+other is a `Fraction` with denominator > 1.  All functions are pure and safe
+to call from several threads: the memo caches are `functools.lru_cache`, and
+the table of Bernoulli numbers grows only under a lock.
 """
 
 from __future__ import annotations
@@ -317,19 +323,22 @@ def _cohen_h_int(r: int, n: int) -> Rat:
     if dn % 4 in (2, 3):
         return 0
     dec = fund_disc_decomp(dn)
-    acc = sum(
-        mobius(d) * kronecker(dec.d, d) * d ** (r - 1) * sigma(2 * r - 1, dec.f // d)
-        for d in divisors(dec.f)
-    )
-    return as_rational(Fraction(l_value_neg(r, dec.d)) * acc)
+    acc = 1
+    for p, e in factorize(dec.f):
+        k = p ** (2 * r - 1)
+        below = (k**e - 1) // (k - 1)  # sigma_{2r-1}(p^(e-1)); sigma(p^e) = k * below + 1
+        acc *= k * below + 1 - kronecker(dec.d, p) * p ** (r - 1) * below
+    return as_rational(l_value_neg(r, dec.d) * acc)
 
 
 def cohen_h(r: int, n: Rat) -> Rat:
     """Cohen number H(r, N) for rational N >= 0 (0 on non-integral N).
 
     N = 0 gives zeta(1-2r); (-1)^r N = 2,3 mod 4 gives 0; otherwise the
-    L-value times the mu-twisted divisor sum over the conductor.  Negative N
-    raises, since every caller in this package feeds N >= 0 by construction.
+    L-value times the Euler product over the conductor.  Negative N raises,
+    since every caller in this package feeds N >= 0 by construction; those
+    callers also ask only at integer N, and the 0 off the integers is for
+    the public API and the CLI.
     """
     if r < 1:
         raise ValueError(f"cohen_h expects r >= 1, got {r}")

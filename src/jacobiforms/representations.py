@@ -14,7 +14,8 @@ exact routes to the tau coefficients of the discriminant form.
 Every weighted window sum of Cohen numbers, sum_r w(r) H(k, N - r^2), goes
 through `h_window_sum`, and every sum over the lattice points of a sheared
 cone through `cone_points`; these two are the one reader of H over windows,
-here and in the identity registry.
+here and in the identity registry.  H is read only at integer N: f4 and f6
+read H(k, disc/d^2), disc = 16n - r^2, only where d^2 | disc (0 otherwise).
 
 Brute-force counting fills one table of exact counts per sum s <= n, one
 summand at a time (a dynamic program over the attainable values).
@@ -56,9 +57,10 @@ def _f_coeff(k: int, n: int, r: int) -> Rat:
     if disc == 0:
         return 1 if n % 2 else 0
     c4, cd = _F_CONSTANTS[k]
-    acc = c4 * Fraction(cohen_h(k, Fraction(disc, 4)))
+    acc = c4 * cohen_h(k, disc // 4) if disc % 4 == 0 else 0
     for d in divisors(math.gcd(n, r, 4)):
-        acc += cd * d**k * Fraction(cohen_h(k, Fraction(disc, d * d)))
+        if disc % (d * d) == 0:
+            acc += cd * d**k * cohen_h(k, disc // (d * d))
     return as_rational(acc)
 
 
@@ -190,13 +192,13 @@ def formula_delta8(n: int) -> int:
 # windows of Cohen numbers: the one reader of H over r-windows and cone points
 # ---------------------------------------------------------------------------
 
-def h_window_sum(k: int, big_n: int, weight, boundary: bool = False) -> Fraction:
+def h_window_sum(k: int, big_n: int, weight, boundary: bool = False) -> Rat:
     """sum over integers r with r^2 < N of weight(r) H(k, N - r^2); the
     terms r^2 = N are included only when boundary is set, and H is read
     only where the weight is nonzero."""
     rmax = math.isqrt(big_n)
-    return sum((w * Fraction(cohen_h(k, big_n - r * r)) for r in range(-rmax, rmax + 1)
-                if (boundary or r * r < big_n) and (w := weight(r))), Fraction(0))
+    return as_rational(sum(w * cohen_h(k, big_n - r * r) for r in range(-rmax, rmax + 1)
+                           if (boundary or r * r < big_n) and (w := weight(r))))
 
 
 def cone_points(c: int, slope: int, div: int, cone: int = 16):
@@ -218,27 +220,27 @@ def cone_points(c: int, slope: int, div: int, cone: int = 16):
 
 def _f4_sum(points) -> Rat:
     """sum over the points (r, m) of (-1)^r f4(m, r)."""
-    return as_rational(sum(_sign(r) * Fraction(f4_coeff(m, r)) for r, m in points))
+    return as_rational(sum(_sign(r) * f4_coeff(m, r) for r, m in points))
 
 
 def _h3_odd_r_sum(points) -> Rat:
     """-7/2 sum over the points with r odd and 16m > r^2 of H(3, 16m - r^2)."""
-    return as_rational(Fraction(-7, 2) * sum(Fraction(cohen_h(3, 16 * m - r * r))
+    return as_rational(Fraction(-7, 2) * sum(cohen_h(3, 16 * m - r * r)
                                              for r, m in points if r % 2 and 16 * m > r * r))
 
 
 def _r8_case_odd_a_even_n(a: int, n: int) -> Rat:
     target = n - 3 * a + 4
-    acc = Fraction(0)
+    acc = 0
     for r, m in cone_points(target, a - 1, a):
         if 16 * m == r * r:  # boundary representations: r = 4t, m = t^2
             acc += 1
         elif m % 2:
-            acc += _sign(r) * Fraction(7, 2) * Fraction(cohen_h(3, 16 * m - r * r))
+            acc += _sign(r) * Fraction(7, 2) * cohen_h(3, 16 * m - r * r)
     # second sum: a*m + 2*s*(a-1) + 3a - 4 = n, 4m > s^2, m odd
     for s, m in cone_points(target, 2 * (a - 1), a, cone=4):
         if m % 2 and 4 * m > s * s:
-            acc -= Fraction(511, 2) * Fraction(cohen_h(3, 4 * m - s * s))
+            acc -= Fraction(511, 2) * cohen_h(3, 4 * m - s * s)
     return as_rational(acc)
 
 
@@ -325,8 +327,8 @@ def tau(n: int, route: str = "direct") -> Rat:
         name, power, divisor, n_power = _MOMENT_ROUTES[route]
         coeff = globals()[name]
         rmax = math.isqrt(16 * n)
-        acc = sum(r**power * Fraction(coeff(n, r)) for r in range(-rmax, rmax + 1))
-        return as_rational(acc / (divisor * n**n_power))
+        acc = sum(r**power * coeff(n, r) for r in range(-rmax, rmax + 1))
+        return as_rational(Fraction(acc) / (divisor * n**n_power))
     if route == "via_h11":
         acc = h_window_sum(11, 4 * n, lambda r: 1, boundary=True) / Fraction(zeta_neg(-21))
         acc -= Fraction(65520, 691) * sigma(11, n)

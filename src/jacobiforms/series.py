@@ -468,16 +468,17 @@ class QSeries(_Series):
 
     def substituted(self, c: int) -> "QSeries":
         """q -> q^c for a positive integer c."""
-        if c < 1:
+        if not isinstance(c, int) or c < 1:
             raise ValueError("substitution exponent must be a positive integer")
         return QSeries(self.qscale, self.prec * c, {t * c: v for t, v in self.terms.items()})
 
     def shifted(self, delta: RatLike) -> "QSeries":
-        """Multiply by the exact monomial q^delta."""
-        d = Fraction(delta)
-        s = math.lcm(self.qscale, d.denominator)
+        """Multiply by the exact monomial q^delta, delta an int or a Fraction."""
+        if not isinstance(delta, (int, Fraction)):
+            raise TypeError(f"shift must be an int or a Fraction, got {delta!r}")
+        s = math.lcm(self.qscale, delta.denominator)
         a = self.rescaled(s)
-        off = d.numerator * (s // d.denominator)
+        off = delta.numerator * (s // delta.denominator)
         return QSeries(s, a.prec + off, {t + off: c for t, c in a.terms.items()})
 
     # -- comparison -------------------------------------------------------------
@@ -578,16 +579,16 @@ def cyclotomic_poly(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _root_power_rows(k: int) -> tuple:
-    """x^j mod Phi_k for j in range(k), as coefficient tuples."""
+    """x^j mod Phi_k for j in range(k), as int tuples (Phi_k is monic and integral)."""
     phi = cyclotomic_poly(k)
     deg = len(phi) - 1
     rows = []
-    row = [Fraction(0)] * deg
-    row[0] = Fraction(1)
+    row = [0] * deg
+    row[0] = 1
     for _ in range(k):
         rows.append(tuple(row))
         carry = row[deg - 1]
-        row = [Fraction(0)] + row[: deg - 1]
+        row = [0] + row[: deg - 1]
         if carry:
             for i in range(deg):
                 row[i] -= carry * phi[i]
@@ -595,14 +596,15 @@ def _root_power_rows(k: int) -> tuple:
 
 
 class CycloElt:
-    """Element of Q[x]/Phi_K(x) in the power basis, x = exp(2 pi i / K)."""
+    """Element of Q[x]/Phi_K(x) in the power basis, x = exp(2 pi i / K); the
+    coordinates are canonical (`as_rational`), so integer ones are ints."""
 
     __slots__ = ("conductor", "coords")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, coords):
         _set(self, "conductor", conductor)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(as_rational(c) for c in coords)
         deg = len(cyclotomic_poly(conductor)) - 1
         if len(coords) != deg:
             raise ValueError(f"expected {deg} coordinates for conductor {conductor}")
@@ -611,14 +613,13 @@ class CycloElt:
     @classmethod
     def zero(cls, conductor: int) -> "CycloElt":
         deg = len(cyclotomic_poly(conductor)) - 1
-        return cls(conductor, (Fraction(0),) * deg)
+        return cls(conductor, (0,) * deg)
 
     @classmethod
     def from_root_power(cls, conductor: int, j: int, coeff: RatLike = 1) -> "CycloElt":
         """coeff * exp(2 pi i j / K)."""
         row = _root_power_rows(conductor)[j % conductor]
-        c = Fraction(coeff)
-        return cls(conductor, tuple(c * x for x in row))
+        return cls(conductor, tuple(coeff * x for x in row))
 
     def __add__(self, other: "CycloElt") -> "CycloElt":
         if self.conductor != other.conductor:
@@ -640,7 +641,7 @@ class CycloElt:
         """Multiply by exp(2 pi i j / K)."""
         rows = _root_power_rows(self.conductor)
         deg = len(self.coords)
-        out = [Fraction(0)] * deg
+        out = [0] * deg
         for i, c in enumerate(self.coords):
             if not c:
                 continue
@@ -921,7 +922,7 @@ class FJExp(_Series):
 
     def ud(self, d: int) -> "FJExp":
         """The operator z -> d*z; the index is multiplied by d^2."""
-        if d < 1:
+        if not isinstance(d, int) or d < 1:
             raise ValueError("U_d expects a positive integer")
         if d == 1:
             return self
@@ -937,7 +938,7 @@ class FJExp(_Series):
         d^(k-1) * a(n*l/d^2, r/d), with gcd(0, 0, l) = l.  Requires integral
         scales; the result is certified for n < ceil(prec / l).
         """
-        if l < 1:
+        if not isinstance(l, int) or l < 1:
             raise ValueError("V_l expects a positive integer")
         if k is None:
             if self.weight is None or Fraction(self.weight).denominator != 1:
@@ -1184,10 +1185,15 @@ def _tail_bound(x0, c, d, shift, m, b) -> _TailBound:
     return _TailBound(c * x0 - ad * b + shift, 4 * ad * ad * m * x0)
 
 
-def _least_prec(target: RatLike, *bound) -> int:
-    """The least whole-q precision P >= 1 at which _tail_bound(P, *bound) admits `target`."""
-    p = 1
-    while not _tail_bound(p, *bound).admits(target):
+def _least_prec(target: RatLike, c, d, shift, m, b) -> int:
+    """The least whole-q precision P >= 1 at which _tail_bound(P, c, d, shift,
+    m, b) admits `target`.  Every branch of that bound is at most
+    c*P + shift - |d|*b, so the search starts at the least P that reaches
+    the target; the bound at P = 1 checks the arguments first."""
+    if _tail_bound(1, c, d, shift, m, b).admits(target):
+        return 1
+    p = max(2, -((shift - target - abs(d) * b) // c))
+    while not _tail_bound(p, c, d, shift, m, b).admits(target):
         p += 1
     return p
 
@@ -1207,11 +1213,14 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     """The least whole-q input precision P at which
     `eval_linear(tau_mult, z_mult)` certifies its window up to `target`,
     decided by the certifier's own bound as in `prec_for_specialize`."""
-    return _least_prec(target, tau_mult, z_mult, 0, Fraction(index), Fraction(slack))
+    return _least_prec(target, tau_mult, Fraction(z_mult), 0, Fraction(index), Fraction(slack))
 
 
 def require_prec(form: str, prec: int) -> None:
-    """The precondition shared by the public form constructors."""
+    """The precondition shared by the public form constructors: prec is an
+    int >= 1."""
+    if not isinstance(prec, int):
+        raise ValueError(f"{form} needs an integer prec, got {prec!r}")
     if prec < 1:
         raise ValueError(f"{form} needs prec >= 1, got {prec}")
 
@@ -1222,10 +1231,10 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def memo_by_prec(build):
     """Memoize a pure constructor `build(*args, prec)` whose series is
     certified below prec + c, c fixed per form: keep one build per `args`,
-    the one at the highest precision `top`, and cut any request with
-    1 <= prec <= top from it; any other request goes to `build`.  Builds run
-    outside the lock (constructors call each other) and replace the kept one
-    only if higher.  `cache_info` and `cache_clear` are as in lru_cache;
+    the one at the highest precision `top`, and cut any request with an int
+    1 <= prec <= top from it; any other request (a non-int precision too)
+    goes to `build`, whose own check decides.  Builds run outside the lock
+    (constructors call each other) and replace the kept one only if higher.  `cache_info` and `cache_clear` are as in lru_cache;
     `cache_precisions()` maps each kept `args` to the precision of its build."""
     kept: dict = {}  # args before the precision -> (top, series)
     counts = [0, 0]  # hits, misses
@@ -1236,7 +1245,7 @@ def memo_by_prec(build):
         key, prec = args[:-1], args[-1]
         with lock:
             top, series = kept.get(key, (0, None))
-            hit = 1 <= prec <= top
+            hit = isinstance(prec, int) and 1 <= prec <= top
             counts[0 if hit else 1] += 1
         if hit:
             return series.truncated(series.prec_exponent - (top - prec))

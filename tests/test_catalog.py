@@ -1,6 +1,7 @@
 """Catalog constructors against printed expansions and classical relations."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,27 @@ def test_served_build_equals_fresh_build(clear_memos):
         cat.theta(0)
     with pytest.raises(ValueError, match="theta00 needs prec >= 1"):
         cat.theta_ab(0, 0, 0)
+
+
+NON_INT_PREC_FORMS = {
+    "theta": cat.theta,
+    "theta00": lambda p: cat.theta_ab(0, 0, p),
+    "eta": cat.eta,
+    "jacobi_eis": lambda p: cat.jacobi_eis(4, 1, p),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", sorted(NON_INT_PREC_FORMS))
+@pytest.mark.parametrize("prec", [2.5, Fraction(5, 2)], ids=["float", "fraction"])
+def test_non_integer_precision_fails_cold_and_warm(clear_memos, name, warm, prec):
+    # the memo must not cut a non-integer request from a kept build either
+    build = NON_INT_PREC_FORMS[name]
+    clear_memos()
+    if warm:
+        build(3)
+    with pytest.raises(ValueError, match=re.escape(f"{name} needs an integer prec, got {prec!r}")):
+        build(prec)
 
 
 def test_memos_expose_lru_cache_counters(clear_memos):

@@ -1,6 +1,7 @@
 """Two-variable expansions: operators, division, specialization, precision."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -69,6 +70,17 @@ def test_vl_fixtures():
     assert e41.vl(2).coefficient(1, 1) == 576
     with pytest.raises(ValueError):
         cat.theta(4).vl(2)  # fractional scales
+
+
+def test_ud_rejects_a_non_integer_factor():
+    # theta(3).ud(1.5) used to give zeta-indices -1.5 and -4.5 and index 9/8
+    with pytest.raises(ValueError, match="U_d expects a positive integer"):
+        cat.theta(3).ud(1.5)
+
+
+def test_vl_rejects_a_non_integer_level():
+    with pytest.raises(ValueError, match="V_l expects a positive integer"):
+        cat.jacobi_eis(4, 1, 5).vl(2.0, 4)
 
 
 def test_vl_commutes_with_restriction():
@@ -215,6 +227,30 @@ def test_prec_planning_helpers():
             prec_for_eval_linear(4, 1, tau_mult, 1, 0)
         with pytest.raises(ValueError, match="tau multiplier"):
             cat.theta(4).eval_linear(tau_mult, 1)
+
+
+def search_from_one(target, *bound):
+    """The least P >= 1 whose tail bound admits the target, searched upward
+    from P = 1: the oracle for where the planners start their search."""
+    p = 1
+    while not series._tail_bound(p, *bound).admits(target):
+        p += 1
+    return p
+
+
+def test_planners_equal_the_search_from_one():
+    targets = (-3, 0, 1, 2, 5, 12, 30, Fraction(7, 3), Fraction(25, 8))
+    slopes = (0, Fraction(1, 4), HALF, Fraction(2, 3), 1, -HALF, 2)
+    for target, index, lam, slack in itertools.product(targets, (0, HALF, 1, 3, 4), slopes, (0, 1, 4)):
+        lam_f = Fraction(lam)
+        assert (prec_for_specialize(target, index, lam, slack)
+                == search_from_one(target, 1, lam_f, index * lam_f * lam_f, Fraction(index),
+                                   Fraction(slack))), (target, index, lam, slack)
+    for target, index, c, d, slack in itertools.product(targets, (0, HALF, 1, 4), (1, 2, 3),
+                                                        (0, HALF, 1, 2, -1), (0, 2)):
+        assert (prec_for_eval_linear(target, index, c, d, slack)
+                == search_from_one(target, c, Fraction(d), 0, Fraction(index), Fraction(slack))), \
+            (target, index, c, d, slack)
 
 
 def full_cone(index, slack, prec):

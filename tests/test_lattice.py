@@ -102,6 +102,15 @@ def test_theta_e8_rejects_empty_precision(prec):
         lattice.jacobi_theta_e8(lattice.U2, prec)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_theta_e8_rejects_a_non_integer_precision(clear_memos, warm):
+    clear_memos()
+    if warm:
+        lattice.jacobi_theta_e8(lattice.U2, 3)
+    with pytest.raises(ValueError, match="jacobi_theta_e8 needs an integer prec, got 2.5"):
+        lattice.jacobi_theta_e8(lattice.U2, 2.5)
+
+
 def test_theta_on_root_is_e41():
     assert lattice.jacobi_theta_e8(lattice.U2, 6).mismatch(cat.jacobi_eis_m1(4, 6)) is None
 

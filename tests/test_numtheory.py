@@ -1,6 +1,7 @@
 """Number-theory layer: every operation against an independent oracle."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from jacobiforms import numtheory
 from jacobiforms.numtheory import (
     DiscDecomp,
+    as_rational,
     bernoulli,
     bernoulli_poly,
     cohen_h,
@@ -294,6 +296,56 @@ def test_cohen_denominator_regression():
 def test_h3_always_nonpositive():
     # the weight-4 normalization flips sign: H(3, N) <= 0 throughout
     assert all(cohen_h(3, n) <= 0 for n in range(201))
+
+
+def _cohen_h_divisor_sum(r, n):
+    """H(r, N) with the twisted divisor sum over the conductor summed term by
+    term: L(1-r, chi_D) sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d),
+    the oracle for the Euler product in `cohen_h`."""
+    if n == 0:
+        return zeta_neg(1 - 2 * r)
+    dn = n if r % 2 == 0 else -n
+    if dn % 4 in (2, 3):
+        return 0
+    dec = fund_disc_decomp(dn)
+    acc = sum(
+        mobius(d) * kronecker(dec.d, d) * d ** (r - 1) * sigma(2 * r - 1, dec.f // d)
+        for d in divisors(dec.f)
+    )
+    return as_rational(Fraction(l_value_neg(r, dec.d)) * acc)
+
+
+def is_canonical(x):
+    """An exact value as the package returns it: an int, or a Fraction that is not one."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+EULER_RS = (1, 2, 3, 5, 7, 9, 11)
+
+
+def test_cohen_euler_product_against_divisor_sum():
+    for r in EULER_RS:
+        for n in range(2001):
+            value = cohen_h(r, n)
+            assert value == _cohen_h_divisor_sum(r, n) and is_canonical(value), (r, n)
+
+
+def test_cohen_euler_product_at_higher_prime_powers():
+    # sampled N <= 10^5 whose conductor has p^e, e >= 2, for p = 2, 3, 5
+    rng = random.Random(15)
+    for r in EULER_RS:
+        seen = set()
+        while len(seen) < 30:
+            n = rng.randrange(1, 10**5 + 1)
+            dn = n if r % 2 == 0 else -n
+            if dn % 4 in (2, 3) or n in seen:
+                continue
+            f = fund_disc_decomp(dn).f
+            if f % 4 and f % 9 and f % 25:
+                continue
+            seen.add(n)
+            value = cohen_h(r, n)
+            assert value == _cohen_h_divisor_sum(r, n) and is_canonical(value), (r, n)
 
 
 # -- serialization --------------------------------------------------------------------------

@@ -7,9 +7,16 @@ from fractions import Fraction
 import pytest
 
 from jacobiforms import catalog as cat
+from jacobiforms.numtheory import as_rational, cohen_h, divisors
 from jacobiforms.representations import (
+    _F_CONSTANTS,
     CountQuery,
+    _f4_sum,
+    _h3_odd_r_sum,
+    _r8_case_odd_a_even_n,
+    _sign,
     _value_multiplicities,
+    cone_points,
     count_bruteforce,
     delta16,
     f4_coeff,
@@ -17,6 +24,7 @@ from jacobiforms.representations import (
     figurate,
     formula_delta8,
     formula_r8,
+    h_window_sum,
     r16,
     r_a8_formula,
     r_a8odd_formula,
@@ -51,6 +59,49 @@ def test_boundary_rules():
     assert f4_coeff(1, 4) == 1 and f4_coeff(4, 8) == 0 and f4_coeff(9, 12) == 1
     assert f6_coeff(1, 4) == 1 and f6_coeff(4, 8) == 0
     assert f4_coeff(1, 5) == 0  # outside the cone
+
+
+def _f_coeff_rational_n(k, n, r):
+    """f4 (k = 3) or f6 (k = 5) with every H read at the rational N = disc/d^2,
+    0 off the integers: the oracle for the integer reads in `_f_coeff`."""
+    disc = 16 * n - r * r
+    if disc < 0 or n < 0:
+        return 0
+    if disc == 0:
+        return 1 if n % 2 else 0
+    c4, cd = _F_CONSTANTS[k]
+    acc = c4 * Fraction(cohen_h(k, Fraction(disc, 4)))
+    for d in divisors(math.gcd(n, r, 4)):
+        acc += cd * d**k * Fraction(cohen_h(k, Fraction(disc, d * d)))
+    return as_rational(acc)
+
+
+def is_canonical(x):
+    """An exact value as the package returns it: an int, or a Fraction that is not one."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_f_coefficients_against_rational_n_reads():
+    for n in range(41):
+        rmax = math.isqrt(16 * n)
+        for r in range(-rmax, rmax + 1):
+            for k, coeff in ((3, f4_coeff), (5, f6_coeff)):
+                value = coeff(n, r)
+                assert value == _f_coeff_rational_n(k, n, r) and is_canonical(value), (k, n, r)
+
+
+def test_cohen_readers_return_canonical_values():
+    weights = (lambda r: 1, _sign, lambda r: r**6, lambda r: 1 if r % 3 == 0 else Fraction(-1, 2))
+    values = [h_window_sum(k, big_n, w, boundary) for k in (3, 5, 7, 11) for big_n in range(1, 50)
+              for w in weights for boundary in (False, True)]
+    for a in range(1, 6):
+        for n in range(1, 30):
+            points = list(cone_points(n - 3 * a + 4, a - 1, a))
+            values += [_f4_sum(points), _h3_odd_r_sum(points), _r8_case_odd_a_even_n(a, n)]
+            values += [r_a8_formula(a, n), r_a8odd_formula(a, n)]
+    values += [tau(n, route) for n in range(1, 17) for route in tau_applicable_routes(n)]
+    values += [f(n) for n in range(1, 16, 2) for f in (r16, delta16)]
+    assert all(is_canonical(v) for v in values)
 
 
 def test_count_fixture_values():

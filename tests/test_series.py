@@ -188,6 +188,18 @@ def test_substitute_and_shift():
     assert s.shifted(Fraction(1, 3)).normalized() == e
 
 
+def test_substituted_rejects_a_non_integer_exponent():
+    # a float exponent would leak floats into the exponents and the precision
+    with pytest.raises(ValueError, match="substitution exponent must be a positive integer"):
+        QSeries(1, 4, {0: 1, 1: 1}).substituted(1.5)
+
+
+def test_shifted_takes_only_an_int_or_a_fraction():
+    with pytest.raises(TypeError, match="shift must be an int or a Fraction"):
+        catalog.eisenstein(4, 4).shifted(0.1)
+    assert catalog.eisenstein(4, 4).shifted(2).coefficient(3) == 240
+
+
 def test_normalized_idempotent_and_lossless():
     a = QSeries(8, 63, {8: 1, 56: -3})
     n = a.normalized()
