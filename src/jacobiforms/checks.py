@@ -9,9 +9,10 @@ run the same checks.  Every comparison is exact.
 The "constructor cross-checks" rebuild theta from the triple product, the
 Euler product as a naive product, and Delta as eta^24, and compare them with
 the catalog's one-route constructors.  The "lattice fixtures" check compares
-the E8 Jacobi theta series, counted coordinate by coordinate, with a tally
-over the E8 vectors enumerated here (`_e8_doubled_vectors`, the oracle of
-the lattice counts, which `lattice.vector_counts` reads off that series).
+the E8 Jacobi theta series, built from products of level-two theta series,
+with a tally over the E8 vectors enumerated here (`_e8_doubled_vectors`, the
+oracle of the lattice counts, which `lattice.vector_counts` reads off that
+series).
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def check_lattice():
     p = LATTICE_CHECK_PREC
     for name, u in (("u2", lattice.U2), ("u8", lattice.U8)):
         if dict(lattice.jacobi_theta_e8(u, p).terms) != _e8_theta_by_enumeration(u, p):
-            return False, f"Theta_{{E8,{name}}} at prec {p}: coordinate count != enumeration"
-    return True, f"root counts, theta series fixtures, coordinate count vs enumeration at prec {p}"
+            return False, f"Theta_{{E8,{name}}} at prec {p}: theta products != enumeration"
+    return True, f"root counts, theta series fixtures, theta products vs enumeration at prec {p}"
 
 
 def check_catalog():

@@ -1,27 +1,34 @@
 """Short-vector counts in E8, E7, A7 and the Jacobi theta series of E8.
 
-E8 is realized as D8 together with the coset D8 + (1/2, ..., 1/2) (Conway-
-Sloane, SPLAG, ch. 4 sec. 8.1), in doubled coordinates: w = 2v, all
-coordinates of equal parity, coordinate sum = 0 mod 4.  The Jacobi theta
-series is counted coordinate by coordinate, once per parity class: the
-state (norm so far, dot product with 2u so far, coordinate sum mod 4) maps
-to its multiplicity, so vectors with equal data are never told apart.
+E8 is D8 together with the coset D8 + (1/2, ..., 1/2) (Conway-Sloane, SPLAG,
+ch. 4 sec. 7-8), and the theta series of D_n is (theta_00^n + theta_01^n)/2,
+so the Jacobi theta series of E8 against an integer vector u is built from
+the catalog's level-two theta series, the coordinates grouped by |u_i|:
+
+    Theta_E8(tau, z*u) = 1/2 sum over (a, b) of prod_i theta_ab(tau, u_i*z).
+
+theta_11 is odd in z and the other three are even, so an odd count of
+negative u_i flips the sign of the (1, 1) product.
+
 `vector_counts` reads every count off that series: E8 at z = 0, E7 as the
 zeta^0 column on U2 (the orthogonal complement of a root) and A7 as the
 zeta^0 column on U8 (the complement of a primitive vector of norm 8).  Root
 counts of the complements (126 and 56) are asserted whenever a theta series
 is built on a vector of norm 2 or a primitive vector of norm 8 - they
 certify the choice of vectors against the series fixtures.  The explicit
-enumeration of E8 vectors lives in `jacobiforms.checks`, as the oracle.
+enumeration of E8 vectors lives in `jacobiforms.checks`, as the oracle; the
+tests keep a coordinate-by-coordinate count as the high-precision one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from functools import lru_cache, reduce
+from operator import add, mul
 from types import MappingProxyType
 
+from jacobiforms import catalog
 from jacobiforms.series import FJExp, memo_by_prec, require_prec
 
 U2 = (1, -1, 0, 0, 0, 0, 0, 0)
@@ -70,29 +77,18 @@ def vector_counts(lattice: str, max_norm: int) -> MappingProxyType:
 
 @memo_by_prec
 def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
-    doubled_u = [2 * x for x in u]
-    max_doubled = 8 * prec - 8  # (v,v) < 2*prec, norms are even
-    top = isqrt(max_doubled)
-    terms: dict = {}
-    for parity in (0, 1):
-        xs = [x for x in range(-top, top + 1) if (x - parity) % 2 == 0]
-        # (w.w, w.(2u), coordinate sum mod 4) of the coordinates so far -> count
-        states = {(0, 0, 0): 1}
-        for c in doubled_u:
-            grown: dict = {}
-            for (n, d, s), count in states.items():
-                for x in xs:
-                    nx = n + x * x
-                    if nx <= max_doubled:
-                        key = (nx, d + x * c, (s + x) % 4)
-                        grown[key] = grown.get(key, 0) + count
-            states = grown
-        for (n, d, s), count in states.items():
-            if s == 0:
-                key = (n // 8, d // 4)  # ((v,v)/2, (v,u))
-                terms[key] = terms.get(key, 0) + count
+    # the product formula of the module docstring
+    sizes = Counter(abs(x) for x in u)
+    odd = sum(x < 0 for x in u) % 2
+    terms = []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        term = reduce(mul, ((catalog.theta_ab(a, b, prec).ud(k) if k
+                             else FJExp.from_qseries(catalog.theta_const(a, b, prec))) ** e
+                            for k, e in sizes.items()))
+        terms.append(-term if odd and (a, b) == (1, 1) else term)
     norm = sum(x * x for x in u)
-    series = FJExp(1, 1, prec, terms, weight=4, index=Fraction(norm, 2), cone_slack=0)
+    series = (reduce(add, terms) / 2).normalized().with_meta(
+        weight=4, index=Fraction(norm, 2), cone_slack=0)
     # root-count certificates for the two configurations the package relies on
     if norm == 2 and prec >= 2:
         if series.coefficient(1, 0) != 126:

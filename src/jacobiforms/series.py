@@ -86,6 +86,14 @@ def _read_only(self, name, *_):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
 
+def _fraction(name: str, x: RatLike) -> Fraction:
+    """Fraction(x) for an int or a Fraction x; anything else raises
+    TypeError, since Fraction would take a float's binary expansion."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # the product kernel shared by QSeries and FJExp
 # ---------------------------------------------------------------------------
@@ -474,8 +482,7 @@ class QSeries(_Series):
 
     def shifted(self, delta: RatLike) -> "QSeries":
         """Multiply by the exact monomial q^delta, delta an int or a Fraction."""
-        if not isinstance(delta, (int, Fraction)):
-            raise TypeError(f"shift must be an int or a Fraction, got {delta!r}")
+        delta = _fraction("shift", delta)
         s = math.lcm(self.qscale, delta.denominator)
         a = self.rescaled(s)
         off = delta.numerator * (s // delta.denominator)
@@ -618,6 +625,7 @@ class CycloElt:
     @classmethod
     def from_root_power(cls, conductor: int, j: int, coeff: RatLike = 1) -> "CycloElt":
         """coeff * exp(2 pi i j / K)."""
+        coeff = _fraction("coeff", coeff)
         row = _root_power_rows(conductor)[j % conductor]
         return cls(conductor, tuple(coeff * x for x in row))
 
@@ -1005,7 +1013,8 @@ class FJExp(_Series):
         """The one-variable series of (tau, z) -> (c*tau, d*tau): each term
         c q^(t/s) zeta^(r/w) contributes at q-exponent c*(t/s) + d*(r/w)."""
         zero = Fraction(0)
-        scale, prec, _, sums = self._pullback(tau_mult, Fraction(z_mult), zero, zero, zero)
+        scale, prec, _, sums = self._pullback(tau_mult, _fraction("z_mult", z_mult),
+                                              zero, zero, zero)
         return QSeries(scale, prec, {e: v for (e, _), v in sums.items()})
 
     def specialize(self, lam: RatLike, mu: RatLike, index: Optional[RatLike] = None,
@@ -1021,8 +1030,8 @@ class FJExp(_Series):
         """
         if index is None and self.index is None:
             raise ValueError("an index is required to specialize (none in metadata)")
-        m = Fraction(self.index if index is None else index)
-        lam, mu = Fraction(lam), Fraction(mu)
+        m = Fraction(self.index) if index is None else _fraction("index", index)
+        lam, mu = _fraction("lam", lam), _fraction("mu", mu)
         scale, prec, conductor, sums = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
         if conductor > 48:
             raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
@@ -1204,8 +1213,8 @@ def prec_for_specialize(target: RatLike, index: RatLike, lam: RatLike, slack: Ra
     point of the output's exponent grid) for an expansion of this index and
     cone slack.  It asks the certifier's own bound: P certifies the target
     and P - 1 does not."""
-    lam, m = Fraction(lam), Fraction(index)
-    return _least_prec(target, 1, lam, m * lam * lam, m, Fraction(slack))
+    lam, m = _fraction("lam", lam), _fraction("index", index)
+    return _least_prec(target, 1, lam, m * lam * lam, m, _fraction("slack", slack))
 
 
 def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
@@ -1213,7 +1222,8 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     """The least whole-q input precision P at which
     `eval_linear(tau_mult, z_mult)` certifies its window up to `target`,
     decided by the certifier's own bound as in `prec_for_specialize`."""
-    return _least_prec(target, tau_mult, Fraction(z_mult), 0, Fraction(index), Fraction(slack))
+    return _least_prec(target, tau_mult, _fraction("z_mult", z_mult), 0,
+                       _fraction("index", index), _fraction("slack", slack))
 
 
 def require_prec(form: str, prec: int) -> None:

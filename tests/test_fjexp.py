@@ -229,6 +229,44 @@ def test_prec_planning_helpers():
             cat.theta(4).eval_linear(tau_mult, 1)
 
 
+# a float pull-back parameter would be read by Fraction as its binary
+# expansion (0.1 -> 3602879701896397/2^55), so every entry point refuses one
+FLOAT = 0.1
+
+
+@pytest.mark.parametrize("z_mult", [FLOAT, "1/2"])
+def test_eval_linear_takes_only_an_int_or_a_fraction(z_mult):
+    with pytest.raises(TypeError, match="z_mult must be an int or a Fraction"):
+        cat.theta(3).eval_linear(3, z_mult)
+
+
+@pytest.mark.parametrize("name", ["lam", "mu", "index"])
+def test_specialize_takes_only_ints_or_fractions(name):
+    args = {"lam": HALF, "mu": 0, "index": HALF, name: FLOAT}
+    with pytest.raises(TypeError, match=f"{name} must be an int or a Fraction"):
+        cat.theta(3).specialize(**args)
+
+
+@pytest.mark.parametrize("name", ["lam", "index", "slack"])
+def test_prec_for_specialize_takes_only_ints_or_fractions(name):
+    args = {"target": 4, "index": 4, "lam": HALF, "slack": 0, name: FLOAT}
+    with pytest.raises(TypeError, match=f"{name} must be an int or a Fraction"):
+        prec_for_specialize(**args)
+
+
+@pytest.mark.parametrize("name", ["z_mult", "index", "slack"])
+def test_prec_for_eval_linear_takes_only_ints_or_fractions(name):
+    args = {"target": 4, "index": 4, "tau_mult": 3, "z_mult": 2, "slack": 0, name: FLOAT}
+    with pytest.raises(TypeError, match=f"{name} must be an int or a Fraction"):
+        prec_for_eval_linear(**args)
+
+
+def test_root_power_takes_only_an_int_or_a_fraction_coefficient():
+    with pytest.raises(TypeError, match="coeff must be an int or a Fraction"):
+        series.CycloElt.from_root_power(8, 1, FLOAT)
+    assert series.CycloElt.from_root_power(4, 1, HALF).coords == (0, HALF)
+
+
 def search_from_one(target, *bound):
     """The least P >= 1 whose tail bound admits the target, searched upward
     from P = 1: the oracle for where the planners start their search."""

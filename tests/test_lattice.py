@@ -10,6 +10,7 @@ import pytest
 from jacobiforms import catalog as cat
 from jacobiforms import checks, identities, lattice
 from jacobiforms.numtheory import sigma
+from jacobiforms.series import FJExp
 
 
 def test_root_counts():
@@ -135,10 +136,71 @@ def test_theta_independent_of_vector_in_orbit():
 
 @pytest.mark.parametrize("u", [lattice.U2, lattice.U8, (1, 1, 1, 1, 0, 0, 0, 0), (2, -2, 0, 0, 0, 0, 0, 0)])
 def test_coordinate_count_matches_enumeration(u, clear_memos):
-    # the coordinate-by-coordinate count against a tally of the enumerated vectors
+    # the four theta products against a tally of the enumerated vectors
     for p in range(1, 7):
         clear_memos()
         assert dict(lattice.jacobi_theta_e8(u, p).terms) == checks._e8_theta_by_enumeration(u, p), p
+
+
+def _theta_e8_by_coordinates(u, prec: int):
+    """The E8 Jacobi theta series on u below q^prec, counted coordinate by
+    coordinate in doubled coordinates w = 2v, once per parity class: the
+    state (norm so far, dot product with 2u so far, coordinate sum mod 4)
+    maps to its multiplicity."""
+    doubled_u = [2 * x for x in u]
+    max_doubled = 8 * prec - 8  # (v,v) < 2*prec, norms are even
+    top = isqrt(max_doubled)
+    terms: dict = {}
+    for parity in (0, 1):
+        xs = [x for x in range(-top, top + 1) if (x - parity) % 2 == 0]
+        # (w.w, w.(2u), coordinate sum mod 4) of the coordinates so far -> count
+        states = {(0, 0, 0): 1}
+        for c in doubled_u:
+            grown: dict = {}
+            for (n, d, s), count in states.items():
+                for x in xs:
+                    nx = n + x * x
+                    if nx <= max_doubled:
+                        key = (nx, d + x * c, (s + x) % 4)
+                        grown[key] = grown.get(key, 0) + count
+            states = grown
+        for (n, d, s), count in states.items():
+            if s == 0:
+                key = (n // 8, d // 4)  # ((v,v)/2, (v,u))
+                terms[key] = terms.get(key, 0) + count
+    norm = sum(x * x for x in u)
+    return FJExp(1, 1, prec, terms, weight=4, index=Fraction(norm, 2), cone_slack=0)
+
+
+_FEW_PRECS = (1, 2, 3, 5, 8, 13, 24)
+_PRODUCT_CASES = [
+    (lattice.U2, range(1, 25)),
+    (lattice.U8, range(1, 25)),
+    (lattice.U2, (64,)),
+    (lattice.U8, (64,)),
+    *[(u, _FEW_PRECS) for u in [
+        (1, 1, 1, 1, 0, 0, 0, 0), (2, -2, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0, -1, 0), (0, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, -1, -1),
+        (-2, 1, 1, 1, -1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 2),
+        (0,) * 8, (4, 0, 0, 0, 0, 0, 0, 0),
+        (3, 1, 0, 0, 0, 0, 0, 0),  # distinct |u_i|
+        (-1, 1, 1, 1, 1, 1, 1, 1),  # an odd count of negative coordinates
+    ]],
+]
+
+
+@pytest.mark.parametrize("u, precs", _PRODUCT_CASES, ids=[
+    ",".join(map(str, u)) + "-p" + (f"{ps.start}..{ps.stop - 1}" if isinstance(ps, range)
+                                    else ",".join(map(str, ps)))
+    for u, ps in _PRODUCT_CASES])
+def test_theta_products_match_coordinate_count(u, precs, clear_memos):
+    # the four products of level-two theta series against the coordinate count
+    for p in precs:
+        clear_memos()
+        got, want = lattice.jacobi_theta_e8(u, p), _theta_e8_by_coordinates(u, p)
+        fields = ("qscale", "zscale", "prec", "weight", "index", "cone_slack")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], p
+        assert got.terms == want.terms, p
 
 
 def test_e8_identity_at_precision_24():
