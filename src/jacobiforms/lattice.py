@@ -81,7 +81,8 @@ def _jacobi_theta_e8_cached(u: tuple, prec: int) -> FJExp:
     sizes = Counter(abs(x) for x in u)
     odd = sum(x < 0 for x in u) % 2
     terms = []
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    # theta_11 vanishes at z = 0, so a zero u_i kills the (1, 1) product
+    for a, b in ((0, 0), (0, 1), (1, 0)) + (() if 0 in sizes else ((1, 1),)):
         term = reduce(mul, ((catalog.theta_ab(a, b, prec).ud(k) if k
                              else FJExp.from_qseries(catalog.theta_const(a, b, prec))) ** e
                             for k, e in sizes.items()))

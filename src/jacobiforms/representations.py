@@ -17,8 +17,11 @@ cone through `cone_points`; these two are the one reader of H over windows,
 here and in the identity registry.  H is read only at integer N: f4 and f6
 read H(k, disc/d^2), disc = 16n - r^2, only where d^2 | disc (0 otherwise).
 
-Brute-force counting fills one table of exact counts per sum s <= n, one
-summand at a time (a dynamic program over the attainable values).
+Brute-force counting raises the generating polynomial of the attainable
+values, truncated at q^n, to the m-th power as one packed integer
+(Kronecker substitution): every coefficient is a non-negative count, so slots
+wide enough for the largest count never carry, and the power holds the count
+of every sum s <= n.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ def _sign(r: int) -> int:
 # coefficient formulas
 # ---------------------------------------------------------------------------
 
-# k -> (c4, cd): f(n, r) = c4 H(k, disc/4) + cd sum_{d | (n,r,4)} d^k H(k, disc/d^2)
-_F_CONSTANTS = {3: (Fraction(-511, 2), Fraction(7, 2)), 5: (Fraction(-1057, 8), Fraction(1, 8))}
+# k -> (c4, cd, den): f(n, r) = (c4 H(k, disc/4) + cd sum_{d | (n,r,4)} d^k H(k, disc/d^2)) / den
+_F_CONSTANTS = {3: (-511, 7, 2), 5: (-1057, 1, 8)}
 
 
 def _f_coeff(k: int, n: int, r: int) -> Rat:
@@ -56,12 +59,12 @@ def _f_coeff(k: int, n: int, r: int) -> Rat:
         return 0
     if disc == 0:
         return 1 if n % 2 else 0
-    c4, cd = _F_CONSTANTS[k]
+    c4, cd, den = _F_CONSTANTS[k]
     acc = c4 * cohen_h(k, disc // 4) if disc % 4 == 0 else 0
     for d in divisors(math.gcd(n, r, 4)):
         if disc % (d * d) == 0:
             acc += cd * d**k * cohen_h(k, disc // (d * d))
-    return as_rational(acc)
+    return as_rational(Fraction(acc, den))
 
 
 @lru_cache(maxsize=None)
@@ -149,24 +152,29 @@ def _value_multiplicities(query: CountQuery) -> tuple:
 
 
 def count_bruteforce(query: CountQuery) -> int:
-    """Exact representation count by one dynamic-programming table.
+    """Exact representation count by one binary power of a packed integer.
 
-    table[s] counts the tuples of the summands placed so far that sum to
-    s <= n; each of the m summands adds every attainable value, weighted by
-    the number of x giving it, to every nonzero entry."""
-    n = query.n
+    The values, weighted by the number of x giving each, are packed into
+    slots of b bits, sum mult * 2^(b v), and the packed int is raised to the
+    m-th power with every product masked to the n + 1 slots of the sums
+    s <= n; the count is slot n.  No slot carries: every slot of a partial
+    power, and of a product before the mask, counts tuples of at most m of
+    the `total` weighted values, so it is at most total^m < 2^b; slot n is
+    the top slot the mask keeps."""
+    n, m = query.n, query.m
     values = _value_multiplicities(query)
-    table = [1] + [0] * n
-    for _ in range(query.m):
-        nxt = [0] * (n + 1)
-        for s, c in enumerate(table):
-            if c:
-                for v, mult in values:
-                    if s + v > n:
-                        break
-                    nxt[s + v] += c * mult
-        table = nxt
-    return table[n]
+    total = sum(mult for _, mult in values)
+    b = (total ** m).bit_length()
+    mask = (1 << (b * (n + 1))) - 1
+    base = sum(mult << (b * v) for v, mult in values)
+    acc = 1
+    while True:
+        if m & 1:
+            acc = (acc * base) & mask
+        m >>= 1
+        if not m:
+            return acc >> (b * n)
+        base = (base * base) & mask
 
 
 # ---------------------------------------------------------------------------

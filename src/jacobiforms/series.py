@@ -640,7 +640,7 @@ class CycloElt:
         return CycloElt(self.conductor, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, scalar) -> "CycloElt":
-        c = Fraction(scalar)
+        c = _fraction("scalar", scalar)
         return CycloElt(self.conductor, tuple(c * x for x in self.coords))
 
     __rmul__ = __mul__

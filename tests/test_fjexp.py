@@ -267,6 +267,22 @@ def test_root_power_takes_only_an_int_or_a_fraction_coefficient():
     assert series.CycloElt.from_root_power(4, 1, HALF).coords == (0, HALF)
 
 
+@pytest.mark.parametrize("scalar", [FLOAT, "1/2"], ids=["float", "str"])
+def test_cyclo_scalar_takes_only_an_int_or_a_fraction(scalar):
+    i_elt = series.CycloElt.from_root_power(4, 1)
+    with pytest.raises(TypeError, match="scalar must be an int or a Fraction"):
+        i_elt * scalar
+    with pytest.raises(TypeError, match="scalar must be an int or a Fraction"):
+        scalar * i_elt
+
+
+def test_cyclo_scalar_products_by_ints_and_fractions():
+    elt = series.CycloElt.from_root_power(8, 1) + series.CycloElt.from_root_power(8, 2, HALF)
+    assert (elt * 3).coords == (0, 3, Fraction(3, 2), 0)
+    assert (HALF * elt).coords == (0, HALF, Fraction(1, 4), 0)
+    assert (elt * Fraction(4, 2)).coords == (0, 2, 1, 0) and type((elt * Fraction(4, 2)).coords[1]) is int
+
+
 def search_from_one(target, *bound):
     """The least P >= 1 whose tail bound admits the target, searched upward
     from P = 1: the oracle for where the planners start their search."""

@@ -9,9 +9,9 @@ import pytest
 from jacobiforms import catalog as cat
 from jacobiforms.numtheory import as_rational, cohen_h, divisors
 from jacobiforms.representations import (
-    _F_CONSTANTS,
     CountQuery,
     _f4_sum,
+    _f_coeff,
     _h3_odd_r_sum,
     _r8_case_odd_a_even_n,
     _sign,
@@ -61,6 +61,37 @@ def test_boundary_rules():
     assert f4_coeff(1, 5) == 0  # outside the cone
 
 
+# the module docstring's constants, k -> (c4, cd)
+DOC_CONSTANTS = {3: (Fraction(-511, 2), Fraction(7, 2)), 5: (Fraction(-1057, 8), Fraction(1, 8))}
+
+
+def _f_coeff_docstring(k, n, r):
+    """f4 (k = 3) or f6 (k = 5) term by term as the module docstring writes
+    it, with Fraction constants and H read only at integer N."""
+    disc = 16 * n - r * r
+    if disc < 0 or n < 0:
+        return 0
+    if disc == 0:
+        return 1 if n % 2 else 0
+    c4, cd = DOC_CONSTANTS[k]
+    acc = Fraction(0)
+    if disc % 4 == 0:
+        acc += c4 * cohen_h(k, disc // 4)
+    for d in divisors(math.gcd(n, r, 4)):
+        if disc % (d * d) == 0:
+            acc += cd * d**k * cohen_h(k, disc // (d * d))
+    return as_rational(acc)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_f_coefficients_over_one_denominator_match_the_docstring(k):
+    for n in range(41):
+        rmax = math.isqrt(16 * n + 4)
+        for r in range(-rmax, rmax + 1):
+            value = _f_coeff(k, n, r)
+            assert value == _f_coeff_docstring(k, n, r) and is_canonical(value), (n, r)
+
+
 def _f_coeff_rational_n(k, n, r):
     """f4 (k = 3) or f6 (k = 5) with every H read at the rational N = disc/d^2,
     0 off the integers: the oracle for the integer reads in `_f_coeff`."""
@@ -69,7 +100,7 @@ def _f_coeff_rational_n(k, n, r):
         return 0
     if disc == 0:
         return 1 if n % 2 else 0
-    c4, cd = _F_CONSTANTS[k]
+    c4, cd = DOC_CONSTANTS[k]
     acc = c4 * Fraction(cohen_h(k, Fraction(disc, 4)))
     for d in divisors(math.gcd(n, r, 4)):
         acc += cd * d**k * Fraction(cohen_h(k, Fraction(disc, d * d)))
@@ -157,6 +188,43 @@ def _sum_table(values: tuple, k: int, cap: int) -> dict:
 
 COUNT_KINDS = ([("squares", None), ("triangular", None)]
                + [(kind, a) for kind in ("figurate", "figurate_odd") for a in range(1, 6)])
+
+
+def _count_by_table(query: CountQuery) -> int:
+    """Exact representation count by one dynamic-programming table: the
+    oracle for the packed-integer power in `count_bruteforce`.
+
+    table[s] counts the tuples of the summands placed so far that sum to
+    s <= n; each of the m summands adds every attainable value, weighted by
+    the number of x giving it, to every nonzero entry."""
+    n = query.n
+    values = _value_multiplicities(query)
+    table = [1] + [0] * n
+    for _ in range(query.m):
+        nxt = [0] * (n + 1)
+        for s, c in enumerate(table):
+            if c:
+                for v, mult in values:
+                    if s + v > n:
+                        break
+                    nxt[s + v] += c * mult
+        table = nxt
+    return table[n]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16, 24])
+@pytest.mark.parametrize("kind, a", COUNT_KINDS)
+def test_packed_power_matches_table(kind, a, m):
+    for n in range(61):
+        query = CountQuery(kind, m, n, a=a)
+        assert count_bruteforce(query) == _count_by_table(query), n
+
+
+@pytest.mark.parametrize("kind", ["squares", "triangular"])
+def test_packed_power_matches_table_past_machine_words(kind):
+    query = CountQuery(kind, 16, 2001)
+    count = count_bruteforce(query)
+    assert count > 2**64 and count == _count_by_table(query)
 
 
 @pytest.mark.parametrize("kind, a", COUNT_KINDS)
