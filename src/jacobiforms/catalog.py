@@ -1,8 +1,8 @@
 """Constructors for the named forms: the odd Jacobi theta series and its
 level-two relatives, eta, Delta, theta constants, Eisenstein series E_k,
 the quasi-modular G_2 and the level-2 eps_2, the four weight-0 weak Jacobi
-generators phi_{0,1..4}, Jacobi-Eisenstein series E_{k,m}, and the product
-wp*theta^2 realized as eta^6 phi_{0,1} / 12.
+generators phi_{0,1..4}, all built from the odd theta series, Jacobi-Eisenstein
+series E_{k,m}, and the product wp*theta^2 realized as eta^6 phi_{0,1} / 12.
 
 Each constructor builds by one route; E_{k,m} sums Cohen numbers coefficient
 by coefficient (Eichler-Zagier, Thm 2.1).  The second routes that cross-check
@@ -185,13 +185,10 @@ def jacobi_eis_m1(k: int, prec: int) -> FJExp:
 # weight-0 weak Jacobi generators and the wp product
 # ---------------------------------------------------------------------------
 
-@memo_by_prec
-def _xi_squared(two_a: int, two_b: int, prec: int) -> FJExp:
-    """(theta_ab(tau, z) / theta_ab(tau))^2 at an internal working precision."""
-    num = theta_ab(two_a, two_b, prec)
-    den = theta_const(two_a, two_b, prec)
-    ratio = num * den.inverse()
-    return ratio * ratio
+def _d_zeta(f: FJExp) -> FJExp:
+    """D = zeta d/dzeta, term by term: c q^(t/s) zeta^(r/w) -> (r/w) c q^(t/s) zeta^(r/w)."""
+    w = f.zscale
+    return FJExp(f.qscale, w, f.prec, {(t, r): Fraction(r * c, w) for (t, r), c in f.terms.items()})
 
 
 _PHI_Q0 = {
@@ -204,28 +201,31 @@ _PHI_Q0 = {
 
 @memo_by_prec
 def phi(j: int, prec: int) -> FJExp:
-    """The weak Jacobi form phi_{0,j} of weight 0 and index j (j = 1..4).
+    """The weak Jacobi form phi_{0,j} of weight 0 and index j (j = 1..4),
+    from the odd theta series alone (Eichler-Zagier, section 3 and Thm 9.3):
+    with D = zeta d/dzeta and phi_{-2,1} = -theta^2 / eta^6,
 
-    phi_{0,1} and phi_{0,2} come from the squared quotients of the level-two
-    theta series by their theta constants; phi_{0,3} and phi_{0,4} are exact
-    quotients of theta rescalings.  The constant zeta-polynomials are
-    asserted on construction.
+        phi_{0,1} = (12 ((D theta)^2 - theta D^2 theta) + E_2 theta^2) / eta^6 = 12 wp theta^2 / eta^6,
+        phi_{0,2} = (phi_{0,1}^2 - E_4 phi_{-2,1}^2) / 24,
+
+    and phi_{0,3}, phi_{0,4} are exact quotients of theta rescalings.  The
+    constant zeta-polynomials are asserted on construction.
     """
     if j not in (1, 2, 3, 4):
         raise UnknownFormError(f"phi_{{0,{j}}} is not a generator (j must be 1..4)")
     require_prec("phi", prec)
     work = prec + 1
-    if j == 1:
-        result = 4 * (_xi_squared(0, 0, work) + _xi_squared(0, 1, work) + _xi_squared(1, 0, work))
-    elif j == 2:
-        x00, x01, x10 = (_xi_squared(a, b, work) for a, b in ((0, 0), (0, 1), (1, 0)))
-        result = 2 * (x00 * x01 + x00 * x10 + x10 * x01)
+    th = theta(work)
+    if j <= 2:
+        th2, inv_eta6 = th * th, (eta(work) ** 6).inverse()
+        d1 = _d_zeta(th)
+        result = (12 * (d1 * d1 - th * _d_zeta(d1)) + eisenstein(2, work) * th2) * inv_eta6
+        if j == 2:
+            result = (result * result - th2 * th2 * (eisenstein(4, work) * inv_eta6 ** 2)) / 24
     elif j == 3:
-        th = theta(work)
         ratio = th.ud(2).divide(th)
         result = ratio * ratio
     else:
-        th = theta(work)
         result = th.ud(3).divide(th)
     result = result.truncated(prec).normalized().with_meta(weight=0, index=j, cone_slack=j)
     if result.q_slice(0) != _PHI_Q0[j]:
@@ -236,10 +236,10 @@ def phi(j: int, prec: int) -> FJExp:
 @memo_by_prec
 def wp_theta2(prec: int) -> FJExp:
     """The product of the Weierstrass wp-function with theta^2, weight 3 and
-    index 1, realized as eta^6 phi_{0,1} / 12.
-
-    wp itself is meromorphic and never constructed; only this holomorphic
-    product (and its powers against theta powers) ever appears.
+    index 1: (D theta)^2 - theta D^2 theta + E_2 theta^2 / 12 (D = zeta d/dzeta),
+    which is eta^6 phi_{0,1} / 12.  It is built as the latter, whose scales
+    (24, 1) the serialized form records; a build from theta would have (8, 2).
+    wp itself is meromorphic and never constructed.
     """
     require_prec("wp_theta2", prec)
     result = (eta(prec) ** 6) * phi(1, prec) * Fraction(1, 12)

@@ -11,7 +11,8 @@ sorted, rationals print canonically, and exact values are JSON strings.
 Exit codes: 0 success / all pass, 1 verification failure or an internal
 check that raised (one "error: Type: message" line on stderr), 2 unknown form
 or identity, 3 precondition violation.  JF_DEFAULT_PREC overrides the default
-precision where no --prec is given.
+precision of expand and verify where no --prec is given; an empty value
+means unset.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 
 
-def _default_prec(fallback: int) -> int:
+def _default_prec(fallback):
+    """JF_DEFAULT_PREC as an int, or `fallback` when it is unset or empty."""
     env = os.environ.get("JF_DEFAULT_PREC")
-    if env is None:
+    if not env:
         return fallback
     try:
         return int(env)
@@ -67,9 +69,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     pattern = args.id
-    prec = args.prec
-    if prec is None and os.environ.get("JF_DEFAULT_PREC"):
-        prec = _default_prec(0)
+    prec = args.prec if args.prec is not None else _default_prec(None)
     if any(ch in pattern for ch in "*?["):
         ids = identities.identity_ids(pattern)
         if not ids:

@@ -378,9 +378,9 @@ def _e82_half_coeff(n: int) -> Fraction:
     """The q^n coefficient of E_{8,2}(tau, 1/2): sum over r^2 <= 8n of (-1)^r
     sum_{d | (n, r, 2)} d^7 H(7, (8n - r^2)/d^2), over 129 zeta(-13); the
     d = 2 terms are r = 2s, H(7, 2n - s^2)."""
-    acc = h_window_sum(7, 8 * n, _sign, boundary=True)
+    acc = h_window_sum(7, 8 * n, _sign)
     if n % 2 == 0:
-        acc += 128 * h_window_sum(7, 2 * n, lambda r: 1, boundary=True)
+        acc += 128 * h_window_sum(7, 2 * n, lambda r: 1)
     return acc / (129 * Fraction(zeta_neg(-13)))
 
 
@@ -426,7 +426,7 @@ def _b_p42_diff(prec):
 def _b_p42_b_odd(prec):
     lhs = _restrict(_eta12_2tau(prec), _odd)
     def rhs_fn(k):  # 4k = 8n + 4 for k = 2n + 1
-        return (Fraction(11, 12) * h_window_sum(5, 4 * k, _sign, boundary=True)
+        return (Fraction(11, 12) * h_window_sum(5, 4 * k, _sign)
                 - Fraction(1, 18) * sigma(5, k))
     return lhs, _qs_from(prec, rhs_fn, range(1, prec, 2))
 
@@ -457,9 +457,9 @@ def _p43_cn_coeff(n: int) -> Fraction:
     of the sum over r^2 <= 12n of w(r) sum_{d | (n, r, 3)} d^5 H(5, (12n - r^2)/d^2),
     w(r) = 1 at 3 | r and -1/2 otherwise; the d = 3 terms are r = 3s,
     H(5, 4n/3 - s^2)."""
-    acc = h_window_sum(5, 12 * n, lambda r: 1 if r % 3 == 0 else Fraction(-1, 2), boundary=True)
+    acc = h_window_sum(5, 12 * n, lambda r: 1 if r % 3 == 0 else Fraction(-1, 2))
     if n % 3 == 0:
-        acc += 243 * h_window_sum(5, 4 * n // 3, lambda r: 1, boundary=True)
+        acc += 243 * h_window_sum(5, 4 * n // 3, lambda r: 1)
     return (Fraction(61, 3168) * sigma(5, n) - Fraction(4941, 352) * sigma_rational(5, Fraction(n, 3))
             + Fraction(13, 864) * acc)
 

@@ -29,6 +29,7 @@ from operator import add, mul
 from types import MappingProxyType
 
 from jacobiforms import catalog
+from jacobiforms.numtheory import as_rational
 from jacobiforms.series import FJExp, memo_by_prec, require_prec
 
 U2 = (1, -1, 0, 0, 0, 0, 0, 0)
@@ -39,7 +40,7 @@ LATTICES = ("E8", "E7", "A7")
 
 def in_e8(v) -> bool:
     """Membership test for the D8-coset realization of E8."""
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(as_rational(x) for x in v)
     if len(v) != 8:
         return False
     doubled = [2 * x for x in v]

@@ -33,11 +33,14 @@ Rat = Union[int, Fraction]
 
 def as_rational(x) -> Rat:
     """Coerce to an exact rational, collapsing Fractions with denominator 1.
-    A Fraction that is not an integer is returned as is."""
+    A Fraction that is not an integer is returned as is; a float raises
+    TypeError, since Fraction would take its binary expansion."""
     if isinstance(x, int):
         return x
     if type(x) is Fraction and x.denominator != 1:
         return x
+    if isinstance(x, float):
+        raise TypeError(f"expected an exact rational, got the float {x!r}")
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 

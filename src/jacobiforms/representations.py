@@ -200,23 +200,23 @@ def formula_delta8(n: int) -> int:
 # windows of Cohen numbers: the one reader of H over r-windows and cone points
 # ---------------------------------------------------------------------------
 
-def h_window_sum(k: int, big_n: int, weight, boundary: bool = False) -> Rat:
-    """sum over integers r with r^2 < N of weight(r) H(k, N - r^2); the
-    terms r^2 = N are included only when boundary is set, and H is read
+def h_window_sum(k: int, big_n: int, weight) -> Rat:
+    """sum over integers r with r^2 <= N of weight(r) H(k, N - r^2), H read
     only where the weight is nonzero."""
     rmax = math.isqrt(big_n)
     return as_rational(sum(w * cohen_h(k, big_n - r * r) for r in range(-rmax, rmax + 1)
-                           if (boundary or r * r < big_n) and (w := weight(r))))
+                           if (w := weight(r))))
 
 
 def cone_points(c: int, slope: int, div: int, cone: int = 16):
     """Integer pairs (r, m) with div*m + slope*r = c and cone*m >= r^2."""
-    # div*r^2/cone + slope*r <= c bounds the r window
+    # the r window: div*r^2 + cone*slope*r - cone*c <= 0, that is
+    # |2*div*r + cone*slope| <= isqrt(disc) for the integer r
     disc = (cone * slope) ** 2 + 4 * div * cone * c
     if disc < 0:
         return
     top = math.isqrt(disc)
-    for r in range((-cone * slope - top) // (2 * div) - 2, (-cone * slope + top) // (2 * div) + 3):
+    for r in range(-((cone * slope + top) // (2 * div)), (top - cone * slope) // (2 * div) + 1):
         num = c - slope * r
         if num % div == 0 and cone * (num // div) >= r * r:
             yield r, num // div
@@ -338,7 +338,7 @@ def tau(n: int, route: str = "direct") -> Rat:
         acc = sum(r**power * coeff(n, r) for r in range(-rmax, rmax + 1))
         return as_rational(Fraction(acc) / (divisor * n**n_power))
     if route == "via_h11":
-        acc = h_window_sum(11, 4 * n, lambda r: 1, boundary=True) / Fraction(zeta_neg(-21))
+        acc = h_window_sum(11, 4 * n, lambda r: 1) / Fraction(zeta_neg(-21))
         acc -= Fraction(65520, 691) * sigma(11, n)
         return as_rational(Fraction(53678953, 304819200) * acc)
     if route in _CLOSED_ROUTES:

@@ -25,16 +25,16 @@ operand has terms with negative q-exponent; nothing is ever emitted beyond
 the certified window.  Series are read-only once built (term maps are
 MappingProxyType views; setting an attribute raises), so callers can share one.
 
-There is one division: FJExp.divide, exact Laurent division per q-order,
-in integer steps wherever the leading coefficient divides as ints;
-QSeries.inverse divides 1 by the series through it, at zeta-index 0.  There
-is one pull-back window, FJExp._pullback, shared by FJExp.specialize and
-FJExp.eval_linear: it certifies the output window exactly from the
-expansion's support cone, and the planners prec_for_specialize and
-prec_for_eval_linear return the least input precision whose window reaches a
-target, decided by that same bound (_TailBound).  CycloElt is an exact element
-of Q[x]/Phi_K(x), x a primitive K-th root of unity, where the phases of a
-specialization live before they cancel to rationals.
+There is one division: FJExp.divide, one long division that clears the
+lowest row of the remainder, q-order by q-order, by the denominator's lowest
+row, in integer steps wherever the leading coefficient divides as ints;
+QSeries.inverse divides 1 by the series through it.  There is one pull-back
+window, FJExp._pullback, shared by FJExp.specialize and FJExp.eval_linear: it
+certifies the output window exactly from the expansion's support cone, and the
+planners prec_for_specialize and prec_for_eval_linear return the least input
+precision whose window reaches a target, decided by that same bound (_TailBound).
+CycloElt is an exact element of Q[x]/Phi_K(x), x a primitive K-th root of
+unity, where the phases of a specialization live before they cancel to rationals.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class _Series:
 
     def _q_index(self, q_exp: RatLike) -> Fraction:
         """q_exp in units of 1/qscale; raises beyond the certified window."""
-        e = Fraction(q_exp)
+        e = _fraction("q_exp", q_exp)
         if e >= self.prec_exponent:
             raise ValueError(f"exponent {e} is beyond certified precision {self.prec_exponent}")
         return e * self.qscale
@@ -297,7 +297,7 @@ class _Series:
 
     def truncated(self, prec_exp: RatLike):
         """The same series, certified only below q^prec_exp."""
-        bound = Fraction(prec_exp)
+        bound = _fraction("prec_exp", prec_exp)
         if bound >= self.prec_exponent:
             return self
         new_p = math.floor(bound * self.qscale)
@@ -418,7 +418,7 @@ class QSeries(_Series):
     @classmethod
     def one(cls, prec_exp: RatLike) -> "QSeries":
         """1 certified below q^prec_exp: O(q^prec_exp) when that is <= 0."""
-        p = Fraction(prec_exp)
+        p = _fraction("prec_exp", prec_exp)
         return cls(p.denominator, p.numerator, {0: 1} if p > 0 else {})
 
     # -- basic queries ---------------------------------------------------------
@@ -772,7 +772,7 @@ class FJExp(_Series):
     @classmethod
     def one(cls, prec_exp: RatLike) -> "FJExp":
         """1 certified below q^prec_exp: O(q^prec_exp) when that is <= 0."""
-        p = Fraction(prec_exp)
+        p = _fraction("prec_exp", prec_exp)
         return cls(p.denominator, 1, p.numerator, {(0, 0): 1} if p > 0 else {},
                    weight=0, index=0, cone_slack=0)
 
@@ -801,7 +801,7 @@ class FJExp(_Series):
 
     def coefficient(self, q_exp: RatLike, z_exp: RatLike) -> Rat:
         t = self._q_index(q_exp)
-        r = Fraction(z_exp) * self.zscale
+        r = _fraction("z_exp", z_exp) * self.zscale
         if t.denominator != 1 or r.denominator != 1:
             return 0
         return self.terms.get((t.numerator, r.numerator), 0)
@@ -865,49 +865,54 @@ class FJExp(_Series):
         return self._powered(n) if n else FJExp.one(self.prec_exponent)
 
     def divide(self, den: "FJExp") -> "FJExp":
-        """Exact quotient: per q-order, the residual zeta-polynomial must be
-        exactly divisible by the denominator's lowest one."""
+        """Exact quotient by one long division: per q-order, the lowest row
+        of the remainder must be exactly divisible, as a zeta-Laurent
+        polynomial, by the denominator's lowest row."""
         a, b = self._aligned(den)
         if not b.terms:
             raise ZeroDivisionError("division by the zero expansion")
-        d_lo = min(t for t, _ in b.terms)
-        b0 = {r: c for (t, r), c in b.terms.items() if t == d_lo}
+        brows = _rows(b.terms)
+        d_lo = min(brows)
+        b0 = brows[d_lo]
         if not a.terms:
             return FJExp(a.qscale, a.zscale, a.prec - d_lo, {},
                          weight=None, index=None, cone_slack=None)
-        n_lo = min(t for t, _ in a.terms)
-        out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + n_lo)
-        rem = dict(a.terms)
+        rem = _rows(a.terms)
+        out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + min(rem))
+        b_top = max(b0)
+        b_lead, b_low = b0[b_top], min(b0)
         quot: dict = {}
         while rem:
-            t_min = min(t for t, _ in rem)
-            q_order = t_min - d_lo
+            t = min(rem)
+            q_order = t - d_lo
             if q_order >= out_prec:
                 break
-            block = {r: c for (t, r), c in rem.items() if t == t_min}
-            try:
-                q_block = _laurent_div_exact(block, b0)
-            except InexactDivision:
-                raise InexactDivision(Fraction(t_min, a.qscale)) from None
-            for r, c in q_block.items():
-                quot[(q_order, r)] = c
-            # subtract q_block * den from the remainder, skipping the products
-            # at or beyond the output window: they are never read
+            # the lowest row is final: clear it from its top down by b0
+            row = rem.pop(t)
+            q_low = min(row, default=0) - b_low
+            q_row = {}
+            while row:
+                top = max(row)
+                qdeg = top - b_top
+                if qdeg < q_low:
+                    raise InexactDivision(Fraction(t, a.qscale))
+                c = row[top]
+                if type(c) is int and type(b_lead) is int and not c % b_lead:
+                    c //= b_lead  # an integer step keeps the remainder in ints
+                else:
+                    c = as_rational(Fraction(c) / b_lead)
+                q_row[qdeg] = quot[(q_order, qdeg)] = c
+                _subtract(row, qdeg, c, b0)
+            # the other rows of the denominator whose products land inside
+            # the output window
             limit = out_prec + d_lo - q_order
-            for rq, qc in q_block.items():
-                for (t2, r2), c2 in b.terms.items():
-                    if t2 >= limit:
-                        continue
-                    key = (q_order + t2, rq + r2)
-                    v = rem.get(key, 0) - qc * c2
-                    if v:
-                        rem[key] = v
-                    else:
-                        rem.pop(key, None)
+            rows = [(q_order + t2, row2) for t2, row2 in brows.items() if d_lo < t2 < limit]
+            for qdeg, c in q_row.items():
+                for t2, row2 in rows:
+                    _subtract(rem.setdefault(t2, {}), qdeg, c, row2)
         weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
         index = None if (a.index is None or b.index is None) else a.index - b.index
-        return FJExp(a.qscale, a.zscale, out_prec,
-                     {k: c for k, c in quot.items() if k[0] < out_prec},
+        return FJExp(a.qscale, a.zscale, out_prec, quot,
                      weight=weight, index=index, cone_slack=None)
 
     def __truediv__(self, other) -> "FJExp":
@@ -1117,41 +1122,23 @@ def _zeta_polynomial_str(coeffs: dict, zscale: int) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _laurent_div_exact(num: dict, den: dict) -> dict:
-    """Exact division in the Laurent polynomial ring Q[z, 1/z].
+def _rows(terms: dict) -> dict:
+    """A term map keyed by (t, r) as rows {t: {r: c}}."""
+    rows: dict = {}
+    for (t, r), c in terms.items():
+        rows.setdefault(t, {})[r] = c
+    return rows
 
-    Inputs map exponent -> coefficient; raises InexactDivision(0) when the
-    quotient does not exist.
-    """
-    if not den:
-        raise ZeroDivisionError("Laurent division by zero")
-    if not num:
-        return {}
-    nmin, dmin = min(num), min(den)
-    dmax = max(den)
-    dlead = den[dmax]
-    qmin = nmin - dmin
-    rem = dict(num)
-    quot: dict = {}
-    while rem:
-        rmax = max(rem)
-        qdeg = rmax - dmax
-        if qdeg < qmin:
-            raise InexactDivision(Fraction(0))
-        top = rem[rmax]
-        if type(top) is int and type(dlead) is int and not top % dlead:
-            coef = top // dlead  # an integer step keeps the remainder in ints
+
+def _subtract(row: dict, shift: int, c: Rat, den_row: dict) -> None:
+    """row -= c * zeta^shift * den_row, in place, dropping the zeros."""
+    for r, d in den_row.items():
+        key = shift + r
+        v = row.get(key, 0) - c * d
+        if v:
+            row[key] = v
         else:
-            coef = as_rational(Fraction(top) / dlead)
-        quot[qdeg] = coef
-        for rd, dc in den.items():
-            key = qdeg + rd
-            v = rem.get(key, 0) - coef * dc
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
-    return quot
+            row.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

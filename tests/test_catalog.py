@@ -61,7 +61,6 @@ SERVED_CASES = [
     (cat.theta, (), 8), (cat.euler_product, (), 8), (cat.eta, (), 8), (cat.delta, (), 8),
     (cat.eisenstein, (4,), 8), (cat.g2, (), 8), (cat.eps2, (), 8),
     (cat.jacobi_eis_m1, (4,), 8), (cat.jacobi_eis, (4, 4), 8), (cat.jacobi_eis, (6, 3), 8),
-    (cat._xi_squared, (0, 0), 8), (cat._xi_squared, (1, 0), 8),
     *((cat.phi, (j,), 8) for j in (1, 2, 3, 4)),
     (cat.wp_theta2, (), 8),
     (lattice._jacobi_theta_e8_cached, (lattice.U2,), 6),
@@ -272,6 +271,25 @@ def test_phi_q0_rows():
     assert cat.phi(4, 4).q_slice(0) == {Fraction(1): 1, Fraction(0): 1, Fraction(-1): 1}
     with pytest.raises(UnknownFormError):
         cat.phi(5, 4)
+
+
+def phi_by_theta_constants(j, prec):
+    """phi_{0,1} (j = 1) or phi_{0,2} (j = 2) from the squared quotients
+    xi_ab^2 = (theta_ab(tau, z) / theta_ab(tau))^2 of the three even level-two
+    theta series: 4 (xi_00^2 + xi_01^2 + xi_10^2) and
+    2 (xi_00^2 xi_01^2 + xi_00^2 xi_10^2 + xi_10^2 xi_01^2), at prec + 1."""
+    work = prec + 1
+    x00, x01, x10 = ((cat.theta_ab(a, b, work) * cat.theta_const(a, b, work).inverse()) ** 2
+                     for a, b in ((0, 0), (0, 1), (1, 0)))
+    result = 4 * (x00 + x01 + x10) if j == 1 else 2 * (x00 * x01 + x00 * x10 + x10 * x01)
+    return result.truncated(prec).normalized().with_meta(weight=0, index=j, cone_slack=j)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_phi_from_theta_equals_the_theta_constant_route(clear_memos, j):
+    for prec in [*range(1, 25), 48]:
+        clear_memos()
+        assert _fingerprint(cat.phi(j, prec)) == _fingerprint(phi_by_theta_constants(j, prec)), prec
 
 
 def test_phi_relation():

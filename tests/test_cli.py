@@ -171,6 +171,19 @@ def test_env_default_prec(capsys, monkeypatch):
     assert payload["prec"] == 3
 
 
+@pytest.mark.parametrize("argv", [("expand", "--form", "eta"), ("verify", "--id", "T31-theta8")],
+                         ids=["expand", "verify"])
+def test_env_default_prec_is_read_by_one_rule(capsys, monkeypatch, argv):
+    # an empty JF_DEFAULT_PREC means unset; one that is not an integer exits 3
+    monkeypatch.delenv("JF_DEFAULT_PREC", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("JF_DEFAULT_PREC", "")
+    assert run(capsys, *argv)[:2] == unset[:2] and unset[0] == 0
+    monkeypatch.setenv("JF_DEFAULT_PREC", "x")
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "JF_DEFAULT_PREC must be an integer" in err
+
+
 def test_output_is_byte_stable(capsys):
     outputs = set()
     for _ in range(2):

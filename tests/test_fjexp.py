@@ -17,7 +17,6 @@ from jacobiforms.series import (
     InexactDivision,
     NonRationalResult,
     QSeries,
-    _laurent_div_exact,
     prec_for_eval_linear,
     prec_for_specialize,
 )
@@ -416,10 +415,41 @@ def test_divide_fuzz_reconstructs_factor():
         assert got.agrees_with(q.truncated(got.prec_exponent))
 
 
-# -- Laurent division against the all-Fraction steps it replaced --------------------
+# -- the long division against the row-by-row division it replaced ------------------
+
+def laurent_div_by_ints(num: dict, den: dict) -> dict:
+    """Exact division in Q[z, 1/z], in integer steps wherever the leading
+    coefficient divides as ints; raises InexactDivision(0) when the quotient
+    does not exist."""
+    if not den:
+        raise ZeroDivisionError("Laurent division by zero")
+    if not num:
+        return {}
+    dmax, qmin = max(den), min(num) - min(den)
+    dlead = den[dmax]
+    rem, quot = dict(num), {}
+    while rem:
+        rmax = max(rem)
+        qdeg = rmax - dmax
+        if qdeg < qmin:
+            raise InexactDivision(Fraction(0))
+        top = rem[rmax]
+        if type(top) is int and type(dlead) is int and not top % dlead:
+            coef = top // dlead
+        else:
+            coef = as_rational(Fraction(top) / dlead)
+        quot[qdeg] = coef
+        for rd, dc in den.items():
+            v = rem.get(qdeg + rd, 0) - coef * dc
+            if v:
+                rem[qdeg + rd] = v
+            else:
+                rem.pop(qdeg + rd, None)
+    return quot
+
 
 def laurent_div_by_fractions(num: dict, den: dict) -> dict:
-    """The oracle: exact division in Q[z, 1/z] with every step in Fraction."""
+    """Exact division in Q[z, 1/z] with every step in Fraction."""
     if not den:
         raise ZeroDivisionError("Laurent division by zero")
     if not num:
@@ -441,6 +471,54 @@ def laurent_div_by_fractions(num: dict, den: dict) -> dict:
             else:
                 rem.pop(qdeg + rd, None)
     return quot
+
+
+def divide_by_rows(num: FJExp, den: FJExp, laurent) -> FJExp:
+    """The oracle: per q-order, divide the lowest residual row by the
+    denominator's lowest row through `laurent`, then subtract the quotient
+    row times the whole denominator, its lowest row included, from every
+    term of the remainder."""
+    a, b = num._aligned(den)
+    d_lo = min(t for t, _ in b.terms)
+    b0 = {r: c for (t, r), c in b.terms.items() if t == d_lo}
+    if not a.terms:
+        return FJExp(a.qscale, a.zscale, a.prec - d_lo, {})
+    n_lo = min(t for t, _ in a.terms)
+    out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + n_lo)
+    rem, quot = dict(a.terms), {}
+    while rem:
+        t_min = min(t for t, _ in rem)
+        q_order = t_min - d_lo
+        if q_order >= out_prec:
+            break
+        block = {r: c for (t, r), c in rem.items() if t == t_min}
+        try:
+            q_block = laurent(block, b0)
+        except InexactDivision:
+            raise InexactDivision(Fraction(t_min, a.qscale)) from None
+        for r, c in q_block.items():
+            quot[(q_order, r)] = c
+        limit = out_prec + d_lo - q_order
+        for rq, qc in q_block.items():
+            for (t2, r2), c2 in b.terms.items():
+                if t2 < limit:
+                    key = (q_order + t2, rq + r2)
+                    v = rem.get(key, 0) - qc * c2
+                    if v:
+                        rem[key] = v
+                    else:
+                        rem.pop(key, None)
+    weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
+    index = None if (a.index is None or b.index is None) else a.index - b.index
+    return FJExp(a.qscale, a.zscale, out_prec, quot, weight=weight, index=index)
+
+
+def one_row_divide(num: dict, den: dict) -> dict:
+    """Laurent division of zeta-polynomials through `FJExp.divide` on one q-row."""
+    quot = FJExp(1, 1, 1, {(0, e): c for e, c in num.items()}).divide(
+        FJExp(1, 1, 1, {(0, e): c for e, c in den.items()}))
+    assert quot.prec == 1
+    return {r: c for (_, r), c in quot.terms.items()}
 
 
 def laurent_mul(a: dict, b: dict) -> dict:
@@ -469,22 +547,24 @@ def test_laurent_division_matches_fraction_steps(lead):
         den[max(den, default=0) + rng.randrange(1, 3)] = lead  # the leading coefficient
         quot = poly(rng.randrange(1, 6), mixed if trial % 3 == 0 else small)
         num = laurent_mul(quot, den)
-        got = _laurent_div_exact(num, den)
-        assert got == laurent_div_by_fractions(num, den) == quot
+        got = one_row_divide(num, den)
+        assert got == laurent_div_by_ints(num, den) == laurent_div_by_fractions(num, den) == quot
         assert all(type(c) is int or c.denominator > 1 for c in got.values())
         if len(den) > 1:  # one extra term makes the division inexact
             e = rng.randrange(min(num) - 3, max(num) + 4)
             bad = {**num, e: num.get(e, 0) + mixed()}
             bad = {k: c for k, c in bad.items() if c}
-            for divide in (_laurent_div_exact, laurent_div_by_fractions):
-                with pytest.raises(InexactDivision):
+            for divide in (one_row_divide, laurent_div_by_ints, laurent_div_by_fractions):
+                with pytest.raises(InexactDivision) as err:
                     divide(bad, den)
+                assert err.value.q_exponent == 0
 
 
-def test_inexact_division_fails_at_the_same_q_order(monkeypatch):
+def test_inexact_division_fails_at_the_same_q_order():
     # a perturbed row of theta(tau, 2z) or of a product of random expansions:
-    # the integer steps raise where the all-Fraction steps raise, and agree
-    # with them on the unperturbed products
+    # the long division raises where the row-by-row oracle raises, in its
+    # integer-step and its all-Fraction form, and agrees with both on the
+    # unperturbed products
     rng = random.Random(8)
     th = cat.theta(10)
     cases = [(th.ud(2) + FJExp(8, 2, th.prec, {(t, 0): 1}), th) for t in (1, 9, 25, 49)]
@@ -495,15 +575,34 @@ def test_inexact_division_fails_at_the_same_q_order(monkeypatch):
         cases += [(num, den), (num + FJExp(1, 1, 10, {(row, 7): 1}), den)]
     for num, den in cases:
         outcomes = []
-        for divide in (_laurent_div_exact, laurent_div_by_fractions):
-            monkeypatch.setattr(series, "_laurent_div_exact", divide)
+        for divide in (FJExp.divide,
+                       lambda a, b: divide_by_rows(a, b, laurent_div_by_ints),
+                       lambda a, b: divide_by_rows(a, b, laurent_div_by_fractions)):
             try:
-                quot = num.divide(den)
-                outcomes.append((quot.prec, dict(quot.terms)))
+                quot = divide(num, den)
+                outcomes.append((quot.prec, dict(quot.terms), quot.weight, quot.index))
             except InexactDivision as err:
                 outcomes.append(err.q_exponent)
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         assert isinstance(outcomes[0], Fraction) or den is not th
+
+
+def test_long_division_equals_the_row_by_row_oracle():
+    # the catalog's quotients and inverses, and the fuzz products above
+    th = cat.theta(16)
+    cases = [(th.ud(2), th), (th.ud(3), th), (th.ud(2) * th.ud(2), th * th)]
+    for s in (cat.eta(16) ** 6, cat.delta(16), cat.eisenstein(6, 16), cat.theta_const(1, 0, 16)):
+        cases.append((FJExp(s.qscale, 1, s.prec - min(s.terms), {(0, 0): 1}), FJExp.from_qseries(s)))
+    rng = random.Random(1729)
+    for _ in range(20):
+        den = random_fj(rng) + FJExp(1, 1, 8, {(1, 2): 1})
+        cases.append((random_fj(rng) * den, den))
+    for num, den in cases:
+        got = num.divide(den)
+        for laurent in (laurent_div_by_ints, laurent_div_by_fractions):
+            want = divide_by_rows(num, den, laurent)
+            assert (got.prec, got.to_json_dict(), got.weight, got.index) == \
+                (want.prec, want.to_json_dict(), want.weight, want.index)
 
 
 def canonical_digest(forms) -> str:

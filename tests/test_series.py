@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from jacobiforms import catalog
-from jacobiforms.numtheory import as_rational
+from jacobiforms import catalog, lattice
+from jacobiforms.numtheory import as_rational, cohen_h
 from jacobiforms.series import (
     CycloElt,
     CycloSeries,
@@ -479,3 +479,28 @@ def test_mul_on_catalog_forms(name):
         form, theta = catalog.form_by_name(name, p), catalog.theta(p)
         assert_mul_matches(form, form)
         assert_mul_matches(form, theta)
+
+
+# each entry point would otherwise read a float through Fraction, as its
+# binary expansion (0.1 -> 3602879701896397/36028797018963968)
+FLOAT_INPUTS = {
+    "coefficient": lambda: QSeries(1, 3, {0: 0.1}),
+    "cohen_h": lambda: cohen_h(3, 0.1),
+    "weight": lambda: FJExp(1, 1, 2, {}, weight=0.5),
+    "index": lambda: FJExp(1, 1, 2, {}, index=0.5),
+    "cone_slack": lambda: FJExp(1, 1, 2, {}, cone_slack=0.5),
+    "cyclo_coordinate": lambda: CycloElt(4, (0.1, 0)),
+    "qseries_one": lambda: QSeries.one(2.5),
+    "fjexp_one": lambda: FJExp.one(2.5),
+    "truncated": lambda: catalog.eta(4).truncated(2.5),
+    "q_exp": lambda: catalog.eta(4).coefficient(0.5),
+    "q_slice": lambda: catalog.theta(4).q_slice(0.125),
+    "z_exp": lambda: catalog.theta(4).coefficient(Fraction(1, 8), 0.5),
+    "in_e8": lambda: lattice.in_e8((0.5,) * 8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_INPUTS))
+def test_floats_are_refused(entry):
+    with pytest.raises(TypeError):
+        FLOAT_INPUTS[entry]()
