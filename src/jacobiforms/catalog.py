@@ -117,12 +117,9 @@ def eisenstein(k: int, prec: int) -> QSeries:
 
 @memo_by_prec
 def g2(prec: int) -> QSeries:
-    """Quasi-modular G_2 = -1/24 + sum sigma_1(n) q^n."""
+    """Quasi-modular G_2 = -1/24 + sum sigma_1(n) q^n, which is -E_2 / 24."""
     require_prec("g2", prec)
-    terms = {0: Fraction(-1, 24)}
-    for n in range(1, prec):
-        terms[n] = sigma(1, n)
-    return QSeries(1, prec, terms)
+    return eisenstein(2, prec) * Fraction(-1, 24)
 
 
 @memo_by_prec
@@ -206,7 +203,7 @@ def phi(j: int, prec: int) -> FJExp:
     with D = zeta d/dzeta and phi_{-2,1} = -theta^2 / eta^6,
 
         phi_{0,1} = (12 ((D theta)^2 - theta D^2 theta) + E_2 theta^2) / eta^6 = 12 wp theta^2 / eta^6,
-        phi_{0,2} = (phi_{0,1}^2 - E_4 phi_{-2,1}^2) / 24,
+        phi_{0,2} = (phi_{0,1}^2 - E_4 phi_{-2,1}^2) / 24, from the memoized phi_{0,1},
 
     and phi_{0,3}, phi_{0,4} are exact quotients of theta rescalings.  The
     constant zeta-polynomials are asserted on construction.
@@ -216,12 +213,13 @@ def phi(j: int, prec: int) -> FJExp:
     require_prec("phi", prec)
     work = prec + 1
     th = theta(work)
-    if j <= 2:
-        th2, inv_eta6 = th * th, (eta(work) ** 6).inverse()
+    if j == 1:
         d1 = _d_zeta(th)
-        result = (12 * (d1 * d1 - th * _d_zeta(d1)) + eisenstein(2, work) * th2) * inv_eta6
-        if j == 2:
-            result = (result * result - th2 * th2 * (eisenstein(4, work) * inv_eta6 ** 2)) / 24
+        num = 12 * (d1 * d1 - th * _d_zeta(d1)) + eisenstein(2, work) * th * th
+        result = num * (eta(work) ** 6).inverse()
+    elif j == 2:
+        phi1 = phi(1, prec)
+        result = (phi1 * phi1 - th ** 4 * (eisenstein(4, work) * (eta(work) ** 12).inverse())) / 24
     elif j == 3:
         ratio = th.ud(2).divide(th)
         result = ratio * ratio

@@ -15,14 +15,12 @@ in f.  Values stay plain `int` wherever they are integers; a
 number, a division), and each rational-valued public function returns
 through :func:`as_rational` once, so an integer result is an `int` and any
 other is a `Fraction` with denominator > 1.  All functions are pure and safe
-to call from several threads: the memo caches are `functools.lru_cache`, and
-the table of Bernoulli numbers grows only under a lock.
+to call from several threads: the memo caches are `functools.lru_cache`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,27 +162,19 @@ def kronecker(a: int, n: int) -> int:
 # Bernoulli machinery and L-values
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: list = [1, Fraction(-1, 2)]
-_bernoulli_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Rat:
     """Bernoulli number B_n with the B_1 = -1/2 convention."""
     if n < 0:
         raise ValueError(f"bernoulli expects n >= 0, got {n}")
-    if n >= len(_bernoulli_cache):
-        # entries are only ever appended, each final, so reading a short
-        # enough index needs no lock; growing the table does
-        with _bernoulli_lock:
-            while len(_bernoulli_cache) <= n:
-                m = len(_bernoulli_cache)
-                if m % 2:
-                    _bernoulli_cache.append(0)
-                    continue
-                # sum_{k=0}^{m} C(m+1, k) B_k = 0
-                acc = sum(math.comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
-                _bernoulli_cache.append(as_rational(-acc / (m + 1)))
-    return _bernoulli_cache[n]
+    if n <= 1:
+        return Fraction(-1, 2) if n else 1
+    if n % 2:
+        return 0
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0, read in increasing k, so each B_k's
+    # own terms are already cached and a cold call recurses two levels deep
+    acc = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n))
+    return as_rational(-acc / (n + 1))
 
 
 def bernoulli_poly(n: int, x: Rat) -> Rat:

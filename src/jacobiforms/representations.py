@@ -17,11 +17,13 @@ cone through `cone_points`; these two are the one reader of H over windows,
 here and in the identity registry.  H is read only at integer N: f4 and f6
 read H(k, disc/d^2), disc = 16n - r^2, only where d^2 | disc (0 otherwise).
 
-Brute-force counting raises the generating polynomial of the attainable
-values, truncated at q^n, to the m-th power as one packed integer
-(Kronecker substitution): every coefficient is a non-negative count, so slots
-wide enough for the largest count never carry, and the power holds the count
-of every sum s <= n.
+Every summand kind of a count is the figurate value f_a(x) over an
+arithmetic progression of x (squares are f_2, triangular numbers f_1).
+Brute-force counting raises the generating polynomial of those values,
+taken with repetition and truncated at q^n, to the m-th power as one packed
+integer (Kronecker substitution): every coefficient is a non-negative count,
+so slots wide enough for the largest count never carry, and the power holds
+the count of every sum s <= n.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ from functools import lru_cache
 from typing import Optional
 
 from jacobiforms.numtheory import Rat, as_rational, cohen_h, divisors, sigma, zeta_neg
-
-FACT8 = math.factorial(8)
-FACT10 = math.factorial(10)
-FACT6 = math.factorial(6)
 
 
 def _sign(r: int) -> int:
@@ -90,13 +88,24 @@ def figurate(a: int, x: int) -> int:
     return (a * x * x + (a - 2) * x) // 2
 
 
+# kind -> (a, or None for the query's own a; the step of x; the first x >= 0;
+# whether x also runs downward from first - step)
+_PROGRESSIONS = {
+    "squares": (2, 1, 0, True),
+    "triangular": (1, 1, 1, False),  # f_1(x + 1) = x(x + 1)/2
+    "figurate": (None, 1, 0, True),
+    "figurate_odd": (None, 2, 1, True),
+}
+
+
 @dataclass(frozen=True)
 class CountQuery:
     """How many m-tuples of values of the given kind sum to n.
 
-    kinds: "squares" and "figurate" / "figurate_odd" (parameter a) range over
-    all integers x; "triangular" counts non-negative x only (the delta_k
-    convention).  "figurate_odd" restricts to odd x.
+    Every kind is f_a over an arithmetic progression of x (`_PROGRESSIONS`):
+    "squares" is f_2 and "figurate" f_a (parameter a) over all integers x,
+    "figurate_odd" is f_a over the odd x, and "triangular" is f_1 over
+    x >= 1, that is x(x+1)/2 over x >= 0 (the delta_k convention).
     """
 
     kind: str
@@ -107,66 +116,45 @@ class CountQuery:
     def __post_init__(self):
         if self.m < 1 or self.n < 0:
             raise ValueError("need m >= 1 and n >= 0")
-        if self.kind in ("figurate", "figurate_odd"):
-            if self.a is None or self.a < 1:
-                raise ValueError("figurate kinds need a >= 1")
-        elif self.kind not in ("squares", "triangular"):
+        if self.kind not in _PROGRESSIONS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if _PROGRESSIONS[self.kind][0] is None and (self.a is None or self.a < 1):
+            raise ValueError("figurate kinds need a >= 1")
 
 
-def _value_multiplicities(query: CountQuery) -> tuple:
-    """Distinct attainable values <= n with the number of x producing each."""
-    n = query.n
-    vals: dict = {}
-    if query.kind == "squares":
-        x = 0
-        while x * x <= n:
-            vals[x * x] = 1 if x == 0 else 2
-            x += 1
-    elif query.kind == "triangular":
-        x = 0
-        while x * (x + 1) // 2 <= n:
-            vals[x * (x + 1) // 2] = vals.get(x * (x + 1) // 2, 0) + 1
-            x += 1
-    else:
-        a = query.a
-        step = 2 if query.kind == "figurate_odd" else 1
-        start = 1 if query.kind == "figurate_odd" else 0
-        x = start
-        while True:
-            v = figurate(a, x)
-            if v > n and x > 0:
-                break
-            if 0 <= v <= n:
-                vals[v] = vals.get(v, 0) + 1
-            x += step
-        x = start - step if query.kind == "figurate_odd" else -1
-        while True:
-            v = figurate(a, x)
-            if v > n and x < 0:
-                break
-            if 0 <= v <= n:
-                vals[v] = vals.get(v, 0) + 1
-            x -= step
-    return tuple(sorted(vals.items()))
+def _values(query: CountQuery) -> list:
+    """Every value f_a(x) <= n over the query's progression of x, with
+    repetition.  x walks up from the first x, and down from first - step
+    when the kind says so; for a >= 1, f_a is never negative at an integer
+    and does not decrease as x moves away from {0, 1}, so each walk stops at
+    its first value above n."""
+    a, step, first, down = _PROGRESSIONS[query.kind]
+    a = a or query.a
+    values = []
+    walks = [(first, step), (first - step, -step)] if down else [(first, step)]
+    for x, dx in walks:
+        while (v := figurate(a, x)) <= query.n:
+            values.append(v)
+            x += dx
+    return values
 
 
 def count_bruteforce(query: CountQuery) -> int:
     """Exact representation count by one binary power of a packed integer.
 
-    The values, weighted by the number of x giving each, are packed into
-    slots of b bits, sum mult * 2^(b v), and the packed int is raised to the
-    m-th power with every product masked to the n + 1 slots of the sums
-    s <= n; the count is slot n.  No slot carries: every slot of a partial
-    power, and of a product before the mask, counts tuples of at most m of
-    the `total` weighted values, so it is at most total^m < 2^b; slot n is
+    The values, with repetition (one per x), are packed into slots of b bits,
+    sum 2^(b v), so equal values add up in their slot, and the packed int is
+    raised to the m-th power with every product masked to the n + 1 slots of
+    the sums s <= n; the count is slot n.  No slot carries: every slot of a
+    partial power, and of a product before the mask, counts tuples of at
+    most m of the `total` values, so it is at most total^m < 2^b; slot n is
     the top slot the mask keeps."""
     n, m = query.n, query.m
-    values = _value_multiplicities(query)
-    total = sum(mult for _, mult in values)
+    values = _values(query)
+    total = len(values)
     b = (total ** m).bit_length()
     mask = (1 << (b * (n + 1))) - 1
-    base = sum(mult << (b * v) for v, mult in values)
+    base = sum(1 << (b * v) for v in values)
     acc = 1
     while True:
         if m & 1:
@@ -252,9 +240,16 @@ def _r8_case_odd_a_even_n(a: int, n: int) -> Rat:
     return as_rational(acc)
 
 
-def _check_case(label: str, case: Rat, general: Rat) -> None:
-    if case != general:
+def _eight_figurate(label: str, points: list, case: Optional[Rat]) -> int:
+    """The general formula sum (-1)^r f4(m, r) over the points, which must
+    equal the parity-case value `case` when one applies (None otherwise) and
+    must be an integer."""
+    general = _f4_sum(points)
+    if case is not None and case != general:
         raise RuntimeError(f"{label}: case formula {case} != general {general}")
+    if not isinstance(general, int):
+        raise RuntimeError(f"{label} is not an integer: {general}")
+    return general
 
 
 def r_a8_formula(a: int, n: int) -> int:
@@ -265,14 +260,12 @@ def r_a8_formula(a: int, n: int) -> int:
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
     points = list(cone_points(n - 3 * a + 4, a - 1, a))
-    general = _f4_sum(points)
+    case = None
     if a % 2 == 0 and n % 2 == 1:
-        _check_case(f"R_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
-    if a % 2 == 1 and n % 2 == 0:
-        _check_case(f"R_{{{a},8}}({n})", _r8_case_odd_a_even_n(a, n), general)
-    if not isinstance(general, int):
-        raise RuntimeError(f"R_{{{a},8}}({n}) is not an integer: {general}")
-    return general
+        case = _h3_odd_r_sum(points)
+    elif a % 2 == 1 and n % 2 == 0:
+        case = _r8_case_odd_a_even_n(a, n)
+    return _eight_figurate(f"R_{{{a},8}}({n})", points, case)
 
 
 def r_a8odd_formula(a: int, n: int) -> int:
@@ -282,12 +275,8 @@ def r_a8odd_formula(a: int, n: int) -> int:
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
     points = list(cone_points(n, a - 2, 4 * a))
-    general = _f4_sum(points)
-    if a % 2 == 1 and n % 2 == 1:
-        _check_case(f"R^odd_{{{a},8}}({n})", _h3_odd_r_sum(points), general)
-    if not isinstance(general, int):
-        raise RuntimeError(f"R^odd_{{{a},8}}({n}) is not an integer: {general}")
-    return general
+    case = _h3_odd_r_sum(points) if a % 2 == 1 and n % 2 == 1 else None
+    return _eight_figurate(f"R^odd_{{{a},8}}({n})", points, case)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +294,10 @@ def _odd_nonsquare(n: int) -> bool:
 
 # moment routes: sum r^power f(n, r) over r^2 <= 16n, / (divisor * n^n_power); f read per call
 _MOMENT_ROUTES = {
-    "via_f4": ("f4_coeff", 8, FACT8, 0),
-    "via_f4_n": ("f4_coeff", 10, FACT10 // 3, 1),
-    "via_f6": ("f6_coeff", 6, 12 * FACT6, 0),
-    "via_f6_n": ("f6_coeff", 8, 4 * FACT8, 1),
+    "via_f4": ("f4_coeff", 8, math.factorial(8), 0),
+    "via_f4_n": ("f4_coeff", 10, math.factorial(10) // 3, 1),
+    "via_f6": ("f6_coeff", 6, 12 * math.factorial(6), 0),
+    "via_f6_n": ("f6_coeff", 8, 4 * math.factorial(8), 1),
 }
 
 # closed routes: c1 sum r^power H(k, 4n - r^2) + c2 sum r^power H(k, 16n - r^2)
@@ -352,33 +341,31 @@ def tau(n: int, route: str = "direct") -> Rat:
 
 def tau_applicable_routes(n: int) -> list:
     """Routes whose side conditions hold at n."""
-    out = ["direct", "via_f4", "via_f4_n", "via_f6", "via_f6_n", "via_h11"]
-    if _odd_nonsquare(n):
-        out += ["via_h3_closed", "via_h5_closed"]
-    return out
+    return [route for route in TAU_ROUTES if route not in _CLOSED_ROUTES or _odd_nonsquare(n)]
 
 
 # ---------------------------------------------------------------------------
 # sixteen-variable counts
 # ---------------------------------------------------------------------------
 
+def _sixteen(name: str, n: int, big_n: int, c1: Fraction, c2: Fraction) -> Rat:
+    """c1 sigma_7(N) + c2 sum (-1)^r H(7, 8N - r^2)/zeta(-13) at N = big_n,
+    for odd n >= 1."""
+    if n < 1:
+        raise ValueError(f"{name} expects n >= 1")
+    if n % 2 == 0:
+        raise ValueError(f"{name} requires odd n")
+    acc = h_window_sum(7, 8 * big_n, _sign) / Fraction(zeta_neg(-13))
+    return as_rational(c1 * sigma(7, big_n) + c2 * acc)
+
+
 def delta16(n: int) -> Rat:
     """Sixteen triangular numbers, closed form for odd n >= 1:
     61/8640 sigma_7(n+2) - 1/829440 sum (-1)^r H(7, 8(n+2) - r^2)/zeta(-13)."""
-    if n < 1:
-        raise ValueError("delta16 expects n >= 1")
-    if n % 2 == 0:
-        raise ValueError("delta16 requires odd n")
-    acc = h_window_sum(7, 8 * (n + 2), _sign) / Fraction(zeta_neg(-13))
-    return as_rational(Fraction(61, 8640) * sigma(7, n + 2) - Fraction(1, 829440) * acc)
+    return _sixteen("delta16", n, n + 2, Fraction(61, 8640), Fraction(-1, 829440))
 
 
 def r16(n: int) -> Rat:
     """Sixteen squares, closed form for odd n >= 1:
     416/135 sigma_7(n) + 2/405 sum (-1)^r H(7, 8n - r^2)/zeta(-13)."""
-    if n < 1:
-        raise ValueError("r16 expects n >= 1")
-    if n % 2 == 0:
-        raise ValueError("r16 requires odd n")
-    acc = h_window_sum(7, 8 * n, _sign) / Fraction(zeta_neg(-13))
-    return as_rational(Fraction(416, 135) * sigma(7, n) + Fraction(2, 405) * acc)
+    return _sixteen("r16", n, n, Fraction(416, 135), Fraction(2, 405))

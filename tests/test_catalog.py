@@ -126,9 +126,9 @@ def test_memos_expose_lru_cache_counters(clear_memos):
         assert tuple(info) == (0, 0, None, 0), memo.__name__
     cat.theta(3), cat.theta(2), cat.theta(5), cat.theta(4)
     assert tuple(cat.theta.cache_info()) == (2, 2, None, 1)
-    cat.phi(2, 3)
+    cat.phi(2, 3)  # built from phi(1, 3), which it memoizes too
     assert cat.theta.cache_precisions() == {(): 5}
-    assert cat.phi.cache_precisions() == {(2,): 3}
+    assert cat.phi.cache_precisions() == {(1,): 3, (2,): 3}
     cat.theta.cache_clear()
     assert tuple(cat.theta.cache_info()) == (0, 0, None, 0)
     assert cat.theta.cache_precisions() == {}

@@ -99,10 +99,11 @@ def test_pass_report_json():
 
 
 def test_torsion_pull_back_builds_at_the_least_certified_precision(clear_memos):
-    # phi_{0,2}(tau, (tau+1)/2) below q^12 needs phi_{0,2} below q^19 and no more
+    # phi_{0,2}(tau, (tau+1)/2) below q^12 needs phi_{0,2} below q^19 and no
+    # more, and phi_{0,2} is built from phi_{0,1} at the same precision
     clear_memos()
     assert verify("S42-phivals-2-tau", 12).passed
-    assert cat.phi.cache_precisions() == {(2,): 19}
+    assert cat.phi.cache_precisions() == {(1,): 19, (2,): 19}
 
 
 def test_registry_descriptions_are_single_lines():

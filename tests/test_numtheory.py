@@ -122,15 +122,15 @@ def test_bernoulli_recurrence_oracle():
         assert acc == 0, n
 
 
-def test_bernoulli_table_grows_safely_under_threads(monkeypatch):
-    # four threads race to grow a cold table; a lost or doubled append would
-    # shift every later entry
+def test_bernoulli_table_grows_safely_under_threads():
+    # four threads race to fill a cold cache; a value stored under the wrong
+    # n would show in a later entry
     expected = [bernoulli(n) for n in range(61)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            monkeypatch.setattr(numtheory, "_bernoulli_cache", [1, Fraction(-1, 2)])
+            bernoulli.cache_clear()
             results = []
             threads = [threading.Thread(target=lambda: results.append(bernoulli(60)))
                        for _ in range(4)]
@@ -140,7 +140,7 @@ def test_bernoulli_table_grows_safely_under_threads(monkeypatch):
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert results == [expected[60]] * 4
-            assert numtheory._bernoulli_cache == expected
+            assert [bernoulli(n) for n in range(61)] == expected
     finally:
         sys.setswitchinterval(old_interval)
 
