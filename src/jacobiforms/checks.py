@@ -6,6 +6,10 @@ the ordered tuple of (name, check) pairs.  `run` times each check and yields
 per check; the acceptance suite asserts each one.  The two therefore always
 run the same checks.  Every comparison is exact.
 
+A fact that a registry entry states is checked there and not restated
+here (`L21-delta`, `L32-e8-u2`, `L32-e8-u8`); "counting oracles" verifies
+`S42-delta16` and `S42-r16` at precision 22 for its theta-series route.
+
 The "constructor cross-checks" rebuild theta from the triple product, the
 Euler product as a naive product, and Delta as eta^24, and compare them with
 the catalog's one-route constructors.  The "lattice fixtures" check compares
@@ -46,10 +50,7 @@ def check_printed_fixtures():
         return False, "weight-10 coefficient"
     if catalog.jacobi_eis_m1(12, 3).coefficient(1, 1) != Fraction(339848, 77683):
         return False, "weight-12 coefficient"
-    diff = catalog.jacobi_eis_m1(12, 8).eval_z0() - catalog.eisenstein(12, 8)
-    if not diff.agrees_with(Fraction(304819200, 53678953) * catalog.delta(8)):
-        return False, "weight-12 restriction vs Delta"
-    return True, "Eisenstein coefficient rows and the Delta proportionality"
+    return True, "Eisenstein coefficient rows"
 
 
 def check_cohen_dual():
@@ -76,15 +77,16 @@ def check_counts():
                 return False, f"R_{{{a},8}}({n})"
             if reps.r_a8odd_formula(a, n) != _brute("figurate_odd", 8, n, a):
                 return False, f"R^odd_{{{a},8}}({n})"
-    # sixteen variables: closed form = brute force = theta-constant 16th power
-    t10_16 = (catalog.theta_const(1, 0, 26) ** 8) ** 2
-    t00_16 = ((catalog.theta_const(0, 0, 24) ** 8) ** 2).substituted(2)
+    # sixteen variables: closed form = brute force here, and closed form =
+    # theta-constant 16th power through the registry, at every odd n <= 21
     for n in range(1, 22, 2):
-        if not (reps.delta16(n) == _brute("triangular", 16, n)
-                == Fraction(t10_16.coefficient(n + 2), 2**16)):
+        if reps.delta16(n) != _brute("triangular", 16, n):
             return False, f"delta_16({n})"
-        if not reps.r16(n) == _brute("squares", 16, n) == t00_16.coefficient(n):
+        if reps.r16(n) != _brute("squares", 16, n):
             return False, f"r_16({n})"
+    for report in (identities.verify("S42-delta16", 22), identities.verify("S42-r16", 22)):
+        if not report.passed:
+            return False, str(report)
     return True, "r8/delta8 to 40; figurate a<=5 to 30; 16-variable odd n <= 21 three ways"
 
 
@@ -142,15 +144,11 @@ def check_lattice():
         return False, "E7 root count"
     if lattice.vector_counts("A7", 2).get(2) != 56:
         return False, "A7 root count"
-    if lattice.jacobi_theta_e8(lattice.U2, 6).mismatch(catalog.jacobi_eis_m1(4, 6)) is not None:
-        return False, "Theta_{E8,u2} != E_{4,1}"
-    if lattice.jacobi_theta_e8(lattice.U8, 6).mismatch(catalog.jacobi_eis(4, 4, 6)) is not None:
-        return False, "Theta_{E8,u8} != E_{4,4}"
     p = LATTICE_CHECK_PREC
     for name, u in (("u2", lattice.U2), ("u8", lattice.U8)):
         if dict(lattice.jacobi_theta_e8(u, p).terms) != _e8_theta_by_enumeration(u, p):
             return False, f"Theta_{{E8,{name}}} at prec {p}: theta products != enumeration"
-    return True, f"root counts, theta series fixtures, theta products vs enumeration at prec {p}"
+    return True, f"root counts, theta products vs enumeration at prec {p}"
 
 
 def check_catalog():

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: cohen (Cohen numbers), expand (named-form q-expansions),
-verify (identity registry), count (representation counts: r8, delta8,
-r16, delta16, figurate), tau (discriminant-form coefficients by route),
+verify (identity registry, by an id or a glob: one that matches nothing
+is an unknown name), count (representation counts: r8, delta8, r16,
+delta16, figurate), tau (discriminant-form coefficients by route),
 lattice (short-vector counts), and selftest (every check in
 jacobiforms.checks, one timed line each).
 
@@ -70,14 +71,9 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     pattern = args.id
     prec = args.prec if args.prec is not None else _default_prec(None)
-    if any(ch in pattern for ch in "*?["):
-        ids = identities.identity_ids(pattern)
-        if not ids:
-            raise identities.UnknownIdentityError(f"no identity matches {pattern!r}")
-    else:
-        if pattern not in identities.REGISTRY:
-            raise identities.UnknownIdentityError(pattern)
-        ids = [pattern]
+    ids = identities.identity_ids(pattern)
+    if not ids:
+        raise identities.UnknownIdentityError(f"no identity matches {pattern!r}")
     reports = [identities.verify(i, prec) for i in ids]
     if args.json:
         _emit([{**r.to_json_dict(), "build_s": r.build_s, "compare_s": r.compare_s} for r in reports])

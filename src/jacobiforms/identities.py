@@ -45,7 +45,7 @@ from jacobiforms.representations import (
     r16,
     tau,
 )
-from jacobiforms.series import FJExp, QSeries, prec_for_eval_linear, prec_for_specialize
+from jacobiforms.series import FJExp, QSeries, prec_for_eval_linear, prec_for_specialize, require_prec
 
 
 class UnknownIdentityError(KeyError):
@@ -104,16 +104,6 @@ def _qs_from(prec: int, fn, keys=None) -> QSeries:
     if keys is None:
         keys = range(prec)
     return QSeries(1, prec, {n: fn(n) for n in keys})
-
-
-def _restrict(qs: QSeries, keep) -> QSeries:
-    """Keep only coefficients at integer exponents satisfying the predicate."""
-    terms = {}
-    for t, c in qs.terms.items():
-        e = Fraction(t, qs.qscale)
-        if e.denominator == 1 and keep(e.numerator):
-            terms[t] = c
-    return QSeries(qs.qscale, qs.prec, terms)
 
 
 def _eis_2z(k: int, m: int, prec: int) -> FJExp:
@@ -389,11 +379,11 @@ def _b_p41_e82_series(prec):
 
 
 def _b_p41_an(prec):
-    a_series = _eta12_theta10_4(prec)
+    keys = range(1, prec, 2)
     z = Fraction(zeta_neg(-13))
     def rhs_fn(n):
         return Fraction(86, 135) * sigma(7, n) + Fraction(17, 6480) * h_window_sum(7, 8 * n, _sign) / z
-    return _restrict(a_series, _odd), _qs_from(prec, rhs_fn, range(1, prec, 2))
+    return _qs_from(prec, _eta12_theta10_4(prec).coefficient, keys), _qs_from(prec, rhs_fn, keys)
 
 
 def _b_p41_diff(prec):
@@ -424,11 +414,11 @@ def _b_p42_diff(prec):
 
 
 def _b_p42_b_odd(prec):
-    lhs = _restrict(_eta12_2tau(prec), _odd)
+    keys = range(1, prec, 2)
     def rhs_fn(k):  # 4k = 8n + 4 for k = 2n + 1
         return (Fraction(11, 12) * h_window_sum(5, 4 * k, _sign)
                 - Fraction(1, 18) * sigma(5, k))
-    return lhs, _qs_from(prec, rhs_fn, range(1, prec, 2))
+    return _qs_from(prec, _eta12_2tau(prec).coefficient, keys), _qs_from(prec, rhs_fn, keys)
 
 
 def _b_p42_b_even(prec):
@@ -524,7 +514,7 @@ def _t10_24_sides(prec: int) -> tuple:
 
 def _b_s43_t10_24_phi(prec):
     lhs, eis = _t10_24_sides(prec)
-    phi1_half = cat.phi(1, prec).specialize(0, HALF, index=1)
+    phi1_half = cat.phi(1, prec).specialize(0, HALF)
     return lhs, eis - 48 * (cat.delta(prec) * phi1_half * phi1_half) + 2304 * cat.delta(prec)
 
 
@@ -587,7 +577,7 @@ def _b_s42_r16(prec):
 
 def _b_phival_const(j: int, lam: Fraction, value: int):
     def build(prec):
-        lhs = cat.phi(j, prec_for_specialize(prec, j, lam, j)).specialize(lam, HALF, index=j)
+        lhs = cat.phi(j, prec_for_specialize(prec, j, lam, j)).specialize(lam, HALF)
         return lhs, QSeries(1, prec, {0: value})
     return build
 
@@ -599,13 +589,13 @@ def _b_phival_relation(prec):
 
 def _b_phival_1_half(prec):
     t00, t01 = cat.theta_const(0, 0, prec), cat.theta_const(0, 1, prec)
-    lhs = cat.phi(1, prec).specialize(0, HALF, index=1) * (t00**2 * t01**2)
+    lhs = cat.phi(1, prec).specialize(0, HALF) * (t00**2 * t01**2)
     return lhs, 4 * (t01**4 + t00**4)
 
 
 def _b_phival_1_tau_half(prec):
     inner = prec_for_specialize(prec, 1, HALF, 1)
-    cyc = cat.phi(1, inner).specialize(HALF, HALF, index=1, cyclotomic=True)
+    cyc = cat.phi(1, inner).specialize(HALF, HALF, cyclotomic=True)
     lhs = cyc.times_root(-1, 4).to_qseries()  # divide by i
     # theta_10^2 starts at q^(1/4): its inverse is certified 1/2 short of prec + 1
     t10sq = cat.theta_const(1, 0, prec + 1) ** 2
@@ -747,8 +737,7 @@ def verify(identity_id: str, prec: Optional[int] = None) -> IdentityReport:
         raise UnknownIdentityError(identity_id) from None
     if prec is None:
         prec = ident.default_prec
-    if prec <= 0:
-        raise ValueError(f"empty comparison window: prec must be >= 1, got {prec}")
+    require_prec("verify", prec)  # an int >= 1: the comparison window is not empty
     start = time.perf_counter()
     lhs, rhs = ident.build(prec)
     built = time.perf_counter()

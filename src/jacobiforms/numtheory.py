@@ -56,13 +56,22 @@ def parse_rational(s: str) -> Rat:
     return as_rational(Fraction(s))
 
 
+def require_ints(fn: str, *args) -> None:
+    """TypeError for a non-int argument, as :func:`as_rational` refuses a
+    float: an integer entry point must not answer a float or a Fraction."""
+    for x in args:
+        if not isinstance(x, int):
+            raise TypeError(f"{fn} expects integers, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # multiplicative functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 6.0 must not hit the entry of 6
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 by trial division, as ((p, e), ...)."""
+    require_ints("factorize", n)
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     out = []
@@ -98,6 +107,7 @@ def divisors(n: int) -> list:
 
 def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n) = sum_{d|n} d^k, for n >= 1."""
+    require_ints("sigma", k, n)
     if n < 1:
         raise ValueError(f"sigma expects n >= 1, got {n}")
     result = 1
@@ -131,6 +141,7 @@ def kronecker(a: int, n: int) -> int:
     Conventions: (a|0) = 1 iff |a| = 1; (a|-1) = -1 iff a < 0;
     (a|2) = 0, 1, -1 for a even, a = +-1 mod 8, a = +-3 mod 8.
     """
+    require_ints("kronecker", a, n)
     if n == 0:
         return 1 if abs(a) == 1 else 0
     if a % 2 == 0 and n % 2 == 0:

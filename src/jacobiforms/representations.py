@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from jacobiforms.numtheory import Rat, as_rational, cohen_h, divisors, sigma, zeta_neg
+from jacobiforms.numtheory import Rat, as_rational, cohen_h, divisors, require_ints, sigma, zeta_neg
 
 
 def _sign(r: int) -> int:
@@ -85,6 +85,8 @@ def f6_coeff(n: int, r: int) -> Rat:
 def figurate(a: int, x: int) -> int:
     """The figurate value f_a(x) = (a x^2 + (a-2) x) / 2 (triangular at a=1,
     squares at a=2); x ranges over all integers."""
+    if not (isinstance(a, int) and isinstance(x, int)):  # inline: `_values` calls it per x
+        require_ints("figurate", a, x)
     return (a * x * x + (a - 2) * x) // 2
 
 
@@ -173,7 +175,7 @@ def formula_r8(n: int) -> int:
     """Eight squares: r_8(n) = 16 sum_{d|n} (-1)^(n+d) d^3 for n >= 1."""
     if n < 1:
         raise ValueError("formula_r8 expects n >= 1")
-    return 16 * sum((-1) ** (n + d) * d**3 for d in divisors(n))
+    return 16 * sum(_sign(n + d) * d**3 for d in divisors(n))
 
 
 def formula_delta8(n: int) -> int:

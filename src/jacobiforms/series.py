@@ -233,8 +233,9 @@ class _Series:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
-        if qscale < 1 or self.zscale < 1:
-            raise ValueError("scales must be positive integers")
+        if not (type(qscale) is type(self.zscale) is type(prec) is int) or min(qscale, self.zscale) < 1:
+            raise ValueError(f"scales must be positive integers and prec an integer, got qscale "
+                             f"{qscale!r}, zscale {self.zscale!r}, prec {prec!r}")
         _set(self, "qscale", qscale)
         _set(self, "prec", prec)
         edge = self._below(prec)
@@ -455,7 +456,7 @@ class QSeries(_Series):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return self._powered(n) if n else QSeries(self.qscale, self.prec, {0: 1} if self.prec > 0 else {})
+        return self._powered(n) if n else QSeries.one(self.prec_exponent)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
@@ -1022,10 +1023,10 @@ class FJExp(_Series):
                                               zero, zero, zero)
         return QSeries(scale, prec, {e: v for (e, _), v in sums.items()})
 
-    def specialize(self, lam: RatLike, mu: RatLike, index: Optional[RatLike] = None,
-                   cyclotomic: bool = False):
+    def specialize(self, lam: RatLike, mu: RatLike, cyclotomic: bool = False):
         """Pull back along z = lam*tau + mu, including the index-m automorphy
-        prefactor q^(m lam^2) e^(2 pi i m lam mu).
+        prefactor q^(m lam^2) e^(2 pi i m lam mu), where m is the index in
+        this expansion's metadata.
 
         Each term c q^(t/s) zeta^(r/w) lands at q-exponent
         t/s + (r/w) lam + m lam^2 with phase e^(2 pi i mu (r/w + m lam)).
@@ -1033,9 +1034,9 @@ class FJExp(_Series):
         to a QSeries when every coefficient is rational, otherwise it raises
         NonRationalResult (or returns the CycloSeries when cyclotomic=True).
         """
-        if index is None and self.index is None:
+        if self.index is None:
             raise ValueError("an index is required to specialize (none in metadata)")
-        m = Fraction(self.index) if index is None else _fraction("index", index)
+        m = Fraction(self.index)
         lam, mu = _fraction("lam", lam), _fraction("mu", mu)
         scale, prec, conductor, sums = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
         if conductor > 48:

@@ -239,9 +239,9 @@ def test_eval_linear_takes_only_an_int_or_a_fraction(z_mult):
         cat.theta(3).eval_linear(3, z_mult)
 
 
-@pytest.mark.parametrize("name", ["lam", "mu", "index"])
+@pytest.mark.parametrize("name", ["lam", "mu"])
 def test_specialize_takes_only_ints_or_fractions(name):
-    args = {"lam": HALF, "mu": 0, "index": HALF, name: FLOAT}
+    args = {"lam": HALF, "mu": 0, name: FLOAT}
     with pytest.raises(TypeError, match=f"{name} must be an int or a Fraction"):
         cat.theta(3).specialize(**args)
 
@@ -358,11 +358,14 @@ def test_planned_precision_is_the_least_sound_one(target):
 
 
 def test_specialize_without_cone_metadata_rejected():
-    a = FJExp(1, 1, 6, {(1, 0): 1, (1, 1): 1})
+    a = FJExp(1, 1, 6, {(1, 0): 1, (1, 1): 1}, index=1)
     with pytest.raises(ValueError):
-        a.specialize(HALF, 0, index=1)
+        a.specialize(HALF, 0)
     # but lambda = 0 needs no cone
-    assert a.specialize(0, HALF, index=1).coefficient(1) == 0
+    assert a.specialize(0, HALF).coefficient(1) == 0
+    # the index comes only from the metadata
+    with pytest.raises(ValueError, match="none in metadata"):
+        FJExp(1, 1, 6, {(1, 0): 1}).specialize(0, HALF)
 
 
 def test_index_cone_invariant_on_catalog_forms():
@@ -749,8 +752,9 @@ def test_certified_windows_only_grow(target, extra):
         assert_extends(build(target), build(target + extra))
     for form, index, slack, lam, mu in SPECIALIZED:
         p = prec_for_specialize(target, index, lam, slack)
-        lo = form(p).specialize(lam, mu, index=index)
-        assert_extends(lo, form(p + extra).specialize(lam, mu, index=index), target)
+        lo = form(p).specialize(lam, mu)
+        assert form(p).index == index
+        assert_extends(lo, form(p + extra).specialize(lam, mu), target)
     for form, index, slack, tau_mult, z_mult in EVALUATED:
         p = prec_for_eval_linear(target, index, tau_mult, z_mult, slack)
         lo = form(p).eval_linear(tau_mult, z_mult)

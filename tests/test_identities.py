@@ -47,6 +47,13 @@ def test_empty_window_rejected():
         verify("T31-theta8", -3)
 
 
+@pytest.mark.parametrize("identity_id", ["T31-theta8", "L21-tau"])
+@pytest.mark.parametrize("prec", [2.5, 8.0, Fraction(8)], ids=["2.5", "8.0", "Fraction(8)"])
+def test_verify_refuses_a_non_int_prec(identity_id, prec):
+    with pytest.raises(ValueError, match="verify needs an integer prec"):
+        verify(identity_id, prec)
+
+
 def test_registry_filters():
     assert ids.identity_ids("") == []
     p4 = ids.identity_ids("P4*")

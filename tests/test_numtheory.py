@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacobiforms import numtheory
+from jacobiforms import numtheory, representations
 from jacobiforms.numtheory import (
     DiscDecomp,
     as_rational,
@@ -368,3 +368,36 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
     assert type(numtheory.as_rational(Fraction(-6, 3))) is int
     assert numtheory.as_rational("3/6") == half
     assert numtheory.as_rational(7) == 7
+
+
+# -- integer entry points refuse non-integers -----------------------------------
+
+# (entry point, int arguments, the same value as a float or a Fraction): each
+# is called with its ints first, so that a cache entry for the int value
+# must not answer the float; before the refusal formula_r8(2.5) returned
+# (-250-16j)
+NON_INT_CALLS = [
+    (numtheory.factorize, (6,), (6.0,)),
+    (numtheory.factorize, (6,), (Fraction(6),)),
+    (numtheory.factorize, (5,), (2.5,)),
+    (numtheory.factorize, (True,), (1.0,)),  # (True,) == (1.0,) as untyped cache keys
+    (divisors, (6,), (6.0,)),
+    (mobius, (6,), (6.0,)),
+    (sigma, (2, 6), (2.0, 6)),
+    (sigma, (2, 6), (2, 6.0)),
+    (kronecker, (5, 3), (2.5, 3)),
+    (kronecker, (5, 3), (5, 3.0)),
+    (fund_disc_decomp, (5,), (5.0,)),
+    (representations.formula_r8, (6,), (6.0,)),
+    (representations.formula_r8, (2,), (2.5,)),
+    (representations.formula_delta8, (2,), (2.5,)),
+    (representations.figurate, (3, 2), (3, 2.5)),
+]
+
+
+@pytest.mark.parametrize("fn, good, bad", NON_INT_CALLS,
+                         ids=[f"{fn.__name__}{bad}" for fn, _, bad in NON_INT_CALLS])
+def test_integer_entry_points_refuse_non_integers(fn, good, bad):
+    assert isinstance(fn(*good), (int, tuple, list, DiscDecomp))
+    with pytest.raises(TypeError, match="expects integers"):
+        fn(*bad)

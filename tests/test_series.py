@@ -79,6 +79,7 @@ def test_powers_match_repeated_products():
         lo = min(x._split(k)[0] for k in x.terms)
         assert lo < 0
         assert x ** 1 == x and x ** 0 == type(x).one(x.prec_exponent)
+        assert (x ** 0).qscale == x.prec_exponent.denominator  # one unit rule, as `one` builds it
         product = x
         for n in range(2, 6):
             product = product * x
@@ -504,3 +505,21 @@ FLOAT_INPUTS = {
 def test_floats_are_refused(entry):
     with pytest.raises(TypeError):
         FLOAT_INPUTS[entry]()
+
+
+# a scale or precision that is not an int would construct, and then fail
+# later (str() raised "both arguments should be Rational instances")
+NON_INT_GRIDS = {
+    "qseries_prec": lambda: QSeries(1, 2.5, {0: 1}),
+    "qseries_qscale": lambda: QSeries(1.0, 3, {}),
+    "qseries_json_prec": lambda: QSeries.from_json_dict({"qscale": 1, "prec": 3.0, "terms": [[0, "1"]]}),
+    "fjexp_zscale": lambda: FJExp(1, 2.0, 3, {}),
+    "fjexp_prec": lambda: FJExp(1, 1, Fraction(3), {}),
+    "fjexp_json_prec": lambda: FJExp.from_json_dict({"qscale": 1, "zscale": 1, "prec": 3.0, "terms": []}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_INT_GRIDS))
+def test_scales_and_precision_must_be_ints(entry):
+    with pytest.raises(ValueError, match="scales must be positive integers and prec an integer"):
+        NON_INT_GRIDS[entry]()
