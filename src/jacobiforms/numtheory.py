@@ -252,7 +252,7 @@ def _character_values(d: int) -> list:
     return chi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def gen_bernoulli(r: int, d: int) -> Rat:
     """Generalized Bernoulli number B_{r, chi_D} for fundamental D (or D = 1).
 
@@ -268,6 +268,7 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     symbol is evaluated.  The defining sum over :func:`bernoulli_poly` and
     :func:`kronecker` is the test oracle.
     """
+    require_ints("gen_bernoulli", r, d)
     if r < 1:
         raise ValueError(f"gen_bernoulli expects r >= 1, got {r}")
     if not is_fundamental_discriminant(d):
@@ -319,7 +320,7 @@ def fund_disc_decomp(delta: int) -> DiscDecomp:
     return DiscDecomp(4 * core, f // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # untyped: its one caller, cohen_h, passes ints only
 def _cohen_h_int(r: int, n: int) -> Rat:
     if n == 0:
         return zeta_neg(1 - 2 * r)
@@ -344,6 +345,8 @@ def cohen_h(r: int, n: Rat) -> Rat:
     callers also ask only at integer N, and the 0 off the integers is for
     the public API and the CLI.
     """
+    if type(r) is not int:  # inline: this is called per coefficient
+        require_ints("cohen_h", r)
     if r < 1:
         raise ValueError(f"cohen_h expects r >= 1, got {r}")
     n = as_rational(n)

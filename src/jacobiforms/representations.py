@@ -65,16 +65,20 @@ def _f_coeff(k: int, n: int, r: int) -> Rat:
     return as_rational(Fraction(acc, den))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 1.0 must not hit the entry of 1
 def f4_coeff(n: int, r: int) -> Rat:
     """Fourier coefficient of the eighth power of the triple product at
     q^n zeta^r, from Cohen numbers (0 outside the cone 16n >= r^2)."""
+    if not (type(n) is int and type(r) is int):  # inline: called per coefficient
+        require_ints("f4_coeff", n, r)
     return _f_coeff(3, n, r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 1.0 must not hit the entry of 1
 def f6_coeff(n: int, r: int) -> Rat:
     """Fourier coefficient of 12*wp*theta^8 at q^n zeta^r, from H(5, .)."""
+    if not (type(n) is int and type(r) is int):  # inline: called per coefficient
+        require_ints("f6_coeff", n, r)
     return _f_coeff(5, n, r)
 
 
@@ -116,6 +120,7 @@ class CountQuery:
     a: Optional[int] = None
 
     def __post_init__(self):
+        require_ints("CountQuery", self.m, self.n, 0 if self.a is None else self.a)
         if self.m < 1 or self.n < 0:
             raise ValueError("need m >= 1 and n >= 0")
         if self.kind not in _PROGRESSIONS:
@@ -173,6 +178,7 @@ def count_bruteforce(query: CountQuery) -> int:
 
 def formula_r8(n: int) -> int:
     """Eight squares: r_8(n) = 16 sum_{d|n} (-1)^(n+d) d^3 for n >= 1."""
+    require_ints("formula_r8", n)
     if n < 1:
         raise ValueError("formula_r8 expects n >= 1")
     return 16 * sum(_sign(n + d) * d**3 for d in divisors(n))
@@ -181,6 +187,7 @@ def formula_r8(n: int) -> int:
 def formula_delta8(n: int) -> int:
     """Eight triangular numbers: delta_8(n) = sum of d^3 over divisors d of
     n+1 with (n+1)/d odd, for n >= 0."""
+    require_ints("formula_delta8", n)
     if n < 0:
         raise ValueError("formula_delta8 expects n >= 0")
     return sum(d**3 for d in divisors(n + 1) if ((n + 1) // d) % 2)
@@ -259,6 +266,7 @@ def r_a8_formula(a: int, n: int) -> int:
     arguments): the sum over a*m + r*(a-1) + 3a - 4 = n, 16m >= r^2 of
     (-1)^r f4(m, r).  When a parity-case divisor formula applies it is
     evaluated too and must agree."""
+    require_ints("r_a8_formula", a, n)
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
     points = list(cone_points(n - 3 * a + 4, a - 1, a))
@@ -274,6 +282,7 @@ def r_a8odd_formula(a: int, n: int) -> int:
     """Representations of n by eight a-figurate numbers with all odd
     arguments: the sum over 4am + r(a-2) = n, 16m >= r^2 of (-1)^r f4(m, r).
     The odd-a odd-n case formula is cross-asserted."""
+    require_ints("r_a8odd_formula", a, n)
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
     points = list(cone_points(n, a - 2, 4 * a))
@@ -317,6 +326,7 @@ def tau(n: int, route: str = "direct") -> Rat:
     over the full window r^2 <= 16n; via_h11 is the weight-12 Cohen-number
     route; the closed H(3)/H(5) routes require n odd and not an odd square.
     """
+    require_ints("tau", n)
     if n < 1:
         raise ValueError("tau expects n >= 1")
     if route == "direct":
@@ -353,6 +363,7 @@ def tau_applicable_routes(n: int) -> list:
 def _sixteen(name: str, n: int, big_n: int, c1: Fraction, c2: Fraction) -> Rat:
     """c1 sigma_7(N) + c2 sum (-1)^r H(7, 8N - r^2)/zeta(-13) at N = big_n,
     for odd n >= 1."""
+    require_ints(name, n)
     if n < 1:
         raise ValueError(f"{name} expects n >= 1")
     if n % 2 == 0:

@@ -6,24 +6,30 @@ for all exponents t/s < P/s; larger ones are truncated).  FJExp is the
 two-variable analogue, a Fourier-Jacobi expansion sum c * q^(t/s) zeta^(r/w)
 whose zeta-part is a finite Laurent polynomial for every q-power.
 
-Both are subclasses of one term-map core, QSeries being the case w = 1 with
+Both are subclasses of one row core, QSeries being the case w = 1 with
 every zeta-index 0, so they share one vocabulary: `prec` is the precision
 P in units of 1/s, `prec_exponent` is P/s, `truncated(e)` cuts the certified
 window to q-exponents below e, and `mismatch` returns the first difference
 on the common window as (q_exp, z_exp, lhs, rhs), with z_exp None for a
-QSeries, or None when there is none.  Each class keeps its own `__mul__`,
-but both multiply through one module-level kernel, `_product`: Kronecker
-substitution packs each operand's grid into one integer, so that a product
-is one big-int multiply instead of a loop over term pairs.  Slots of up to
-8 bytes are machine words, packed and read by one struct call each; wider
-slots are byte slices.  A square packs its one operand once, and powers
-start from their first factor, never from a product by 1.
+QSeries, or None when there is none.  A series is stored as one positive
+denominator and integer rows: per q-index one run of numerators over the
+expansion's zeta-grid for an FJExp, one run over the q-grid for a QSeries,
+in a canonical form, so that products, truncation, sums, equality,
+`mismatch` and serialization work on the rows and make no Fraction per
+term.  `terms`, the read-only map key -> coefficient, is built on first
+read; `len(terms)` reads a stored count.  Each class keeps its own
+`__mul__`, but both multiply through one module-level kernel, `_product`:
+Kronecker substitution packs each operand's rows into one integer, so that
+a product is one big-int multiply instead of a loop over term pairs.  Slots
+of up to 8 bytes are machine words, packed and read by one struct call
+each; wider slots are byte slices.  A square packs its one operand once,
+and powers start from their first factor, never from a product by 1.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
 operand has terms with negative q-exponent; nothing is ever emitted beyond
-the certified window.  Series are read-only once built (term maps are
-MappingProxyType views; setting an attribute raises), so callers can share one.
+the certified window.  Series are read-only once built (`terms` is a
+MappingProxyType view; setting an attribute raises), so callers can share one.
 
 There is one division: FJExp.divide, one long division that clears the
 lowest row of the remainder, q-order by q-order, by the denominator's lowest
@@ -42,9 +48,12 @@ from __future__ import annotations
 import math
 import struct
 import threading
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain
+from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
@@ -98,70 +107,83 @@ def _fraction(name: str, x: RatLike) -> Fraction:
 # the product kernel shared by QSeries and FJExp
 # ---------------------------------------------------------------------------
 
-def _product(a: dict, b: dict, bound: int, zeta: bool) -> dict:
-    """The exact product of two term maps below q-index `bound`, with keys
-    t (or (t, r) when `zeta`) and nonzero rational values, by Kronecker
+def _product(a: "_Series", b: "_Series", bound: int) -> tuple:
+    """The exact product of two series on the same scales below q-index
+    `bound`, as (den, rows, grid) for `_reduced`, by Kronecker
     substitution: one big-int multiply instead of a loop over term pairs.
 
-    Terms that cannot land below the bound are dropped.  Each operand is
-    shifted to start at index 0, and the q- and zeta-grids are divided by
-    the gcd of the shifted indices over both operands (eta's q^(1/24) would
-    otherwise leave t on a stride of 24).  Each operand is scaled to
-    integers by the lcm of its denominators and laid out t-major in one
-    int, one signed k-byte slot per grid point.  A product slot sums at
-    most one pair per term of either operand, so its size is at most
-    min(sum|a| * max|b|, max|a| * sum|b|) <= max|a| * max|b| * min(#a, #b),
-    and k keeps that below half the slot range.  A k of at most 8 bytes is
-    rounded up to a machine word (1, 2, 4 or 8 bytes), so that an operand
-    is packed by one struct.pack and the product read by one struct.unpack;
-    wider slots are written and read as byte slices.  An operand is packed
-    in two's complement, and the sign bit of each slot then takes off the
-    borrow that slot owes.  Adding half the range to each slot read removes
-    the borrows between the product's slots, and flipping the sign bits back
-    leaves each slot's signed value.  A square (`a is b`) prepares and packs
-    its operand once.
+    Rows that cannot land below the bound are dropped.  The product lives on
+    the q-grid gcd of the operands' q-strides and, for an FJExp, on the
+    zeta-grid gcd of their zeta-strides (eta's q^(1/24) would otherwise
+    leave t on a stride of 24).  Each operand's integer numerators are laid
+    out t-major in one int, one signed k-byte slot per grid point, row by
+    row; the denominator of the product is the product of the two.  A
+    product slot sums at most one pair per term of either operand, so its
+    size is at most min(sum|a| * max|b|, max|a| * sum|b|) (read from each
+    operand's summary), and k keeps that below half the slot range.  A k of
+    at most 8 bytes is rounded up to a machine word (1, 2, 4 or 8 bytes),
+    so that an operand is packed by one struct.pack and the product read by
+    one struct.unpack; wider slots are written and read as byte slices.  An
+    operand is packed in two's complement, and the sign bit of each slot
+    then takes off the borrow that slot owes.  Adding half the range to each
+    slot read removes the borrows between the product's slots, and flipping
+    the sign bits back leaves each slot's signed value.  Each product row is
+    cut from the bytes with its zero slots at both ends stripped.  A square
+    (`a is b`) packs its operand once.
     """
-    if not a or not b:
-        return {}
-    ta0, tb0 = (min(a)[0], min(b)[0]) if zeta else (min(a), min(b))
+    if not a._rows or not b._rows:
+        return 1, (), 1
+    ta0, tb0 = a._rows[0][0], b._rows[0][0]
     origin = ta0 + tb0
     if origin >= bound:
-        return {}
-    square = a is b
-    ta, ra, ca, da = _operand(a, bound - tb0, zeta)
-    tb, rb, cb, db = (ta, ra, ca, da) if square else _operand(b, bound - ta0, zeta)
-    gt = math.gcd(*[t - ta0 for t in ta], *[t - tb0 for t in tb]) or 1
-    rows = (bound - origin + gt - 1) // gt  # product rows below the bound
+        return 1, (), 1
+    zeta = a._zeta
+    gt = math.gcd(a._gt, b._gt) or 1
+    rows_a, ra0, ra1 = a._kept(bound - tb0)
+    rows_b, rb0, rb1 = (rows_a, ra0, ra1) if a is b else b._kept(bound - ta0)
     if zeta:
-        ra0, rb0 = min(ra), min(rb)
-        gr = math.gcd(*[r - ra0 for r in ra], *[r - rb0 for r in rb]) or 1
-        width = (max(ra) - ra0 + max(rb) - rb0) // gr + 1
-        ia = [(t - ta0) // gt * width + (r - ra0) // gr for t, r in zip(ta, ra)]
-        ib = ia if square else [(t - tb0) // gt * width + (r - rb0) // gr for t, r in zip(tb, rb)]
+        gr = unit = math.gcd(a._gr, b._gr) or 1
+        width = (ra1 - ra0 + rb1 - rb0) // gr + 1
     else:
-        width = 1
-        ia = [(t - ta0) // gt for t in ta]
-        ib = ia if square else [(t - tb0) // gt for t in tb]
-    most = min(sum(map(abs, ca)) * max(map(abs, cb)), max(map(abs, ca)) * sum(map(abs, cb)))
+        gr, unit, width = 1, gt, 1
+    # (first slot, slot step, numerators) of each run
+    step_a = (a._gr if zeta else a._gt) // unit or 1
+    step_b = (b._gr if zeta else b._gt) // unit or 1
+    runs_a = [((t - ta0) // gt * width + (r - ra0) // gr, step_a, nums) for t, r, nums in rows_a]
+    runs_b = runs_a if a is b else [((t - tb0) // gt * width + (r - rb0) // gr, step_b, nums)
+                                    for t, r, nums in rows_b]
+    sa, sb = a._summary(), b._summary()
+    most = min(sa[1] * sb[2], sa[2] * sb[1])
     k = most.bit_length() // 8 + 1  # bytes per slot: most < 2^(8k - 1)
     k, word = _WORDS.get(k, (k, None))  # word: the struct letter, None above 8 bytes
-    n = min(max(ia) + max(ib) + 1, rows * width)  # the slots read, below the bound
+    # the last run, in the highest row, ends the slots of an operand
+    size_a = runs_a[-1][0] + step_a * (len(runs_a[-1][2]) - 1) + 1
+    size_b = runs_b[-1][0] + step_b * (len(runs_b[-1][2]) - 1) + 1
+    # the slots read, below the bound
+    n = min(size_a + size_b - 1, (bound - origin + gt - 1) // gt * width)
     signs = int.from_bytes((b"\x00" * (k - 1) + b"\x80") * n, "little")
-    pa = _packed(ia, ca, k, word, signs)
-    prod = pa * pa if square else pa * _packed(ib, cb, k, word, signs)
+    pa = _packed(runs_a, size_a, k, word, signs)
+    prod = pa * pa if a is b else pa * _packed(runs_b, size_b, k, word, signs)
     data = (((prod + signs) & ((1 << 8 * k * n) - 1)) ^ signs).to_bytes(n * k, "little")
     if word:
         slots = struct.unpack(f"<{n}{word}", data)
-    else:
-        slots = [int.from_bytes(data[i:i + k], "little", signed=True) for i in range(0, n * k, k)]
-    den = da * db
-    if den > 1:
-        slots = [v and _ratio(v, den) for v in slots]
-    if not zeta:
-        return {origin + gt * s: v for s, v in enumerate(slots) if v}
-    r0 = ra0 + rb0
-    return {(origin + gt * (s // width), r0 + gr * (s % width)): v
-            for s, v in enumerate(slots) if v}
+    chunk = width if zeta else n  # the slots of one product row
+    out = []
+    for i in range(0, n, chunk):
+        end = min(i + chunk, n)
+        seg = data[i * k:end * k]
+        body = seg.lstrip(b"\0")
+        if not body:
+            continue
+        lo = i + (len(seg) - len(body)) // k
+        hi = end - (len(body) - len(body.rstrip(b"\0"))) // k
+        nums = slots[lo:hi] if word else tuple(
+            int.from_bytes(data[p:p + k], "little", signed=True) for p in range(lo * k, hi * k, k))
+        if zeta:
+            out.append((origin + gt * (i // width), ra0 + rb0 + gr * (lo - i), nums))
+        else:
+            out.append((origin + gt * lo, 0, nums))
+    return a._den * b._den, out, unit
 
 
 # slot bytes k <= 8 -> (the machine word k rounds up to, its struct letter)
@@ -169,94 +191,248 @@ _WORDS = {1: (1, "b"), 2: (2, "h"), 3: (4, "i"), 4: (4, "i"),
           5: (8, "q"), 6: (8, "q"), 7: (8, "q"), 8: (8, "q")}
 
 
-def _ratio(v: int, den: int) -> Rat:
-    """v / den as a canonical rational: an int wherever den divides v."""
-    q, rem = divmod(v, den)
-    return Fraction(v, den) if rem else q
-
-
-def _operand(terms: dict, limit: int, zeta: bool) -> tuple:
-    """The q-indices, zeta-indices (None unless `zeta`) and coefficients of
-    the terms with q-index < limit, the coefficients scaled to integers by
-    the lcm d of their denominators, and d."""
-    if zeta:
-        ts, rs, cs = zip(*[(t, r, c) for (t, r), c in terms.items() if t < limit])
-    else:
-        ts, rs = [t for t in terms if t < limit], None
-        cs = [terms[t] for t in ts]
-    d = math.lcm(*[c.denominator for c in cs])
-    if d > 1:
-        cs = [c.numerator * (d // c.denominator) for c in cs]
-    return ts, rs, cs, d
-
-
-def _packed(index: list, coeffs: list, k: int, word: Optional[str], signs: int) -> int:
-    """sum coeffs[j] * 2^(8k * index[j]) for |coeffs[j]| < 2^(8k - 1): the
-    coefficients laid out in two's complement, by one struct.pack of the
-    machine word with letter `word` or, when it is None, as k-byte slices,
-    read back as one unsigned int u.  A negative slot reads 2^(8k) too high
-    and has its sign bit set, so u - 2 * (u & signs) is the sum, `signs`
-    holding the sign bit of every slot."""
-    size = max(index) + 1
+def _packed(runs: list, size: int, k: int, word: Optional[str], signs: int) -> int:
+    """sum nums[j] * 2^(8k * (s + d*j)) over runs (s, d, nums), for
+    |nums[j]| < 2^(8k - 1): the numerators laid out in two's complement, by
+    one struct.pack of the machine word with letter `word` or, when it is
+    None, as k-byte slices, read back as one unsigned int u.  A negative
+    slot reads 2^(8k) too high and has its sign bit set, so
+    u - 2 * (u & signs) is the sum, `signs` holding the sign bit of every
+    slot."""
     if word:
         dense = [0] * size
-        for i, c in zip(index, coeffs):
-            dense[i] = c
+        for s, d, nums in runs:
+            dense[s:s + d * len(nums):d] = nums
         u = int.from_bytes(struct.pack(f"<{size}{word}", *dense), "little")
     else:
         buf = bytearray(size * k)
-        for i, c in zip(index, coeffs):
-            buf[i * k:i * k + k] = c.to_bytes(k, "little", signed=True)
+        for s, d, nums in runs:
+            for j, c in enumerate(nums):
+                p = (s + d * j) * k
+                buf[p:p + k] = c.to_bytes(k, "little", signed=True)
         u = int.from_bytes(buf, "little")
     return u - ((u & signs) << 1)
 
 
+def _exact(den: int, rows, grid: int, axis: int) -> tuple:
+    """Rows (t, r, nums) whose runs step by `grid` along key component
+    `axis`, each with nonzero ends, in canonical form: den and every
+    numerator divided by their gcd, and the runs thinned to the exact
+    stride of the nonzero terms, which is returned (0 for a single
+    position)."""
+    if den > 1:
+        g = math.gcd(den, *chain.from_iterable(row[2] for row in rows))
+        if g > 1:
+            den //= g
+            rows = [(t, r, tuple(c // g for c in nums)) for t, r, nums in rows]
+    s0 = rows[0][axis]
+    h = math.gcd(*[(row[axis] - s0) // grid for row in rows], *[len(row[2]) - 1 for row in rows])
+    for _, _, nums in rows:
+        if h < 2:
+            break
+        if len(nums) > 1:
+            h = 1 if 0 not in nums else math.gcd(h, *[j for j, c in enumerate(nums) if c])
+    if h > 1:
+        rows = [(t, r, nums[::h]) for t, r, nums in rows]
+    return den, tuple(rows), grid * h
+
+
+def _run(nums: dict, g: int) -> tuple:
+    """A map from positions on a grid of step g (0 for one position) to
+    numerators as (first position, numerators with zeros in the gaps)."""
+    s0, g = min(nums), g or 1
+    run = [0] * ((max(nums) - s0) // g + 1)
+    for p, c in nums.items():
+        run[(p - s0) // g] = c
+    return s0, tuple(run)
+
+
+def _rational(num: int, den: int) -> Rat:
+    """num / den as a canonical rational: an int wherever den divides num."""
+    if den == 1:
+        return num
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
+
+
+_first = itemgetter(0)
+
+
 # ---------------------------------------------------------------------------
-# the term-map core shared by QSeries and FJExp
+# the row core shared by QSeries and FJExp
 # ---------------------------------------------------------------------------
+
+class _TermMap:
+    """The mapping behind a series' `terms` proxy: its length is the stored
+    count of nonzero terms; anything else reads the series' term map, which
+    is built on that first read."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series):
+        self._series = series
+
+    def __len__(self):
+        return self._series._summary()[0]
+
+    def __getitem__(self, key):
+        return self._series._term_map()[key]
+
+    def __iter__(self):
+        return iter(self._series._term_map())
+
+    def __contains__(self, key):
+        return key in self._series._term_map()
+
+    def __eq__(self, other):
+        return self._series._term_map() == other
+
+    def __repr__(self):
+        return repr(dict(self._series._term_map()))
+
+    def __getattr__(self, name):  # keys, items, values, get, copy
+        return getattr(self._series._term_map(), name)
+
 
 class _Series:
-    """A read-only map from grid keys to nonzero rationals, certified for
-    every q-index t < prec; a key stands for q^(t/qscale) zeta^(r/zscale).
+    """A read-only series certified for every q-index t < prec, a term
+    standing for num/den * q^(t/qscale) zeta^(r/zscale), stored as one
+    positive denominator `_den` and integer rows `_rows` of (t, r, nums).
 
-    Subclasses supply the hooks: `_split` (key -> (t, r)); `_below(p)`, a
-    key that sorts above exactly the keys of q-index < p, so that the hot
-    filters compare keys without splitting them; `_rescaled_terms`, the
-    term map re-keyed by (t, r) -> (t*qmul//qdiv, r*zmul//zdiv); `_rebuilt`,
-    a copy with new data that keeps its own metadata unless `meta`
-    overrides it; `_lifted`, an addend as this type or None; and
-    `_sum_meta`, the metadata of a sum.  Products are not in the core: each
-    subclass's `__mul__` calls the shared kernel `_product` on its term map.
+    For an FJExp each row is one q-index t, sorted by t, and nums[j] is the
+    numerator at zeta-index r + _gr*j; for a QSeries there is at most one
+    row, and nums[j] is the numerator at q-index t + _gt*j.  The form is
+    canonical, so that equal series have equal rows: gcd(den, nums) = 1,
+    every run has nonzero ends, and `_gt` and `_gr` are the exact gcds of
+    the differences of the nonzero terms' q- and zeta-indices (0 when there
+    is only one).  `_summary()` (count, sum|num|, max|num|, zeta-range) and
+    the term map behind `terms` are computed on first use.
+
+    Subclasses supply `_zeta` (whether keys are (t, r) rather than t),
+    `_keyed` (the sorted (key, numerator) pairs), `_kept` and `_cut` (the
+    rows, or the series, below a q-index), `_lifted` (an addend as this
+    type or None), `_meta` and `_sum_meta`.
     """
 
-    __slots__ = ("qscale", "prec", "terms")
+    __slots__ = ("qscale", "prec", "_den", "_rows", "_gt", "_gr", "_stats", "_map")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
         if not (type(qscale) is type(self.zscale) is type(prec) is int) or min(qscale, self.zscale) < 1:
             raise ValueError(f"scales must be positive integers and prec an integer, got qscale "
                              f"{qscale!r}, zscale {self.zscale!r}, prec {prec!r}")
-        _set(self, "qscale", qscale)
-        _set(self, "prec", prec)
-        edge = self._below(prec)
-        clean = {}
+        zeta = self._zeta
+        clean, dens = {}, []
         for k, c in terms.items():
             if type(c) is not int:
                 c = as_rational(c)
+                if type(c) is not int:
+                    dens.append(c.denominator)
             if c == 0:
                 continue
-            if k >= edge:
-                t = self._split(k)[0]
+            if (t := k[0] if zeta else k) >= prec:
                 raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {prec}")
             clean[k] = c
-        _set(self, "terms", MappingProxyType(clean))
+        den = math.lcm(*dens)
+        if den > 1:
+            clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._fill(qscale, prec, *self._gridded(den, clean))
+
+    @classmethod
+    def _gridded(cls, den: int, nums: dict) -> tuple:
+        """(den, rows, gt, gr) in canonical form for a map from keys to
+        nonzero numerators over den: one run per row over the exact grid."""
+        if den > 1 and (g := math.gcd(den, *nums.values())) > 1:
+            den, nums = den // g, {k: c // g for k, c in nums.items()}
+        if not nums:
+            return 1, (), 0, 0
+        if not cls._zeta:  # keys t
+            t0 = next(iter(nums))
+            g = math.gcd(*[t - t0 for t in nums])
+            t0, run = _run(nums, g)
+            return den, ((t0, 0, run),), g, 0
+        by_t: dict = {}
+        for (t, r), c in nums.items():
+            by_t.setdefault(t, {})[r] = c
+        r0 = next(iter(nums))[1]
+        g = math.gcd(*[r - r0 for _, r in nums])
+        rows = tuple((t, *_run(by_t[t], g)) for t in sorted(by_t))
+        return den, rows, math.gcd(*[t - rows[0][0] for t, _, _ in rows]), g
+
+    def _fill(self, qscale, prec, den, rows, gt, gr) -> None:
+        _set(self, "qscale", qscale)
+        _set(self, "prec", prec)
+        _set(self, "_den", den)
+        _set(self, "_rows", rows)
+        _set(self, "_gt", gt)
+        _set(self, "_gr", gr)
+        _set(self, "_stats", None)
+        _set(self, "_map", None)
+
+    @classmethod
+    def _make(cls, qscale, zscale, prec, den, rows, gt, gr, meta=(None, None, None)):
+        """A series from canonical rows, unchecked; `meta` is (weight,
+        index, cone_slack) for an FJExp, whose zscale it sets too."""
+        self = object.__new__(cls)
+        self._fill(qscale, prec, den, rows, gt, gr)
+        for name, value in zip(cls.__slots__, (zscale, *meta)):  # FJExp's own slots
+            _set(self, name, value)
+        return self
+
+    @classmethod
+    def _reduced(cls, qscale, zscale, prec, den, rows, grid, meta=(None, None, None)):
+        """`_make` from rows with nonzero ends whose runs step by `grid`,
+        brought to canonical form first."""
+        if not rows:
+            return cls._make(qscale, zscale, prec, 1, (), 0, 0, meta)
+        den, rows, stride = _exact(den, rows, grid, cls._zeta)
+        if not cls._zeta:
+            return cls._make(qscale, zscale, prec, den, rows, stride, 0, meta)
+        gt = math.gcd(*[t - rows[0][0] for t, _, _ in rows])
+        return cls._make(qscale, zscale, prec, den, rows, gt, stride, meta)
+
+    def _like(self, prec, den, rows, gt, gr, **meta):
+        """A copy of this series' class, scales and metadata with new
+        canonical data; `meta` overrides fields of the metadata."""
+        return self._make(self.qscale, self.zscale, prec, den, rows, gt, gr, self._meta(**meta))
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The read-only map key -> nonzero coefficient, built on first
+        read; its len is the stored count and builds nothing."""
+        m = self._map
+        return m if m is not None else MappingProxyType(_TermMap(self))
+
+    def _term_map(self) -> MappingProxyType:
+        m = self._map
+        if m is None:
+            den = self._den
+            m = MappingProxyType({k: _rational(c, den) for k, c in self._keyed()})
+            _set(self, "_map", m)
+        return m
+
+    def _summary(self) -> tuple:
+        """(count, sum |num|, max |num|, lowest r, highest r) of the nonzero
+        terms, computed on first use."""
+        s = self._stats
+        if s is None:
+            rows, g = self._rows, self._gr
+            flat = rows[0][2] if len(rows) == 1 else tuple(chain.from_iterable(row[2] for row in rows))
+            if g:
+                lo, hi = min(r for _, r, _ in rows), max(r + g * (len(nums) - 1) for _, r, nums in rows)
+            else:  # one zeta-index, or a QSeries
+                lo = hi = rows[0][1] if rows else 0
+            mags = list(map(abs, flat))
+            s = (len(flat) - flat.count(0), sum(mags), max(mags, default=0), lo, hi)
+            _set(self, "_stats", s)
+        return s
 
     @property
     def prec_exponent(self) -> Fraction:
         return Fraction(self.prec, self.qscale)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     def _q_index(self, q_exp: RatLike) -> Fraction:
         """q_exp in units of 1/qscale; raises beyond the certified window."""
@@ -276,7 +452,9 @@ class _Series:
         ks, kw = s // self.qscale, w // self.zscale
         if ks == 1 and kw == 1:
             return self
-        return self._rebuilt(s, w, self.prec * ks, self._rescaled_terms(ks, 1, kw, 1))
+        return self._make(s, w, self.prec * ks, self._den,
+                          tuple((t * ks, r * kw, nums) for t, r, nums in self._rows),
+                          self._gt * ks, self._gr * kw, self._meta())
 
     def normalized(self):
         """Reduce to the minimal scales representing the same certified data.
@@ -284,27 +462,21 @@ class _Series:
         The precision bound participates in the q-gcd so that no certified
         information is lost; the result is idempotent.
         """
-        split = self._split
-        gs, gw = math.gcd(self.qscale, self.prec), self.zscale
-        for k in self.terms:
-            t, r = split(k)
-            gs, gw = math.gcd(gs, t), math.gcd(gw, r)
-            if gs == 1 and gw == 1:
-                return self
+        t0, r0, _ = self._rows[0] if self._rows else (0, 0, ())
+        gs = math.gcd(self.qscale, self.prec, t0, self._gt)
+        gw = math.gcd(self.zscale, r0, self._gr)
         if gs == 1 and gw == 1:
             return self
-        return self._rebuilt(self.qscale // gs, self.zscale // gw, self.prec // gs,
-                             self._rescaled_terms(1, gs, 1, gw))
+        return self._make(self.qscale // gs, self.zscale // gw, self.prec // gs, self._den,
+                          tuple((t // gs, r // gw, nums) for t, r, nums in self._rows),
+                          self._gt // gs, self._gr // gw, self._meta())
 
     def truncated(self, prec_exp: RatLike):
         """The same series, certified only below q^prec_exp."""
         bound = _fraction("prec_exp", prec_exp)
         if bound >= self.prec_exponent:
             return self
-        new_p = math.floor(bound * self.qscale)
-        edge = self._below(new_p)
-        return self._rebuilt(self.qscale, self.zscale, new_p,
-                             {k: c for k, c in self.terms.items() if k < edge})
+        return self._cut(math.floor(bound * self.qscale))
 
     def _aligned(self, other):
         s = math.lcm(self.qscale, other.qscale)
@@ -314,8 +486,18 @@ class _Series:
     # -- ring operations --------------------------------------------------------
 
     def __neg__(self):
-        return self._rebuilt(self.qscale, self.zscale, self.prec,
-                             {k: -c for k, c in self.terms.items()})
+        return self._like(self.prec, self._den,
+                          tuple((t, r, tuple(map(neg, nums))) for t, r, nums in self._rows),
+                          self._gt, self._gr)
+
+    def _times(self, c: RatLike):
+        """The product by a rational scalar."""
+        if not c:
+            return self._like(self.prec, 1, (), 0, 0)
+        p = c.numerator
+        rows = [(t, r, tuple(x * p for x in nums)) for t, r, nums in self._rows]
+        return self._reduced(self.qscale, self.zscale, self.prec, self._den * c.denominator, rows,
+                             (self._gr if self._zeta else self._gt) or 1, self._meta())
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -325,12 +507,13 @@ class _Series:
             return NotImplemented
         a, b = self._aligned(other)
         prec = min(a.prec, b.prec)
-        edge = a._below(prec)
-        terms = {k: c for k, c in a.terms.items() if k < edge}
-        for k, c in b.terms.items():
-            if k < edge:
-                terms[k] = terms.get(k, 0) + c
-        return a._rebuilt(a.qscale, a.zscale, prec, terms, **a._sum_meta(b))
+        a, b = a._cut(prec), b._cut(prec)
+        den = math.lcm(a._den, b._den)
+        nums = {k: c * (den // a._den) for k, c in a._keyed()}
+        for k, c in b._keyed():
+            nums[k] = nums.get(k, 0) + c * (den // b._den)
+        return a._make(a.qscale, a.zscale, prec, *a._gridded(den, {k: c for k, c in nums.items() if c}),
+                       a._meta(**a._sum_meta(b)))
 
     __radd__ = __add__
 
@@ -353,34 +536,61 @@ class _Series:
                 return result
             base = base * base
 
+    def _mul_rows(self, other):
+        """The aligned operands and the precision and kernel output of their
+        product: the window narrows by the depth of negative q-exponents."""
+        a, b = self._aligned(other)
+        lo_a = a._rows[0][0] if a._rows else 0
+        lo_b = b._rows[0][0] if b._rows else 0
+        prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
+        return a, b, prec, _product(a, b, prec)
+
     # -- comparison -------------------------------------------------------------
+
+    def _data(self) -> tuple:
+        return self._den, self._gt, self._gr, self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
         a, b = self.normalized(), other.normalized()
         return (a.qscale == b.qscale and a.zscale == b.zscale and a.prec == b.prec
-                and a.terms == b.terms)
+                and a._data() == b._data())
 
     __hash__ = None
 
-    def _mismatch(self, other, zeta: bool):
+    def _mismatch(self, other):
         """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
         common certified q-window, or None when the series agree there; the
-        z-exp is None when not `zeta`."""
+        z-exp is None for a QSeries.  Equal rows answer at once."""
         a, b = self._aligned(other)
-        edge = a._below(min(a.prec, b.prec))
-        for k in sorted(set(a.terms) | set(b.terms)):
-            if k >= edge:
-                break
-            ca, cb = a.terms.get(k, 0), b.terms.get(k, 0)
-            if ca != cb:
-                t, r = a._split(k)
-                return (Fraction(t, a.qscale), Fraction(r, a.zscale) if zeta else None, ca, cb)
+        prec = min(a.prec, b.prec)
+        a, b = a._cut(prec), b._cut(prec)
+        if a._data() == b._data():
+            return None
+        na, nb = dict(a._keyed()), dict(b._keyed())
+        for k in sorted(na.keys() | nb.keys()):
+            ca, cb = na.get(k, 0), nb.get(k, 0)
+            if ca * b._den != cb * a._den:
+                t, r = k if a._zeta else (k, None)
+                return (Fraction(t, a.qscale), r if r is None else Fraction(r, a.zscale),
+                        _rational(ca, a._den), _rational(cb, b._den))
         return None
 
     def agrees_with(self, other) -> bool:
         return self.mismatch(other) is None
+
+    def _text(self):
+        """The canonical string of a numerator over this series' denominator,
+        as `rational_str` writes the reduced rational."""
+        den = self._den
+        if den == 1:
+            return str
+
+        def text(c):
+            g = math.gcd(c, den)
+            return f"{c // g}/{den // g}" if g != den else str(c // g)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +599,35 @@ class _Series:
 
 class QSeries(_Series):
     """Truncated series sum_t c_t q^(t/qscale), certified for t < prec: the
-    core with zscale 1 and zeta-index 0, keyed by t alone."""
+    core with zscale 1 and zeta-index 0, keyed by t alone, its terms one
+    run over the q-grid."""
 
     __slots__ = ()
     zscale = 1
+    _zeta = 0  # the rows' runs go along t, key component 0
 
-    @staticmethod
-    def _split(t):
-        return t, 0
+    def _meta(self) -> tuple:
+        return ()  # QSeries carries no metadata
 
-    @staticmethod
-    def _below(p):
-        return p
+    def _keyed(self) -> list:
+        g = self._gt
+        return [(t + g * j, c) for t, _, run in self._rows for j, c in enumerate(run) if c]
 
-    def _rescaled_terms(self, qmul, qdiv, zmul, zdiv) -> dict:
-        return {t * qmul // qdiv: c for t, c in self.terms.items()}
+    def _kept(self, limit: int) -> tuple:
+        (t0, _, run), = self._rows
+        m = (limit - t0 - 1) // self._gt + 1 if self._gt else 1
+        return ((t0, 0, run[:m]),), 0, 0
 
-    def _rebuilt(self, qscale, zscale, prec, terms, **meta) -> "QSeries":
-        return QSeries(qscale, prec, terms)
+    def _cut(self, p: int) -> "QSeries":
+        if p >= self.prec:
+            return self
+        if not self._rows or self._rows[0][0] >= p:
+            return self._like(p, 1, (), 0, 0)
+        ((t0, _, run),), _, _ = self._kept(p)
+        end = len(run)
+        while not run[end - 1]:
+            end -= 1
+        return self._reduced(self.qscale, 1, p, self._den, [(t0, 0, run[:end])], self._gt or 1)
 
     def _lifted(self, other):
         return other if isinstance(other, QSeries) else None
@@ -425,9 +646,7 @@ class QSeries(_Series):
     # -- basic queries ---------------------------------------------------------
 
     def lowest_exponent(self) -> Optional[Fraction]:
-        if not self.terms:
-            return None
-        return Fraction(min(self.terms), self.qscale)
+        return Fraction(self._rows[0][0], self.qscale) if self._rows else None
 
     def coefficient(self, exponent: RatLike) -> Rat:
         """Coefficient at q^exponent; raises beyond the certified window."""
@@ -440,14 +659,11 @@ class QSeries(_Series):
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries(self.qscale, self.prec, {t: c * other for t, c in self.terms.items()})
+            return self._times(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._aligned(other)
-        lo_a = min(a.terms) if a.terms else 0
-        lo_b = min(b.terms) if b.terms else 0
-        prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
-        return QSeries(a.qscale, prec, _product(a.terms, b.terms, prec, zeta=False))
+        a, _, prec, (den, rows, grid) = self._mul_rows(other)
+        return QSeries._reduced(a.qscale, 1, prec, den, rows, grid)
 
     __rmul__ = __mul__
 
@@ -461,12 +677,11 @@ class QSeries(_Series):
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
         by this series through `FJExp.divide`, at zeta-index 0."""
-        if not self.terms:
+        if not self._rows:
             raise ZeroDivisionError("cannot invert a series with zero lowest coefficient")
         # 1 is certified as far as the inverse of the unit part needs it
-        one = FJExp(self.qscale, 1, self.prec - min(self.terms), {(0, 0): 1})
-        quot = one.divide(FJExp.from_qseries(self))
-        return QSeries(quot.qscale, quot.prec, {t: c for (t, _), c in quot.terms.items()})
+        one = FJExp(self.qscale, 1, self.prec - self._rows[0][0], {(0, 0): 1})
+        return one.divide(FJExp.from_qseries(self))._at_z0()
 
     def __truediv__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -479,31 +694,30 @@ class QSeries(_Series):
         """q -> q^c for a positive integer c."""
         if not isinstance(c, int) or c < 1:
             raise ValueError("substitution exponent must be a positive integer")
-        return QSeries(self.qscale, self.prec * c, {t * c: v for t, v in self.terms.items()})
+        return self._like(self.prec * c, self._den,
+                          tuple((t * c, 0, run) for t, _, run in self._rows), self._gt * c, 0)
 
     def shifted(self, delta: RatLike) -> "QSeries":
         """Multiply by the exact monomial q^delta, delta an int or a Fraction."""
         delta = _fraction("shift", delta)
-        s = math.lcm(self.qscale, delta.denominator)
-        a = self.rescaled(s)
-        off = delta.numerator * (s // delta.denominator)
-        return QSeries(s, a.prec + off, {t + off: c for t, c in a.terms.items()})
+        a = self.rescaled(math.lcm(self.qscale, delta.denominator))
+        off = delta.numerator * (a.qscale // delta.denominator)
+        return a._like(a.prec + off, a._den, tuple((t + off, 0, run) for t, _, run in a._rows),
+                       a._gt, 0)
 
     # -- comparison -------------------------------------------------------------
 
     def mismatch(self, other: "QSeries"):
         """First differing (exponent, None, self-coeff, other-coeff) on the
         common certified window, or None when the series agree there."""
-        return self._mismatch(other, zeta=False)
+        return self._mismatch(other)
 
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "qscale": self.qscale,
-            "prec": self.prec,
-            "terms": [[t, rational_str(c)] for t, c in sorted(self.terms.items())],
-        }
+        text = self._text()
+        return {"qscale": self.qscale, "prec": self.prec,
+                "terms": [[t, text(c)] for t, c in self._keyed()]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
@@ -512,7 +726,7 @@ class QSeries(_Series):
     # -- display --------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._rows:
             return f"O(q^{_exp_str(self.prec_exponent)})"
         parts = []
         for t, c in sorted(self.terms.items()):
@@ -716,13 +930,9 @@ class CycloSeries:
         return QSeries(self.qscale, self.prec, out)
 
 
-# ---------------------------------------------------------------------------
-# two-variable Fourier-Jacobi expansions
-# ---------------------------------------------------------------------------
-
 class FJExp(_Series):
     """Truncated Fourier-Jacobi expansion sum c * q^(t/qscale) zeta^(r/zscale),
-    keyed by (t, r).
+    keyed by (t, r), its terms one zeta-run per q-index.
 
     `weight`, `index` and `cone_slack` are optional metadata.  cone_slack = b
     certifies |r/zscale| <= 2*sqrt((t/qscale)*index) + b on all Fourier
@@ -730,7 +940,8 @@ class FJExp(_Series):
     it is what makes torsion-point specialization precision certifiable.
     """
 
-    __slots__ = ("zscale", "weight", "index", "cone_slack")
+    __slots__ = ("zscale", "weight", "index", "cone_slack")  # the order `_make` sets them in
+    _zeta = 1  # the rows' runs go along r, key component 1
 
     def __init__(self, qscale: int, zscale: int, prec: int, terms: dict,
                  weight=None, index=None, cone_slack=None):
@@ -740,20 +951,31 @@ class FJExp(_Series):
         _set(self, "index", None if index is None else as_rational(index))
         _set(self, "cone_slack", None if cone_slack is None else as_rational(cone_slack))
 
-    @staticmethod
-    def _split(key):
-        return key
-
-    @staticmethod
-    def _below(p):
-        return (p,)  # (t, r) < (p,) exactly when t < p
-
-    def _rescaled_terms(self, qmul, qdiv, zmul, zdiv) -> dict:
-        return {(t * qmul // qdiv, r * zmul // zdiv): c for (t, r), c in self.terms.items()}
-
-    def _rebuilt(self, qscale, zscale, prec, terms, **meta) -> "FJExp":
+    def _meta(self, **meta) -> tuple:
+        """(weight, index, cone_slack), with the fields in `meta` replaced."""
         meta = {"weight": self.weight, "index": self.index, "cone_slack": self.cone_slack, **meta}
-        return FJExp(qscale, zscale, prec, terms, **meta)
+        return meta["weight"], meta["index"], meta["cone_slack"]
+
+    def _keyed(self) -> list:
+        g = self._gr
+        return [((t, r + g * j), c) for t, r, nums in self._rows for j, c in enumerate(nums) if c]
+
+    def _kept(self, limit: int) -> tuple:
+        cut = bisect_left(self._rows, limit, key=_first)
+        if cut == len(self._rows):
+            s = self._summary()
+            return self._rows, s[3], s[4]
+        rows, g = self._rows[:cut], self._gr
+        return rows, min(r for _, r, _ in rows), max(r + g * (len(nums) - 1) for _, r, nums in rows)
+
+    def _cut(self, p: int) -> "FJExp":
+        if p >= self.prec:
+            return self
+        cut = bisect_left(self._rows, p, key=_first)
+        if cut == len(self._rows):
+            return self._like(p, self._den, self._rows, self._gt, self._gr)
+        return self._reduced(self.qscale, self.zscale, p, self._den, self._rows[:cut],
+                             self._gr or 1, self._meta())
 
     def _lifted(self, other):
         if isinstance(other, QSeries):
@@ -781,17 +1003,14 @@ class FJExp(_Series):
     def from_qseries(cls, qs: QSeries) -> "FJExp":
         lo = qs.lowest_exponent()
         slack = 0 if (lo is None or lo >= 0) else None
-        return cls(qs.qscale, 1, qs.prec, {(t, 0): c for t, c in qs.terms.items()},
-                   weight=None, index=0, cone_slack=slack)
+        rows = tuple((t, 0, (c,)) for t, c in qs._keyed())
+        return cls._make(qs.qscale, 1, qs.prec, qs._den, rows, qs._gt, 0, (None, 0, slack))
 
     def with_meta(self, weight=None, index=None, cone_slack=None) -> "FJExp":
         """Copy with metadata replaced (None leaves a field unchanged)."""
-        return FJExp(
-            self.qscale, self.zscale, self.prec, self.terms,
-            weight=self.weight if weight is None else weight,
-            index=self.index if index is None else index,
-            cone_slack=self.cone_slack if cone_slack is None else cone_slack,
-        )
+        meta = {name: as_rational(v) for name, v in
+                (("weight", weight), ("index", index), ("cone_slack", cone_slack)) if v is not None}
+        return self._like(self.prec, self._den, self._rows, self._gt, self._gr, **meta)
 
     # -- queries -----------------------------------------------------------------
 
@@ -810,10 +1029,12 @@ class FJExp(_Series):
     def q_slice(self, q_exp: RatLike) -> dict:
         """The zeta-Laurent polynomial at one q-power, as {z-exponent: coeff}."""
         t = self._q_index(q_exp)
-        if t.denominator != 1:
+        i = bisect_left(self._rows, t, key=_first)
+        if i == len(self._rows) or self._rows[i][0] != t:
             return {}
-        tn = t.numerator
-        return {Fraction(r, self.zscale): c for (t2, r), c in self.terms.items() if t2 == tn}
+        _, r0, nums = self._rows[i]
+        return {Fraction(r0 + self._gr * j, self.zscale): _rational(c, self._den)
+                for j, c in enumerate(nums) if c}
 
     def cone_violations(self) -> list:
         """Stored terms violating 4*(t/s)*index >= (r/w)^2 - tolerated slack.
@@ -839,22 +1060,17 @@ class FJExp(_Series):
 
     def __mul__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
-            return self._rebuilt(self.qscale, self.zscale, self.prec,
-                                 {k: c * other for k, c in self.terms.items()})
+            return self._times(other)
         other = self._lifted(other)
         if other is None:
             return NotImplemented
-        a, b = self._aligned(other)
-        lo_a = min((t for t, _ in a.terms), default=0)
-        lo_b = min((t for t, _ in b.terms), default=0)
-        prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
-        out = _product(a.terms, b.terms, prec, zeta=True)
+        a, b, prec, (den, rows, grid) = self._mul_rows(other)
         weight = None if (a.weight is None or b.weight is None) else a.weight + b.weight
         index = None if (a.index is None or b.index is None) else a.index + b.index
         slack = None
         if a.cone_slack is not None and b.cone_slack is not None:
             slack = a.cone_slack + b.cone_slack
-        return FJExp(a.qscale, a.zscale, prec, out, weight=weight, index=index, cone_slack=slack)
+        return FJExp._reduced(a.qscale, a.zscale, prec, den, rows, grid, (weight, index, slack))
 
     __rmul__ = __mul__
 
@@ -870,19 +1086,19 @@ class FJExp(_Series):
         of the remainder must be exactly divisible, as a zeta-Laurent
         polynomial, by the denominator's lowest row."""
         a, b = self._aligned(den)
-        if not b.terms:
+        if not b._rows:
             raise ZeroDivisionError("division by the zero expansion")
-        brows = _rows(b.terms)
+        brows = _by_row(b)
         d_lo = min(brows)
         b0 = brows[d_lo]
-        if not a.terms:
+        if not a._rows:
             return FJExp(a.qscale, a.zscale, a.prec - d_lo, {},
                          weight=None, index=None, cone_slack=None)
-        rem = _rows(a.terms)
+        rem = _by_row(a)
         out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + min(rem))
         b_top = max(b0)
         b_lead, b_low = b0[b_top], min(b0)
-        quot: dict = {}
+        quot = []  # (q-order, {zeta-index: coefficient}) per row
         while rem:
             t = min(rem)
             q_order = t - d_lo
@@ -902,8 +1118,10 @@ class FJExp(_Series):
                     c //= b_lead  # an integer step keeps the remainder in ints
                 else:
                     c = as_rational(Fraction(c) / b_lead)
-                q_row[qdeg] = quot[(q_order, qdeg)] = c
+                q_row[qdeg] = c
                 _subtract(row, qdeg, c, b0)
+            if q_row:
+                quot.append((q_order, q_row))
             # the other rows of the denominator whose products land inside
             # the output window
             limit = out_prec + d_lo - q_order
@@ -913,8 +1131,13 @@ class FJExp(_Series):
                     _subtract(rem.setdefault(t2, {}), qdeg, c, row2)
         weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
         index = None if (a.index is None or b.index is None) else a.index - b.index
-        return FJExp(a.qscale, a.zscale, out_prec, quot,
-                     weight=weight, index=index, cone_slack=None)
+        # the quotient rows as runs of numerators over one denominator
+        d = math.lcm(*[c.denominator for _, row in quot for c in row.values() if type(c) is not int])
+        if d > 1:
+            quot = [(t, {r: c.numerator * (d // c.denominator) for r, c in row.items()})
+                    for t, row in quot]
+        return FJExp._reduced(a.qscale, a.zscale, out_prec, d, [(t, *_run(row, 1)) for t, row in quot],
+                              1, (weight, index, None))
 
     def __truediv__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
@@ -929,10 +1152,11 @@ class FJExp(_Series):
 
     def eval_z0(self) -> QSeries:
         """Restriction to z = 0: sum the zeta-coefficients per q-power."""
-        out: dict = {}
-        for (t, _), c in self.terms.items():
-            out[t] = out.get(t, 0) + c
-        return QSeries(self.qscale, self.prec, out)
+        return self._at_z0()
+
+    def _at_z0(self) -> QSeries:
+        nums = {t: c for t, _, nums in self._rows if (c := sum(nums))}
+        return QSeries._make(self.qscale, 1, self.prec, *QSeries._gridded(self._den, nums))
 
     def ud(self, d: int) -> "FJExp":
         """The operator z -> d*z; the index is multiplied by d^2."""
@@ -940,10 +1164,10 @@ class FJExp(_Series):
             raise ValueError("U_d expects a positive integer")
         if d == 1:
             return self
-        return self._rebuilt(self.qscale, self.zscale, self.prec,
-                             {(t, d * r): c for (t, r), c in self.terms.items()},
-                             index=None if self.index is None else d * d * self.index,
-                             cone_slack=None if self.cone_slack is None else d * self.cone_slack)
+        return self._like(self.prec, self._den, tuple((t, d * r, nums) for t, r, nums in self._rows),
+                          self._gt, self._gr * d,
+                          index=None if self.index is None else d * d * self.index,
+                          cone_slack=None if self.cone_slack is None else d * self.cone_slack)
 
     def vl(self, l: int, k: Optional[int] = None) -> "FJExp":
         """Index-raising Hecke-type operator V_l at weight k.
@@ -990,9 +1214,9 @@ class FJExp(_Series):
         q^shift e^(2 pi i phase0), on its certified window: a term at
         q^(t/s) zeta^(r/w) lands at q-exponent c*(t/s) + lam*(r/w) + shift
         with phase e^(2 pi i (mu*(r/w) + phase0)).  Returns (scale, prec,
-        conductor, sums), sums[(e, j)] being the coefficient sum at
-        q^(e/scale) with phase exp(2 pi i j/conductor), certified for
-        e < prec."""
+        conductor, sums), sums[(e, j)] being the sum of the numerators (over
+        this series' denominator) at q^(e/scale) with phase
+        exp(2 pi i j/conductor), certified for e < prec."""
         bound = _tail_bound(self.prec_exponent, c, lam, shift, self.index, self.cone_slack)
         # a term's exponent and phase angle, as integers e and a over the
         # common denominators den_e and den_a
@@ -1004,7 +1228,7 @@ class FJExp(_Series):
         a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, phase0))
         top = bound.top(den_e)  # the window: e < top
         sums: dict = {}
-        for (t, r), v in self.terms.items():
+        for (t, r), v in self._keyed():
             e = t * e_t + r * e_r + e_0
             if e < top:
                 key = (e, (r * a_r + a_0) % den_a)
@@ -1021,7 +1245,8 @@ class FJExp(_Series):
         zero = Fraction(0)
         scale, prec, _, sums = self._pullback(tau_mult, _fraction("z_mult", z_mult),
                                               zero, zero, zero)
-        return QSeries(scale, prec, {e: v for (e, _), v in sums.items()})
+        nums = {e: v for (e, _), v in sums.items() if v}
+        return QSeries._make(scale, 1, prec, *QSeries._gridded(self._den, nums))
 
     def specialize(self, lam: RatLike, mu: RatLike, cyclotomic: bool = False):
         """Pull back along z = lam*tau + mu, including the index-m automorphy
@@ -1049,8 +1274,10 @@ class FJExp(_Series):
             for i, x in enumerate(rows[j]):
                 if x:
                     row[i] += v * x
-        result = CycloSeries(conductor, scale, prec,
-                             {e: CycloElt(conductor, row) for e, row in coords.items()})
+        den = self._den
+        result = CycloSeries(conductor, scale, prec, {
+            e: CycloElt(conductor, [Fraction(x, den) for x in row] if den > 1 else row)
+            for e, row in coords.items()})
         return result if cyclotomic else result.to_qseries()
 
     # -- comparison ----------------------------------------------------------------------
@@ -1064,17 +1291,14 @@ class FJExp(_Series):
     def mismatch(self, other: "FJExp"):
         """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
         common certified q-window, or None."""
-        return self._mismatch(other, zeta=True)
+        return self._mismatch(other)
 
     # -- serialization ----------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "qscale": self.qscale,
-            "zscale": self.zscale,
-            "prec": self.prec,
-            "terms": [[t, r, rational_str(c)] for (t, r), c in sorted(self.terms.items())],
-        }
+        text = self._text()
+        return {"qscale": self.qscale, "zscale": self.zscale, "prec": self.prec,
+                "terms": [[t, r, text(c)] for (t, r), c in self._keyed()]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FJExp":
@@ -1123,12 +1347,11 @@ def _zeta_polynomial_str(coeffs: dict, zscale: int) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _rows(terms: dict) -> dict:
-    """A term map keyed by (t, r) as rows {t: {r: c}}."""
-    rows: dict = {}
-    for (t, r), c in terms.items():
-        rows.setdefault(t, {})[r] = c
-    return rows
+def _by_row(x: FJExp) -> dict:
+    """The terms of an expansion as rows {t: {r: c}}."""
+    g, den = x._gr, x._den
+    return {t: {r + g * j: _rational(c, den) for j, c in enumerate(nums) if c}
+            for t, r, nums in x._rows}
 
 
 def _subtract(row: dict, shift: int, c: Rat, den_row: dict) -> None:

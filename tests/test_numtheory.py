@@ -392,12 +392,18 @@ NON_INT_CALLS = [
     (representations.formula_r8, (2,), (2.5,)),
     (representations.formula_delta8, (2,), (2.5,)),
     (representations.figurate, (3, 2), (3, 2.5)),
+    # the cached ones: their lru_cache keys are typed, so (1.0, 0) misses (1, 0),
+    # or, for cohen_h, r is checked before its cache _cohen_h_int is read
+    (numtheory.gen_bernoulli, (2, 5), (2.0, 5)),
+    (numtheory.cohen_h, (3, 4), (3.0, 4)),
+    (representations.f4_coeff, (1, 0), (1.0, 0)),
+    (representations.f6_coeff, (1, 0), (1.0, 0)),
 ]
 
 
 @pytest.mark.parametrize("fn, good, bad", NON_INT_CALLS,
                          ids=[f"{fn.__name__}{bad}" for fn, _, bad in NON_INT_CALLS])
 def test_integer_entry_points_refuse_non_integers(fn, good, bad):
-    assert isinstance(fn(*good), (int, tuple, list, DiscDecomp))
+    assert isinstance(fn(*good), (int, Fraction, tuple, list, DiscDecomp))
     with pytest.raises(TypeError, match="expects integers"):
         fn(*bad)

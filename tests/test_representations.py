@@ -392,3 +392,28 @@ def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
     monkeypatch.setattr(reps, "f4_coeff", poisoned)
     assert tau(3, "via_f4") == 252 + Fraction(1, 40320)  # 1^8 / 8!
     assert (3, 1) in seen
+
+
+# (counting entry point, int arguments, the same with a float, its name):
+# each refuses the float with a precondition that names it, where it used to
+# fail inside (tau(2.0) asked delta for a precision of 3.0)
+COUNTING_NON_INTS = [
+    (tau, (2,), (2.0,), "tau"),
+    (r16, (3,), (3.0,), "r16"),
+    (delta16, (3,), (3.0,), "delta16"),
+    (r_a8_formula, (2, 3), (2, 3.0), "r_a8_formula"),
+    (r_a8odd_formula, (1, 9), (1.0, 9), "r_a8odd_formula"),
+    (formula_r8, (3,), (3.0,), "formula_r8"),
+    (formula_delta8, (3,), (3.0,), "formula_delta8"),
+    (CountQuery, ("squares", 8, 3), ("squares", 8.0, 3), "CountQuery"),
+    (CountQuery, ("squares", 8, 3), ("squares", 8, 3.0), "CountQuery"),
+    (CountQuery, ("figurate", 8, 3, 5), ("figurate", 8, 3, 5.0), "CountQuery"),
+]
+
+
+@pytest.mark.parametrize("fn, good, bad, name", COUNTING_NON_INTS,
+                         ids=[f"{name}{bad}" for _, _, bad, name in COUNTING_NON_INTS])
+def test_counting_entry_points_refuse_floats_by_name(fn, good, bad, name):
+    fn(*good)
+    with pytest.raises(TypeError, match=f"^{name} expects integers, got"):
+        fn(*bad)

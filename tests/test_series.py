@@ -76,7 +76,7 @@ def test_powers_match_repeated_products():
     # binary powering from the first factor certifies prec + (n - 1) * lo,
     # the window of x * ... * x; a start from 1 lost another |lo|
     for x in laurent_bases(random.Random(2024)):
-        lo = min(x._split(k)[0] for k in x.terms)
+        lo = min(k[0] if isinstance(x, FJExp) else k for k in x.terms)
         assert lo < 0
         assert x ** 1 == x and x ** 0 == type(x).one(x.prec_exponent)
         assert (x ** 0).qscale == x.prec_exponent.denominator  # one unit rule, as `one` builds it
@@ -328,6 +328,26 @@ def product_by_pairs(a, b, bound, zeta):
     return {k: c for k, c in out.items() if c}
 
 
+def kernel(a, b, bound, zeta):
+    """The row kernel `_product` on term maps a and b (b may be a itself,
+    for the square): the product's terms below the q-index bound."""
+    cls = FJExp if zeta else QSeries
+
+    def series(terms):
+        top = max((k[0] if zeta else k for k in terms), default=0) + 1
+        return FJExp(1, 1, top, terms) if zeta else QSeries(1, top, terms)
+
+    x = series(a)
+    y = x if b is a else series(b)
+    den, rows, grid = _product(x, y, bound)
+    prod = cls._reduced(1, 1, bound, den, rows, grid)
+    terms = dict(prod.terms)
+    # canonical: the same rows as the term-map constructor makes of the terms
+    assert prod._data() == (FJExp(1, 1, bound, terms) if zeta else QSeries(1, bound, terms))._data()
+    assert len(prod.terms) == len(terms)
+    return terms
+
+
 def product_by_pairs_of(x, y):
     """The oracle for `x * y` on series, with the precision rule of `__mul__`."""
     if isinstance(y, FJExp) and isinstance(x, QSeries):
@@ -336,8 +356,8 @@ def product_by_pairs_of(x, y):
         y = FJExp.from_qseries(y)
     a, b = x._aligned(y)
     zeta = isinstance(a, FJExp)
-    lo_a = min((a._split(k)[0] for k in a.terms), default=0)
-    lo_b = min((b._split(k)[0] for k in b.terms), default=0)
+    lo_a = min((k[0] if zeta else k for k in a.terms), default=0)
+    lo_b = min((k[0] if zeta else k for k in b.terms), default=0)
     prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
     return a.qscale, a.zscale, prec, product_by_pairs(a.terms, b.terms, prec, zeta)
 
@@ -372,9 +392,9 @@ def test_kernel_random_sparse_and_dense(zeta):
         b = random_terms(rng, rng.randrange(1, 60 if dense else 8), span, rs, zeta,
                          denominators=rng.choice([(1,), (2, 9)]))
         bound = rng.randrange(0, 2 * span[1] + 2)
-        assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+        assert kernel(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
         # a square packs its one operand once
-        assert _product(a, a, bound, zeta) == product_by_pairs(a, a, bound, zeta)
+        assert kernel(a, a, bound, zeta) == product_by_pairs(a, a, bound, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
@@ -392,11 +412,11 @@ def test_kernel_laurent_strides_and_bounds(zeta):
             continue
         lowest = min(k[0] if zeta else k for k in a) + min(k[0] if zeta else k for k in b)
         for bound in (lowest - 1, lowest, lowest + 1, lowest + rng.randrange(2, 300), 10**6):
-            assert _product(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+            assert kernel(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
             for x in (a, b):
-                assert _product(x, x, bound, zeta) == product_by_pairs(x, x, bound, zeta)
+                assert kernel(x, x, bound, zeta) == product_by_pairs(x, x, bound, zeta)
     for empty, other in (({}, {(1, 1) if zeta else 1: 2}), ({(0, 0) if zeta else 0: 3}, {})):
-        assert _product(empty, other, 10, zeta) == {} == _product(other, empty, 10, zeta)
+        assert kernel(empty, other, 10, zeta) == {} == kernel(other, empty, 10, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
@@ -420,13 +440,13 @@ def test_kernel_saturates_its_slots(zeta, bits):
         a = {k: sign_a * top * (-1) ** parity(k) for k in keys}
         b = {k: sign_b * top * (-1) ** parity(k) for k in keys}
         for x, y in ((a, b), (a, a)):
-            got = _product(x, y, 10**3, zeta)
+            got = kernel(x, y, 10**3, zeta)
             assert max(map(abs, got.values())) == n * top * top
             assert got == product_by_pairs(x, y, 10**3, zeta)
         # the same with denominators, which the kernel scales away
         a = {k: as_rational(Fraction(c, 7)) for k, c in a.items()}
-        assert _product(a, b, 10**3, zeta) == product_by_pairs(a, b, 10**3, zeta)
-        assert _product(a, a, 10**3, zeta) == product_by_pairs(a, a, 10**3, zeta)
+        assert kernel(a, b, 10**3, zeta) == product_by_pairs(a, b, 10**3, zeta)
+        assert kernel(a, a, 10**3, zeta) == product_by_pairs(a, a, 10**3, zeta)
 
 
 @pytest.mark.parametrize("zeta", [False, True])
@@ -436,15 +456,100 @@ def test_kernel_returns_ints_where_denominators_cancel(zeta):
     key = (lambda t, r: (t, r)) if zeta else (lambda t, r: t)
     a = {key(0, 1): Fraction(1, 2), key(1, 1): Fraction(1, 3)}
     b = {key(0, 1): 2, key(1, 1): 3}
-    got = _product(a, b, 10, zeta)
+    got = kernel(a, b, 10, zeta)
     assert got == {key(0, 2): 1, key(1, 2): Fraction(13, 6), key(2, 2): 1}
     assert type(got[key(0, 2)]) is int and type(got[key(2, 2)]) is int
     rng = random.Random(6)
     for _ in range(100):
         a = random_terms(rng, rng.randrange(1, 12), (0, 9), (-3, 4), zeta, denominators=(2, 3, 5))
         b = random_terms(rng, rng.randrange(1, 12), (0, 9), (-3, 4), zeta, denominators=(1, 4, 6))
-        for v in _product(a, b, 20, zeta).values():
+        for v in kernel(a, b, 20, zeta).values():
             assert type(v) is int or v.denominator > 1
+
+
+def test_kernel_rows_edge_cases():
+    # the row layouts a product must cut, pack and trim correctly
+    cases = [
+        # a single zeta-index (zeta-stride 0), alone and against a full row
+        ({(0, 3): 2, (2, 3): -1}, {(1, 3): 5}),
+        ({(0, 3): 2, (2, 3): -1}, {(0, -1): 1, (0, 0): 1, (0, 1): 1}),
+        ({(4, -2): 7}, {(1, 5): -3}),
+        # zeta-strides 2 against 3
+        ({(0, 0): 1, (0, 2): 1, (0, 4): -1, (1, 2): 3}, {(0, 1): 2, (0, 4): 1, (2, 7): -1}),
+        # interior zeros, a row that cancels, and a gap of whole rows
+        ({(0, -2): 1, (0, 2): 1}, {(0, -2): 1, (0, 2): -1}),
+        ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): -1}),
+        ({(0, 0): 1, (1, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 0): -1, (1, 1): -1, (9, 4): 2}),
+    ]
+    big = 10**40  # byte-slice slots, with rows whose ends are zero slots
+    cases.append(({(0, -5): big, (0, 5): -big, (1, 0): big, (3, 1): 1}, {(0, 0): big, (2, -1): 3}))
+    cases.append(({(0, -5): big, (0, 0): 1, (0, 5): big}, {(0, -5): big, (0, 5): -big}))
+    for pair in cases:
+        # the same layouts along q, with t*8 + r + 5 as the q-index
+        along_q = [{k[0] * 8 + k[1] + 5: c for k, c in x.items()} for x in pair]
+        for zeta, (a, b) in ((True, pair), (False, along_q)):
+            for bound in (1, 2, 3, 10, 10**3):
+                assert kernel(a, b, bound, zeta) == product_by_pairs(a, b, bound, zeta)
+                assert kernel(b, a, bound, zeta) == product_by_pairs(b, a, bound, zeta)
+                assert kernel(a, a, bound, zeta) == product_by_pairs(a, a, bound, zeta)
+
+
+def test_cancellation_leaves_canonical_rows():
+    # a sum that cancels a whole row, or the whole series, is the series
+    # the term-map constructor makes of what is left
+    x = FJExp(1, 2, 6, {(0, -1): Fraction(1, 2), (0, 1): 1, (2, 3): Fraction(1, 3)})
+    y = FJExp(1, 2, 6, {(0, -1): Fraction(-1, 2), (0, 1): 2, (2, 3): Fraction(-1, 3), (3, 0): 5})
+    s = x + y
+    assert s._data() == FJExp(1, 2, 6, {(0, 1): 3, (3, 0): 5})._data() and s._den == 1
+    for z in (x - x, x * y - y * x, (x * y).truncated(0)):
+        assert z.is_zero() and z._data() == FJExp(1, 2, z.prec, {})._data() and len(z.terms) == 0
+    q = QSeries(3, 9, {0: Fraction(1, 2), 3: 1, 6: 2})
+    assert (q - q).is_zero()
+    assert (q + QSeries(3, 9, {0: Fraction(-1, 2)}))._data() == QSeries(3, 9, {3: 1, 6: 2})._data()
+
+
+def test_products_build_no_term_map():
+    # multiplying, truncating, serializing and comparing work on rows: the
+    # term map behind `terms` is never built, and its len reads a count
+    prod = catalog.theta(16) ** 8 * catalog.phi(1, 16)
+    cut = prod.truncated(8)
+    json_dict = cut.to_json_dict()
+    assert cut.mismatch(prod) is None and prod.mismatch(cut) is None and cut.agrees_with(prod)
+    assert len(prod.terms) == len(prod._keyed()) and len(cut.terms) == len(json_dict["terms"])
+    assert prod._map is None and cut._map is None
+    assert dict(cut.terms) == {(t, r): as_rational(Fraction(c)) for t, r, c in json_dict["terms"]}
+    assert cut._map is not None
+
+
+def test_shared_series_terms_under_threads():
+    # 8 threads read the term map of one fresh series while others multiply
+    # it: every map is equal and read-only, every product the same
+    def build():
+        return catalog.theta(12) ** 3 * catalog.phi(2, 12)
+    shared, want = build(), dict(build().terms)
+    want_square = (build() * build())._data()
+    assert shared._map is None
+
+    def read(_):
+        m = shared.terms
+        with pytest.raises(TypeError):
+            m[(0, 0)] = 1
+        return dict(m)
+
+    def multiply(_):
+        return (shared * shared)._data()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            maps = pool.map(read, range(16), timeout=60)
+            squares = pool.map(multiply, range(16), timeout=60)
+            maps, squares = list(maps), list(squares)
+    finally:
+        sys.setswitchinterval(old)
+    assert all(m == want for m in maps) and all(sq == want_square for sq in squares)
+    assert shared.terms == want and len(shared.terms) == len(want)
 
 
 def test_mul_on_mixed_scales_and_eta_strides():
