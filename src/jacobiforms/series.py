@@ -15,15 +15,16 @@ QSeries, or None when there is none.  A series is stored as one positive
 denominator and integer rows: per q-index one run of numerators over the
 expansion's zeta-grid for an FJExp, one run over the q-grid for a QSeries,
 in a canonical form, so that products, truncation, sums, equality,
-`mismatch` and serialization work on the rows and make no Fraction per
-term.  `terms`, the read-only map key -> coefficient, is built on first
-read; `len(terms)` reads a stored count.  Each class keeps its own
-`__mul__`, but both multiply through one module-level kernel, `_product`:
-Kronecker substitution packs each operand's rows into one integer, so that
-a product is one big-int multiply instead of a loop over term pairs.  Slots
-of up to 8 bytes are machine words, packed and read by one struct call
-each; wider slots are byte slices.  A square packs its one operand once,
-and powers start from their first factor, never from a product by 1.
+`coefficient`, `mismatch` and serialization work on the rows and make no
+Fraction per term.  `terms`, the read-only map key -> coefficient, is
+built on first read; `len(terms)` reads a stored count.  Each class keeps
+its own `__mul__`, but both multiply through one module-level kernel,
+`_product`: Kronecker substitution packs each operand's rows into one
+integer, so that a product is one big-int multiply instead of a loop over
+term pairs.  Slots of up to 8 bytes are machine words, packed and read by
+one struct call each; wider slots are byte slices.  A square packs its one
+operand once, and powers start from their first factor, never from a
+product by 1.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
@@ -247,6 +248,13 @@ def _run(nums: dict, g: int) -> tuple:
     return s0, tuple(run)
 
 
+def _num_at(nums: tuple, start: int, step: int, x: int) -> int:
+    """The numerator at position x of a run from `start` by `step` (0 for
+    one position), 0 off the run."""
+    j, off = divmod(x - start, step or 1)
+    return 0 if off or not 0 <= j < len(nums) else nums[j]
+
+
 def _rational(num: int, den: int) -> Rat:
     """num / den as a canonical rational: an int wherever den divides num."""
     if den == 1:
@@ -322,26 +330,25 @@ class _Series:
             raise ValueError(f"scales must be positive integers and prec an integer, got qscale "
                              f"{qscale!r}, zscale {self.zscale!r}, prec {prec!r}")
         zeta = self._zeta
-        clean, dens = {}, []
+        clean = {}
         for k, c in terms.items():
             if type(c) is not int:
                 c = as_rational(c)
-                if type(c) is not int:
-                    dens.append(c.denominator)
             if c == 0:
                 continue
             if (t := k[0] if zeta else k) >= prec:
                 raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {prec}")
             clean[k] = c
-        den = math.lcm(*dens)
-        if den > 1:
-            clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
-        self._fill(qscale, prec, *self._gridded(den, clean))
+        self._fill(qscale, prec, *self._gridded(clean))
 
     @classmethod
-    def _gridded(cls, den: int, nums: dict) -> tuple:
+    def _gridded(cls, nums: dict, den: int = 1) -> tuple:
         """(den, rows, gt, gr) in canonical form for a map from keys to
-        nonzero numerators over den: one run per row over the exact grid."""
+        nonzero values over den, ints or canonical rationals (whose
+        denominators join den): one run per row over the exact grid."""
+        d = math.lcm(*[c.denominator for c in nums.values() if type(c) is not int])
+        if d > 1:
+            den, nums = den * d, {k: c.numerator * (d // c.denominator) for k, c in nums.items()}
         if den > 1 and (g := math.gcd(den, *nums.values())) > 1:
             den, nums = den // g, {k: c // g for k, c in nums.items()}
         if not nums:
@@ -512,7 +519,7 @@ class _Series:
         nums = {k: c * (den // a._den) for k, c in a._keyed()}
         for k, c in b._keyed():
             nums[k] = nums.get(k, 0) + c * (den // b._den)
-        return a._make(a.qscale, a.zscale, prec, *a._gridded(den, {k: c for k, c in nums.items() if c}),
+        return a._make(a.qscale, a.zscale, prec, *a._gridded({k: c for k, c in nums.items() if c}, den),
                        a._meta(**a._sum_meta(b)))
 
     __radd__ = __add__
@@ -651,9 +658,10 @@ class QSeries(_Series):
     def coefficient(self, exponent: RatLike) -> Rat:
         """Coefficient at q^exponent; raises beyond the certified window."""
         t = self._q_index(exponent)
-        if t.denominator != 1:
+        if t.denominator != 1 or not self._rows:
             return 0
-        return self.terms.get(t.numerator, 0)
+        (t0, _, run), = self._rows
+        return _rational(_num_at(run, t0, self._gt, t.numerator), self._den)
 
     # -- ring operations --------------------------------------------------------
 
@@ -1022,17 +1030,21 @@ class FJExp(_Series):
     def coefficient(self, q_exp: RatLike, z_exp: RatLike) -> Rat:
         t = self._q_index(q_exp)
         r = _fraction("z_exp", z_exp) * self.zscale
-        if t.denominator != 1 or r.denominator != 1:
+        if t.denominator != 1 or r.denominator != 1 or (row := self._row(t.numerator)) is None:
             return 0
-        return self.terms.get((t.numerator, r.numerator), 0)
+        return _rational(_num_at(row[2], row[1], self._gr, r.numerator), self._den)
+
+    def _row(self, t: RatLike) -> Optional[tuple]:
+        """The row (t, r0, nums) at q-index t, or None."""
+        i = bisect_left(self._rows, t, key=_first)
+        return self._rows[i] if i < len(self._rows) and self._rows[i][0] == t else None
 
     def q_slice(self, q_exp: RatLike) -> dict:
         """The zeta-Laurent polynomial at one q-power, as {z-exponent: coeff}."""
-        t = self._q_index(q_exp)
-        i = bisect_left(self._rows, t, key=_first)
-        if i == len(self._rows) or self._rows[i][0] != t:
+        row = self._row(self._q_index(q_exp))
+        if row is None:
             return {}
-        _, r0, nums = self._rows[i]
+        _, r0, nums = row
         return {Fraction(r0 + self._gr * j, self.zscale): _rational(c, self._den)
                 for j, c in enumerate(nums) if c}
 
@@ -1098,7 +1110,7 @@ class FJExp(_Series):
         out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + min(rem))
         b_top = max(b0)
         b_lead, b_low = b0[b_top], min(b0)
-        quot = []  # (q-order, {zeta-index: coefficient}) per row
+        quot = {}  # (q-order, zeta-index) -> coefficient
         while rem:
             t = min(rem)
             q_order = t - d_lo
@@ -1120,8 +1132,7 @@ class FJExp(_Series):
                     c = as_rational(Fraction(c) / b_lead)
                 q_row[qdeg] = c
                 _subtract(row, qdeg, c, b0)
-            if q_row:
-                quot.append((q_order, q_row))
+            quot.update(((q_order, r), c) for r, c in q_row.items())
             # the other rows of the denominator whose products land inside
             # the output window
             limit = out_prec + d_lo - q_order
@@ -1131,13 +1142,7 @@ class FJExp(_Series):
                     _subtract(rem.setdefault(t2, {}), qdeg, c, row2)
         weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
         index = None if (a.index is None or b.index is None) else a.index - b.index
-        # the quotient rows as runs of numerators over one denominator
-        d = math.lcm(*[c.denominator for _, row in quot for c in row.values() if type(c) is not int])
-        if d > 1:
-            quot = [(t, {r: c.numerator * (d // c.denominator) for r, c in row.items()})
-                    for t, row in quot]
-        return FJExp._reduced(a.qscale, a.zscale, out_prec, d, [(t, *_run(row, 1)) for t, row in quot],
-                              1, (weight, index, None))
+        return FJExp._make(a.qscale, a.zscale, out_prec, *FJExp._gridded(quot), (weight, index, None))
 
     def __truediv__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
@@ -1156,7 +1161,7 @@ class FJExp(_Series):
 
     def _at_z0(self) -> QSeries:
         nums = {t: c for t, _, nums in self._rows if (c := sum(nums))}
-        return QSeries._make(self.qscale, 1, self.prec, *QSeries._gridded(self._den, nums))
+        return QSeries._make(self.qscale, 1, self.prec, *QSeries._gridded(nums, self._den))
 
     def ud(self, d: int) -> "FJExp":
         """The operator z -> d*z; the index is multiplied by d^2."""
@@ -1246,7 +1251,7 @@ class FJExp(_Series):
         scale, prec, _, sums = self._pullback(tau_mult, _fraction("z_mult", z_mult),
                                               zero, zero, zero)
         nums = {e: v for (e, _), v in sums.items() if v}
-        return QSeries._make(scale, 1, prec, *QSeries._gridded(self._den, nums))
+        return QSeries._make(scale, 1, prec, *QSeries._gridded(nums, self._den))
 
     def specialize(self, lam: RatLike, mu: RatLike, cyclotomic: bool = False):
         """Pull back along z = lam*tau + mu, including the index-m automorphy
@@ -1308,11 +1313,9 @@ class FJExp(_Series):
     # -- display ---------------------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._rows:
             return f"O(q^{_exp_str(self.prec_exponent)})"
-        by_q: dict = {}
-        for (t, r), c in self.terms.items():
-            by_q.setdefault(t, {})[r] = c
+        by_q = _by_row(self)
         parts = []
         for t in sorted(by_q):
             qpow = _q_power(Fraction(t, self.qscale))

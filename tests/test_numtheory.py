@@ -372,38 +372,40 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
 
 # -- integer entry points refuse non-integers -----------------------------------
 
-# (entry point, int arguments, the same value as a float or a Fraction): each
-# is called with its ints first, so that a cache entry for the int value
-# must not answer the float; before the refusal formula_r8(2.5) returned
-# (-250-16j)
+# (entry point, int arguments, the exact value of the int call, the same
+# arguments with a float or a Fraction): each is called with its ints first,
+# so that a cache entry for the int value must not answer the float, and the
+# int call must return exactly the value, of its type; before the refusal
+# formula_r8(2.5) returned (-250-16j).  The cached ones (gen_bernoulli,
+# f4_coeff, f6_coeff) have typed lru_cache keys, so (1.0, 0) misses (1, 0);
+# cohen_h checks r before its cache _cohen_h_int is read
 NON_INT_CALLS = [
-    (numtheory.factorize, (6,), (6.0,)),
-    (numtheory.factorize, (6,), (Fraction(6),)),
-    (numtheory.factorize, (5,), (2.5,)),
-    (numtheory.factorize, (True,), (1.0,)),  # (True,) == (1.0,) as untyped cache keys
-    (divisors, (6,), (6.0,)),
-    (mobius, (6,), (6.0,)),
-    (sigma, (2, 6), (2.0, 6)),
-    (sigma, (2, 6), (2, 6.0)),
-    (kronecker, (5, 3), (2.5, 3)),
-    (kronecker, (5, 3), (5, 3.0)),
-    (fund_disc_decomp, (5,), (5.0,)),
-    (representations.formula_r8, (6,), (6.0,)),
-    (representations.formula_r8, (2,), (2.5,)),
-    (representations.formula_delta8, (2,), (2.5,)),
-    (representations.figurate, (3, 2), (3, 2.5)),
-    # the cached ones: their lru_cache keys are typed, so (1.0, 0) misses (1, 0),
-    # or, for cohen_h, r is checked before its cache _cohen_h_int is read
-    (numtheory.gen_bernoulli, (2, 5), (2.0, 5)),
-    (numtheory.cohen_h, (3, 4), (3.0, 4)),
-    (representations.f4_coeff, (1, 0), (1.0, 0)),
-    (representations.f6_coeff, (1, 0), (1.0, 0)),
+    (numtheory.factorize, (6,), ((2, 1), (3, 1)), (6.0,)),
+    (numtheory.factorize, (6,), ((2, 1), (3, 1)), (Fraction(6),)),
+    (numtheory.factorize, (5,), ((5, 1),), (2.5,)),
+    (numtheory.factorize, (True,), (), (1.0,)),  # (True,) == (1.0,) as untyped cache keys
+    (divisors, (6,), [1, 2, 3, 6], (6.0,)),
+    (mobius, (6,), 1, (6.0,)),
+    (sigma, (2, 6), 50, (2.0, 6)),
+    (sigma, (2, 6), 50, (2, 6.0)),
+    (kronecker, (5, 3), -1, (2.5, 3)),
+    (kronecker, (5, 3), -1, (5, 3.0)),
+    (fund_disc_decomp, (5,), DiscDecomp(5, 1), (5.0,)),
+    (representations.formula_r8, (6,), 3136, (6.0,)),
+    (representations.formula_r8, (2,), 112, (2.5,)),
+    (representations.formula_delta8, (2,), 28, (2.5,)),
+    (representations.figurate, (3, 2), 7, (3, 2.5)),
+    (numtheory.gen_bernoulli, (2, 5), Fraction(4, 5), (2.0, 5)),
+    (numtheory.cohen_h, (3, 4), Fraction(-1, 2), (3.0, 4)),
+    (representations.f4_coeff, (1, 0), 70, (1.0, 0)),
+    (representations.f6_coeff, (1, 0), -170, (1.0, 0)),
 ]
 
 
-@pytest.mark.parametrize("fn, good, bad", NON_INT_CALLS,
-                         ids=[f"{fn.__name__}{bad}" for fn, _, bad in NON_INT_CALLS])
-def test_integer_entry_points_refuse_non_integers(fn, good, bad):
-    assert isinstance(fn(*good), (int, Fraction, tuple, list, DiscDecomp))
+@pytest.mark.parametrize("fn, good, value, bad", NON_INT_CALLS,
+                         ids=[f"{fn.__name__}{bad}" for fn, _, _, bad in NON_INT_CALLS])
+def test_integer_entry_points_refuse_non_integers(fn, good, value, bad):
+    got = fn(*good)
+    assert got == value and type(got) is type(value)
     with pytest.raises(TypeError, match="expects integers"):
         fn(*bad)

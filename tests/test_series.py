@@ -521,6 +521,30 @@ def test_products_build_no_term_map():
     assert cut._map is not None
 
 
+def test_coefficients_read_rows():
+    # `coefficient` reads one numerator from the rows, on and off the grids,
+    # inside and outside each run, and builds no term map
+    qseries = [catalog.eta(12), catalog.delta(8), catalog.theta_const(1, 0, 6), catalog.g2(5),
+               QSeries(3, 9, {-2: Fraction(1, 2), 4: 3}), QSeries(1, 5, {}),
+               QSeries(2, 7, {4: 5})]
+    fjexps = [catalog.theta(6), catalog.phi(1, 4), catalog.jacobi_eis(10, 1, 3),
+              catalog.theta(5).ud(2) * Fraction(1, 3), FJExp(2, 3, 6, {(1, 3): 2, (5, 3): -1}),
+              FJExp(1, 2, 4, {(-1, 4): Fraction(1, 6), (0, -2): 1, (2, 6): 5}), FJExp(1, 1, 3, {})]
+    for x in qseries:
+        x = x * 1  # a fresh series: an earlier reader may have built a memo hit's map
+        got = {t: x.coefficient(Fraction(t, x.qscale)) for t in range(-4 * x.qscale, x.prec)}
+        assert x._map is None
+        assert got == {t: x.terms.get(t, 0) for t in got}
+    for x in fjexps:
+        x = x * 1
+        lo, hi = x._summary()[3:]
+        got = {(t, r): x.coefficient(Fraction(t, x.qscale), Fraction(r, x.zscale))
+               for t in range(-2 * x.qscale, x.prec) for r in range(lo - 3, hi + 4)}
+        assert x._map is None
+        assert got == {k: x.terms.get(k, 0) for k in got}
+    assert catalog.g2(4).coefficient(Fraction(1, 2)) == 0 and type(catalog.delta(4).coefficient(2)) is int
+
+
 def test_shared_series_terms_under_threads():
     # 8 threads read the term map of one fresh series while others multiply
     # it: every map is equal and read-only, every product the same
