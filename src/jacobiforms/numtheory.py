@@ -10,12 +10,15 @@ integers via generalized Bernoulli numbers, and the Cohen numbers
 for (-1)^r N = D f^2 with D a fundamental discriminant (D = 1 allowed): the
 product is the Euler product of the twisted divisor sum
 sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), which is multiplicative
-in f.  Values stay plain `int` wherever they are integers; a
-`fractions.Fraction` enters only where a denominator can arise (a Bernoulli
-number, a division), and each rational-valued public function returns
-through :func:`as_rational` once, so an integer result is an `int` and any
-other is a `Fraction` with denominator > 1.  All functions are pure and safe
-to call from several threads: the memo caches are `functools.lru_cache`.
+in f.  L(1-r, chi_D) = -B_{r,chi_D}/r, and since chi_D(-1) = sign D and
+B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
+half range 1 <= a < |D|/2, in integers over one Bernoulli denominator.
+Values stay plain `int` wherever they are integers; a `fractions.Fraction`
+enters only where a denominator can arise (a Bernoulli number, a division),
+and each rational-valued public function returns through :func:`as_rational`
+once, so an integer result is an `int` and any other is a `Fraction` with
+denominator > 1.  All functions are pure and safe to call from several
+threads: the memo caches are `functools.lru_cache`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
+from operator import mul
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -173,9 +178,10 @@ def kronecker(a: int, n: int) -> int:
 # Bernoulli machinery and L-values
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def bernoulli(n: int) -> Rat:
     """Bernoulli number B_n with the B_1 = -1/2 convention."""
+    require_ints("bernoulli", n)
     if n < 0:
         raise ValueError(f"bernoulli expects n >= 0, got {n}")
     if n <= 1:
@@ -188,23 +194,32 @@ def bernoulli(n: int) -> Rat:
     return as_rational(-acc / (n + 1))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_over_lcm(n: int) -> tuple:
+    """(L, L*B_0, ..., L*B_n) with L = lcm(den B_k, k <= n): the Bernoulli
+    numbers up to n as integers over one denominator."""
+    bs = [bernoulli(k) for k in range(n + 1)]
+    den = math.lcm(*(b.denominator for b in bs))
+    return (den, *(b.numerator * (den // b.denominator) for b in bs))
+
+
 def bernoulli_poly(n: int, x: Rat) -> Rat:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k).
 
     Summed in integers over the common denominator lcm(den B_k) * q^n of
     x = p/q.  Only the tests call it, as the oracle for :func:`gen_bernoulli`.
     """
-    x = Fraction(x)
+    require_ints("bernoulli_poly", n)
+    x = as_rational(x)
     p, q = x.numerator, x.denominator
-    bs = [bernoulli(k) for k in range(n + 1)]
-    den = math.lcm(*(b.denominator for b in bs))
-    num = sum(math.comb(n, k) * b.numerator * (den // b.denominator) * p ** (n - k) * q**k
-              for k, b in enumerate(bs))
+    den, *nums = _bernoulli_over_lcm(n)
+    num = sum(math.comb(n, k) * b * p ** (n - k) * q**k for k, b in enumerate(nums))
     return as_rational(Fraction(num, den * q**n))
 
 
 def zeta_neg(s: int) -> Rat:
     """Riemann zeta at a negative odd integer: zeta(1-2r) = -B_2r / 2r."""
+    require_ints("zeta_neg", s)
     if s >= 0 or s % 2 == 0:
         raise ValueError(f"zeta_neg expects a negative odd integer, got {s}")
     two_r = 1 - s
@@ -228,11 +243,11 @@ _CHI_TWO_PART = {1: (1,), -4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
                  -8: (0, 1, 0, 1, 0, -1, 0, -1)}
 
 
-def _character_values(d: int) -> list:
-    """chi_D(a) for a = 1..|D|, D fundamental: the product of the characters
+def _character_values(d: int, count: int) -> list:
+    """chi_D(a) for a = 1..count, D fundamental: the product of the characters
     of the prime discriminants p* = +-p = 1 mod 4 (a Legendre table mod each
-    odd p | D) and of the 2-part D / prod p*, each table of period q repeated
-    |D|/q times.  The primes come from the factorization that
+    odd p | D) and of the 2-part D / prod p*, each periodic table read at
+    a = 1..count only.  The primes come from the factorization that
     :func:`is_fundamental_discriminant` has already cached."""
     m = abs(d)
     two, tables = d, []
@@ -246,9 +261,9 @@ def _character_values(d: int) -> list:
         tables.append(tab)
         two //= p if p % 4 == 1 else -p
     tables.append(_CHI_TWO_PART[two])
-    chi = [1] * m
+    chi = [1] * count
     for tab in tables:
-        chi = [c * t for c, t in zip(chi, (tab[1:] + tab[:1]) * (m // len(tab)))]
+        chi = list(map(mul, chi, cycle(tab[1:] + tab[:1])))
     return chi
 
 
@@ -256,38 +271,49 @@ def _character_values(d: int) -> list:
 def gen_bernoulli(r: int, d: int) -> Rat:
     """Generalized Bernoulli number B_{r, chi_D} for fundamental D (or D = 1).
 
-    The definition B_{r,chi} = |D|^(r-1) * sum_{a=1..|D|} chi_D(a) B_r(a/|D|),
-    with B_r(x) expanded by :func:`bernoulli_poly`, regroups as
+    The definition is B_{r,chi} = m^(r-1) * sum_{a=1..m} chi_D(a) B_r(a/m),
+    m = |D|.  D = 1 gives B_r(1) = (-1)^r B_r.  Otherwise chi_D is primitive
+    of conductor m with chi_D(-1) = sign D, and B_r(1-x) = (-1)^r B_r(x)
+    pairs a with m - a, so B_{r,chi} = 0 unless D < 0 exactly when r is odd,
+    and then it is twice the sum over the half range 1 <= a < m/2 (chi_D(m/2)
+    = 0, since m = 2 is no conductor).  Expanding B_r(x) gives
 
-        B_{r,chi} = sum_{k=0..r} C(r,k) B_k |D|^(k-1) S_{r-k},
-        S_j = sum_{a=1..|D|} chi_D(a) a^j,
+        B_{r,chi} = 2 * sum_{k=0..r} C(r,k) B_k m^(k-1) S'_{r-k},
+        S'_j = sum_{1 <= a < m/2} chi_D(a) a^j,
 
-    so the power sums S_j are plain ints and only the final r + 1 terms are
-    rational.  chi_D(1..|D|) is one table, the elementwise product of the
-    periodic tables of D's prime-discriminant characters; no Kronecker
-    symbol is evaluated.  The defining sum over :func:`bernoulli_poly` and
-    :func:`kronecker` is the test oracle.
+    summed in integers over L = lcm(den B_k) and divided by L * m once.
+    chi_D(a) comes from the periodic tables of D's prime-discriminant
+    characters, no Kronecker symbol is evaluated, and S'_j is needed only
+    where B_k != 0 (k = 0, 1 and even k).  The full-range defining sum over
+    :func:`bernoulli_poly` and :func:`kronecker` is the test oracle.
     """
     require_ints("gen_bernoulli", r, d)
     if r < 1:
         raise ValueError(f"gen_bernoulli expects r >= 1, got {r}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
+    if d == 1:
+        return Fraction(1, 2) if r == 1 else bernoulli(r)
+    if (d < 0) != (r % 2 == 1):
+        return 0
     m = abs(d)
-    chars = _character_values(d)
-    support = [a for a, chi in enumerate(chars, 1) if chi]
-    terms = [chi for chi in chars if chi]  # chi_D(a) * a^j, from j = 0
-    power_sums = [sum(terms)]
-    for _ in range(r):
-        terms = [t * a for t, a in zip(terms, support)]
-        power_sums.append(sum(terms))
-    acc = sum(math.comb(r, k) * bernoulli(k) * m**k * power_sums[r - k]
-              for k in range(r + 1))
-    return as_rational(Fraction(acc) / m)
+    chars = _character_values(d, (m - 1) // 2)
+    plus = [a for a, chi in enumerate(chars, 1) if chi > 0]
+    minus = [a for a, chi in enumerate(chars, 1) if chi < 0]
+    den, *nums = _bernoulli_over_lcm(r)
+    acc = nums[r] * m**r * (len(plus) - len(minus))  # j = 0
+    pos, neg = plus, minus  # a^j where chi_D(a) = 1, -1
+    for j in range(1, r + 1):
+        if j > 1:
+            pos, neg = list(map(mul, pos, plus)), list(map(mul, neg, minus))
+        if nums[r - j]:
+            acc += math.comb(r, j) * nums[r - j] * m ** (r - j) * (sum(pos) - sum(neg))
+    return as_rational(Fraction(2 * acc, den * m))
 
 
 def l_value_neg(r: int, d: int) -> Rat:
     """L(1-r, chi_D) = -B_{r,chi_D}/r; for D = 1 this is zeta(1-r)."""
+    require_ints("l_value_neg", r, d)
     return as_rational(-Fraction(gen_bernoulli(r, d)) / r)
 
 
@@ -366,8 +392,13 @@ def cohen_h_via_l_values(r: int, n: int) -> Rat:
         h(r, M) = L(1-r, chi_D) * f^(2r-1) * prod_{p | f} (1 - chi_D(p) p^(-r)),
 
     and h vanishes unless (-1)^r M = 0, 1 mod 4.  Kept as an independent
-    route for cross-checking :func:`cohen_h`.
+    route for cross-checking :func:`cohen_h`, with its preconditions.
     """
+    require_ints("cohen_h_via_l_values", r, n)
+    if r < 1:
+        raise ValueError(f"cohen_h_via_l_values expects r >= 1, got {r}")
+    if n < 0:
+        raise ValueError(f"cohen_h_via_l_values expects N >= 0, got {n}")
     if n == 0:
         return zeta_neg(1 - 2 * r)
     acc = Fraction(0)

@@ -154,6 +154,8 @@ def test_bernoulli_poly():
         for x in (Fraction(1, 2), Fraction(2, 3), 3):
             lhs = Fraction(bernoulli_poly(n, Fraction(x) + 1)) - Fraction(bernoulli_poly(n, x))
             assert lhs == n * Fraction(x) ** (n - 1)
+    with pytest.raises(TypeError, match="float"):
+        bernoulli_poly(3, 0.5)  # refused even where the float is exact
 
 
 def test_zeta_neg():
@@ -180,25 +182,41 @@ def test_l_values():
 
 
 def test_character_table_against_kronecker():
-    # the product of prime-discriminant characters is chi_D = (D|.) on 1..|D|
+    # the product of prime-discriminant characters is chi_D = (D|.) on 1..count,
+    # over the whole period and over the half range gen_bernoulli reads
     fundamentals = [d for d in range(-1000, 1001) if d and is_fundamental_discriminant(d)]
     assert 1 in fundamentals
     for d in fundamentals:
-        assert numtheory._character_values(d) == [kronecker(d, a) for a in range(1, abs(d) + 1)], d
+        period = [kronecker(d, a) for a in range(1, abs(d) + 1)]
+        assert numtheory._character_values(d, abs(d)) == period, d
+        half = (abs(d) - 1) // 2
+        assert numtheory._character_values(d, half) == period[:half], d
+
+
+def defining_sum(r, d):
+    """|D|^(r-1) sum_{a=1..|D|} chi_D(a) B_r(a/|D|), over the full range."""
+    m = abs(d)
+    acc = sum(chi * Fraction(bernoulli_poly(r, Fraction(a, m)))
+              for a in range(1, m + 1) if (chi := kronecker(d, a)))
+    return m ** (r - 1) * acc
 
 
 def test_gen_bernoulli_against_defining_sum():
-    # the power-sum route against |D|^(r-1) sum_a chi_D(a) B_r(a/|D|)
+    # the half-range power sums against the full-range definition
     # beyond |D| <= 200: 2-parts -8 and 8, and four odd primes
     fundamentals = [d for d in range(-200, 201) if d and is_fundamental_discriminant(d)]
     fundamentals += [-520, 1320, -1155]
     assert 1 in fundamentals and all(map(is_fundamental_discriminant, fundamentals))
-    for d in fundamentals:
-        m = abs(d)
-        for r in range(1, 13):
-            acc = sum(chi * Fraction(bernoulli_poly(r, Fraction(a, m)))
-                      for a in range(1, m + 1) if (chi := kronecker(d, a)))
-            assert gen_bernoulli(r, d) == m ** (r - 1) * acc, (r, d)
+    cases = [(r, d) for d in fundamentals for r in range(1, 13)]
+    # D = 1 (B_{1,chi_1} = +1/2) through r = 13; the wrong-parity zero and
+    # the m = 3, 4, 5, 8 edges of the half range at r = 13; and a |D| > 2000
+    cases += [(r, 1) for r in range(1, 14)]
+    cases += [(13, d) for d in (-3, -4, 5, 8, -8)]
+    cases += [(r, -3315) for r in (3, 4, 11)]  # -3315 = -3 * 5 * 13 * 17
+    assert gen_bernoulli(1, 1) == Fraction(1, 2)
+    for r, d in cases:
+        got = gen_bernoulli(r, d)
+        assert got == defining_sum(r, d) and as_rational(got) is got, (r, d)  # int when integral
 
 
 # -- discriminant decomposition -------------------------------------------------------
@@ -270,6 +288,17 @@ def test_cohen_fixtures():
         cohen_h(3, -1)
     with pytest.raises(ValueError):
         cohen_h(3, Fraction(-1, 4))
+
+
+def test_cohen_via_l_values_preconditions():
+    # the same ValueErrors as cohen_h, not isqrt's or zeta_neg's
+    with pytest.raises(ValueError, match="expects N >= 0"):
+        cohen_h_via_l_values(3, -7)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="expects r >= 1"):
+            cohen_h_via_l_values(r, 4)
+        with pytest.raises(ValueError, match="expects r >= 1"):
+            cohen_h_via_l_values(r, 0)
 
 
 def test_cohen_dual_definition_small():
@@ -376,9 +405,11 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
 # arguments with a float or a Fraction): each is called with its ints first,
 # so that a cache entry for the int value must not answer the float, and the
 # int call must return exactly the value, of its type; before the refusal
-# formula_r8(2.5) returned (-250-16j).  The cached ones (gen_bernoulli,
-# f4_coeff, f6_coeff) have typed lru_cache keys, so (1.0, 0) misses (1, 0);
-# cohen_h checks r before its cache _cohen_h_int is read
+# formula_r8(2.5) returned (-250-16j) and bernoulli(3.0) returned 0.  The
+# cached ones (bernoulli, gen_bernoulli, f4_coeff, f6_coeff) have typed
+# lru_cache keys, so (1.0, 0) misses (1, 0); cohen_h checks r before its
+# cache _cohen_h_int is read.  The TypeError names the entry point, except
+# where it hands its argument straight to factorize
 NON_INT_CALLS = [
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (6.0,)),
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (Fraction(6),)),
@@ -397,6 +428,11 @@ NON_INT_CALLS = [
     (representations.figurate, (3, 2), 7, (3, 2.5)),
     (numtheory.gen_bernoulli, (2, 5), Fraction(4, 5), (2.0, 5)),
     (numtheory.cohen_h, (3, 4), Fraction(-1, 2), (3.0, 4)),
+    (bernoulli, (3,), 0, (3.0,)),
+    (zeta_neg, (-1,), Fraction(-1, 12), (-1.0,)),
+    (l_value_neg, (3, -4), Fraction(-1, 2), (3.0, -4)),
+    (bernoulli_poly, (3, Fraction(1, 3)), Fraction(1, 27), (3.0, Fraction(1, 3))),
+    (cohen_h_via_l_values, (3, 0), Fraction(-1, 252), (3, 0.0)),
     (representations.f4_coeff, (1, 0), 70, (1.0, 0)),
     (representations.f6_coeff, (1, 0), -170, (1.0, 0)),
 ]
@@ -407,5 +443,6 @@ NON_INT_CALLS = [
 def test_integer_entry_points_refuse_non_integers(fn, good, value, bad):
     got = fn(*good)
     assert got == value and type(got) is type(value)
-    with pytest.raises(TypeError, match="expects integers"):
+    name = "factorize" if fn in (divisors, mobius, fund_disc_decomp) else fn.__name__
+    with pytest.raises(TypeError, match=f"^{name} expects integers, got"):
         fn(*bad)
