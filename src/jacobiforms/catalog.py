@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from jacobiforms.numtheory import bernoulli, cohen_h, divisors, factorize, mobius, sigma, zeta_neg
+from jacobiforms.numtheory import (bernoulli, cohen_h, divisors, factorize, mobius, require_ints,
+                                   sigma, zeta_neg)
 from jacobiforms.series import FJExp, QSeries, memo_by_prec, require_prec
 
 HALF = Fraction(1, 2)
@@ -50,6 +51,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
     real-normalized (it is :func:`theta`).  Other rational characteristics
     are reached through `FJExp.specialize` on theta powers.
     """
+    require_ints("theta_ab", two_a, two_b)
     if (two_a, two_b) not in ((0, 0), (0, 1), (1, 0), (1, 1)):
         raise UnknownFormError(
             f"characteristic ({two_a}/2, {two_b}/2) is not order two; "
@@ -65,6 +67,7 @@ def theta_ab(two_a: int, two_b: int, prec: int) -> FJExp:
 @memo_by_prec
 def theta_const(two_a: int, two_b: int, prec: int) -> QSeries:
     """Theta constant: the z = 0 value of :func:`theta_ab`."""
+    require_ints("theta_const", two_a, two_b)
     require_prec("theta_const", prec)
     return theta_ab(two_a, two_b, prec).eval_z0()
 
@@ -105,6 +108,7 @@ def delta(prec: int) -> QSeries:
 @memo_by_prec
 def eisenstein(k: int, prec: int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for even k >= 2."""
+    require_ints("eisenstein", k)
     if k < 2 or k % 2:
         raise ValueError(f"eisenstein needs even k >= 2, got {k}")
     require_prec("eisenstein", prec)
@@ -144,6 +148,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
 
     with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
     and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term."""
+    require_ints("jacobi_eis", k, m)
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
     if k < 4 or k % 2:
@@ -172,6 +177,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
 @memo_by_prec
 def jacobi_eis_m1(k: int, prec: int) -> FJExp:
     """E_{k,1}, the m = 1 case of :func:`jacobi_eis`: c(n, r) = H(k-1, 4n - r^2) / zeta(3 - 2k)."""
+    require_ints("jacobi_eis_m1", k)
     if k < 4 or k % 2:
         raise ValueError(f"jacobi_eis_m1 needs even k >= 4, got {k}")
     require_prec("jacobi_eis_m1", prec)
@@ -208,6 +214,7 @@ def phi(j: int, prec: int) -> FJExp:
     and phi_{0,3}, phi_{0,4} are exact quotients of theta rescalings.  The
     constant zeta-polynomials are asserted on construction.
     """
+    require_ints("phi", j)
     if j not in (1, 2, 3, 4):
         raise UnknownFormError(f"phi_{{0,{j}}} is not a generator (j must be 1..4)")
     require_prec("phi", prec)

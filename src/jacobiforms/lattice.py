@@ -29,7 +29,7 @@ from operator import add, mul
 from types import MappingProxyType
 
 from jacobiforms import catalog
-from jacobiforms.numtheory import as_rational
+from jacobiforms.numtheory import as_rational, require_ints
 from jacobiforms.series import FJExp, memo_by_prec, require_prec
 
 U2 = (1, -1, 0, 0, 0, 0, 0, 0)
@@ -58,11 +58,12 @@ def is_primitive_e8(v) -> bool:
     return in_e8(v) and not in_e8(tuple(Fraction(x) / 2 for x in v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def vector_counts(lattice: str, max_norm: int) -> MappingProxyType:
     """Exact number of lattice vectors of each norm <= max_norm, read off the
     E8 theta series: E8 at z = 0, E7 and A7 in the zeta^0 columns on U2 and
     U8.  The map is read-only, since every caller shares the cached one."""
+    require_ints("vector_counts", max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
     name = lattice.upper()

@@ -210,6 +210,8 @@ def bernoulli_poly(n: int, x: Rat) -> Rat:
     x = p/q.  Only the tests call it, as the oracle for :func:`gen_bernoulli`.
     """
     require_ints("bernoulli_poly", n)
+    if n < 0:
+        raise ValueError(f"bernoulli_poly expects n >= 0, got {n}")
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     den, *nums = _bernoulli_over_lcm(n)

@@ -33,9 +33,9 @@ the certified window.  Series are read-only once built (`terms` is a
 MappingProxyType view; setting an attribute raises), so callers can share one.
 
 There is one division: FJExp.divide, one long division that clears the
-lowest row of the remainder, q-order by q-order, by the denominator's lowest
-row, in integer steps wherever the leading coefficient divides as ints;
-QSeries.inverse divides 1 by the series through it.  There is one pull-back
+lowest row of the remainder, q-order by q-order, in one pass over the divisor
+read with leading coefficient 1; QSeries.inverse divides 1 through it, and
+cyclotomic_poly multiplies out the Moebius product.  There is one pull-back
 window, FJExp._pullback, shared by FJExp.specialize and FJExp.eval_linear: it
 certifies the output window exactly from the expansion's support cone, and the
 planners prec_for_specialize and prec_for_eval_linear return the least input
@@ -58,7 +58,7 @@ from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
-from jacobiforms.numtheory import Rat, as_rational, divisors, parse_rational, rational_str
+from jacobiforms.numtheory import Rat, as_rational, divisors, mobius, parse_rational, rational_str
 
 RatLike = Union[int, Fraction]
 
@@ -344,10 +344,10 @@ class _Series:
     @classmethod
     def _gridded(cls, nums: dict, den: int = 1) -> tuple:
         """(den, rows, gt, gr) in canonical form for a map from keys to
-        nonzero values over den, ints or canonical rationals (whose
-        denominators join den): one run per row over the exact grid."""
-        d = math.lcm(*[c.denominator for c in nums.values() if type(c) is not int])
-        if d > 1:
+        nonzero values over den, ints or Fractions (whose denominators
+        join den): one run per row over the exact grid."""
+        if dens := [c.denominator for c in nums.values() if type(c) is not int]:
+            d = math.lcm(*dens)
             den, nums = den * d, {k: c.numerator * (d // c.denominator) for k, c in nums.items()}
         if den > 1 and (g := math.gcd(den, *nums.values())) > 1:
             den, nums = den // g, {k: c // g for k, c in nums.items()}
@@ -780,31 +780,24 @@ def _signed_term(c: Rat, power: str, first: bool) -> str:
 # cyclotomic coefficients
 # ---------------------------------------------------------------------------
 
-def _poly_div_exact_int(num: list, den: list) -> list:
-    """Exact division of integer polynomials (coefficients low to high)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q, r = divmod(c, den[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        num = _poly_div_exact_int(num, list(cyclotomic_poly(d)))
-    return tuple(num)
+    """Coefficients of the n-th cyclotomic polynomial, low degree first:
+    x - 1 for n = 1, else the Moebius product prod_{d|n} (1 - x^d)^mu(n/d),
+    multiplied out as a power series through its degree phi(n)."""
+    if n == 1:
+        return (-1, 1)
+    factors = [(d, mu) for d in divisors(n) if (mu := mobius(n // d))]
+    size = sum(mu * d for d, mu in factors) + 1  # phi(n) + 1
+    out = [1] + [0] * (size - 1)
+    for d, mu in factors:
+        if mu > 0:  # times 1 - x^d
+            for i in range(size - 1, d - 1, -1):
+                out[i] -= out[i - d]
+        else:  # times 1 / (1 - x^d) = sum_j x^(jd)
+            for i in range(d, size):
+                out[i] += out[i - d]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -1096,53 +1089,55 @@ class FJExp(_Series):
     def divide(self, den: "FJExp") -> "FJExp":
         """Exact quotient by one long division: per q-order, the lowest row
         of the remainder must be exactly divisible, as a zeta-Laurent
-        polynomial, by the denominator's lowest row."""
+        polynomial, by the denominator's lowest row.  The denominator is
+        read over its leading coefficient, so each quotient term is the
+        remainder's top term, taken once off every remainder row it
+        reaches inside the output window."""
         a, b = self._aligned(den)
         if not b._rows:
             raise ZeroDivisionError("division by the zero expansion")
-        brows = _by_row(b)
+        # the rows of b over `lead` and of a over 1 differ from b and a by
+        # the factors lead / b._den and a._den, which the quotient undoes
+        lead = b._rows[0][2][-1]
+        brows = _by_row(b, lead)
         d_lo = min(brows)
         b0 = brows[d_lo]
         if not a._rows:
             return FJExp(a.qscale, a.zscale, a.prec - d_lo, {},
                          weight=None, index=None, cone_slack=None)
-        rem = _by_row(a)
+        rem = _by_row(a, 1)
         out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + min(rem))
-        b_top = max(b0)
-        b_lead, b_low = b0[b_top], min(b0)
-        quot = {}  # (q-order, zeta-index) -> coefficient
+        b_top, b_low = max(b0), min(b0)
+        scale = b._den if lead > 0 else -b._den
+        quot = {}  # (q-order, zeta-index) -> coefficient times a._den * |lead|
         while rem:
             t = min(rem)
             q_order = t - d_lo
             if q_order >= out_prec:
                 break
-            # the lowest row is final: clear it from its top down by b0
+            # the lowest row is final: clear it from its top down
             row = rem.pop(t)
+            limit = out_prec + d_lo - q_order
+            targets = [(row if t2 == d_lo else rem.setdefault(q_order + t2, {}), row2)
+                       for t2, row2 in brows.items() if t2 < limit]
             q_low = min(row, default=0) - b_low
-            q_row = {}
             while row:
                 top = max(row)
                 qdeg = top - b_top
                 if qdeg < q_low:
                     raise InexactDivision(Fraction(t, a.qscale))
                 c = row[top]
-                if type(c) is int and type(b_lead) is int and not c % b_lead:
-                    c //= b_lead  # an integer step keeps the remainder in ints
-                else:
-                    c = as_rational(Fraction(c) / b_lead)
-                q_row[qdeg] = c
-                _subtract(row, qdeg, c, b0)
-            quot.update(((q_order, r), c) for r, c in q_row.items())
-            # the other rows of the denominator whose products land inside
-            # the output window
-            limit = out_prec + d_lo - q_order
-            rows = [(q_order + t2, row2) for t2, row2 in brows.items() if d_lo < t2 < limit]
-            for qdeg, c in q_row.items():
-                for t2, row2 in rows:
-                    _subtract(rem.setdefault(t2, {}), qdeg, c, row2)
+                quot[q_order, qdeg] = c * scale
+                for target, row2 in targets:
+                    for r, d in row2.items():
+                        if v := target.get(qdeg + r, 0) - c * d:
+                            target[qdeg + r] = v
+                        else:
+                            del target[qdeg + r]
         weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
         index = None if (a.index is None or b.index is None) else a.index - b.index
-        return FJExp._make(a.qscale, a.zscale, out_prec, *FJExp._gridded(quot), (weight, index, None))
+        return FJExp._make(a.qscale, a.zscale, out_prec, *FJExp._gridded(quot, a._den * abs(lead)),
+                           (weight, index, None))
 
     def __truediv__(self, other) -> "FJExp":
         if isinstance(other, (int, Fraction)):
@@ -1315,7 +1310,7 @@ class FJExp(_Series):
     def __str__(self) -> str:
         if not self._rows:
             return f"O(q^{_exp_str(self.prec_exponent)})"
-        by_q = _by_row(self)
+        by_q = _by_row(self, self._den)
         parts = []
         for t in sorted(by_q):
             qpow = _q_power(Fraction(t, self.qscale))
@@ -1350,22 +1345,12 @@ def _zeta_polynomial_str(coeffs: dict, zscale: int) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _by_row(x: FJExp) -> dict:
-    """The terms of an expansion as rows {t: {r: c}}."""
-    g, den = x._gr, x._den
+def _by_row(x: FJExp, den: int) -> dict:
+    """The terms of an expansion as rows {t: {r: num / den}}, num its
+    numerators: with den = x._den the values are its coefficients."""
+    g = x._gr
     return {t: {r + g * j: _rational(c, den) for j, c in enumerate(nums) if c}
             for t, r, nums in x._rows}
-
-
-def _subtract(row: dict, shift: int, c: Rat, den_row: dict) -> None:
-    """row -= c * zeta^shift * den_row, in place, dropping the zeros."""
-    for r, d in den_row.items():
-        key = shift + r
-        v = row.get(key, 0) - c * d
-        if v:
-            row[key] = v
-        else:
-            row.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1455,18 +1440,20 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def memo_by_prec(build):
     """Memoize a pure constructor `build(*args, prec)` whose series is
     certified below prec + c, c fixed per form: keep one build per `args`,
-    the one at the highest precision `top`, and cut any request with an int
-    1 <= prec <= top from it; any other request (a non-int precision too)
-    goes to `build`, whose own check decides.  Builds run outside the lock
-    (constructors call each other) and replace the kept one only if higher.  `cache_info` and `cache_clear` are as in lru_cache;
-    `cache_precisions()` maps each kept `args` to the precision of its build."""
-    kept: dict = {}  # args before the precision -> (top, series)
+    keyed by type as well as value (as lru_cache(typed=True), so 4.0 never
+    meets the build of 4), the one at the highest precision `top`, and cut
+    any request with an int 1 <= prec <= top from it; any other request
+    (a non-int precision too) goes to `build`, whose own check decides.
+    Builds run outside the lock (constructors call each other) and replace
+    the kept one only if higher.  `cache_info` and `cache_clear` are as in
+    lru_cache; `cache_precisions()` maps each kept `args` to its precision."""
+    kept: dict = {}  # (args before the precision, their types) -> (top, series)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()
 
     @wraps(build)
     def memo(*args):
-        key, prec = args[:-1], args[-1]
+        key, prec = (args[:-1], tuple(map(type, args[:-1]))), args[-1]
         with lock:
             top, series = kept.get(key, (0, None))
             hit = isinstance(prec, int) and 1 <= prec <= top
@@ -1486,7 +1473,7 @@ def memo_by_prec(build):
 
     def cache_precisions() -> dict:
         with lock:
-            return {key: top for key, (top, _) in kept.items()}
+            return {args: top for (args, _), (top, _) in kept.items()}
 
     memo.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(kept))
     memo.cache_clear = cache_clear

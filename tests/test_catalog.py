@@ -113,6 +113,32 @@ def test_non_integer_precision_fails_cold_and_warm(clear_memos, name, warm, prec
         build(prec)
 
 
+# (constructor, its int form arguments, precision)
+NON_INT_ARG_FORMS = {
+    "theta_ab": (cat.theta_ab, (0, 0), 4),
+    "theta_const": (cat.theta_const, (1, 0), 4),
+    "eisenstein": (cat.eisenstein, (4,), 8),
+    "jacobi_eis": (cat.jacobi_eis, (4, 4), 4),
+    "jacobi_eis_m1": (cat.jacobi_eis_m1, (4,), 4),
+    "phi": (cat.phi, (1,), 4),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", sorted(NON_INT_ARG_FORMS))
+@pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "fraction"])
+def test_non_integer_form_argument_fails_cold_and_warm(clear_memos, name, warm, kind):
+    # the memo must neither answer an equal int's build nor keep one under it
+    build, args, prec = NON_INT_ARG_FORMS[name]
+    clear_memos()
+    if warm:
+        build(*args, prec)
+    bad = (kind(args[0]),) + args[1:]
+    with pytest.raises(TypeError, match=f"^{name} expects integers, got {re.escape(repr(bad[0]))}$"):
+        build(*bad, prec)
+    assert all(type(x) is int for key in build.cache_precisions() for x in key)
+
+
 def test_memos_expose_lru_cache_counters(clear_memos):
     # found the way the benchmark tracer finds them, which reads the misses
     # of theta, phi, jacobi_eis and jacobi_eis_m1

@@ -1,6 +1,7 @@
 """Lattice counts, the E8 Jacobi theta series, and the enumerations they
 are checked against."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -30,6 +31,17 @@ def test_vector_counts_are_read_only():
         counts[2] = 5
     assert lattice.vector_counts("E8", 2) is counts
     assert counts == {0: 1, 2: 240}
+
+
+@pytest.mark.parametrize("max_norm", [2.0, 2.5, Fraction(2)], ids=["float", "half", "fraction"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_vector_counts_refuse_a_non_integer_norm(max_norm, warm):
+    lattice.vector_counts.cache_clear()
+    if warm:
+        lattice.vector_counts("E7", 2)
+    with pytest.raises(TypeError, match=f"^vector_counts expects integers, got {re.escape(repr(max_norm))}$"):
+        lattice.vector_counts("E7", max_norm)
+    assert lattice.vector_counts("E8", 2) is lattice.vector_counts("E8", 2)
 
 
 def _a7_vectors(max_norm: int):

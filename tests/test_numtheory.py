@@ -158,6 +158,13 @@ def test_bernoulli_poly():
         bernoulli_poly(3, 0.5)  # refused even where the float is exact
 
 
+def test_bernoulli_poly_precondition():
+    # as bernoulli(-1) does, not Fraction's internal TypeError
+    for n in (-1, -4):
+        with pytest.raises(ValueError, match=f"^bernoulli_poly expects n >= 0, got {n}$"):
+            bernoulli_poly(n, 0)
+
+
 def test_zeta_neg():
     assert zeta_neg(-5) == Fraction(-1, 252)
     assert zeta_neg(-13) == Fraction(-1, 12)

@@ -242,6 +242,27 @@ def test_cyclotomic_polys():
     assert list(cyclotomic_poly(12)) == [1, 0, -1, 0, 1]
 
 
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polys_against_their_definition():
+    # x^n - 1 = prod_{d|n} Phi_d, deg Phi_n = phi(n), Phi_n monic
+    for n in range(1, 201):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+        phi = cyclotomic_poly(n)
+        assert len(phi) - 1 == sum(math.gcd(n, k) == 1 for k in range(1, n + 1)), n
+        assert phi[-1] == 1 and all(type(c) is int for c in phi), n
+
+
 def test_cycloelt_root_sums():
     # the full sum of K-th roots of unity vanishes
     for k in (3, 4, 8, 12, 24):
