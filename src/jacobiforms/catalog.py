@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from jacobiforms.numtheory import (bernoulli, cohen_h, divisors, factorize, mobius, require_ints,
-                                   sigma, zeta_neg)
+from jacobiforms.numtheory import (_h_num, _h_scale, bernoulli, divisors, factorize, mobius,
+                                   require_ints, sigma, zeta_neg)
 from jacobiforms.series import FJExp, QSeries, memo_by_prec, require_prec
 
 HALF = Fraction(1, 2)
@@ -147,7 +147,9 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
                   * sum_{e | gcd(n, r/d, m/d^2)} e^(k-1) H(k-1, (4nm - r^2) / (d^2 e^2))
 
     with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
-    and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term."""
+    and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term.  The
+    inner sums add the integers H(k-1, N) S_{k-1} (`numtheory._h_num`), and
+    the rows are built over the one denominator den(P / zeta(3-2k)) S_{k-1}."""
     require_ints("jacobi_eis", k, m)
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
@@ -157,7 +159,7 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     pref = Fraction(math.prod(Fraction(p ** (k - 1), p ** (k - 1) + 1) for p, _ in factorize(m)),
                     m ** (k - 1)) / zeta_neg(3 - 2 * k)
     squares = [(d, mobius(d), m // (d * d)) for d in divisors(m) if m % (d * d) == 0 and mobius(d)]
-    terms = {}
+    nums = {}
     for n in range(prec):
         for r in range(math.isqrt(4 * n * m) + 1):
             disc, acc = 4 * n * m - r * r, 0
@@ -166,12 +168,13 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
                     for e in divisors(math.gcd(n, r // d, l)):
                         h, rest = divmod(disc, d * d * e * e)
                         if not rest:
-                            acc += mu * e ** (k - 1) * cohen_h(k - 1, h)
+                            acc += mu * e ** (k - 1) * _h_num(k - 1, h)
             if acc:
-                terms[(n, r)] = terms[(n, -r)] = pref * acc
-    if terms.get((0, 0)) != 1:
+                nums[(n, r)] = nums[(n, -r)] = pref.numerator * acc
+    den = pref.denominator * _h_scale(k - 1)
+    if nums.get((0, 0)) != den:
         raise RuntimeError(f"E_{{{k},{m}}} normalization check failed")
-    return FJExp(1, 1, prec, terms, weight=k, index=m, cone_slack=0)
+    return FJExp._make(1, 1, prec, *FJExp._gridded(nums, den), (k, m, 0))
 
 
 @memo_by_prec

@@ -32,13 +32,13 @@ from jacobiforms import lattice
 from jacobiforms.catalog import HALF
 from jacobiforms.numtheory import rational_str, sigma, sigma_rational, zeta_neg
 from jacobiforms.representations import (
+    _F_DEN,
+    _f_num,
     _h3_odd_r_sum,
     _odd_nonsquare,
     _sign,
     cone_points,
     delta16,
-    f4_coeff,
-    f6_coeff,
     formula_delta8,
     formula_r8,
     h_window_sum,
@@ -99,22 +99,24 @@ class IdentityReport:
 # small builder helpers
 # ---------------------------------------------------------------------------
 
-def _qs_from(prec: int, fn, keys=None) -> QSeries:
-    """QSeries with integer exponents n < prec and coefficients fn(n)."""
+def _qs_from(prec: int, fn, keys=None, den: int = 1) -> QSeries:
+    """QSeries with integer exponents n < prec and coefficients fn(n) / den."""
     if keys is None:
         keys = range(prec)
-    return QSeries(1, prec, {n: fn(n) for n in keys})
+    return QSeries._make(1, 1, prec, *QSeries._gridded({n: c for n in keys if (c := fn(n))}, den))
 
 
 def _eis_2z(k: int, m: int, prec: int) -> FJExp:
     return cat.jacobi_eis(k, m, prec).ud(2)
 
 
-def _index4_window(coeff, prec: int) -> FJExp:
-    """coeff(n, r) on n < prec and r^2 <= 16 n, the index-4 cone: f4 and f6
-    vanish outside it, and a term of the other side there still mismatches."""
-    return FJExp(1, 1, prec, {(n, r): coeff(n, r) for n in range(prec)
-                              for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1)})
+def _index4_window(k: int, prec: int) -> FJExp:
+    """f4 (k = 3) or f6 (k = 5) on n < prec and r^2 <= 16 n, the index-4
+    cone, as the integers `_f_num` over `_F_DEN[k]`: f4 and f6 vanish
+    outside the cone, and a term of the other side there still mismatches."""
+    nums = {(n, r): c for n in range(prec) for r in range(-math.isqrt(16 * n), math.isqrt(16 * n) + 1)
+            if (c := _f_num(k, n, r))}
+    return FJExp._make(1, 1, prec, *FJExp._gridded(nums, _F_DEN[k]))
 
 
 def _eta12_theta10_4(prec: int) -> QSeries:
@@ -158,7 +160,7 @@ def _b_t31_theta8(prec):
 
 
 def _b_t31_f4(prec):
-    return (cat.theta(prec) ** 8).normalized(), _index4_window(f4_coeff, prec)
+    return (cat.theta(prec) ** 8).normalized(), _index4_window(3, prec)
 
 
 def _b_t31_wp8(prec):
@@ -168,7 +170,7 @@ def _b_t31_wp8(prec):
 
 def _b_t31_f6(prec):
     lhs = _eis_2z(6, 1, prec) - cat.jacobi_eis(6, 4, prec)
-    return lhs.normalized(), _index4_window(f6_coeff, prec)
+    return lhs.normalized(), _index4_window(5, prec)
 
 
 def _b_r31_a(prec):
@@ -245,7 +247,8 @@ def _b_c33_eta8_eis(prec):
 def _b_c33_eta8_conv(prec):
     lhs = cat.euler_product(prec) ** 8
     # 3m + 2r + 5 = n, 16m >= r^2
-    return lhs, _qs_from(prec, lambda n: sum(f4_coeff(m, r) for r, m in cone_points(n - 5, 2, 3)))
+    return lhs, _qs_from(prec, lambda n: sum(_f_num(3, m, r) for r, m in cone_points(n - 5, 2, 3)),
+                         den=_F_DEN[3])
 
 
 def _b_s32_spec(k: int, m: int, combo):
@@ -315,7 +318,8 @@ def _b_s32_t01_8_e44(prec):
 def _b_s32_t01_8_conv(prec):
     lhs = (cat.theta_const(0, 1, prec) ** 8).substituted(2)
     # 2m + r + 2 = n, 16m >= r^2
-    return lhs, _qs_from(prec, lambda n: sum(f4_coeff(m, r) for r, m in cone_points(n - 2, 1, 2)))
+    return lhs, _qs_from(prec, lambda n: sum(_f_num(3, m, r) for r, m in cone_points(n - 2, 1, 2)),
+                         den=_F_DEN[3])
 
 
 def _b_s32_r8_odd(prec):
@@ -443,15 +447,15 @@ def _b_p43_e63(prec):
 
 
 def _p43_cn_coeff(n: int) -> Fraction:
-    """The q^n coefficient of (eta(tau) eta(3 tau))^6: sigma terms plus 13/864
+    """The q^n coefficient of (eta(tau) eta(3 tau))^6: sigma terms plus 13/1728
     of the sum over r^2 <= 12n of w(r) sum_{d | (n, r, 3)} d^5 H(5, (12n - r^2)/d^2),
-    w(r) = 1 at 3 | r and -1/2 otherwise; the d = 3 terms are r = 3s,
-    H(5, 4n/3 - s^2)."""
-    acc = h_window_sum(5, 12 * n, lambda r: 1 if r % 3 == 0 else Fraction(-1, 2))
+    w(r) = 2 at 3 | r and -1 otherwise; the d = 3 terms are r = 3s,
+    H(5, 4n/3 - s^2), with weight 2 * 3^5."""
+    acc = h_window_sum(5, 12 * n, lambda r: 2 if r % 3 == 0 else -1)
     if n % 3 == 0:
-        acc += 243 * h_window_sum(5, 4 * n // 3, lambda r: 1)
+        acc += 486 * h_window_sum(5, 4 * n // 3, lambda r: 1)
     return (Fraction(61, 3168) * sigma(5, n) - Fraction(4941, 352) * sigma_rational(5, Fraction(n, 3))
-            + Fraction(13, 864) * acc)
+            + Fraction(13, 1728) * acc)
 
 
 def _b_p43_cn(prec):

@@ -13,6 +13,11 @@ sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), which is multiplicative
 in f.  L(1-r, chi_D) = -B_{r,chi_D}/r, and since chi_D(-1) = sign D and
 B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
 half range 1 <= a < |D|/2, in integers over one Bernoulli denominator.
+H(r, N) is an integer over S_r = den zeta(1-2r) = den H(r, 0) (12, 120,
+252, 240, 132, ... for r = 1, 2, 3, 4, 5; tested for N <= 5000 at r <= 13),
+and the package's Cohen-number sums add the integers H(r, N) * S_r from
+one cache, :func:`_h_num`, which raises ArithmeticError naming (r, N) for a
+value that is not one instead of rounding it.
 Values stay plain `int` wherever they are integers; a `fractions.Fraction`
 enters only where a denominator can arise (a Bernoulli number, a division),
 and each rational-valued public function returns through :func:`as_rational`
@@ -46,6 +51,15 @@ def as_rational(x) -> Rat:
         raise TypeError(f"expected an exact rational, got the float {x!r}")
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
+
+
+def _rational(num: int, den: int) -> Rat:
+    """num / den as a canonical rational: an int wherever den divides num,
+    else one Fraction."""
+    if den == 1:
+        return num
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def rational_str(x: Rat) -> str:
@@ -216,7 +230,7 @@ def bernoulli_poly(n: int, x: Rat) -> Rat:
     p, q = x.numerator, x.denominator
     den, *nums = _bernoulli_over_lcm(n)
     num = sum(math.comb(n, k) * b * p ** (n - k) * q**k for k, b in enumerate(nums))
-    return as_rational(Fraction(num, den * q**n))
+    return _rational(num, den * q**n)
 
 
 def zeta_neg(s: int) -> Rat:
@@ -310,7 +324,7 @@ def gen_bernoulli(r: int, d: int) -> Rat:
             pos, neg = list(map(mul, pos, plus)), list(map(mul, neg, minus))
         if nums[r - j]:
             acc += math.comb(r, j) * nums[r - j] * m ** (r - j) * (sum(pos) - sum(neg))
-    return as_rational(Fraction(2 * acc, den * m))
+    return _rational(2 * acc, den * m)
 
 
 def l_value_neg(r: int, d: int) -> Rat:
@@ -348,8 +362,24 @@ def fund_disc_decomp(delta: int) -> DiscDecomp:
     return DiscDecomp(4 * core, f // 2)
 
 
-@lru_cache(maxsize=None)  # untyped: its one caller, cohen_h, passes ints only
-def _cohen_h_int(r: int, n: int) -> Rat:
+def cohen_h(r: int, n: Rat) -> Rat:
+    """Cohen number H(r, N) for rational N >= 0 (0 on non-integral N).
+
+    N = 0 gives zeta(1-2r); (-1)^r N = 2,3 mod 4 gives 0; otherwise the
+    L-value times the Euler product over the conductor.  Negative N raises.
+    This is the uncached definition: the package's sums read H through
+    :func:`_h_num`, which caches each value once, as an integer, and calls
+    this function by its module-global name on a miss.
+    """
+    if type(r) is not int:  # inline: called once per cold H value
+        require_ints("cohen_h", r)
+    if r < 1:
+        raise ValueError(f"cohen_h expects r >= 1, got {r}")
+    n = as_rational(n)
+    if n < 0:
+        raise ValueError(f"cohen_h expects N >= 0, got {n}")
+    if not isinstance(n, int):
+        return 0
     if n == 0:
         return zeta_neg(1 - 2 * r)
     dn = n if r % 2 == 0 else -n
@@ -364,25 +394,24 @@ def _cohen_h_int(r: int, n: int) -> Rat:
     return as_rational(l_value_neg(r, dec.d) * acc)
 
 
-def cohen_h(r: int, n: Rat) -> Rat:
-    """Cohen number H(r, N) for rational N >= 0 (0 on non-integral N).
+@lru_cache(maxsize=None)  # one entry per weight: every cache miss of _h_num reads it
+def _h_scale(r: int) -> int:
+    """S_r = den zeta(1-2r) = den H(r, 0), the denominator :func:`_h_num` reads H(r, .) over."""
+    return Fraction(zeta_neg(1 - 2 * r)).denominator
 
-    N = 0 gives zeta(1-2r); (-1)^r N = 2,3 mod 4 gives 0; otherwise the
-    L-value times the Euler product over the conductor.  Negative N raises,
-    since every caller in this package feeds N >= 0 by construction; those
-    callers also ask only at integer N, and the 0 off the integers is for
-    the public API and the CLI.
-    """
-    if type(r) is not int:  # inline: this is called per coefficient
-        require_ints("cohen_h", r)
-    if r < 1:
-        raise ValueError(f"cohen_h expects r >= 1, got {r}")
-    n = as_rational(n)
-    if n < 0:
-        raise ValueError(f"cohen_h expects N >= 0, got {n}")
-    if not isinstance(n, int):
-        return 0
-    return _cohen_h_int(r, n)
+
+@lru_cache(maxsize=None)  # untyped: every caller passes ints, r >= 1 and N >= 0
+def _h_num(r: int, n: int) -> int:
+    """H(r, N) * S_r, the integer numerator of H(r, N) over :func:`_h_scale`;
+    the one cache of Cohen numbers.  A miss calls `cohen_h`, and a value
+    that is not an integer over S_r raises ArithmeticError naming (r, N):
+    no sum built on this cache ever rounds."""
+    h = cohen_h(r, n)
+    s = _h_scale(r)
+    num, rem = divmod(h.numerator * s, h.denominator)
+    if rem:
+        raise ArithmeticError(f"H({r}, {n}) = {h} is not an integer over den zeta({1 - 2 * r}) = {s}")
+    return num
 
 
 def cohen_h_via_l_values(r: int, n: int) -> Rat:

@@ -16,6 +16,10 @@ through `h_window_sum`, and every sum over the lattice points of a sheared
 cone through `cone_points`; these two are the one reader of H over windows,
 here and in the identity registry.  H is read only at integer N: f4 and f6
 read H(k, disc/d^2), disc = 16n - r^2, only where d^2 | disc (0 otherwise).
+Every such sum adds integers: H(k, N) * S_k from `numtheory._h_num`, S_k =
+den zeta(1-2k) (252 for k = 3, 132 for k = 5), and f4, f6 as `_f_num`
+numerators over `_F_DEN` = 2 S_3 = 504 and 8 S_5 = 1056; each answer makes
+at most one Fraction, from its integer numerator over its one denominator.
 
 Every summand kind of a count is the figurate value f_a(x) over an
 arithmetic progression of x (squares are f_2, triangular numbers f_1).
@@ -30,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from jacobiforms.numtheory import Rat, as_rational, cohen_h, divisors, require_ints, sigma, zeta_neg
+from jacobiforms.numtheory import Rat, _h_num, _h_scale, _rational, divisors, require_ints, sigma
 
 
 def _sign(r: int) -> int:
@@ -46,23 +49,32 @@ def _sign(r: int) -> int:
 # coefficient formulas
 # ---------------------------------------------------------------------------
 
-# k -> (c4, cd, den): f(n, r) = (c4 H(k, disc/4) + cd sum_{d | (n,r,4)} d^k H(k, disc/d^2)) / den
-_F_CONSTANTS = {3: (-511, 7, 2), 5: (-1057, 1, 8)}
+# k -> (c4, cd): f(n, r) = (c4 H(k, disc/4) + cd sum_{d | (n,r,4)} d^k H(k, disc/d^2)) / (2, 8)
+_F_CONSTANTS = {3: (-511, 7), 5: (-1057, 1)}
+# k -> the denominator of `_f_num`: 2 S_3 and 8 S_5, S_k = den zeta(1-2k)
+_F_DEN = {3: 504, 5: 1056}
 
 
-def _f_coeff(k: int, n: int, r: int) -> Rat:
-    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r."""
+def _f_num(k: int, n: int, r: int) -> int:
+    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r times
+    _F_DEN[k]: an integer, from the integers H(k, N) * S_k."""
     disc = 16 * n - r * r
     if disc < 0 or n < 0:
         return 0
     if disc == 0:
-        return 1 if n % 2 else 0
-    c4, cd, den = _F_CONSTANTS[k]
-    acc = c4 * cohen_h(k, disc // 4) if disc % 4 == 0 else 0
-    for d in divisors(math.gcd(n, r, 4)):
-        if disc % (d * d) == 0:
-            acc += cd * d**k * cohen_h(k, disc // (d * d))
-    return as_rational(Fraction(acc, den))
+        return _F_DEN[k] if n % 2 else 0
+    c4, cd = _F_CONSTANTS[k]
+    acc = c4 * _h_num(k, disc // 4) if disc % 4 == 0 else 0
+    g = math.gcd(n, r, 4)
+    for d in (1, 2, 4):  # the divisors of (n, r, 4)
+        if g % d == 0 and disc % (d * d) == 0:
+            acc += cd * d**k * _h_num(k, disc // (d * d))
+    return acc
+
+
+def _f_coeff(k: int, n: int, r: int) -> Rat:
+    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r."""
+    return _rational(_f_num(k, n, r), _F_DEN[k])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 1.0 must not hit the entry of 1
@@ -197,12 +209,20 @@ def formula_delta8(n: int) -> int:
 # windows of Cohen numbers: the one reader of H over r-windows and cone points
 # ---------------------------------------------------------------------------
 
-def h_window_sum(k: int, big_n: int, weight) -> Rat:
-    """sum over integers r with r^2 <= N of weight(r) H(k, N - r^2), H read
-    only where the weight is nonzero."""
+def _h_window_num(k: int, big_n: int, weight) -> int:
+    """`h_window_sum` times S_k: the integer sum of weight(r) H(k, N - r^2) S_k."""
     rmax = math.isqrt(big_n)
-    return as_rational(sum(w * cohen_h(k, big_n - r * r) for r in range(-rmax, rmax + 1)
-                           if (w := weight(r))))
+    return sum(w * _h_num(k, big_n - r * r) for r in range(-rmax, rmax + 1) if (w := weight(r)))
+
+
+def h_window_sum(k: int, big_n: int, weight) -> Rat:
+    """sum over integers r with r^2 <= N of weight(r) H(k, N - r^2) for
+    N >= 0, H read only where the integer weight is nonzero: an integer
+    sum over S_k, divided once."""
+    require_ints("h_window_sum", k, big_n)
+    if big_n < 0:
+        raise ValueError(f"h_window_sum expects N >= 0, got {big_n}")
+    return _rational(_h_window_num(k, big_n, weight), _h_scale(k))
 
 
 def cone_points(c: int, slope: int, div: int, cone: int = 16):
@@ -225,28 +245,28 @@ def cone_points(c: int, slope: int, div: int, cone: int = 16):
 
 def _f4_sum(points) -> Rat:
     """sum over the points (r, m) of (-1)^r f4(m, r)."""
-    return as_rational(sum(_sign(r) * f4_coeff(m, r) for r, m in points))
+    return _rational(sum(_sign(r) * _f_num(3, m, r) for r, m in points), _F_DEN[3])
 
 
 def _h3_odd_r_sum(points) -> Rat:
     """-7/2 sum over the points with r odd and 16m > r^2 of H(3, 16m - r^2)."""
-    return as_rational(Fraction(-7, 2) * sum(cohen_h(3, 16 * m - r * r)
-                                             for r, m in points if r % 2 and 16 * m > r * r))
+    acc = sum(_h_num(3, 16 * m - r * r) for r, m in points if r % 2 and 16 * m > r * r)
+    return _rational(-7 * acc, _F_DEN[3])
 
 
 def _r8_case_odd_a_even_n(a: int, n: int) -> Rat:
     target = n - 3 * a + 4
-    acc = 0
+    acc = 0  # over _F_DEN[3] = 2 S_3
     for r, m in cone_points(target, a - 1, a):
         if 16 * m == r * r:  # boundary representations: r = 4t, m = t^2
-            acc += 1
+            acc += _F_DEN[3]
         elif m % 2:
-            acc += _sign(r) * Fraction(7, 2) * cohen_h(3, 16 * m - r * r)
+            acc += _sign(r) * 7 * _h_num(3, 16 * m - r * r)
     # second sum: a*m + 2*s*(a-1) + 3a - 4 = n, 4m > s^2, m odd
     for s, m in cone_points(target, 2 * (a - 1), a, cone=4):
         if m % 2 and 4 * m > s * s:
-            acc -= Fraction(511, 2) * cohen_h(3, 4 * m - s * s)
-    return as_rational(acc)
+            acc -= 511 * _h_num(3, 4 * m - s * s)
+    return _rational(acc, _F_DEN[3])
 
 
 def _eight_figurate(label: str, points: list, case: Optional[Rat]) -> int:
@@ -303,18 +323,20 @@ def _odd_nonsquare(n: int) -> bool:
     return n % 2 == 1 and math.isqrt(n) ** 2 != n
 
 
-# moment routes: sum r^power f(n, r) over r^2 <= 16n, / (divisor * n^n_power); f read per call
+# moment routes: sum r^power f(n, r) over r^2 <= 16n, / (divisor * n^n_power), f = f4 at
+# k = 3 and f6 at k = 5; `_f_num` is read by its module-global name per call
 _MOMENT_ROUTES = {
-    "via_f4": ("f4_coeff", 8, math.factorial(8), 0),
-    "via_f4_n": ("f4_coeff", 10, math.factorial(10) // 3, 1),
-    "via_f6": ("f6_coeff", 6, 12 * math.factorial(6), 0),
-    "via_f6_n": ("f6_coeff", 8, 4 * math.factorial(8), 1),
+    "via_f4": (3, 8, math.factorial(8), 0),
+    "via_f4_n": (3, 10, math.factorial(10) // 3, 1),
+    "via_f6": (5, 6, 12 * math.factorial(6), 0),
+    "via_f6_n": (5, 8, 4 * math.factorial(8), 1),
 }
 
-# closed routes: c1 sum r^power H(k, 4n - r^2) + c2 sum r^power H(k, 16n - r^2)
+# closed routes: (c1 sum r^power H(k, 4n - r^2) + c2 sum r^power H(k, 16n - r^2)) / den,
+# that is -73/45 and 1/11520 for k = 3, -1057/1080 and 1/69120 for k = 5
 _CLOSED_ROUTES = {
-    "via_h3_closed": (3, 8, Fraction(-73, 45), Fraction(1, 11520)),
-    "via_h5_closed": (5, 6, Fraction(-1057, 1080), Fraction(1, 69120)),
+    "via_h3_closed": (3, 8, -73 * 256, 1, 11520),
+    "via_h5_closed": (5, 6, -1057 * 64, 1, 69120),
 }
 
 
@@ -333,21 +355,23 @@ def tau(n: int, route: str = "direct") -> Rat:
         from jacobiforms.catalog import delta
         return delta(n + 1).coefficient(n)
     if route in _MOMENT_ROUTES:
-        name, power, divisor, n_power = _MOMENT_ROUTES[route]
-        coeff = globals()[name]
+        k, power, divisor, n_power = _MOMENT_ROUTES[route]
         rmax = math.isqrt(16 * n)
-        acc = sum(r**power * coeff(n, r) for r in range(-rmax, rmax + 1))
-        return as_rational(Fraction(acc) / (divisor * n**n_power))
+        acc = sum(r**power * _f_num(k, n, r) for r in range(-rmax, rmax + 1))
+        return _rational(acc, _F_DEN[k] * divisor * n**n_power)
     if route == "via_h11":
-        acc = h_window_sum(11, 4 * n, lambda r: 1) / Fraction(zeta_neg(-21))
-        acc -= Fraction(65520, 691) * sigma(11, n)
-        return as_rational(Fraction(53678953, 304819200) * acc)
+        # 53678953/304819200 (sum H(11, 4n - r^2)/zeta(-21) - 65520/691 sigma_11(n)), and
+        # H(11, .)/zeta(-21) = _h_num(11, .)/z with z = S_11 zeta(-21) = _h_num(11, 0)
+        z = _h_num(11, 0)
+        acc = 691 * _h_window_num(11, 4 * n, lambda r: 1) - 65520 * z * sigma(11, n)
+        return _rational(53678953 * acc, 304819200 * 691 * z)
     if route in _CLOSED_ROUTES:
         if not _odd_nonsquare(n):
             raise ValueError(f"route {route} requires odd n that is not a square (got {n})")
-        k, power, c1, c2 = _CLOSED_ROUTES[route]
-        return as_rational(c1 * h_window_sum(k, 4 * n, lambda r: r**power)
-                           + c2 * h_window_sum(k, 16 * n, lambda r: r**power))
+        k, power, c1, c2, den = _CLOSED_ROUTES[route]
+        acc = (c1 * _h_window_num(k, 4 * n, lambda r: r**power)
+               + c2 * _h_window_num(k, 16 * n, lambda r: r**power))
+        return _rational(acc, den * _h_scale(k))
     raise ValueError(f"unknown tau route {route!r} (expected one of {TAU_ROUTES})")
 
 
@@ -360,25 +384,27 @@ def tau_applicable_routes(n: int) -> list:
 # sixteen-variable counts
 # ---------------------------------------------------------------------------
 
-def _sixteen(name: str, n: int, big_n: int, c1: Fraction, c2: Fraction) -> Rat:
-    """c1 sigma_7(N) + c2 sum (-1)^r H(7, 8N - r^2)/zeta(-13) at N = big_n,
-    for odd n >= 1."""
+def _sixteen(name: str, n: int, big_n: int, c1: int, c2: int, den: int) -> Rat:
+    """(c1 sigma_7(N) + c2 sum (-1)^r H(7, 8N - r^2)/zeta(-13)) / den at
+    N = big_n, for odd n >= 1; H(7, .)/zeta(-13) = _h_num(7, .)/z with
+    z = S_7 zeta(-13) = _h_num(7, 0)."""
     require_ints(name, n)
     if n < 1:
         raise ValueError(f"{name} expects n >= 1")
     if n % 2 == 0:
         raise ValueError(f"{name} requires odd n")
-    acc = h_window_sum(7, 8 * big_n, _sign) / Fraction(zeta_neg(-13))
-    return as_rational(c1 * sigma(7, big_n) + c2 * acc)
+    z = _h_num(7, 0)
+    acc = c1 * z * sigma(7, big_n) + c2 * _h_window_num(7, 8 * big_n, _sign)
+    return _rational(acc, den * z)
 
 
 def delta16(n: int) -> Rat:
     """Sixteen triangular numbers, closed form for odd n >= 1:
     61/8640 sigma_7(n+2) - 1/829440 sum (-1)^r H(7, 8(n+2) - r^2)/zeta(-13)."""
-    return _sixteen("delta16", n, n + 2, Fraction(61, 8640), Fraction(-1, 829440))
+    return _sixteen("delta16", n, n + 2, 61 * 96, -1, 829440)
 
 
 def r16(n: int) -> Rat:
     """Sixteen squares, closed form for odd n >= 1:
     416/135 sigma_7(n) + 2/405 sum (-1)^r H(7, 8n - r^2)/zeta(-13)."""
-    return _sixteen("r16", n, n, Fraction(416, 135), Fraction(2, 405))
+    return _sixteen("r16", n, n, 416 * 3, 2, 405)

@@ -58,7 +58,7 @@ from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
-from jacobiforms.numtheory import Rat, as_rational, divisors, mobius, parse_rational, rational_str
+from jacobiforms.numtheory import Rat, _rational, as_rational, divisors, mobius, parse_rational, rational_str
 
 RatLike = Union[int, Fraction]
 
@@ -253,14 +253,6 @@ def _num_at(nums: tuple, start: int, step: int, x: int) -> int:
     one position), 0 off the run."""
     j, off = divmod(x - start, step or 1)
     return 0 if off or not 0 <= j < len(nums) else nums[j]
-
-
-def _rational(num: int, den: int) -> Rat:
-    """num / den as a canonical rational: an int wherever den divides num."""
-    if den == 1:
-        return num
-    q, rem = divmod(num, den)
-    return Fraction(num, den) if rem else q
 
 
 _first = itemgetter(0)

@@ -329,6 +329,31 @@ def test_cohen_denominator_regression():
         assert math.lcm(*dens) == lcm_expected, r
 
 
+def test_h_num_is_cohen_h_over_den_zeta():
+    # the integer cache the package's Cohen-number sums read: H(r, N) * S_r,
+    # S_r = den zeta(1 - 2r), exactly and as an int
+    assert [numtheory._h_scale(r) for r in range(1, 6)] == [12, 120, 252, 240, 132]
+    for r in range(1, 14):
+        s = numtheory._h_scale(r)
+        assert s == Fraction(zeta_neg(1 - 2 * r)).denominator, r
+        for n in range(2001 if r in (3, 5, 7, 11) else 401):
+            num = numtheory._h_num(r, n)
+            assert type(num) is int and num == cohen_h(r, n) * s, (r, n)
+
+
+def test_h_num_refuses_a_value_off_its_scale(monkeypatch):
+    # a value that is not an integer over S_r raises, naming (r, N), instead
+    # of being rounded into the cache; the cache reads cohen_h by its global name
+    real = numtheory.cohen_h
+    def fake(r, n):
+        return Fraction(1, 5) if (r, n) == (3, 1000003) else real(r, n)
+    monkeypatch.setattr(numtheory, "cohen_h", fake)
+    for _ in range(2):  # an exception is never cached
+        with pytest.raises(ArithmeticError, match=r"^H\(3, 1000003\) = 1/5 is not an integer"):
+            numtheory._h_num(3, 1000003)
+    assert numtheory._h_num(3, 3) == -56
+
+
 def test_h3_always_nonpositive():
     # the weight-4 normalization flips sign: H(3, N) <= 0 throughout
     assert all(cohen_h(3, n) <= 0 for n in range(201))
@@ -414,8 +439,8 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
 # int call must return exactly the value, of its type; before the refusal
 # formula_r8(2.5) returned (-250-16j) and bernoulli(3.0) returned 0.  The
 # cached ones (bernoulli, gen_bernoulli, f4_coeff, f6_coeff) have typed
-# lru_cache keys, so (1.0, 0) misses (1, 0); cohen_h checks r before its
-# cache _cohen_h_int is read.  The TypeError names the entry point, except
+# lru_cache keys, so (1.0, 0) misses (1, 0); cohen_h, uncached, checks r
+# first.  The TypeError names the entry point, except
 # where it hands its argument straight to factorize
 NON_INT_CALLS = [
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (6.0,)),

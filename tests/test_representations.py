@@ -136,6 +136,29 @@ def test_cohen_readers_return_canonical_values():
     assert all(is_canonical(v) for v in values)
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 11])
+def test_h_window_sum_against_per_term_fractions(k):
+    # the oracle for the integer window sum: one Fraction multiply-add per term
+    weights = (lambda r: 1, _sign, lambda r: r & 1, lambda r: r**8)
+    for big_n in range(120):
+        rmax = math.isqrt(big_n)
+        for w in weights:
+            oracle = sum((w(r) * Fraction(cohen_h(k, big_n - r * r)) for r in range(-rmax, rmax + 1)),
+                         Fraction(0))
+            value = h_window_sum(k, big_n, w)
+            assert value == oracle and is_canonical(value), (k, big_n)
+
+
+def test_h_window_sum_preconditions():
+    # a negative N used to fail inside math.isqrt, a float inside cohen_h or isqrt
+    with pytest.raises(ValueError, match="^h_window_sum expects N >= 0, got -1$"):
+        h_window_sum(3, -1, lambda r: 1)
+    for k, big_n in ((3.0, 4), (3, 4.0), (3, Fraction(4))):
+        with pytest.raises(TypeError, match="^h_window_sum expects integers, got"):
+            h_window_sum(k, big_n, lambda r: 1)
+    assert h_window_sum(3, 0, lambda r: 1) == Fraction(-1, 252)  # H(3, 0) = zeta(-5)
+
+
 def test_cone_points_are_exactly_the_lattice_points_of_the_cone():
     # against a scan far past the window: no point is missed at either end
     for c, slope, div, cone in itertools.product(range(-5, 41), range(-3, 6), range(1, 9), (4, 16)):
@@ -368,28 +391,31 @@ def test_sixteen_variable_series_extraction():
 
 def test_case_formula_tripwire_catches_corruption(monkeypatch):
     # poison one f4 value and confirm the general/case cross-assert fires:
-    # (m, r) = (3, 1) feeds R_{2,8}(9), whose odd-n case formula bypasses f4
+    # (m, r) = (3, 1) feeds R_{2,8}(9), whose odd-n case formula bypasses f4;
+    # the sums read f4 as the integer _f_num over _F_DEN[3], so +1 in value
+    # is +_F_DEN[3] in the numerator
     import jacobiforms.representations as reps
-    original = reps.f4_coeff
-    def poisoned(n, r):
-        if (n, r) == (3, 1):
-            return original(n, r) + 1
-        return original(n, r)
-    monkeypatch.setattr(reps, "f4_coeff", poisoned)
+    original = reps._f_num
+    def poisoned(k, n, r):
+        if (k, n, r) == (3, 3, 1):
+            return original(k, n, r) + reps._F_DEN[3]
+        return original(k, n, r)
+    monkeypatch.setattr(reps, "_f_num", poisoned)
     with pytest.raises(RuntimeError):
         reps.r_a8_formula(2, 9)
 
 
 def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
-    # the moment routes name their coefficient function instead of binding
-    # it at import, so a replaced representations.f4_coeff reaches tau
+    # the moment routes call their coefficient numerator by its module-global
+    # name, so a replaced representations._f_num reaches tau
     import jacobiforms.representations as reps
-    original = reps.f4_coeff
+    original = reps._f_num
     seen = []
-    def poisoned(n, r):
-        seen.append((n, r))
-        return original(n, r) + (1 if (n, r) == (3, 1) else 0)
-    monkeypatch.setattr(reps, "f4_coeff", poisoned)
+    def poisoned(k, n, r):
+        if k == 3:
+            seen.append((n, r))
+        return original(k, n, r) + (reps._F_DEN[3] if (k, n, r) == (3, 3, 1) else 0)
+    monkeypatch.setattr(reps, "_f_num", poisoned)
     assert tau(3, "via_f4") == 252 + Fraction(1, 40320)  # 1^8 / 8!
     assert (3, 1) in seen
 
