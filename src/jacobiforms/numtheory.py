@@ -12,7 +12,10 @@ product is the Euler product of the twisted divisor sum
 sum_{d|f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), which is multiplicative
 in f.  L(1-r, chi_D) = -B_{r,chi_D}/r, and since chi_D(-1) = sign D and
 B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
-half range 1 <= a < |D|/2, in integers over one Bernoulli denominator.
+half range 1 <= a < |D|/2, in integers over one Bernoulli denominator, and
+reads chi_D there as two lists, the a with chi_D(a) = 1 and those with
+chi_D(a) = -1, cut out of the half range by byte masks (:func:`_chi_signs`);
+:func:`cohen_h` divides -B_{r,chi_D} times the Euler product by r once.
 H(r, N) is an integer over S_r = den zeta(1-2r) = den H(r, 0) (12, 120,
 252, 240, 132, ... for r = 1, 2, 3, 4, 5; tested for N <= 5000 at r <= 13),
 and the package's Cohen-number sums add the integers H(r, N) * S_r from
@@ -21,9 +24,9 @@ value that is not one instead of rounding it.
 Values stay plain `int` wherever they are integers; a `fractions.Fraction`
 enters only where a denominator can arise (a Bernoulli number, a division),
 and each rational-valued public function returns through :func:`as_rational`
-once, so an integer result is an `int` and any other is a `Fraction` with
-denominator > 1.  All functions are pure and safe to call from several
-threads: the memo caches are `functools.lru_cache`.
+or :func:`_rational` once, so an integer result is an `int` and any other
+is a `Fraction` with denominator > 1.  All functions are pure and safe to
+call from several threads: the memo caches are `functools.lru_cache`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle
+from itertools import compress
 from operator import mul
 from typing import Union
 
@@ -125,8 +128,10 @@ def divisors(n: int) -> list:
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum_{d|n} d^k, for n >= 1."""
+    """Divisor power sum sigma_k(n) = sum_{d|n} d^k, for k >= 0 and n >= 1."""
     require_ints("sigma", k, n)
+    if k < 0:
+        raise ValueError(f"sigma expects k >= 0, got {k}")
     if n < 1:
         raise ValueError(f"sigma expects n >= 1, got {n}")
     result = 1
@@ -140,6 +145,9 @@ def sigma(k: int, n: int) -> int:
 
 def sigma_rational(k: int, x: Rat) -> int:
     """sigma_k extended by 0 off the positive integers (sigma_3(n/2) idiom)."""
+    require_ints("sigma_rational", k)
+    if k < 0:
+        raise ValueError(f"sigma_rational expects k >= 0, got {k}")
     x = as_rational(x)
     if not isinstance(x, int) or x < 1:
         return 0
@@ -254,33 +262,43 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-# chi_D of the 2-part D2 in {1, -4, 8, -8} of a fundamental D, on a mod |D2|
-_CHI_TWO_PART = {1: (1,), -4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
-                 -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+# chi_D of the 2-part D2 in {1, -4, 8, -8} of a fundamental D, on a mod |D2|,
+# as byte masks (zero, minus): chi_D2(a) = 0 where zero[a], else -1 where minus[a]
+_TWO_PART_MASKS = {1: (b"\0", b"\0"), -4: (b"\1\0\1\0", b"\0\0\0\1"),
+                   8: (b"\1\0" * 4, b"\0\0\0\1\0\1\0\0"),
+                   -8: (b"\1\0" * 4, b"\0\0\0\0\0\1\0\1")}
 
 
-def _character_values(d: int, count: int) -> list:
-    """chi_D(a) for a = 1..count, D fundamental: the product of the characters
-    of the prime discriminants p* = +-p = 1 mod 4 (a Legendre table mod each
-    odd p | D) and of the 2-part D / prod p*, each periodic table read at
-    a = 1..count only.  The primes come from the factorization that
+def _chi_signs(d: int, count: int) -> tuple:
+    """(plus, minus): the a in 1..count with chi_D(a) = 1 and with chi_D(a)
+    = -1, D fundamental.  chi_D is the product of the characters of the
+    prime discriminants p* = +-p = 1 mod 4 (a Legendre symbol mod each odd
+    p | D) and of the 2-part D / prod p*, each a zero mask and a sign mask
+    of bytes over one period; repeated over 1..count and read as integers,
+    the zero masks combine by OR and the sign masks by XOR, with no Python
+    step per a.  The primes come from the factorization that
     :func:`is_fundamental_discriminant` has already cached."""
     m = abs(d)
-    two, tables = d, []
+    two, masks = d, []
     for p, _ in factorize(m if d % 2 else m // 4):
         if p == 2:
             continue
-        tab = [-1] * p
-        tab[0] = 0
+        minus = bytearray(b"\1") * p
+        minus[0] = 0
         for x in range(1, p // 2 + 1):
-            tab[x * x % p] = 1
-        tables.append(tab)
+            minus[x * x % p] = 0
+        masks.append((b"\1" + bytes(p - 1), minus))
         two //= p if p % 4 == 1 else -p
-    tables.append(_CHI_TWO_PART[two])
-    chi = [1] * count
-    for tab in tables:
-        chi = list(map(mul, chi, cycle(tab[1:] + tab[:1])))
-    return chi
+    masks.append(_TWO_PART_MASKS[two])
+    zero = neg = 0
+    for z, s in masks:
+        reps = count // len(z) + 1
+        zero |= int.from_bytes((z * reps)[1:count + 1], "big")
+        neg ^= int.from_bytes((s * reps)[1:count + 1], "big")
+    live = int.from_bytes(b"\1" * count, "big") ^ zero  # chi_D(a) != 0
+    a = range(1, count + 1)
+    return (list(compress(a, (live & ~neg).to_bytes(count, "big"))),
+            list(compress(a, (live & neg).to_bytes(count, "big"))))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
@@ -298,9 +316,11 @@ def gen_bernoulli(r: int, d: int) -> Rat:
         S'_j = sum_{1 <= a < m/2} chi_D(a) a^j,
 
     summed in integers over L = lcm(den B_k) and divided by L * m once.
-    chi_D(a) comes from the periodic tables of D's prime-discriminant
-    characters, no Kronecker symbol is evaluated, and S'_j is needed only
-    where B_k != 0 (k = 0, 1 and even k).  The full-range defining sum over
+    S'_j is the power sum over the a with chi_D(a) = 1 minus the one over
+    the a with chi_D(a) = -1, two lists that :func:`_chi_signs` cuts out of
+    the half range by byte masks of D's prime-discriminant characters (no
+    Kronecker symbol is evaluated), and S'_j is needed only where B_k != 0
+    (k = 0, 1 and even k).  The full-range defining sum over
     :func:`bernoulli_poly` and :func:`kronecker` is the test oracle.
     """
     require_ints("gen_bernoulli", r, d)
@@ -313,9 +333,7 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     if (d < 0) != (r % 2 == 1):
         return 0
     m = abs(d)
-    chars = _character_values(d, (m - 1) // 2)
-    plus = [a for a, chi in enumerate(chars, 1) if chi > 0]
-    minus = [a for a, chi in enumerate(chars, 1) if chi < 0]
+    plus, minus = _chi_signs(d, (m - 1) // 2)
     den, *nums = _bernoulli_over_lcm(r)
     acc = nums[r] * m**r * (len(plus) - len(minus))  # j = 0
     pos, neg = plus, minus  # a^j where chi_D(a) = 1, -1
@@ -366,7 +384,9 @@ def cohen_h(r: int, n: Rat) -> Rat:
     """Cohen number H(r, N) for rational N >= 0 (0 on non-integral N).
 
     N = 0 gives zeta(1-2r); (-1)^r N = 2,3 mod 4 gives 0; otherwise the
-    L-value times the Euler product over the conductor.  Negative N raises.
+    L-value L(1-r, chi_D) = -B_{r,chi_D}/r times the Euler product over the
+    conductor, as one integer quotient: -num(B) * E / (den(B) * r).
+    Negative N raises.
     This is the uncached definition: the package's sums read H through
     :func:`_h_num`, which caches each value once, as an integer, and calls
     this function by its module-global name on a miss.
@@ -391,7 +411,8 @@ def cohen_h(r: int, n: Rat) -> Rat:
         k = p ** (2 * r - 1)
         below = (k**e - 1) // (k - 1)  # sigma_{2r-1}(p^(e-1)); sigma(p^e) = k * below + 1
         acc *= k * below + 1 - kronecker(dec.d, p) * p ** (r - 1) * below
-    return as_rational(l_value_neg(r, dec.d) * acc)
+    b = gen_bernoulli(r, dec.d)  # H = L(1-r, chi_D) * acc = -B_{r,chi_D} * acc / r
+    return _rational(-b.numerator * acc, b.denominator * r)
 
 
 @lru_cache(maxsize=None)  # one entry per weight: every cache miss of _h_num reads it

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -217,26 +218,40 @@ def _h_window_num(k: int, big_n: int, weight) -> int:
 
 def h_window_sum(k: int, big_n: int, weight) -> Rat:
     """sum over integers r with r^2 <= N of weight(r) H(k, N - r^2) for
-    N >= 0, H read only where the integer weight is nonzero: an integer
-    sum over S_k, divided once."""
+    k >= 1 and N >= 0, H read only where the weight is nonzero: an integer
+    sum over S_k, divided once.  Weights are ints (a Fraction weight gives
+    the exact value too); any other weight raises TypeError."""
     require_ints("h_window_sum", k, big_n)
+    if k < 1:
+        raise ValueError(f"h_window_sum expects k >= 1, got {k}")
     if big_n < 0:
         raise ValueError(f"h_window_sum expects N >= 0, got {big_n}")
-    return _rational(_h_window_num(k, big_n, weight), _h_scale(k))
+
+    def checked(r: int):
+        w = weight(r)
+        if not isinstance(w, (int, Fraction)):
+            raise TypeError(f"h_window_sum expects int or Fraction weights, got {w!r} at r = {r}")
+        return w
+
+    return _rational(_h_window_num(k, big_n, checked), _h_scale(k))
 
 
-def cone_points(c: int, slope: int, div: int, cone: int = 16):
-    """Integer pairs (r, m) with div*m + slope*r = c and cone*m >= r^2."""
+def cone_points(c: int, slope: int, div: int, cone: int = 16) -> list:
+    """The integer pairs (r, m) with div*m + slope*r = c and cone*m >= r^2,
+    for div >= 1 and cone >= 1, in increasing r."""
+    require_ints("cone_points", c, slope, div, cone)
+    if div < 1:
+        raise ValueError(f"cone_points expects div >= 1, got {div}")
+    if cone < 1:
+        raise ValueError(f"cone_points expects cone >= 1, got {cone}")
     # the r window: div*r^2 + cone*slope*r - cone*c <= 0, that is
     # |2*div*r + cone*slope| <= isqrt(disc) for the integer r
     disc = (cone * slope) ** 2 + 4 * div * cone * c
     if disc < 0:
-        return
+        return []
     top = math.isqrt(disc)
-    for r in range(-((cone * slope + top) // (2 * div)), (top - cone * slope) // (2 * div) + 1):
-        num = c - slope * r
-        if num % div == 0 and cone * (num // div) >= r * r:
-            yield r, num // div
+    rs = range(-((cone * slope + top) // (2 * div)), (top - cone * slope) // (2 * div) + 1)
+    return [(r, num // div) for r in rs if (num := c - slope * r) % div == 0 and cone * (num // div) >= r * r]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +304,7 @@ def r_a8_formula(a: int, n: int) -> int:
     require_ints("r_a8_formula", a, n)
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    points = list(cone_points(n - 3 * a + 4, a - 1, a))
+    points = cone_points(n - 3 * a + 4, a - 1, a)
     case = None
     if a % 2 == 0 and n % 2 == 1:
         case = _h3_odd_r_sum(points)
@@ -305,7 +320,7 @@ def r_a8odd_formula(a: int, n: int) -> int:
     require_ints("r_a8odd_formula", a, n)
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
-    points = list(cone_points(n, a - 2, 4 * a))
+    points = cone_points(n, a - 2, 4 * a)
     case = _h3_odd_r_sum(points) if a % 2 == 1 and n % 2 == 1 else None
     return _eight_figurate(f"R^odd_{{{a},8}}({n})", points, case)
 

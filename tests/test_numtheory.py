@@ -105,6 +105,16 @@ def test_sigma_rational_extension():
     assert sigma_rational(3, 0) == 0
 
 
+def test_sigma_refuses_negative_k():
+    # sigma(-1, 6) returned the float 1.0 (sigma_{-1}(6) = 2) before the check
+    for k, n in ((-1, 6), (-2, 4), (-3, 1)):
+        with pytest.raises(ValueError, match=f"^sigma expects k >= 0, got {k}$"):
+            sigma(k, n)
+        for x in (n, Fraction(1, 2), 0):  # refused off the positive integers too
+            with pytest.raises(ValueError, match=f"^sigma_rational expects k >= 0, got {k}$"):
+                sigma_rational(k, x)
+
+
 # -- Bernoulli machinery -----------------------------------------------------------
 
 def test_bernoulli_values():
@@ -189,15 +199,16 @@ def test_l_values():
 
 
 def test_character_table_against_kronecker():
-    # the product of prime-discriminant characters is chi_D = (D|.) on 1..count,
-    # over the whole period and over the half range gen_bernoulli reads
+    # the sign lists from the byte masks are the a with chi_D(a) = (D|a) = +-1
+    # on 1..count, over the whole period and over the half range gen_bernoulli reads
     fundamentals = [d for d in range(-1000, 1001) if d and is_fundamental_discriminant(d)]
     assert 1 in fundamentals
     for d in fundamentals:
         period = [kronecker(d, a) for a in range(1, abs(d) + 1)]
-        assert numtheory._character_values(d, abs(d)) == period, d
-        half = (abs(d) - 1) // 2
-        assert numtheory._character_values(d, half) == period[:half], d
+        for count in (abs(d), (abs(d) - 1) // 2):
+            plus = [a for a, chi in enumerate(period[:count], 1) if chi == 1]
+            minus = [a for a, chi in enumerate(period[:count], 1) if chi == -1]
+            assert numtheory._chi_signs(d, count) == (plus, minus), (d, count)
 
 
 def defining_sum(r, d):
@@ -224,6 +235,19 @@ def test_gen_bernoulli_against_defining_sum():
     for r, d in cases:
         got = gen_bernoulli(r, d)
         assert got == defining_sum(r, d) and as_rational(got) is got, (r, d)  # int when integral
+
+
+def test_gen_bernoulli_beyond_ten_thousand_against_defining_sum():
+    # one D < -10^4 with two odd primes for each 2-part of the byte masks:
+    # 1, -4, -8 and 8 (D < 0, so B_{r,chi_D} != 0 at odd r)
+    two_parts = {-10003: 1, -10004: -4, -10024: -8, -10040: 8}  # -7*1429, -4*41*61, -8*7*179, -8*5*251
+    for d, two in two_parts.items():
+        odd = [p for p, _ in numtheory.factorize(abs(d)) if p > 2]
+        assert is_fundamental_discriminant(d) and len(odd) == 2
+        assert math.prod(p if p % 4 == 1 else -p for p in odd) * two == d
+        for r in (3, 7, 11):
+            got = gen_bernoulli(r, d)
+            assert got and got == defining_sum(r, d), (r, d)
 
 
 # -- discriminant decomposition -------------------------------------------------------

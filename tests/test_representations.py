@@ -159,6 +159,30 @@ def test_h_window_sum_preconditions():
     assert h_window_sum(3, 0, lambda r: 1) == Fraction(-1, 252)  # H(3, 0) = zeta(-5)
 
 
+def test_h_window_sum_refuses_k_below_one_and_non_rational_weights():
+    # k = 0 was reported by cohen_h, a float weight by Fraction's internals
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"^h_window_sum expects k >= 1, got {k}$"):
+            h_window_sum(k, 8, lambda r: 1)
+    for w in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match=f"^h_window_sum expects int or Fraction weights, got {w!r} at r = "):
+            h_window_sum(3, 8, lambda r, w=w: w)
+    ones = h_window_sum(3, 8, lambda r: 1)
+    assert h_window_sum(3, 8, lambda r: Fraction(1, 2)) == ones / 2  # Fraction weights stay exact
+
+
+def test_cone_points_preconditions():
+    # div = 0 raised ZeroDivisionError, div < 0 yielded nothing, a float an internal TypeError
+    for args, kind, message in (((5, 1, 0), ValueError, "cone_points expects div >= 1, got 0"),
+                                ((5, 1, -2), ValueError, "cone_points expects div >= 1, got -2"),
+                                ((5, 1, 2, 0), ValueError, "cone_points expects cone >= 1, got 0"),
+                                ((5, 1, 2, -16), ValueError, "cone_points expects cone >= 1, got -16"),
+                                ((5, 1.0, 2), TypeError, "cone_points expects integers, got 1.0"),
+                                ((5, 1, 2, Fraction(16)), TypeError, r"cone_points expects integers, got Fraction\(16, 1\)")):
+        with pytest.raises(kind, match=f"^{message}$"):
+            cone_points(*args)  # at the call, before any point is read
+
+
 def test_cone_points_are_exactly_the_lattice_points_of_the_cone():
     # against a scan far past the window: no point is missed at either end
     for c, slope, div, cone in itertools.product(range(-5, 41), range(-3, 6), range(1, 9), (4, 16)):
