@@ -66,7 +66,7 @@ def vector_counts(lattice: str, max_norm: int) -> MappingProxyType:
     require_ints("vector_counts", max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
-    name = lattice.upper()
+    name = lattice.upper() if isinstance(lattice, str) else None
     if name not in LATTICES:
         raise ValueError(f"unknown lattice {lattice!r} (expected one of {LATTICES})")
     series = _jacobi_theta_e8_cached(U8 if name == "A7" else U2, max_norm // 2 + 1)

@@ -360,7 +360,8 @@ def tau(n: int, route: str = "direct") -> Rat:
     by the requested route; all routes agree and return an integer.
 
     Moment routes (via_f4, via_f6 and their n*tau variants) sum r^k f(n, r)
-    over the full window r^2 <= 16n; via_h11 is the weight-12 Cohen-number
+    over the full window r^2 <= 16n, as twice the sum over r >= 1, since f
+    is even in r and k is even; via_h11 is the weight-12 Cohen-number
     route; the closed H(3)/H(5) routes require n odd and not an odd square.
     """
     require_ints("tau", n)
@@ -371,8 +372,8 @@ def tau(n: int, route: str = "direct") -> Rat:
         return delta(n + 1).coefficient(n)
     if route in _MOMENT_ROUTES:
         k, power, divisor, n_power = _MOMENT_ROUTES[route]
-        rmax = math.isqrt(16 * n)
-        acc = sum(r**power * _f_num(k, n, r) for r in range(-rmax, rmax + 1))
+        # f(n, -r) = f(n, r) and every power is even and positive: twice the sum over r >= 1
+        acc = 2 * sum(r**power * _f_num(k, n, r) for r in range(1, math.isqrt(16 * n) + 1))
         return _rational(acc, _F_DEN[k] * divisor * n**n_power)
     if route == "via_h11":
         # 53678953/304819200 (sum H(11, 4n - r^2)/zeta(-21) - 65520/691 sigma_11(n)), and

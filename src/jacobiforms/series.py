@@ -14,17 +14,17 @@ on the common window as (q_exp, z_exp, lhs, rhs), with z_exp None for a
 QSeries, or None when there is none.  A series is stored as one positive
 denominator and integer rows: per q-index one run of numerators over the
 expansion's zeta-grid for an FJExp, one run over the q-grid for a QSeries,
-in a canonical form, so that products, truncation, sums, equality,
-`coefficient`, `mismatch` and serialization work on the rows and make no
-Fraction per term.  `terms`, the read-only map key -> coefficient, is
-built on first read; `len(terms)` reads a stored count.  Each class keeps
-its own `__mul__`, but both multiply through one module-level kernel,
-`_product`: Kronecker substitution packs each operand's rows into one
-integer, so that a product is one big-int multiply instead of a loop over
-term pairs.  Slots of up to 8 bytes are machine words, packed and read by
-one struct call each; wider slots are byte slices.  A square packs its one
-operand once, and powers start from their first factor, never from a
-product by 1.
+in the canonical form made by one step, `_canonical`, so that products,
+truncation, sums, equality, `coefficient`, `mismatch` and serialization
+work on the rows and make no Fraction per term.  `terms`, the read-only
+map key -> coefficient, is built on first read; `len(terms)` reads a
+stored count.  Each class keeps its own `__mul__`, but both multiply
+through one module-level kernel, `_product`: Kronecker substitution
+packs each operand's rows into one integer, so that a product is one
+big-int multiply instead of a loop over term pairs.  Slots of up to 8
+bytes are machine words, packed and read by one struct call each; wider
+slots are byte slices.  A square packs its one operand once, and powers
+start from their first factor, never from a product by 1.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
@@ -35,13 +35,15 @@ MappingProxyType view; setting an attribute raises), so callers can share one.
 There is one division: FJExp.divide, one long division that clears the
 lowest row of the remainder, q-order by q-order, in one pass over the divisor
 read with leading coefficient 1; QSeries.inverse divides 1 through it, and
-cyclotomic_poly multiplies out the Moebius product.  There is one pull-back
-window, FJExp._pullback, shared by FJExp.specialize and FJExp.eval_linear: it
+cyclotomic_poly multiplies out the Moebius product.  There is one pull-back,
+FJExp._pullback, shared by FJExp.specialize and FJExp.eval_linear: it
 certifies the output window exactly from the expansion's support cone, and the
 planners prec_for_specialize and prec_for_eval_linear return the least input
 precision whose window reaches a target, decided by that same bound (_TailBound).
-CycloElt is an exact element of Q[x]/Phi_K(x), x a primitive K-th root of
-unity, where the phases of a specialization live before they cancel to rationals.
+It folds each phase into integer coordinates in the power basis of Q[x]/Phi_K(x),
+x a primitive K-th root of unity, one row per q-index of a CycloSeries, whose
+`to_qseries` is the one exit of both; a CycloElt, one such element, is made
+only when a caller reads `CycloSeries.terms` or a NonRationalResult.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ _set = object.__setattr__  # __init__ writes slots through this; later writes ra
 
 def _read_only(self, name, *_):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+def _require_scales(qscale, zscale, prec) -> None:
+    """The constructors' precondition: positive integer scales, an integer prec."""
+    if not (type(qscale) is type(zscale) is type(prec) is int) or min(qscale, zscale) < 1:
+        raise ValueError(f"scales must be positive integers and prec an integer, got qscale "
+                         f"{qscale!r}, zscale {zscale!r}, prec {prec!r}")
 
 
 def _fraction(name: str, x: RatLike) -> Fraction:
@@ -215,12 +224,14 @@ def _packed(runs: list, size: int, k: int, word: Optional[str], signs: int) -> i
     return u - ((u & signs) << 1)
 
 
-def _exact(den: int, rows, grid: int, axis: int) -> tuple:
-    """Rows (t, r, nums) whose runs step by `grid` along key component
-    `axis`, each with nonzero ends, in canonical form: den and every
-    numerator divided by their gcd, and the runs thinned to the exact
-    stride of the nonzero terms, which is returned (0 for a single
-    position)."""
+def _canonical(den: int, rows, grid: int, axis: int) -> tuple:
+    """The canonical (den, rows, gt, gr) of rows (t, r, nums) over den whose
+    runs, with nonzero ends, step by `grid` along key component `axis`: den
+    and every numerator divided by their gcd, the runs thinned to the exact
+    stride of the nonzero terms, and gt, gr the exact q- and zeta-strides
+    (0 for a single position).  Every series is made through this step."""
+    if not rows:
+        return 1, (), 0, 0
     if den > 1:
         g = math.gcd(den, *chain.from_iterable(row[2] for row in rows))
         if g > 1:
@@ -233,15 +244,15 @@ def _exact(den: int, rows, grid: int, axis: int) -> tuple:
             break
         if len(nums) > 1:
             h = 1 if 0 not in nums else math.gcd(h, *[j for j, c in enumerate(nums) if c])
-    if h > 1:
-        rows = [(t, r, nums[::h]) for t, r, nums in rows]
-    return den, tuple(rows), grid * h
+    rows = tuple((t, r, nums[::h]) for t, r, nums in rows) if h > 1 else tuple(rows)
+    gt = math.gcd(*[t - rows[0][0] for t, _, _ in rows])  # 0 for a QSeries' one row
+    return (den, rows, gt, grid * h) if axis else (den, rows, grid * h, 0)
 
 
 def _run(nums: dict, g: int) -> tuple:
-    """A map from positions on a grid of step g (0 for one position) to
-    numerators as (first position, numerators with zeros in the gaps)."""
-    s0, g = min(nums), g or 1
+    """A map from positions on a grid of step g >= 1 to numerators as
+    (first position, numerators with zeros in the gaps)."""
+    s0 = min(nums)
     run = [0] * ((max(nums) - s0) // g + 1)
     for p, c in nums.items():
         run[(p - s0) // g] = c
@@ -318,9 +329,7 @@ class _Series:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
-        if not (type(qscale) is type(self.zscale) is type(prec) is int) or min(qscale, self.zscale) < 1:
-            raise ValueError(f"scales must be positive integers and prec an integer, got qscale "
-                             f"{qscale!r}, zscale {self.zscale!r}, prec {prec!r}")
+        _require_scales(qscale, self.zscale, prec)
         zeta = self._zeta
         clean = {}
         for k, c in terms.items():
@@ -335,28 +344,25 @@ class _Series:
 
     @classmethod
     def _gridded(cls, nums: dict, den: int = 1) -> tuple:
-        """(den, rows, gt, gr) in canonical form for a map from keys to
-        nonzero values over den, ints or Fractions (whose denominators
-        join den): one run per row over the exact grid."""
+        """`_canonical` of a map from keys to nonzero values over den, ints
+        or Fractions (whose denominators join den): the values as integers
+        over one denominator, the keys as one run per row on their gcd grid."""
         if dens := [c.denominator for c in nums.values() if type(c) is not int]:
             d = math.lcm(*dens)
             den, nums = den * d, {k: c.numerator * (d // c.denominator) for k, c in nums.items()}
-        if den > 1 and (g := math.gcd(den, *nums.values())) > 1:
-            den, nums = den // g, {k: c // g for k, c in nums.items()}
         if not nums:
-            return 1, (), 0, 0
+            return _canonical(den, (), 1, cls._zeta)
         if not cls._zeta:  # keys t
             t0 = next(iter(nums))
-            g = math.gcd(*[t - t0 for t in nums])
+            g = math.gcd(*[t - t0 for t in nums]) or 1
             t0, run = _run(nums, g)
-            return den, ((t0, 0, run),), g, 0
+            return _canonical(den, [(t0, 0, run)], g, 0)
         by_t: dict = {}
         for (t, r), c in nums.items():
             by_t.setdefault(t, {})[r] = c
         r0 = next(iter(nums))[1]
-        g = math.gcd(*[r - r0 for _, r in nums])
-        rows = tuple((t, *_run(by_t[t], g)) for t in sorted(by_t))
-        return den, rows, math.gcd(*[t - rows[0][0] for t, _, _ in rows]), g
+        g = math.gcd(*[r - r0 for _, r in nums]) or 1
+        return _canonical(den, [(t, *_run(by_t[t], g)) for t in sorted(by_t)], g, 1)
 
     def _fill(self, qscale, prec, den, rows, gt, gr) -> None:
         _set(self, "qscale", qscale)
@@ -382,13 +388,7 @@ class _Series:
     def _reduced(cls, qscale, zscale, prec, den, rows, grid, meta=(None, None, None)):
         """`_make` from rows with nonzero ends whose runs step by `grid`,
         brought to canonical form first."""
-        if not rows:
-            return cls._make(qscale, zscale, prec, 1, (), 0, 0, meta)
-        den, rows, stride = _exact(den, rows, grid, cls._zeta)
-        if not cls._zeta:
-            return cls._make(qscale, zscale, prec, den, rows, stride, 0, meta)
-        gt = math.gcd(*[t - rows[0][0] for t, _, _ in rows])
-        return cls._make(qscale, zscale, prec, den, rows, gt, stride, meta)
+        return cls._make(qscale, zscale, prec, *_canonical(den, rows, grid, cls._zeta), meta)
 
     def _like(self, prec, den, rows, gt, gr, **meta):
         """A copy of this series' class, scales and metadata with new
@@ -446,6 +446,7 @@ class _Series:
         """Same series on finer scales (w defaults to the current
         zeta-scale); each must be a multiple of the old one."""
         w = self.zscale if w is None else w
+        _require_scales(s, w, self.prec)
         if s % self.qscale or w % self.zscale:
             raise ValueError("new scales must be multiples of the old ones")
         ks, kw = s // self.qscale, w // self.zscale
@@ -855,16 +856,7 @@ class CycloElt:
 
     def times_root(self, j: int) -> "CycloElt":
         """Multiply by exp(2 pi i j / K)."""
-        rows = _root_power_rows(self.conductor)
-        deg = len(self.coords)
-        out = [0] * deg
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            row = rows[(i + j) % self.conductor]
-            for t in range(deg):
-                out[t] += c * row[t]
-        return CycloElt(self.conductor, out)
+        return CycloElt(self.conductor, _rotated(self.coords, j, self.conductor))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -888,39 +880,74 @@ class CycloElt:
         return f"CycloElt({self.conductor}, {list(self.coords)})"
 
 
-class CycloSeries:
-    """A q-series with CycloElt coefficients (specialization intermediate)."""
+def _rotated(coords, j: int, conductor: int) -> tuple:
+    """Power-basis coordinates times x^j, x a primitive conductor-th root."""
+    rows = _root_power_rows(conductor)
+    out = [0] * len(coords)
+    for i, c in enumerate(coords):
+        if c:
+            for t, x in enumerate(rows[(i + j) % conductor]):
+                out[t] += c * x
+    return tuple(out)
 
-    __slots__ = ("conductor", "qscale", "prec", "terms")
+
+class CycloSeries:
+    """A q-series with coefficients in Q[x]/Phi_K(x) (the phases of a
+    specialization before they cancel), stored as one positive denominator
+    `_den` and integer rows `_rows`: per nonzero q-index t, in order, the
+    power-basis numerators (t, coords).  `terms`, the read-only map
+    t -> CycloElt, is built on first read."""
+
+    __slots__ = ("conductor", "qscale", "prec", "_den", "_rows", "_map")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, qscale: int, prec: int, terms: dict):
-        _set(self, "conductor", conductor)
-        _set(self, "qscale", qscale)
-        _set(self, "prec", prec)
-        _set(self, "terms", MappingProxyType({t: c for t, c in terms.items() if not c.is_zero()}))
+        _require_scales(qscale, 1, prec)
+        if any(c.conductor != conductor for c in terms.values()):
+            raise ValueError(f"every coefficient of a CycloSeries must have its conductor {conductor}")
+        coords = {t: c.coords for t, c in terms.items() if not c.is_zero()}
+        if coords and (t := max(coords)) >= prec:
+            raise ValueError(f"term at q^({t}/{qscale}) at or beyond precision {prec}")
+        den = math.lcm(*[x.denominator for xs in coords.values() for x in xs])
+        self._fill(conductor, qscale, prec, den, tuple(
+            (t, tuple(x.numerator * (den // x.denominator) for x in coords[t])) for t in sorted(coords)))
+
+    def _fill(self, conductor, qscale, prec, den, rows) -> "CycloSeries":
+        for name, value in zip(self.__slots__, (conductor, qscale, prec, den, rows, None)):
+            _set(self, name, value)
+        return self
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The read-only map q-index -> nonzero CycloElt, built on first read."""
+        if self._map is None:
+            elts = {t: CycloElt(self.conductor, [Fraction(x, self._den) for x in xs]) for t, xs in self._rows}
+            _set(self, "_map", MappingProxyType(elts))
+        return self._map
 
     @property
     def prec_exponent(self) -> Fraction:
         return Fraction(self.prec, self.qscale)
 
     def times_root(self, numer: int, denom: int) -> "CycloSeries":
-        """Multiply every coefficient by exp(2 pi i numer/denom)."""
-        if self.conductor % denom:
-            raise ValueError(f"denominator {denom} does not divide conductor {self.conductor}")
-        j = numer * (self.conductor // denom)
-        return CycloSeries(
-            self.conductor, self.qscale, self.prec,
-            {t: c.times_root(j) for t, c in self.terms.items()},
-        )
+        """Multiply every coefficient by exp(2 pi i numer/denom), denom dividing K."""
+        k = self.conductor
+        if not (isinstance(numer, int) and isinstance(denom, int)) or denom < 1 or k % denom:
+            raise ValueError(f"times_root expects an int numer and an int denom >= 1 dividing "
+                             f"conductor {k}, got {numer!r}/{denom!r}")
+        j = numer * (k // denom)
+        return object.__new__(CycloSeries)._fill(k, self.qscale, self.prec, self._den, tuple(
+            (t, _rotated(xs, j, k)) for t, xs in self._rows))
 
     def to_qseries(self) -> QSeries:
-        out = {}
-        for t, c in sorted(self.terms.items()):
-            if not c.is_rational():
-                raise NonRationalResult(Fraction(t, self.qscale), c)
-            out[t] = c.rational_value()
-        return QSeries(self.qscale, self.prec, out)
+        """The QSeries of the coefficients, all rational, through the
+        canonical-form step; NonRationalResult at the lowest q-index with a
+        nonzero coordinate off the constant one."""
+        for t, xs in self._rows:
+            if any(xs[1:]):
+                raise NonRationalResult(Fraction(t, self.qscale), self.terms[t])
+        return QSeries._make(self.qscale, 1, self.prec,
+                             *QSeries._gridded({t: xs[0] for t, xs in self._rows}, self._den))
 
 
 class FJExp(_Series):
@@ -1201,14 +1228,14 @@ class FJExp(_Series):
     # -- evaluation and specialization ---------------------------------------------------
 
     def _pullback(self, c: int, lam: Fraction, shift: Fraction, mu: Fraction,
-                  phase0: Fraction) -> tuple:
+                  phase0: Fraction) -> CycloSeries:
         """The pull-back along (tau, z) -> (c*tau, lam*tau + mu), times
         q^shift e^(2 pi i phase0), on its certified window: a term at
         q^(t/s) zeta^(r/w) lands at q-exponent c*(t/s) + lam*(r/w) + shift
-        with phase e^(2 pi i (mu*(r/w) + phase0)).  Returns (scale, prec,
-        conductor, sums), sums[(e, j)] being the sum of the numerators (over
-        this series' denominator) at q^(e/scale) with phase
-        exp(2 pi i j/conductor), certified for e < prec."""
+        with phase e^(2 pi i (mu*(r/w) + phase0)).  The numerators at each
+        q-index and root power are summed, then folded into the integer
+        power-basis coordinates of `_root_power_rows`: a CycloSeries of one
+        integer row per q-index over this series' denominator."""
         bound = _tail_bound(self.prec_exponent, c, lam, shift, self.index, self.cone_slack)
         # a term's exponent and phase angle, as integers e and a over the
         # common denominators den_e and den_a
@@ -1228,17 +1255,22 @@ class FJExp(_Series):
         # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
         g_e = math.gcd(den_e, top, *[e for e, _ in sums])
         g_a = math.gcd(den_a, *[a for _, a in sums])
-        return (den_e // g_e, top // g_e, den_a // g_a,
-                {(e // g_e, a // g_a): v for (e, a), v in sums.items()})
+        conductor = den_a // g_a
+        if conductor > 48:
+            raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
+        basis = _root_power_rows(conductor)
+        rows: dict = {}
+        for (e, a), v in sums.items():
+            row, xs = rows.get(e // g_e), basis[a // g_a]
+            rows[e // g_e] = [v * x for x in xs] if row is None else [y + v * x for y, x in zip(row, xs)]
+        return object.__new__(CycloSeries)._fill(conductor, den_e // g_e, top // g_e, self._den, tuple(
+            (e, tuple(row)) for e, row in sorted(rows.items()) if any(row)))
 
     def eval_linear(self, tau_mult: int, z_mult: RatLike) -> QSeries:
         """The one-variable series of (tau, z) -> (c*tau, d*tau): each term
         c q^(t/s) zeta^(r/w) contributes at q-exponent c*(t/s) + d*(r/w)."""
         zero = Fraction(0)
-        scale, prec, _, sums = self._pullback(tau_mult, _fraction("z_mult", z_mult),
-                                              zero, zero, zero)
-        nums = {e: v for (e, _), v in sums.items() if v}
-        return QSeries._make(scale, 1, prec, *QSeries._gridded(nums, self._den))
+        return self._pullback(tau_mult, _fraction("z_mult", z_mult), zero, zero, zero).to_qseries()
 
     def specialize(self, lam: RatLike, mu: RatLike, cyclotomic: bool = False):
         """Pull back along z = lam*tau + mu, including the index-m automorphy
@@ -1247,29 +1279,15 @@ class FJExp(_Series):
 
         Each term c q^(t/s) zeta^(r/w) lands at q-exponent
         t/s + (r/w) lam + m lam^2 with phase e^(2 pi i mu (r/w + m lam)).
-        Phases accumulate exactly as cyclotomic integers; the result converts
-        to a QSeries when every coefficient is rational, otherwise it raises
-        NonRationalResult (or returns the CycloSeries when cyclotomic=True).
+        Phases add up exactly as integer cyclotomic coordinates in the
+        pull-back that eval_linear shares: the CycloSeries if cyclotomic=True,
+        else its one exit `to_qseries`, a QSeries or NonRationalResult.
         """
         if self.index is None:
             raise ValueError("an index is required to specialize (none in metadata)")
         m = Fraction(self.index)
         lam, mu = _fraction("lam", lam), _fraction("mu", mu)
-        scale, prec, conductor, sums = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
-        if conductor > 48:
-            raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
-        # one CycloElt per q-index, from the sums per root power
-        rows = _root_power_rows(conductor)
-        coords: dict = {}
-        for (e, j), v in sums.items():
-            row = coords.setdefault(e, [0] * len(rows[0]))
-            for i, x in enumerate(rows[j]):
-                if x:
-                    row[i] += v * x
-        den = self._den
-        result = CycloSeries(conductor, scale, prec, {
-            e: CycloElt(conductor, [Fraction(x, den) for x in row] if den > 1 else row)
-            for e, row in coords.items()})
+        result = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
         return result if cyclotomic else result.to_qseries()
 
     # -- comparison ----------------------------------------------------------------------

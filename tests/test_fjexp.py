@@ -13,6 +13,7 @@ from jacobiforms import catalog as cat
 from jacobiforms import series
 from jacobiforms.numtheory import as_rational
 from jacobiforms.series import (
+    CycloElt,
     FJExp,
     InexactDivision,
     NonRationalResult,
@@ -759,3 +760,69 @@ def test_certified_windows_only_grow(target, extra):
         p = prec_for_eval_linear(target, index, tau_mult, z_mult, slack)
         lo = form(p).eval_linear(tau_mult, z_mult)
         assert_extends(lo, form(p + extra).eval_linear(tau_mult, z_mult), target)
+
+
+# the forms and the torsion points z = lam*tau + mu of the pull-back
+# cross-check: every lam, mu in TORSION is inside the conductor cap
+PULLBACK_FORMS = {
+    "theta": cat.theta,
+    "theta8": lambda p: cat.theta(p) ** 8,
+    **{f"phi{j}": (lambda p, j=j: cat.phi(j, p)) for j in (1, 2, 3, 4)},
+    "wp_theta2": cat.wp_theta2,
+    **{f"E{k},{m}": (lambda p, k=k, m=m: cat.jacobi_eis(k, m, p)) for k, m in ((4, 1), (4, 4), (6, 3), (8, 2))},
+}
+TORSION = (Fraction(0), Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4))
+
+
+def reference_pullback(f, c, d, mu, shift, phase0, scale, prec):
+    """The pull-back along (tau, z) -> (c*tau, d*tau + mu), times
+    q^shift e^(2 pi i phase0), summed term by term from `terms` as
+    coeff * CycloElt.from_root_power below q^(prec/scale): (conductor,
+    {q-index: nonzero CycloElt})."""
+    hits = []
+    for (t, r), v in f.terms.items():
+        z = Fraction(r, f.zscale)
+        e = (c * Fraction(t, f.qscale) + d * z + shift) * scale
+        if e < prec:
+            assert e.denominator == 1
+            hits.append((int(e), (mu * z + phase0) % 1, v))
+    k = math.lcm(*[a.denominator for _, a, _ in hits])
+    out = {}
+    for e, a, v in hits:
+        elt = CycloElt.from_root_power(k, int(a * k), v)
+        out[e] = out[e] + elt if e in out else elt
+    return k, {e: x for e, x in out.items() if not x.is_zero()}
+
+
+def rational_series(scale, prec, elts):
+    return QSeries(scale, prec, {e: x.rational_value() for e, x in elts.items()})
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_FORMS))
+def test_pullbacks_against_the_term_by_term_reference(name):
+    # specialize (both results) and eval_linear share one integer pull-back
+    # and one exit; each must equal the sum of CycloElt phases per term
+    f = PULLBACK_FORMS[name](8)
+    m = f.index
+    for lam, mu in itertools.product(TORSION, repeat=2):
+        cs = f.specialize(lam, mu, cyclotomic=True)
+        k, ref = reference_pullback(f, 1, lam, mu, m * lam * lam, mu * m * lam, cs.qscale, cs.prec)
+        assert cs.conductor == k and cs.terms == ref, (lam, mu)
+        lowest = next((e for e in sorted(ref) if not ref[e].is_rational()), None)
+        if lowest is None:
+            assert f.specialize(lam, mu) == rational_series(cs.qscale, cs.prec, ref), (lam, mu)
+        else:
+            with pytest.raises(NonRationalResult) as err:
+                f.specialize(lam, mu)
+            assert err.value.exponent == Fraction(lowest, cs.qscale), (lam, mu)
+            assert err.value.value == ref[lowest], (lam, mu)
+    for c, d in itertools.product((1, 2, 3), TORSION):
+        out = f.eval_linear(c, d)
+        _, ref = reference_pullback(f, c, d, 0, 0, 0, out.qscale, out.prec)
+        assert out == rational_series(out.qscale, out.prec, ref), (c, d)
+
+
+def test_specialize_refuses_conductors_above_the_cap():
+    # r/2 * 1/25 for odd r: the phases need the 50th roots of unity
+    with pytest.raises(ValueError, match="^phase conductor 50 exceeds the supported cap 48$"):
+        cat.theta(8).specialize(0, Fraction(1, 25))

@@ -24,6 +24,14 @@ def test_root_counts():
         lattice.vector_counts("D4", 2)
 
 
+@pytest.mark.parametrize("name", [None, 8])
+def test_vector_counts_refuse_a_lattice_that_is_not_a_name(name):
+    # a non-string lattice raised AttributeError from .upper()
+    expected = f"unknown lattice {name!r} (expected one of {lattice.LATTICES})"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        lattice.vector_counts(name, 2)
+
+
 def test_vector_counts_are_read_only():
     # every caller shares the cached map, so none may change it
     counts = lattice.vector_counts("E8", 2)

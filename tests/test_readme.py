@@ -1,8 +1,11 @@
 """README.md states facts the package also states: they must agree."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
+import jacobiforms
 from jacobiforms import catalog
 from jacobiforms.identities import REGISTRY
 
@@ -18,3 +21,17 @@ def test_readme_form_names():
     listed = re.search(r"Form names: (.*?)\. ", README)
     assert listed is not None
     assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == catalog.FORM_NAMES
+
+
+def test_package_imports_only_the_standard_library():
+    # "no dependencies beyond the standard library": every absolute import
+    # in the package names a standard-library module or jacobiforms itself
+    found = set()
+    for path in Path(jacobiforms.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "jacobiforms" in found and "fractions" in found
+    assert found - set(sys.stdlib_module_names) - {"jacobiforms"} == set()

@@ -431,7 +431,8 @@ def test_case_formula_tripwire_catches_corruption(monkeypatch):
 
 def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
     # the moment routes call their coefficient numerator by its module-global
-    # name, so a replaced representations._f_num reaches tau
+    # name, so a replaced representations._f_num reaches tau; they read
+    # f(n, r) for r >= 1 only and count it twice, f being even in r
     import jacobiforms.representations as reps
     original = reps._f_num
     seen = []
@@ -440,8 +441,8 @@ def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
             seen.append((n, r))
         return original(k, n, r) + (reps._F_DEN[3] if (k, n, r) == (3, 3, 1) else 0)
     monkeypatch.setattr(reps, "_f_num", poisoned)
-    assert tau(3, "via_f4") == 252 + Fraction(1, 40320)  # 1^8 / 8!
-    assert (3, 1) in seen
+    assert tau(3, "via_f4") == 252 + Fraction(2, 40320)  # 2 * 1^8 / 8!
+    assert (3, 1) in seen and (3, -1) not in seen
 
 
 # (counting entry point, int arguments, the same with a float, its name):

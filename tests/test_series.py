@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -293,6 +294,34 @@ def test_cycloseries_times_root():
     cs = CycloSeries(4, 1, 5, {2: elt})
     qs = cs.times_root(-1, 4).to_qseries()
     assert qs.coefficient(2) == 1
+
+
+@pytest.mark.parametrize("numer, denom", [(1, 0), (1, -4), (1, 3), (1, 2.0), (0.5, 4)])
+def test_cycloseries_times_root_refuses_a_bad_root(numer, denom):
+    # 0 divided by zero, -4 and 2.0 were taken as divisors of 4, and 0.5
+    # failed as a tuple index
+    cs = CycloSeries(4, 1, 5, {2: CycloElt.from_root_power(4, 1)})
+    expected = f"times_root expects an int numer and an int denom >= 1 dividing conductor 4, got {numer!r}/{denom!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        cs.times_root(numer, denom)
+
+
+def test_cycloseries_keeps_its_terms_and_checks_its_window():
+    elts = {1: CycloElt(3, (Fraction(1, 2), Fraction(-2, 3))), 4: CycloElt.from_root_power(3, 2, 5)}
+    cs = CycloSeries(3, 2, 9, {**elts, 6: CycloElt.zero(3)})
+    assert cs.terms == elts and cs.prec_exponent == Fraction(9, 2)
+    with pytest.raises(TypeError):
+        cs.terms[1] = elts[4]
+    with pytest.raises(AttributeError):
+        cs.prec = 3
+    # the window and the scales are checked where the series is made
+    with pytest.raises(ValueError, match="term at q\\^\\(9/2\\) at or beyond precision 9"):
+        CycloSeries(3, 2, 9, {9: elts[4]})
+    with pytest.raises(ValueError, match="scales must be positive integers and prec an integer"):
+        CycloSeries(3, 0, 9, elts)
+    # a coefficient of another conductor was relabelled: zeta_3 read as i
+    with pytest.raises(ValueError, match="must have its conductor 4"):
+        CycloSeries(4, 1, 5, {2: CycloElt.from_root_power(3, 1)})
 
 
 def test_precision_memo_under_threads():
@@ -673,3 +702,21 @@ NON_INT_GRIDS = {
 def test_scales_and_precision_must_be_ints(entry):
     with pytest.raises(ValueError, match="scales must be positive integers and prec an integer"):
         NON_INT_GRIDS[entry]()
+
+
+# rescaled took any multiple of the old scale: 0 made qscale 0 and prec 0,
+# 2.0 a float qscale, and (8, 0) a zscale of 0
+BAD_RESCALES = {
+    "zero": lambda: QSeries(1, 5, {0: 1, 2: 3}).rescaled(0),
+    "float": lambda: QSeries(1, 5, {0: 1, 2: 3}).rescaled(2.0),
+    "float_same": lambda: QSeries(2, 5, {0: 1}).rescaled(2.0),
+    "negative": lambda: QSeries(1, 5, {0: 1}).rescaled(-2),
+    "zscale_zero": lambda: catalog.theta(3).rescaled(8, 0),
+    "zscale_fraction": lambda: catalog.theta(3).rescaled(8, Fraction(4)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_RESCALES))
+def test_rescaled_refuses_scales_that_are_not_positive_integers(entry):
+    with pytest.raises(ValueError, match="scales must be positive integers and prec an integer"):
+        BAD_RESCALES[entry]()
