@@ -142,12 +142,7 @@ def _spec_half(k: int, m: int, prec: int, lam: Fraction = Fraction(0)) -> QSerie
 def _cone_violation_pair(fj: FJExp, index: int, strict: bool):
     """Terms outside the holomorphic (or, when strict, cuspidal) cone,
     paired with a zero expansion of the same precision."""
-    bad = {}
-    for (t, r), c in fj.terms.items():
-        disc = 4 * Fraction(t, fj.qscale) * index - Fraction(r, fj.zscale) ** 2
-        if disc < 0 or (strict and disc == 0):
-            bad[(t, r)] = c
-    lhs = FJExp(fj.qscale, fj.zscale, fj.prec, bad)
+    lhs = FJExp(fj.qscale, fj.zscale, fj.prec, dict(fj._outside_cone(index, 0, strict)))
     return lhs, FJExp(fj.qscale, fj.zscale, fj.prec, {})
 
 

@@ -320,8 +320,9 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     the a with chi_D(a) = -1, two lists that :func:`_chi_signs` cuts out of
     the half range by byte masks of D's prime-discriminant characters (no
     Kronecker symbol is evaluated), and S'_j is needed only where B_k != 0
-    (k = 0, 1 and even k).  The full-range defining sum over
-    :func:`bernoulli_poly` and :func:`kronecker` is the test oracle.
+    (k = 0, 1 and even k), so the lists of a^j step from one such j to the
+    next by a^2, or by a to and from j = r - 1.  The full-range defining
+    sum over :func:`bernoulli_poly` and :func:`kronecker` is the test oracle.
     """
     require_ints("gen_bernoulli", r, d)
     if r < 1:
@@ -336,12 +337,18 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     plus, minus = _chi_signs(d, (m - 1) // 2)
     den, *nums = _bernoulli_over_lcm(r)
     acc = nums[r] * m**r * (len(plus) - len(minus))  # j = 0
-    pos, neg = plus, minus  # a^j where chi_D(a) = 1, -1
+    pos, neg, i, sq = plus, minus, 1, None  # a^i where chi_D(a) = 1, -1; a^2
     for j in range(1, r + 1):
-        if j > 1:
-            pos, neg = list(map(mul, pos, plus)), list(map(mul, neg, minus))
-        if nums[r - j]:
-            acc += math.comb(r, j) * nums[r - j] * m ** (r - j) * (sum(pos) - sum(neg))
+        if not nums[r - j]:
+            continue
+        if j > i:  # the next j with B_(r-j) != 0 is i + 1 or i + 2
+            if sq is None and j == i + 2:
+                sq = list(map(mul, plus, plus)), list(map(mul, minus, minus))
+            by_pos, by_neg = sq if j == i + 2 else (plus, minus)
+            pos, neg, i = list(map(mul, pos, by_pos)), list(map(mul, neg, by_neg)), j
+            if i == 2:
+                sq = pos, neg
+        acc += math.comb(r, j) * nums[r - j] * m ** (r - j) * (sum(pos) - sum(neg))
     return _rational(2 * acc, den * m)
 
 

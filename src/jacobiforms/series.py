@@ -15,8 +15,10 @@ QSeries, or None when there is none.  A series is stored as one positive
 denominator and integer rows: per q-index one run of numerators over the
 expansion's zeta-grid for an FJExp, one run over the q-grid for a QSeries,
 in the canonical form made by one step, `_canonical`, so that products,
-truncation, sums, equality, `coefficient`, `mismatch` and serialization
-work on the rows and make no Fraction per term.  `terms`, the read-only
+truncation, sums, equality, `coefficient`, `mismatch`, serialization and
+the support-cone test work on the rows and make no Fraction per term: a
+sum merges the operands' runs row by row on their common grid, and the
+cone test decides each row by one integer bound.  `terms`, the read-only
 map key -> coefficient, is built on first read; `len(terms)` reads a
 stored count.  Each class keeps its own `__mul__`, but both multiply
 through one module-level kernel, `_product`: Kronecker substitution
@@ -55,8 +57,8 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import chain
-from operator import itemgetter, neg
+from itertools import chain, compress, count, groupby
+from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
@@ -499,9 +501,17 @@ class _Series:
         return self._reduced(self.qscale, self.zscale, self.prec, self._den * c.denominator, rows,
                              (self._gr if self._zeta else self._gt) or 1, self._meta())
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(self.qscale, self.prec, {0: other})
+    def _merged(self, other, sign: int):
+        """self + sign * other, merged row by row over the lcm of the two
+        denominators: on the common grid of the operands' runs (the zeta-grid
+        of an FJExp, the q-grid of a QSeries), the runs that share a row are
+        laid onto one list by slice assignment and added, and the sum keeps
+        its rows with their zero ends stripped."""
+        if isinstance(other, (int, Fraction)):  # the constant series, in self's window
+            if other and self.prec <= 0:
+                raise ValueError(f"term at q^(0/{self.qscale}) at or beyond precision {self.prec}")
+            rows = [(0, 0, (other.numerator,))] if other else []
+            other = QSeries._make(self.qscale, 1, self.prec, *_canonical(other.denominator, rows, 1, 0))
         other = self._lifted(other)
         if other is None:
             return NotImplemented
@@ -509,16 +519,38 @@ class _Series:
         prec = min(a.prec, b.prec)
         a, b = a._cut(prec), b._cut(prec)
         den = math.lcm(a._den, b._den)
-        nums = {k: c * (den // a._den) for k, c in a._keyed()}
-        for k, c in b._keyed():
-            nums[k] = nums.get(k, 0) + c * (den // b._den)
-        return a._make(a.qscale, a.zscale, prec, *a._gridded({k: c for k, c in nums.items() if c}, den),
+        axis = self._zeta  # the key component the runs go along
+        steps = (a._gr, b._gr) if axis else (a._gt, b._gt)
+        starts = [x._rows[0][axis] for x in (a, b) if x._rows]
+        grid = math.gcd(*steps, starts[0] - starts[-1] if starts else 0) or 1
+        # per row: (row key, first position, step in grid units, scaled numerators)
+        runs = sorted([(t * axis, r if axis else t, step // grid or 1, nums if f == 1 else [c * f for c in nums])
+                       for x, step, f in zip((a, b), steps, (den // a._den, sign * (den // b._den)))
+                       for t, r, nums in x._rows], key=_first)
+        rows = []
+        for key, group in groupby(runs, key=_first):
+            (_, p, d, nums), *rest = group  # the row's one or two runs
+            if rest or d > 1:
+                _, q, e, more = rest[0] if rest else (key, p, d, ())
+                lo = min(p, q)
+                u, v = (p - lo) // grid, (q - lo) // grid
+                row = [0] * max(u + d * len(nums), v + e * len(more))
+                row[u:u + d * len(nums):d] = nums
+                row[v:v + e * len(more):e] = map(add, row[v:v + e * len(more):e], more)
+                if (i := next(compress(count(), row), None)) is None:
+                    continue
+                p, nums = lo + grid * i, row[i:len(row) - next(compress(count(), reversed(row)))]
+            rows.append((key, p, tuple(nums)) if axis else (p, 0, tuple(nums)))
+        return a._make(a.qscale, a.zscale, prec, *_canonical(den, rows, grid, axis),
                        a._meta(**a._sum_meta(b)))
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -811,6 +843,12 @@ def _root_power_rows(k: int) -> tuple:
     return tuple(rows)
 
 
+def _require_conductor(cls, conductor) -> None:
+    """The cyclotomic constructors' precondition: an int conductor K >= 1."""
+    if type(conductor) is not int or conductor < 1:
+        raise ValueError(f"{cls.__name__} needs an int conductor >= 1, got {conductor!r}")
+
+
 class CycloElt:
     """Element of Q[x]/Phi_K(x) in the power basis, x = exp(2 pi i / K); the
     coordinates are canonical (`as_rational`), so integer ones are ints."""
@@ -819,6 +857,7 @@ class CycloElt:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, coords):
+        _require_conductor(type(self), conductor)
         _set(self, "conductor", conductor)
         coords = tuple(as_rational(c) for c in coords)
         deg = len(cyclotomic_poly(conductor)) - 1
@@ -828,6 +867,7 @@ class CycloElt:
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloElt":
+        _require_conductor(cls, conductor)
         deg = len(cyclotomic_poly(conductor)) - 1
         return cls(conductor, (0,) * deg)
 
@@ -835,6 +875,7 @@ class CycloElt:
     def from_root_power(cls, conductor: int, j: int, coeff: RatLike = 1) -> "CycloElt":
         """coeff * exp(2 pi i j / K)."""
         coeff = _fraction("coeff", coeff)
+        _require_conductor(cls, conductor)
         row = _root_power_rows(conductor)[j % conductor]
         return cls(conductor, tuple(coeff * x for x in row))
 
@@ -902,6 +943,7 @@ class CycloSeries:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, conductor: int, qscale: int, prec: int, terms: dict):
+        _require_conductor(type(self), conductor)
         _require_scales(qscale, 1, prec)
         if any(c.conductor != conductor for c in terms.values()):
             raise ValueError(f"every coefficient of a CycloSeries must have its conductor {conductor}")
@@ -1061,23 +1103,34 @@ class FJExp(_Series):
                 for j, c in enumerate(nums) if c}
 
     def cone_violations(self) -> list:
-        """Stored terms violating 4*(t/s)*index >= (r/w)^2 - tolerated slack.
+        """The stored terms outside the support cone
+        |r/w| <= 2*sqrt((t/s)*index) + cone_slack, as `_outside_cone` decides.
 
         With cone_slack = 0 this is the holomorphicity test; the index must
         be set.  Returns a list of ((q_exp, z_exp), coeff).
         """
         if self.index is None:
             raise ValueError("index metadata required for cone checks")
-        m = Fraction(self.index)
-        b = Fraction(self.cone_slack or 0)
+        return [((Fraction(t, self.qscale), Fraction(r, self.zscale)), c)
+                for (t, r), c in self._outside_cone(self.index, self.cone_slack or 0)]
+
+    def _outside_cone(self, index: RatLike, slack: RatLike, strict: bool = False) -> list:
+        """The sorted ((t, r), coeff) of the terms outside the cone
+        |r/w| <= 2*sqrt(index*t/s) + slack, or on its edge too when strict
+        (the cusp condition).  For index mn/md and slack bn/bd, a term is
+        outside when s*md*E^2 > 4*t*mn*(w*bd)^2 (>= when strict), E =
+        max(|r|*bd - bn*w, 0): one integer bound per row, the largest |r|
+        inside, decides every term of the row."""
+        m, b = Fraction(index), Fraction(slack)
+        k, w, g = self.qscale * m.denominator, self.zscale, self._gr
         out = []
-        for (t, r), c in sorted(self.terms.items()):
-            x = Fraction(t, self.qscale)
-            rr = Fraction(r, self.zscale)
-            # |r/w| <= 2 sqrt(x m) + b  <=>  (|r/w| - b)^2 <= 4 x m when |r/w| > b
-            excess = abs(rr) - b
-            if excess > 0 and excess * excess > 4 * x * m:
-                out.append(((x, rr), c))
+        for t, r0, nums in self._rows:
+            e2 = (4 * t * m.numerator * (w * b.denominator) ** 2 - strict) // k  # inside: E^2 <= e2
+            top = (math.isqrt(e2) + b.numerator * w) // b.denominator if e2 >= 0 else -1
+            if -top <= r0 and r0 + g * (len(nums) - 1) <= top:
+                continue
+            out += [((t, r), _rational(c, self._den)) for j, c in enumerate(nums)
+                    if c and abs(r := r0 + g * j) > top]
         return out
 
     # -- ring operations --------------------------------------------------------------

@@ -826,3 +826,147 @@ def test_specialize_refuses_conductors_above_the_cap():
     # r/2 * 1/25 for odd r: the phases need the 50th roots of unity
     with pytest.raises(ValueError, match="^phase conductor 50 exceeds the supported cap 48$"):
         cat.theta(8).specialize(0, Fraction(1, 25))
+
+
+# -- sums and the support cone on integer rows -----------------------------------------
+
+def dict_merge_sum(x, y, sx, sy):
+    """sx*x + sy*y as the sum was made before the row merge: the two term
+    maps merged key by key in Fractions, through the public constructor,
+    on the aligned scales and the smaller window, with x's type and the
+    metadata rule of a sum."""
+    if isinstance(y, (int, Fraction)):
+        y = QSeries(x.qscale, x.prec, {0: y})
+    if isinstance(x, FJExp) and isinstance(y, QSeries):
+        y = FJExp.from_qseries(y)
+    s, w = math.lcm(x.qscale, y.qscale), math.lcm(x.zscale, y.zscale)
+    a, b = x.rescaled(s, w), y.rescaled(s, w)
+    prec = min(a.prec, b.prec)
+    a, b = a.truncated(Fraction(prec, s)), b.truncated(Fraction(prec, s))
+    terms = {k: sx * c for k, c in a.terms.items()}
+    for k, c in b.terms.items():
+        terms[k] = terms.get(k, 0) + sy * c
+    terms = {k: c for k, c in terms.items() if c}
+    if isinstance(a, QSeries):
+        return QSeries(s, prec, terms)
+    index = a.index if a.index == b.index else None
+    both = a.cone_slack is not None and b.cone_slack is not None and index is not None
+    return FJExp(s, w, prec, terms, weight=a.weight if a.weight == b.weight else None,
+                 index=index, cone_slack=max(a.cone_slack, b.cone_slack) if both else None)
+
+
+def random_strided_fj(rng):
+    """An FJExp on random scales whose terms sit on a random zeta-stride and
+    offset, with negative q-exponents and mixed denominators."""
+    qscale, zscale = rng.choice((1, 2, 8)), rng.choice((1, 2, 3))
+    prec = rng.randrange(1, 3 * qscale)
+    stride, off = rng.choice((1, 2, 3)), rng.randrange(3)
+    terms = {(rng.randrange(-qscale, prec), off + stride * rng.randrange(-3, 4)):
+             Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 6))) for _ in range(rng.randrange(0, 12))}
+    return FJExp(qscale, zscale, prec, {k: c for k, c in terms.items() if c},
+                 weight=rng.choice((None, 4)), index=rng.choice((None, 1, 2)),
+                 cone_slack=rng.choice((None, 0, 1)))
+
+
+def sum_grid():
+    """(operands, signs, the sum) over random pairs of both types on
+    different scales, strides and precisions; sums whose denominators cancel
+    and that cancel whole rows and run ends; int and Fraction addends on
+    either side; an FJExp and a lifted QSeries; and catalog forms."""
+    rng = random.Random(2027)
+    cases = []
+    for _ in range(120):
+        for draw in (random_laurent_qseries, random_strided_fj):
+            x, y = draw(rng), draw(rng)
+            cases += [(x, y, 1, 1, x + y), (x, y, 1, -1, x - y)]
+            # x - y cancels every term common to both: whole rows and run ends
+            z = draw(rng)
+            xz, yz = x + z, y + z
+            cases += [(xz, yz, 1, -1, xz - yz), (xz, z * Fraction(-1, 3), 1, 1, xz + z * Fraction(-1, 3))]
+            # denominators that cancel: 1/6 + 5/6
+            sixth = x * Fraction(1, 6)
+            cases.append((sixth, x * Fraction(5, 6), 1, 1, sixth + x * Fraction(5, 6)))
+            for c in (0, 3, Fraction(-1, 2)):
+                cases += [(x, c, 1, 1, x + c), (x, c, 1, 1, c + x), (x, c, 1, -1, x - c), (x, c, -1, 1, c - x)]
+        fj, qs = random_strided_fj(rng), random_laurent_qseries(rng)
+        cases += [(fj, qs, 1, 1, fj + qs), (fj, qs, 1, 1, qs + fj),
+                  (fj, qs, 1, -1, fj - qs), (fj, qs, -1, 1, qs - fj)]
+    th8, e41, e44 = cat.theta(8) ** 8, cat.jacobi_eis(4, 1, 8).ud(2), cat.jacobi_eis(4, 4, 8)
+    cases += [(e41, e44, 1, -1, e41 - e44), (th8, e41 - e44, 1, -1, th8 - (e41 - e44)),
+              (cat.phi(1, 8), cat.phi(2, 8), 1, 1, cat.phi(1, 8) + cat.phi(2, 8)),
+              (cat.eta(8), cat.eisenstein(4, 8), 1, -1, cat.eta(8) - cat.eisenstein(4, 8))]
+    return cases
+
+
+def test_sums_merge_rows_as_the_dict_merge():
+    for x, y, sx, sy, got in sum_grid():
+        ref = dict_merge_sum(x, y, sx, sy)
+        assert type(got) is type(ref) and got.prec == ref.prec
+        assert got.to_json_dict() == ref.to_json_dict(), (x, y, sx, sy)
+        assert (got._den, got._rows, got._gt, got._gr) == (ref._den, ref._rows, ref._gt, ref._gr)
+        if isinstance(got, FJExp):
+            assert (got.weight, got.index, got.cone_slack) == (ref.weight, ref.index, ref.cone_slack)
+
+
+def test_a_constant_needs_the_window_to_reach_q0():
+    # a nonzero constant lies beyond a window that ends at or below q^0
+    for x in (QSeries.one(-1), FJExp.one(0)):
+        assert all(y.is_zero() and y.prec == x.prec for y in (x + 0, 0 - x))
+        with pytest.raises(ValueError, match=f"^term at q\\^\\(0/1\\) at or beyond precision {x.prec}$"):
+            x + Fraction(1, 2)
+
+
+def test_sums_build_no_term_map():
+    # the operands' terms are never read, and the sum's own is not built
+    a, b = (FJExp.from_json_dict(f.to_json_dict()) for f in (cat.jacobi_eis(4, 1, 8).ud(2), cat.jacobi_eis(4, 4, 8)))
+    total = a - b
+    assert total.agrees_with(cat.theta(8) ** 8)
+    assert a._map is b._map is total._map is None
+
+
+def fraction_cone(f, index, slack, strict):
+    """The terms ((t, r), coeff) of f outside |r/w| <= 2 sqrt(index t/s) +
+    slack (on its edge too when strict), one Fraction test per term."""
+    m, b = Fraction(index), Fraction(slack)
+    out = []
+    for (t, r), c in sorted(f.terms.items()):
+        excess = max(abs(Fraction(r, f.zscale)) - b, 0)
+        edge = 4 * Fraction(t, f.qscale) * m
+        if excess * excess > edge or strict and excess * excess == edge:
+            out.append(((t, r), c))
+    return out
+
+
+CONE_FORMS = {**PULLBACK_FORMS, **{f"eta{k}phi{j}": (lambda p, k=k, j=j: cat.eta(p) ** k * cat.phi(j, p))
+                                   for k, j in ((12, 1), (6, 2), (4, 3), (3, 4), (24, 1))}}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_FORMS))
+def test_cone_test_against_the_fraction_reference(name):
+    from jacobiforms.identities import _cone_violation_pair
+    f = CONE_FORMS[name](8)
+    m = f.index
+    # an out-of-cone term at q^1 zeta^(2m + 3), 2m an integer
+    r = int(2 * m + 3) * f.zscale
+    bad = f + FJExp(f.qscale, f.zscale, f.prec, {(f.qscale, r): 7},
+                    weight=f.weight, index=m, cone_slack=f.cone_slack)
+    for form in (f, bad):
+        for slack in (0, HALF, m, Fraction(-1, 3)):
+            for strict in (False, True):
+                assert form._outside_cone(m, slack, strict) == fraction_cone(form, m, slack, strict), \
+                    (slack, strict)
+        for strict in (False, True):
+            lhs, rhs = _cone_violation_pair(form, m, strict)
+            assert lhs.terms == dict(fraction_cone(form, m, 0, strict)) and rhs.is_zero()
+        assert form.cone_violations() == [((Fraction(t, f.qscale), Fraction(r, f.zscale)), c)
+                                          for (t, r), c in fraction_cone(form, m, f.cone_slack or 0, False)]
+    assert ((1, 2 * m + 3), 7) in bad.cone_violations()
+    assert _cone_violation_pair(bad, m, False)[0].terms[f.qscale, r] == 7
+
+
+def test_terms_below_q0_lie_outside_every_cone():
+    # no zeta-power lies in |r/w| <= 2 sqrt(m t/s) + b at t < 0, whatever b
+    f = FJExp(1, 1, 4, {(-1, 0): 1, (0, 1): 2, (1, 2): 3}, index=1, cone_slack=1)
+    assert f.cone_violations() == [((-1, 0), 1)]
+    assert f._outside_cone(1, 0) == [((-1, 0), 1), ((0, 1), 2)]
+    assert f._outside_cone(1, 0, strict=True) == [((-1, 0), 1), ((0, 1), 2), ((1, 2), 3)]

@@ -324,6 +324,26 @@ def test_cycloseries_keeps_its_terms_and_checks_its_window():
         CycloSeries(4, 1, 5, {2: CycloElt.from_root_power(3, 1)})
 
 
+BAD_CONDUCTORS = (0, -3, 2.0, Fraction(4), True, "4", None)
+
+
+@pytest.mark.parametrize("conductor", BAD_CONDUCTORS, ids=repr)
+def test_cyclotomic_constructors_require_an_int_conductor(conductor):
+    # 0 and -3 failed inside factorize with a message naming neither class,
+    # 2.0 as "factorize expects integers", and a CycloSeries of conductor 0
+    # or -4 was made and read back as a QSeries
+    for cls, make in ((CycloElt, lambda: CycloElt(conductor, [])),
+                      (CycloElt, lambda: CycloElt(conductor, [1])),
+                      (CycloElt, lambda: CycloElt.zero(conductor)),
+                      (CycloElt, lambda: CycloElt.from_root_power(conductor, 1)),
+                      (CycloSeries, lambda: CycloSeries(conductor, 1, 5, {}))):
+        expected = f"{cls.__name__} needs an int conductor >= 1, got {conductor!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            make()
+    assert CycloElt(1, [3]).rational_value() == 3 and CycloElt.zero(1).is_zero()
+    assert CycloSeries(4, 1, 5, {}).to_qseries() == QSeries(1, 5, {})
+
+
 def test_precision_memo_under_threads():
     started, release = threading.Event(), threading.Event()
 
