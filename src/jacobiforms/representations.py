@@ -134,12 +134,14 @@ class CountQuery:
 
     def __post_init__(self):
         require_ints("CountQuery", self.m, self.n, 0 if self.a is None else self.a)
-        if self.m < 1 or self.n < 0:
-            raise ValueError("need m >= 1 and n >= 0")
+        if self.m < 1:
+            raise ValueError(f"CountQuery expects m >= 1, got {self.m}")
+        if self.n < 0:
+            raise ValueError(f"CountQuery expects n >= 0, got {self.n}")
         if self.kind not in _PROGRESSIONS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if _PROGRESSIONS[self.kind][0] is None and (self.a is None or self.a < 1):
-            raise ValueError("figurate kinds need a >= 1")
+            raise ValueError(f"CountQuery expects a >= 1 for kind {self.kind!r}, got {self.a}")
 
 
 def _values(query: CountQuery) -> list:
@@ -302,8 +304,10 @@ def r_a8_formula(a: int, n: int) -> int:
     (-1)^r f4(m, r).  When a parity-case divisor formula applies it is
     evaluated too and must agree."""
     require_ints("r_a8_formula", a, n)
-    if a < 1 or n < 0:
-        raise ValueError("need a >= 1 and n >= 0")
+    if a < 1:
+        raise ValueError(f"r_a8_formula expects a >= 1, got {a}")
+    if n < 0:
+        raise ValueError(f"r_a8_formula expects n >= 0, got {n}")
     points = cone_points(n - 3 * a + 4, a - 1, a)
     case = None
     if a % 2 == 0 and n % 2 == 1:
@@ -318,8 +322,10 @@ def r_a8odd_formula(a: int, n: int) -> int:
     arguments: the sum over 4am + r(a-2) = n, 16m >= r^2 of (-1)^r f4(m, r).
     The odd-a odd-n case formula is cross-asserted."""
     require_ints("r_a8odd_formula", a, n)
-    if a < 1 or n < 0:
-        raise ValueError("need a >= 1 and n >= 0")
+    if a < 1:
+        raise ValueError(f"r_a8odd_formula expects a >= 1, got {a}")
+    if n < 0:
+        raise ValueError(f"r_a8odd_formula expects n >= 0, got {n}")
     points = cone_points(n, a - 2, 4 * a)
     case = _h3_odd_r_sum(points) if a % 2 == 1 and n % 2 == 1 else None
     return _eight_figurate(f"R^odd_{{{a},8}}({n})", points, case)

@@ -20,13 +20,18 @@ the support-cone test work on the rows and make no Fraction per term: a
 sum merges the operands' runs row by row on their common grid, and the
 cone test decides each row by one integer bound.  `terms`, the read-only
 map key -> coefficient, is built on first read; `len(terms)` reads a
-stored count.  Each class keeps its own `__mul__`, but both multiply
-through one module-level kernel, `_product`: Kronecker substitution
-packs each operand's rows into one integer, so that a product is one
-big-int multiply instead of a loop over term pairs.  Slots of up to 8
-bytes are machine words, packed and read by one struct call each; wider
-slots are byte slices.  A square packs its one operand once, and powers
-start from their first factor, never from a product by 1.
+stored count.  Products go through one module-level kernel, `_product`:
+Kronecker substitution packs each operand's rows into one integer, so that
+a product is one big-int multiply instead of a loop over term pairs.
+Slots of up to 8 bytes are machine words, packed and read by one struct
+call each; wider slots are byte slices.  A square packs its one operand
+once, and powers start from their first factor, never from a product by 1.
+
+Every binary operation takes its other operand through one step,
+`_operand`: a scalar becomes the constant series on the window it meets,
+and a QSeries met by an FJExp its lift (`==` alone is type-strict).  A zero
+addend imposes no metadata on a sum, a constant addend no index.  V_l is
+built from the core, as a sum of U_d's of selected rows.
 
 Negative exponents are allowed in both variables.  Binary operations align
 the scales by lcm and take the minimum precision, corrected downward when an
@@ -323,8 +328,9 @@ class _Series:
 
     Subclasses supply `_zeta` (whether keys are (t, r) rather than t),
     `_keyed` (the sorted (key, numerator) pairs), `_kept` and `_cut` (the
-    rows, or the series, below a q-index), `_lifted` (an addend as this
-    type or None), `_meta` and `_sum_meta`.
+    rows, or the series, below a q-index), `_meta`, `_sum_meta` and
+    `_mul_meta`.  Every binary operation takes its other operand through
+    one step, `_operand`.
     """
 
     __slots__ = ("qscale", "prec", "_den", "_rows", "_gt", "_gr", "_stats", "_map")
@@ -335,6 +341,10 @@ class _Series:
         zeta = self._zeta
         clean = {}
         for k, c in terms.items():
+            if not (type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int
+                    if zeta else type(k) is int):
+                raise TypeError(f"{type(self).__name__} keys must be "
+                                f"{'(int, int) pairs' if zeta else 'ints'}, got {k!r}")
             if type(c) is not int:
                 c = as_rational(c)
             if c == 0:
@@ -485,6 +495,22 @@ class _Series:
         w = math.lcm(self.zscale, other.zscale)
         return self.rescaled(s, w), other.rescaled(s, w)
 
+    def _operand(self, other):
+        """The other operand of a binary operation: a series of this type as
+        it is; an int or a Fraction as the constant series on this window, of
+        this type, with the metadata of 1 (weight, index and cone slack 0) or,
+        for 0, this one's; a QSeries met by an FJExp as its lift; else None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self._times(0)
+            if self.prec <= 0:
+                raise ValueError(f"term at q^(0/{self.qscale}) at or beyond precision {self.prec}")
+            return self._make(self.qscale, self.zscale, self.prec, other.denominator,
+                              ((0, 0, (other.numerator,)),), 0, 0, (0, 0, 0))
+        return FJExp.from_qseries(other) if self._zeta and isinstance(other, QSeries) else None
+
     # -- ring operations --------------------------------------------------------
 
     def __neg__(self):
@@ -502,19 +528,15 @@ class _Series:
                              (self._gr if self._zeta else self._gt) or 1, self._meta())
 
     def _merged(self, other, sign: int):
-        """self + sign * other, merged row by row over the lcm of the two
-        denominators: on the common grid of the operands' runs (the zeta-grid
-        of an FJExp, the q-grid of a QSeries), the runs that share a row are
-        laid onto one list by slice assignment and added, and the sum keeps
-        its rows with their zero ends stripped."""
-        if isinstance(other, (int, Fraction)):  # the constant series, in self's window
-            if other and self.prec <= 0:
-                raise ValueError(f"term at q^(0/{self.qscale}) at or beyond precision {self.prec}")
-            rows = [(0, 0, (other.numerator,))] if other else []
-            other = QSeries._make(self.qscale, 1, self.prec, *_canonical(other.denominator, rows, 1, 0))
-        other = self._lifted(other)
+        """self + sign * other, other as `_operand` makes it, merged row by
+        row over the lcm of the two denominators: on the common grid of the
+        operands' runs (the zeta-grid of an FJExp, the q-grid of a QSeries),
+        the runs that share a row are laid onto one list by slice assignment
+        and added, and the sum keeps its rows with their zero ends stripped."""
+        other = self._operand(other)
         if other is None:
             return NotImplemented
+        meta = self._sum_meta(other)
         a, b = self._aligned(other)
         prec = min(a.prec, b.prec)
         a, b = a._cut(prec), b._cut(prec)
@@ -541,8 +563,7 @@ class _Series:
                     continue
                 p, nums = lo + grid * i, row[i:len(row) - next(compress(count(), reversed(row)))]
             rows.append((key, p, tuple(nums)) if axis else (p, 0, tuple(nums)))
-        return a._make(a.qscale, a.zscale, prec, *_canonical(den, rows, grid, axis),
-                       a._meta(**a._sum_meta(b)))
+        return a._make(a.qscale, a.zscale, prec, *_canonical(den, rows, grid, axis), meta)
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -553,12 +574,31 @@ class _Series:
         return self._merged(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._operand(other)
+        return NotImplemented if other is None else other._merged(self, -1)
 
-    def _powered(self, n: int):
-        """self^n for n >= 1, by binary powering from the first factor.
-        Starting from 1 would cost one more product and, for a base with
-        negative q-exponents, narrow the certified window by their depth."""
+    def __truediv__(self, other):
+        """The quotient by a scalar or a QSeries, as the product by its
+        inverse, or by an FJExp through `FJExp.divide` (a QSeries lifted)."""
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / Fraction(other))
+        if isinstance(other, QSeries):
+            return self * other.inverse()
+        if isinstance(other, FJExp):
+            return (self if self._zeta else FJExp.from_qseries(self)).divide(other)
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        """self^n; a negative n inverts a QSeries first.  For n >= 1, binary
+        powering from the first factor: starting from 1 would cost one more
+        product and, for a base with negative q-exponents, narrow the
+        certified window by their depth."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0 and self._zeta:
+            raise ValueError("negative powers of Fourier-Jacobi expansions are not supported")
+        if n <= 0:
+            return self.inverse() ** (-n) if n else self.one(self.prec_exponent)
         result, base = None, self
         while True:
             if n & 1:
@@ -568,14 +608,20 @@ class _Series:
                 return result
             base = base * base
 
-    def _mul_rows(self, other):
-        """The aligned operands and the precision and kernel output of their
-        product: the window narrows by the depth of negative q-exponents."""
+    def _mul(self, other):
+        """The product by a scalar, or through `_product` by the `_operand`
+        of `other`: the window narrows by the depth of negative q-exponents.
+        Each class's `__mul__` calls it, so each stays a function of its own."""
+        if isinstance(other, (int, Fraction)):
+            return self._times(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         a, b = self._aligned(other)
         lo_a = a._rows[0][0] if a._rows else 0
         lo_b = b._rows[0][0] if b._rows else 0
         prec = min(a.prec + min(lo_b, 0), b.prec + min(lo_a, 0))
-        return a, b, prec, _product(a, b, prec)
+        return a._reduced(a.qscale, a.zscale, prec, *_product(a, b, prec), a._mul_meta(b))
 
     # -- comparison -------------------------------------------------------------
 
@@ -586,16 +632,22 @@ class _Series:
         if not isinstance(other, type(self)):
             return NotImplemented
         a, b = self.normalized(), other.normalized()
-        return (a.qscale == b.qscale and a.zscale == b.zscale and a.prec == b.prec
-                and a._data() == b._data())
+        return (a._meta()[:2] == b._meta()[:2] and a.qscale == b.qscale and a.zscale == b.zscale
+                and a.prec == b.prec and a._data() == b._data())
 
     __hash__ = None
 
     def _mismatch(self, other):
         """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
         common certified q-window, or None when the series agree there; the
-        z-exp is None for a QSeries.  Equal rows answer at once."""
-        a, b = self._aligned(other)
+        z-exp is None between two QSeries.  A QSeries and an FJExp are
+        compared on the FJExp side.  Equal rows answer at once."""
+        b = self._operand(other)
+        if b is None:
+            if not isinstance(other, FJExp):
+                raise TypeError(f"cannot compare a {type(self).__name__} with a {type(other).__name__}")
+            return FJExp.from_qseries(self)._mismatch(other)
+        a, b = self._aligned(b)
         prec = min(a.prec, b.prec)
         a, b = a._cut(prec), b._cut(prec)
         if a._data() == b._data():
@@ -661,11 +713,10 @@ class QSeries(_Series):
             end -= 1
         return self._reduced(self.qscale, 1, p, self._den, [(t0, 0, run[:end])], self._gt or 1)
 
-    def _lifted(self, other):
-        return other if isinstance(other, QSeries) else None
+    def _sum_meta(self, other) -> tuple:
+        return ()
 
-    def _sum_meta(self, other) -> dict:
-        return {}
+    _mul_meta = _sum_meta
 
     # -- construction helpers ------------------------------------------------
 
@@ -691,21 +742,9 @@ class QSeries(_Series):
     # -- ring operations --------------------------------------------------------
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self._times(other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        a, _, prec, (den, rows, grid) = self._mul_rows(other)
-        return QSeries._reduced(a.qscale, 1, prec, den, rows, grid)
+        return self._mul(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QSeries":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return self._powered(n) if n else QSeries.one(self.prec_exponent)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
@@ -714,14 +753,7 @@ class QSeries(_Series):
             raise ZeroDivisionError("cannot invert a series with zero lowest coefficient")
         # 1 is certified as far as the inverse of the unit part needs it
         one = FJExp(self.qscale, 1, self.prec - self._rows[0][0], {(0, 0): 1})
-        return one.divide(FJExp.from_qseries(self))._at_z0()
-
-    def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self * other.inverse()
+        return one.divide(self)._at_z0()
 
     def substituted(self, c: int) -> "QSeries":
         """q -> q^c for a positive integer c."""
@@ -740,9 +772,9 @@ class QSeries(_Series):
 
     # -- comparison -------------------------------------------------------------
 
-    def mismatch(self, other: "QSeries"):
+    def mismatch(self, other):
         """First differing (exponent, None, self-coeff, other-coeff) on the
-        common certified window, or None when the series agree there."""
+        common certified window, or None; against an FJExp, of the lift."""
         return self._mismatch(other)
 
     # -- serialization ------------------------------------------------------------
@@ -763,7 +795,7 @@ class QSeries(_Series):
             return f"O(q^{_exp_str(self.prec_exponent)})"
         parts = []
         for t, c in sorted(self.terms.items()):
-            parts.append(_signed_term(c, _q_power(Fraction(t, self.qscale)), first=not parts))
+            parts.append(_signed_term(c, _power("q", Fraction(t, self.qscale)), first=not parts))
         parts.append(f" + O(q^{_exp_str(self.prec_exponent)})")
         return "".join(parts)
 
@@ -775,20 +807,9 @@ def _exp_str(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"({e})"
 
 
-def _q_power(e: Fraction) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return "q"
-    return f"q^{_exp_str(e)}"
-
-
-def _zeta_power(e: Fraction) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return "zeta"
-    return f"zeta^{_exp_str(e)}"
+def _power(var: str, e: Fraction) -> str:
+    """var^e as displayed: empty for e = 0, var alone for e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{_exp_str(e)}"
 
 
 def _signed_term(c: Rat, power: str, first: bool) -> str:
@@ -1039,18 +1060,25 @@ class FJExp(_Series):
         return self._reduced(self.qscale, self.zscale, p, self._den, self._rows[:cut],
                              self._gr or 1, self._meta())
 
-    def _lifted(self, other):
-        if isinstance(other, QSeries):
-            return FJExp.from_qseries(other)
-        return other if isinstance(other, FJExp) else None
+    def _sum_meta(self, other) -> tuple:
+        """(weight, index, cone_slack) of the sum with `other`: a side with no
+        terms imposes none, so x + 0 == x, and a constant (one term, at q^0
+        zeta^0) no index, since it lies in every cone.  Otherwise weight and
+        index are kept where both sides agree, and the larger cone slack
+        where the index is kept."""
+        if not other._rows or not self._rows:
+            return (self if not other._rows else other)._meta()
+        const = [len(x._rows) == 1 and x._rows[0][:2] == (0, 0) and len(x._rows[0][2]) == 1
+                 for x in (self, other)]
+        index = other.index if const[0] else self.index if const[1] or self.index == other.index else None
+        slacks = (self.cone_slack, other.cone_slack)
+        slack = None if index is None or None in slacks else max(slacks)
+        return self.weight if self.weight == other.weight else None, index, slack
 
-    def _sum_meta(self, other) -> dict:
-        index = self.index if self.index == other.index else None
-        slack = None
-        if self.cone_slack is not None and other.cone_slack is not None and index is not None:
-            slack = max(self.cone_slack, other.cone_slack)
-        return {"weight": self.weight if self.weight == other.weight else None,
-                "index": index, "cone_slack": slack}
+    def _mul_meta(self, other) -> tuple:
+        """(weight, index, cone_slack) of the product with `other`: each the
+        sum of the two, where both are known."""
+        return tuple(None if x is None or y is None else x + y for x, y in zip(self._meta(), other._meta()))
 
     # -- construction ----------------------------------------------------------
 
@@ -1136,27 +1164,9 @@ class FJExp(_Series):
     # -- ring operations --------------------------------------------------------------
 
     def __mul__(self, other) -> "FJExp":
-        if isinstance(other, (int, Fraction)):
-            return self._times(other)
-        other = self._lifted(other)
-        if other is None:
-            return NotImplemented
-        a, b, prec, (den, rows, grid) = self._mul_rows(other)
-        weight = None if (a.weight is None or b.weight is None) else a.weight + b.weight
-        index = None if (a.index is None or b.index is None) else a.index + b.index
-        slack = None
-        if a.cone_slack is not None and b.cone_slack is not None:
-            slack = a.cone_slack + b.cone_slack
-        return FJExp._reduced(a.qscale, a.zscale, prec, den, rows, grid, (weight, index, slack))
+        return self._mul(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "FJExp":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers of Fourier-Jacobi expansions are not supported")
-        return self._powered(n) if n else FJExp.one(self.prec_exponent)
 
     def divide(self, den: "FJExp") -> "FJExp":
         """Exact quotient by one long division: per q-order, the lowest row
@@ -1164,8 +1174,12 @@ class FJExp(_Series):
         polynomial, by the denominator's lowest row.  The denominator is
         read over its leading coefficient, so each quotient term is the
         remainder's top term, taken once off every remainder row it
-        reaches inside the output window."""
-        a, b = self._aligned(den)
+        reaches inside the output window.  `den` is taken as in every
+        binary operation: a scalar as the constant, a QSeries as its lift."""
+        b = self._operand(den)
+        if b is None:
+            raise TypeError(f"FJExp.divide expects a series or a rational, got a {type(den).__name__}")
+        a, b = self._aligned(b)
         if not b._rows:
             raise ZeroDivisionError("division by the zero expansion")
         # the rows of b over `lead` and of a over 1 differ from b and a by
@@ -1175,8 +1189,7 @@ class FJExp(_Series):
         d_lo = min(brows)
         b0 = brows[d_lo]
         if not a._rows:
-            return FJExp(a.qscale, a.zscale, a.prec - d_lo, {},
-                         weight=None, index=None, cone_slack=None)
+            return FJExp(a.qscale, a.zscale, a.prec - d_lo, {})
         rem = _by_row(a, 1)
         out_prec = min(a.prec - d_lo, b.prec - 2 * d_lo + min(rem))
         b_top, b_low = max(b0), min(b0)
@@ -1206,19 +1219,9 @@ class FJExp(_Series):
                             target[qdeg + r] = v
                         else:
                             del target[qdeg + r]
-        weight = None if (a.weight is None or b.weight is None) else a.weight - b.weight
-        index = None if (a.index is None or b.index is None) else a.index - b.index
+        weight, index, _ = (None if x is None or y is None else x - y for x, y in zip(a._meta(), b._meta()))
         return FJExp._make(a.qscale, a.zscale, out_prec, *FJExp._gridded(quot, a._den * abs(lead)),
                            (weight, index, None))
-
-    def __truediv__(self, other) -> "FJExp":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, QSeries):
-            return self * other.inverse()
-        if isinstance(other, FJExp):
-            return self.divide(other)
-        return NotImplemented
 
     # -- Jacobi-form operators -------------------------------------------------------
 
@@ -1242,41 +1245,33 @@ class FJExp(_Series):
                           cone_slack=None if self.cone_slack is None else d * self.cone_slack)
 
     def vl(self, l: int, k: Optional[int] = None) -> "FJExp":
-        """Index-raising Hecke-type operator V_l at weight k.
-
-        New coefficient at (n, r): sum over d | gcd(n, r, l) of
-        d^(k-1) * a(n*l/d^2, r/d), with gcd(0, 0, l) = l.  Requires integral
-        scales; the result is certified for n < ceil(prec / l).
-        """
+        """Index-raising Hecke-type operator V_l at an int weight k, by
+        default the metadata's.  New coefficient at (n, r): sum over
+        d | gcd(n, r, l) of d^(k-1) * a(n*l/d^2, r/d), with gcd(0, 0, l) = l,
+        made as the sum over d | l of d^(k-1) (a Fraction when k < 1) times
+        U_d of the rows at q-index n*l/d^2 for the n that d divides.
+        Requires integral scales; certified for n < ceil(prec / l)."""
         if not isinstance(l, int) or l < 1:
             raise ValueError("V_l expects a positive integer")
         if k is None:
             if self.weight is None or Fraction(self.weight).denominator != 1:
                 raise ValueError("V_l needs an integral weight (pass k explicitly)")
             k = int(self.weight)
+        elif type(k) is not int:
+            raise TypeError(f"V_l expects an int weight k, got {k!r}")
         a = self.normalized()
         if a.qscale != 1 or a.zscale != 1:
             raise ValueError("V_l requires integral q- and zeta-scales")
         if l == 1:
             return a
-        new_prec = (a.prec + l - 1) // l
-        out: dict = {}
+        prec = (a.prec + l - 1) // l
+        total = FJExp(1, 1, prec, {})
         for d in divisors(l):
-            dd = d * d
-            mult = d ** (k - 1)
-            for (n1, r1), c in a.terms.items():
-                num = n1 * dd
-                if num % l:
-                    continue
-                n = num // l
-                if n >= new_prec or (d > 1 and n % d):
-                    continue
-                key = (n, d * r1)
-                out[key] = out.get(key, 0) + mult * c
-        return FJExp(1, 1, new_prec, out,
-                     weight=self.weight,
-                     index=None if self.index is None else l * self.index,
-                     cone_slack=0 if self.cone_slack == 0 else None)
+            e = l // d  # row t lands at q-index t*d/e, when e divides t
+            rows = [(t // e * d, r, nums) for t, r, nums in a._rows if t % e == 0 and t // e * d < prec]
+            total += FJExp._reduced(1, 1, prec, a._den, rows, a._gr or 1).ud(d)._times(Fraction(d) ** (k - 1))
+        return total.with_meta(self.weight, None if self.index is None else l * self.index,
+                               0 if self.cone_slack == 0 else None)
 
     # -- evaluation and specialization ---------------------------------------------------
 
@@ -1345,15 +1340,9 @@ class FJExp(_Series):
 
     # -- comparison ----------------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FJExp):
-            return NotImplemented
-        return (self.weight == other.weight and self.index == other.index
-                and _Series.__eq__(self, other))
-
-    def mismatch(self, other: "FJExp"):
+    def mismatch(self, other):
         """First differing (q-exp, z-exp, self-coeff, other-coeff) on the
-        common certified q-window, or None."""
+        common certified q-window, or None; a QSeries is lifted."""
         return self._mismatch(other)
 
     # -- serialization ----------------------------------------------------------------------
@@ -1376,7 +1365,7 @@ class FJExp(_Series):
         by_q = _by_row(self, self._den)
         parts = []
         for t in sorted(by_q):
-            qpow = _q_power(Fraction(t, self.qscale))
+            qpow = _power("q", Fraction(t, self.qscale))
             body = _zeta_polynomial_str(by_q[t], self.zscale)
             if not qpow:
                 parts.append(body)
@@ -1404,7 +1393,7 @@ def _zeta_polynomial_str(coeffs: dict, zscale: int) -> str:
             parts.append(_signed_term(c, f"zeta^(+-{Fraction(abs(r), zscale)})", first=not parts))
         else:
             done.add(r)
-            parts.append(_signed_term(c, _zeta_power(Fraction(r, zscale)), first=not parts))
+            parts.append(_signed_term(c, _power("zeta", Fraction(r, zscale)), first=not parts))
     return "".join(parts) if parts else "0"
 
 
@@ -1490,8 +1479,8 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
 
 def require_prec(form: str, prec: int) -> None:
     """The precondition shared by the public form constructors: prec is an
-    int >= 1."""
-    if not isinstance(prec, int):
+    int >= 1 (not a bool)."""
+    if type(prec) is not int:
         raise ValueError(f"{form} needs an integer prec, got {prec!r}")
     if prec < 1:
         raise ValueError(f"{form} needs prec >= 1, got {prec}")
@@ -1506,10 +1495,11 @@ def memo_by_prec(build):
     keyed by type as well as value (as lru_cache(typed=True), so 4.0 never
     meets the build of 4), the one at the highest precision `top`, and cut
     any request with an int 1 <= prec <= top from it; any other request
-    (a non-int precision too) goes to `build`, whose own check decides.
-    Builds run outside the lock (constructors call each other) and replace
-    the kept one only if higher.  `cache_info` and `cache_clear` are as in
-    lru_cache; `cache_precisions()` maps each kept `args` to its precision."""
+    (a non-int precision too, True included) goes to `build`, whose own
+    check decides.  Builds run outside the lock (constructors call each
+    other) and replace the kept one only if higher.  `cache_info` and
+    `cache_clear` are as in lru_cache; `cache_precisions()` maps each kept
+    `args` to its precision."""
     kept: dict = {}  # (args before the precision, their types) -> (top, series)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()
@@ -1519,7 +1509,7 @@ def memo_by_prec(build):
         key, prec = (args[:-1], tuple(map(type, args[:-1]))), args[-1]
         with lock:
             top, series = kept.get(key, (0, None))
-            hit = isinstance(prec, int) and 1 <= prec <= top
+            hit = type(prec) is int and 1 <= prec <= top
             counts[0 if hit else 1] += 1
         if hit:
             return series.truncated(series.prec_exponent - (top - prec))

@@ -102,7 +102,7 @@ NON_INT_PREC_FORMS = {
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("name", sorted(NON_INT_PREC_FORMS))
-@pytest.mark.parametrize("prec", [2.5, Fraction(5, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("prec", [2.5, Fraction(5, 2), True], ids=["float", "fraction", "bool"])
 def test_non_integer_precision_fails_cold_and_warm(clear_memos, name, warm, prec):
     # the memo must not cut a non-integer request from a kept build either
     build = NON_INT_PREC_FORMS[name]

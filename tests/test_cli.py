@@ -130,6 +130,17 @@ def test_count_rejects_figurate_flags_on_plain_counts(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and "--a or --odd" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--a", "0", "--n", "3"), "r_a8_formula expects a >= 1, got 0"),
+    (("--a", "2", "--n", "-1"), "r_a8_formula expects n >= 0, got -1"),
+    (("--a", "0", "--n", "3", "--odd"), "r_a8odd_formula expects a >= 1, got 0"),
+    (("--a", "2", "--n", "-1", "--odd"), "r_a8odd_formula expects n >= 0, got -1"),
+])
+def test_count_figurate_preconditions_name_their_function(capsys, argv, message):
+    code, out, err = run(capsys, "count", "figurate", *argv)
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
 def test_count_sixteen_variables(capsys):
     code, out, _ = run(capsys, "count", "r16", "--n", "5", "--oracle")
     lines = out.splitlines()

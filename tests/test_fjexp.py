@@ -834,9 +834,11 @@ def dict_merge_sum(x, y, sx, sy):
     """sx*x + sy*y as the sum was made before the row merge: the two term
     maps merged key by key in Fractions, through the public constructor,
     on the aligned scales and the smaller window, with x's type and the
-    metadata rule of a sum."""
+    metadata rule of a sum: a zero side imposes none, a constant no index,
+    an int or a Fraction having the metadata of 1 (of x when it is 0)."""
     if isinstance(y, (int, Fraction)):
-        y = QSeries(x.qscale, x.prec, {0: y})
+        y = (QSeries(x.qscale, x.prec, {0: y}) if isinstance(x, QSeries) else
+             FJExp(x.qscale, x.zscale, x.prec, {(0, 0): y}, *((0, 0, 0) if y else x._meta())))
     if isinstance(x, FJExp) and isinstance(y, QSeries):
         y = FJExp.from_qseries(y)
     s, w = math.lcm(x.qscale, y.qscale), math.lcm(x.zscale, y.zscale)
@@ -849,7 +851,11 @@ def dict_merge_sum(x, y, sx, sy):
     terms = {k: c for k, c in terms.items() if c}
     if isinstance(a, QSeries):
         return QSeries(s, prec, terms)
-    index = a.index if a.index == b.index else None
+    if not (x.terms and y.terms):  # of two zero sides, the one written first
+        kept = x if x.terms or not y.terms and sx > 0 else y
+        return FJExp(s, w, prec, terms, kept.weight, kept.index, kept.cone_slack)
+    constant = [set(f.terms) == {(0, 0)} for f in (a, b)]
+    index = b.index if constant[0] else a.index if constant[1] or a.index == b.index else None
     both = a.cone_slack is not None and b.cone_slack is not None and index is not None
     return FJExp(s, w, prec, terms, weight=a.weight if a.weight == b.weight else None,
                  index=index, cone_slack=max(a.cone_slack, b.cone_slack) if both else None)
@@ -970,3 +976,151 @@ def test_terms_below_q0_lie_outside_every_cone():
     assert f.cone_violations() == [((-1, 0), 1)]
     assert f._outside_cone(1, 0) == [((-1, 0), 1), ((0, 1), 2)]
     assert f._outside_cone(1, 0, strict=True) == [((-1, 0), 1), ((0, 1), 2), ((1, 2), 3)]
+
+
+# -- every binary operation through one operand step; V_l from U_d and the sum --------
+
+def vl_reference(f, l, k):
+    """V_l as the per-term loop it was first written as, with an exact
+    d^(k-1): a(n*l/d^2, r/d) summed over d | gcd(n, r, l) in Fractions."""
+    a = f.normalized()
+    if l == 1:
+        return a
+    prec = (a.prec + l - 1) // l
+    out = {}
+    for d in (d for d in range(1, l + 1) if l % d == 0):
+        for (n1, r1), c in a.terms.items():
+            n, off = divmod(n1 * d * d, l)
+            if not off and n < prec and n % d == 0:
+                out[n, d * r1] = out.get((n, d * r1), 0) + Fraction(d) ** (k - 1) * c
+    return FJExp(1, 1, prec, {key: c for key, c in out.items() if c}, weight=f.weight,
+                 index=None if f.index is None else l * f.index, cone_slack=0 if f.cone_slack == 0 else None)
+
+
+VL_FORMS = {"E41": lambda p: cat.jacobi_eis(4, 1, p), "E61": lambda p: cat.jacobi_eis(6, 1, p),
+            "E42": lambda p: cat.jacobi_eis(4, 2, p),
+            **{f"phi{j}": (lambda p, j=j: cat.phi(j, p)) for j in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("name", sorted(VL_FORMS))
+def test_vl_against_the_per_term_loop(name):
+    # every integral weight, k < 1 too: the phi_{0,j} have weight 0
+    f = VL_FORMS[name](13)
+    for l in range(1, 7):
+        for k in (None, 0, -2, 3):
+            got, ref = f.vl(l, k), vl_reference(f, l, f.weight if k is None else k)
+            assert got == ref and got.cone_slack == ref.cone_slack, (l, k)
+            assert got.to_json_dict() == ref.to_json_dict(), (l, k)
+
+
+def test_vl_takes_only_an_int_weight():
+    with pytest.raises(TypeError, match=r"^V_l expects an int weight k, got 1\.5$"):
+        cat.phi(1, 6).vl(2, 1.5)
+
+
+def test_motivating_mixed_operations():
+    phi1, th, eta = cat.phi(1, 8), cat.theta(8), cat.eta(8)
+    assert phi1.vl(2) == vl_reference(phi1, 2, 0)
+    assert phi1 + 0 == phi1 and 0 + phi1 == phi1 and phi1 - 0 == phi1
+    # a constant lies in every cone: the sum keeps phi's index and slack
+    for total, sign in ((phi1 + 1, 1), (1 + phi1, 1), (1 - phi1, -1), (phi1 + QSeries.one(8), 1)):
+        assert (total.index, total.cone_slack) == (1, 1)
+        assert total.specialize(0, HALF).agrees_with(phi1.specialize(0, HALF) * sign + 1)
+    assert th.divide(eta).agrees_with(th / eta)
+    assert th.mismatch(eta) == (Fraction(1, 24), 0, 0, 1)
+    assert eta.mismatch(th) == (Fraction(1, 24), 0, 1, 0)
+    assert not eta.agrees_with(th) and not th.agrees_with(eta)
+    # a QSeries against an FJExp reports z_exp 0 where a QSeries reports None
+    assert eta.mismatch(2 * FJExp.from_qseries(eta)) == (Fraction(1, 24), 0, 1, 2)
+    assert eta.mismatch(2 * eta) == (Fraction(1, 24), None, 1, 2)
+
+
+def test_scalar_minus_a_series_negates_nothing(monkeypatch):
+    fj, qs = cat.jacobi_eis(4, 1, 6), cat.eta(6)
+    expected = {"1 - fj": -fj + 1, "1/2 - qs": -qs + HALF, "qs - fj": -fj + qs}
+
+    def refused(self):
+        raise AssertionError("a negated copy was built")
+    monkeypatch.setattr(series._Series, "__neg__", refused)
+    got = {"1 - fj": 1 - fj, "1/2 - qs": HALF - qs, "qs - fj": qs - fj}
+    assert all(got[key] == expected[key] for key in expected)
+
+
+def test_constructors_name_a_malformed_key():
+    for build, message in ((lambda: QSeries(1, 5, {0.5: 1}), "QSeries keys must be ints, got 0.5"),
+                           (lambda: QSeries(1, 5, {(1, 0): 1}), "QSeries keys must be ints, got (1, 0)"),
+                           (lambda: QSeries(1, 5, {True: 1}), "QSeries keys must be ints, got True"),
+                           (lambda: FJExp(1, 1, 5, {1: 1}), "FJExp keys must be (int, int) pairs, got 1"),
+                           (lambda: FJExp(1, 1, 5, {(1, 0, 0): 1}),
+                            "FJExp keys must be (int, int) pairs, got (1, 0, 0)"),
+                           (lambda: FJExp(1, 1, 5, {(1, 0.5): 1}),
+                            "FJExp keys must be (int, int) pairs, got (1, 0.5)")):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def lift(x):
+    return FJExp.from_qseries(x) if isinstance(x, QSeries) else x
+
+
+def same_answer(got, ref):
+    """A result against the same operation on explicit lifts: series agree
+    on their common window, mismatches agree but for z_exp None -> 0."""
+    if isinstance(got, (QSeries, FJExp)):
+        return lift(got).agrees_with(ref)
+    if isinstance(got, tuple):
+        q, z, lhs, rhs = got
+        return ref == (q, 0 if z is None else z, lhs, rhs)
+    return got == ref
+
+
+MIXED_OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    "divide": lambda x, y: x.divide(y),
+    "mismatch": lambda x, y: x.mismatch(y),
+    "agrees_with": lambda x, y: x.agrees_with(y),
+}
+
+
+def test_mixed_operand_table():
+    qs, fj = cat.eisenstein(4, 6), cat.jacobi_eis(4, 1, 6)
+    operands = {"0": 0, "1": 1, "-1/2": Fraction(-1, 2), "qs": qs, "fj": fj}
+    answered = 0
+    for op_name, op in MIXED_OPS.items():
+        for (xn, x), (yn, y) in itertools.product(operands.items(), repeat=2):
+            if not isinstance(x, (QSeries, FJExp)) and not isinstance(y, (QSeries, FJExp)):
+                continue
+            if op_name in ("divide", "mismatch", "agrees_with") and not isinstance(x, (QSeries, FJExp)):
+                continue  # the method does not exist on a scalar
+            case = f"{xn} {op_name} {yn}"
+            if op_name == "divide" and xn == "qs":  # divide is FJExp's alone
+                with pytest.raises(AttributeError):
+                    op(x, y)
+                continue
+            if op_name in ("/", "divide") and yn == "0":
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            if op_name == "/" and not isinstance(x, (QSeries, FJExp)):  # no series has __rtruediv__
+                with pytest.raises(TypeError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            expected_type = {"mismatch": (tuple, type(None)), "agrees_with": bool}.get(
+                op_name, FJExp if fj in (x, y) or op_name == "divide" else QSeries)
+            assert isinstance(got, expected_type), case
+            assert same_answer(got, op(lift(x), lift(y))), case
+            if op_name == "mismatch" and got is not None:  # z_exp None only between QSeries
+                assert (got[1] is None) == (fj not in (x, y)), case
+            answered += 1
+        for bad in ("1", None, 1.5):
+            with pytest.raises(TypeError):
+                op(fj, bad)
+            if op_name != "divide":
+                with pytest.raises(TypeError):
+                    op(qs, bad)
+    assert answered == 80

@@ -48,10 +48,11 @@ def test_empty_window_rejected():
 
 
 @pytest.mark.parametrize("identity_id", ["T31-theta8", "L21-tau"])
-@pytest.mark.parametrize("prec", [2.5, 8.0, Fraction(8)], ids=["2.5", "8.0", "Fraction(8)"])
+@pytest.mark.parametrize("prec", [2.5, 8.0, Fraction(8), True], ids=["2.5", "8.0", "Fraction(8)", "True"])
 def test_verify_refuses_a_non_int_prec(identity_id, prec):
-    with pytest.raises(ValueError, match="verify needs an integer prec"):
+    with pytest.raises(ValueError) as err:
         verify(identity_id, prec)
+    assert str(err.value) == f"verify needs an integer prec, got {prec!r}"
 
 
 def test_registry_filters():

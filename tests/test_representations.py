@@ -202,6 +202,18 @@ def test_count_fixture_values():
         CountQuery("nonsense", 8, 1)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("squares", 0, 3), "CountQuery expects m >= 1, got 0"),
+    (("squares", 8, -1), "CountQuery expects n >= 0, got -1"),
+    (("figurate", 8, 3, 0), "CountQuery expects a >= 1 for kind 'figurate', got 0"),
+    (("figurate_odd", 8, 3), "CountQuery expects a >= 1 for kind 'figurate_odd', got None"),
+])
+def test_count_query_preconditions_name_the_class(args, message):
+    with pytest.raises(ValueError) as err:
+        CountQuery(*args)
+    assert str(err.value) == message
+
+
 # -- the counting oracle: enumeration over the distinct values -----------------
 
 def _sum_table(values: tuple, k: int, cap: int) -> dict:
