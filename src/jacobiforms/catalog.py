@@ -9,8 +9,10 @@ by coefficient (Eichler-Zagier, Thm 2.1).  The second routes that cross-check
 them (theta from the triple product, the naive Euler product, Delta as eta^24)
 live in `jacobiforms.checks`, the U_d V_l route to E_{k,m} in the tests; only
 the cheap normalization asserts of jacobi_eis and phi stay here.  Constructors
-are pure, their series immutable, and `series.memo_by_prec` cuts lower
-precisions from each form's highest build.
+are pure, their series immutable, and `series.memo_by_prec` answers lower
+precisions from each form's highest build: a hit returns a shared,
+already-canonical cut, and each kept build holds at most one cut per
+precision it has served.
 """
 
 from __future__ import annotations
@@ -258,37 +260,43 @@ def wp_theta2(prec: int) -> FJExp:
 # form lookup by name (the CLI surface)
 # ---------------------------------------------------------------------------
 
+# name -> (argument count, constructor); each entry calls its constructor by
+# its module name, so a wrapper bound to that name later is the one called
+_FORMS = {
+    "theta": (0, lambda p: theta(p)),
+    "theta00": (0, lambda p: theta_ab(0, 0, p)),
+    "theta01": (0, lambda p: theta_ab(0, 1, p)),
+    "theta10": (0, lambda p: theta_ab(1, 0, p)),
+    "theta11": (0, lambda p: theta_ab(1, 1, p)),
+    "eta": (0, lambda p: eta(p)),
+    "delta": (0, lambda p: delta(p)),
+    "g2": (0, lambda p: g2(p)),
+    "eps2": (0, lambda p: eps2(p)),
+    "wp_theta2": (0, lambda p: wp_theta2(p)),
+    "ek": (1, lambda k, p: eisenstein(k, p)),
+    "phi": (1, lambda j, p: phi(j, p)),
+    "jacobi_eis": (2, lambda k, m, p: jacobi_eis(k, m, p)),
+    "theta_const": (2, lambda a, b, p: theta_const(a, b, p)),
+}
+
+
 def form_by_name(name: str, prec: int):
     """Resolve a lower-snake form name like "theta", "ek:4", "jacobi_eis:4,4",
     "phi:3" or "theta_const:1,0" to its expansion at the given precision.
 
-    An unknown name or arguments that do not parse raise UnknownFormError;
-    a constructor's own precondition (bad precision, odd weight) raises its
-    ValueError unchanged."""
+    A name that is not a str raises TypeError; an unknown name or arguments
+    that do not parse raise UnknownFormError; a constructor's own
+    precondition (bad precision, odd weight) raises its ValueError unchanged."""
+    if not isinstance(name, str):
+        raise TypeError(f"form_by_name needs a str name, got {name!r}")
     base, _, argtext = name.partition(":")
     try:
         args = [int(a) for a in argtext.split(",")] if argtext else []
     except ValueError:
         raise UnknownFormError(f"bad arguments for form {name!r}") from None
-    forms = {
-        "theta": (0, theta),
-        "theta00": (0, lambda p: theta_ab(0, 0, p)),
-        "theta01": (0, lambda p: theta_ab(0, 1, p)),
-        "theta10": (0, lambda p: theta_ab(1, 0, p)),
-        "theta11": (0, lambda p: theta_ab(1, 1, p)),
-        "eta": (0, eta),
-        "delta": (0, delta),
-        "g2": (0, g2),
-        "eps2": (0, eps2),
-        "wp_theta2": (0, wp_theta2),
-        "ek": (1, eisenstein),
-        "phi": (1, phi),
-        "jacobi_eis": (2, jacobi_eis),
-        "theta_const": (2, theta_const),
-    }
-    if base not in forms:
+    if base not in _FORMS:
         raise UnknownFormError(f"unknown form {name!r}")
-    arity, build = forms[base]
+    arity, build = _FORMS[base]
     if len(args) != arity:
         raise UnknownFormError(f"form {base!r} takes {arity} argument(s), got {len(args)}")
     return build(*args, prec)

@@ -754,8 +754,14 @@ def verify(identity_id: str, prec: Optional[int] = None) -> IdentityReport:
                           built - start, time.perf_counter() - built)
 
 
+def _require_pattern(fn: str, pattern) -> None:
+    if not isinstance(pattern, str):
+        raise TypeError(f"{fn} needs a str pattern, got {pattern!r}")
+
+
 def identity_ids(pattern: str = "*") -> list:
     """Registry ids matching a glob pattern, in registry order."""
+    _require_pattern("identity_ids", pattern)
     return [i for i in REGISTRY if fnmatch.fnmatchcase(i, pattern)]
 
 
@@ -764,4 +770,5 @@ def verify_all(prec: Optional[int] = None, pattern: str = "*") -> list:
 
     With prec=None every identity runs at its own default precision (the
     index-12 heavyweights default lower to bound runtime)."""
+    _require_pattern("verify_all", pattern)
     return [verify(i, prec) for i in identity_ids(pattern)]

@@ -581,6 +581,8 @@ class _Series:
         """The quotient by a scalar or a QSeries, as the product by its
         inverse, or by an FJExp through `FJExp.divide` (a QSeries lifted)."""
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by the zero scalar")
             return self * (Fraction(1) / Fraction(other))
         if isinstance(other, QSeries):
             return self * other.inverse()
@@ -1465,7 +1467,8 @@ def prec_for_specialize(target: RatLike, index: RatLike, lam: RatLike, slack: Ra
     cone slack.  It asks the certifier's own bound: P certifies the target
     and P - 1 does not."""
     lam, m = _fraction("lam", lam), _fraction("index", index)
-    return _least_prec(target, 1, lam, m * lam * lam, m, _fraction("slack", slack))
+    return _least_prec(_fraction("target", target), 1, lam, m * lam * lam, m,
+                       _fraction("slack", slack))
 
 
 def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
@@ -1473,7 +1476,7 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     """The least whole-q input precision P at which
     `eval_linear(tau_mult, z_mult)` certifies its window up to `target`,
     decided by the certifier's own bound as in `prec_for_specialize`."""
-    return _least_prec(target, tau_mult, _fraction("z_mult", z_mult), 0,
+    return _least_prec(_fraction("target", target), tau_mult, _fraction("z_mult", z_mult), 0,
                        _fraction("index", index), _fraction("slack", slack))
 
 
@@ -1493,14 +1496,17 @@ def memo_by_prec(build):
     """Memoize a pure constructor `build(*args, prec)` whose series is
     certified below prec + c, c fixed per form: keep one build per `args`,
     keyed by type as well as value (as lru_cache(typed=True), so 4.0 never
-    meets the build of 4), the one at the highest precision `top`, and cut
-    any request with an int 1 <= prec <= top from it; any other request
-    (a non-int precision too, True included) goes to `build`, whose own
-    check decides.  Builds run outside the lock (constructors call each
-    other) and replace the kept one only if higher.  `cache_info` and
-    `cache_clear` are as in lru_cache; `cache_precisions()` maps each kept
-    `args` to its precision."""
-    kept: dict = {}  # (args before the precision, their types) -> (top, series)
+    meets the build of 4), the one at the highest precision `top`, and
+    answer any request with an int 1 <= prec <= top from it; any other
+    request (a non-int precision too, True included) goes to `build`, whose
+    own check decides.  A hit returns a shared, already-canonical cut: the
+    kept build holds at most one cut per precision it has served, made
+    once (in integer q-indices) and returned as the same object after.
+    Builds and cuts run outside the lock (constructors call each other); a
+    build replaces the kept one, and drops its cuts, only if higher.
+    `cache_info` and `cache_clear` are as in lru_cache; `cache_precisions()`
+    maps each kept `args` to its precision."""
+    kept: dict = {}  # (args before the precision, their types) -> (top, {prec: cut})
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()
 
@@ -1508,15 +1514,21 @@ def memo_by_prec(build):
     def memo(*args):
         key, prec = (args[:-1], tuple(map(type, args[:-1]))), args[-1]
         with lock:
-            top, series = kept.get(key, (0, None))
+            top, cuts = kept.get(key, (0, None))
             hit = type(prec) is int and 1 <= prec <= top
             counts[0 if hit else 1] += 1
+            series = cuts.get(prec) if hit else None
+        if series is not None:
+            return series
         if hit:
-            return series.truncated(series.prec_exponent - (top - prec))
+            series = cuts[top]
+            series = series._cut(series.prec - (top - prec) * series.qscale)
+            with lock:  # if a higher build has replaced `cuts` meanwhile, it drops this too
+                return cuts.setdefault(prec, series)
         series = build(*args)
         with lock:
             if prec > kept.get(key, (0,))[0]:
-                kept[key] = (prec, series)
+                kept[key] = (prec, {prec: series})
         return series
 
     def cache_clear() -> None:

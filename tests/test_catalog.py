@@ -12,6 +12,8 @@ from jacobiforms.catalog import UnknownFormError
 from jacobiforms.numtheory import cohen_h, factorize, mobius, zeta_neg
 from jacobiforms.series import FJExp, QSeries
 
+from conftest import PREC_MEMOS
+
 HALF = Fraction(1, 2)
 
 
@@ -74,22 +76,52 @@ def _fingerprint(series):
 
 
 def test_served_build_equals_fresh_build(clear_memos):
+    assert {memo for memo, _, _ in SERVED_CASES} == set(PREC_MEMOS)
+    scales = set()
     for memo, args, top in SERVED_CASES:
         fresh = {}
         for p in range(1, top + 1):
             clear_memos()
             fresh[p] = _fingerprint(memo(*args, p))
-        # the memo now keeps the build at top; every lower precision is cut from it
+        # the memo now keeps the build at top; every lower precision is cut
+        # from it once, and each request after gets that same object
+        build = memo(*args, top)
+        scales.add(build.qscale)
         for p in range(1, top + 1):
-            hits = memo.cache_info().hits
-            assert _fingerprint(memo(*args, p)) == fresh[p], (memo.__name__, args, p)
-            assert memo.cache_info().hits == hits + 1, (memo.__name__, args, p)
+            hits, misses = memo.cache_info()[:2]
+            cut = memo(*args, p)
+            assert memo(*args, p) is cut, (memo.__name__, args, p)
+            assert memo.cache_info()[:2] == (hits + 2, misses), (memo.__name__, args, p)
+            assert _fingerprint(cut) == fresh[p], (memo.__name__, args, p)
+            old_route = build.truncated(build.prec_exponent - (top - p))
+            assert _fingerprint(cut) == _fingerprint(old_route), (memo.__name__, args, p)
+    assert {2, 8, 24} <= scales  # theta constants, theta, eta and wp*theta^2
     cat.theta(8)
     cat.theta_ab(0, 0, 8)
     with pytest.raises(ValueError, match="theta needs prec >= 1"):
         cat.theta(0)
     with pytest.raises(ValueError, match="theta00 needs prec >= 1"):
         cat.theta_ab(0, 0, 0)
+
+
+@pytest.mark.parametrize("memo, args", [(cat.theta, ()), (cat.eta, ()), (cat.phi, (1,)),
+                                        (lattice._jacobi_theta_e8_cached, (lattice.U2,))],
+                         ids=["theta", "eta", "phi", "e8"])
+def test_a_higher_build_drops_the_served_cuts(clear_memos, memo, args):
+    clear_memos()
+    memo(*args, 5)
+    old = memo(*args, 3)
+    assert memo(*args, 3) is old
+    memo(*args, 6)  # kept in place of the build at 5, whose cuts go with it
+    assert memo.cache_precisions()[args] == 6
+    new = memo(*args, 3)
+    assert new is not old and _fingerprint(new) == _fingerprint(old) and memo(*args, 3) is new
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 0, None, 0) and memo.cache_precisions() == {}
+    memo(*args, 6)
+    again = memo(*args, 3)
+    assert again is not new and _fingerprint(again) == _fingerprint(new)
+    assert memo.cache_info() == (1, 1, None, 1)
 
 
 NON_INT_PREC_FORMS = {
@@ -369,3 +401,16 @@ def test_form_by_name():
     for bad in ("nope", "phi:9", "jacobi_eis:4", "theta:1", "ek:seven"):
         with pytest.raises(UnknownFormError):
             cat.form_by_name(bad, 4)
+    # each table entry reaches its constructor with its fixed arguments
+    for two_a, two_b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert cat.form_by_name(f"theta{two_a}{two_b}", 4) is cat.theta_ab(two_a, two_b, 4)
+    for name in ("eta", "delta", "g2", "wp_theta2"):
+        assert cat.form_by_name(name, 4) is getattr(cat, name)(4)
+
+
+@pytest.mark.parametrize("name", [None, 5, b"theta", ("theta",)], ids=repr)
+def test_form_by_name_needs_a_str(name):
+    # None and 5 failed with "'NoneType' object has no attribute 'partition'"
+    with pytest.raises(TypeError) as err:
+        cat.form_by_name(name, 4)
+    assert str(err.value) == f"form_by_name needs a str name, got {name!r}"

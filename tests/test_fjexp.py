@@ -261,6 +261,20 @@ def test_prec_for_eval_linear_takes_only_ints_or_fractions(name):
         prec_for_eval_linear(**args)
 
 
+@pytest.mark.parametrize("target", [2.5, 3.0, "3"], ids=repr)
+def test_prec_planners_take_only_an_int_or_a_fraction_target(target):
+    # a float target was compared in floating point and answered in floats:
+    # prec_for_specialize(2.5, 1, 1/2, 1) gave 5.0
+    with pytest.raises(TypeError, match="^target must be an int or a Fraction"):
+        prec_for_specialize(target, 1, HALF, 1)
+    with pytest.raises(TypeError, match="^target must be an int or a Fraction"):
+        prec_for_eval_linear(target, 1, 1, HALF, 1)
+    # int and Fraction targets answer as before, in ints
+    for t, p1, p2 in ((3, 6, 6), (Fraction(5, 2), 5, 6), (Fraction(6), 10, 10)):
+        assert type(prec_for_specialize(t, 1, HALF, 1)) is int
+        assert (prec_for_specialize(t, 1, HALF, 1), prec_for_eval_linear(t, 1, 1, HALF, 1)) == (p1, p2)
+
+
 def test_root_power_takes_only_an_int_or_a_fraction_coefficient():
     with pytest.raises(TypeError, match="coeff must be an int or a Fraction"):
         series.CycloElt.from_root_power(8, 1, FLOAT)
@@ -1124,3 +1138,13 @@ def test_mixed_operand_table():
                 with pytest.raises(TypeError):
                     op(qs, bad)
     assert answered == 80
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), False], ids=repr)
+def test_division_by_a_zero_scalar_says_so(zero):
+    # eta(4) / 0 raised "ZeroDivisionError: Fraction(1, 0)"
+    for x in (cat.eta(4), cat.theta(4)):
+        with pytest.raises(ZeroDivisionError, match="^division by the zero scalar$"):
+            x / zero
+    with pytest.raises(ZeroDivisionError, match="^division by the zero expansion$"):
+        cat.theta(4).divide(zero)

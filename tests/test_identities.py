@@ -64,6 +64,17 @@ def test_registry_filters():
     assert verify_all(4, "ZZZ*") == []
 
 
+@pytest.mark.parametrize("pattern", [5, None, b"P4*", ["P4*"]], ids=repr)
+def test_registry_filters_need_a_str_pattern(pattern):
+    # both failed inside fnmatch ("object of type 'int' has no len()")
+    for fn, call in (("identity_ids", lambda: ids.identity_ids(pattern)),
+                     ("verify_all", lambda: verify_all(4, pattern)),
+                     ("verify_all", lambda: verify_all(pattern=pattern))):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == f"{fn} needs a str pattern, got {pattern!r}"
+
+
 def test_default_precisions():
     assert ids.REGISTRY["T31-theta8"].default_prec == 8
     assert ids.REGISTRY["T44-theta16"].default_prec == 6

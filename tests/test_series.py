@@ -384,6 +384,41 @@ def test_precision_memo_under_threads():
         geometric(k, 29)
     assert geometric.cache_info().hits == hits + 3
 
+    # with every top kept, each thread's request at one (k, prec) gets the one cut
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            again = list(pool.map(lambda job: geometric(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    served = {}
+    assert all(served.setdefault(job, r) is r for job, r in zip(jobs, again))
+    assert len(served) == 3 * 29 and all(geometric(*job) is r for job, r in served.items())
+    assert served[1, 29] == QSeries(1, 29, {t: 1 for t in range(29)})
+    assert geometric.cache_info() == (hits + 3 + len(jobs) + len(served), misses, None, 3)
+
+
+def test_precision_memo_cuts_each_precision_once():
+    made = []
+
+    class Counted(QSeries):
+        __slots__ = ()
+
+        def _cut(self, p):
+            made.append(p)
+            return super()._cut(p)
+
+    @memo_by_prec
+    def geometric(prec):
+        return Counted(2, 2 * prec, {t: 1 for t in range(2 * prec)})
+
+    top = geometric(6)
+    for _ in range(3):
+        served = [geometric(p) for p in range(1, 7)]
+    assert made == [2 * p for p in range(1, 6)]  # one cut per precision below top, by q-index
+    assert served[-1] is top and geometric.cache_info() == (18, 1, None, 1)
+    assert served[0] == Counted(2, 2, {0: 1, 1: 1})
+
 
 # -- the product kernel against the term-pair loop it replaced ------------------------
 
