@@ -106,7 +106,10 @@ def jacobi_theta_e8(u, prec: int) -> FJExp:
     """Jacobi theta series of E8 against the vector u:
     sum over v in E8 of q^((v,v)/2) zeta^((v,u)); weight 4, index (u,u)/2."""
     require_prec("jacobi_theta_e8", prec)
-    u = tuple(u)
+    try:
+        u = tuple(u)
+    except TypeError:
+        raise TypeError(f"jacobi_theta_e8 needs u an integer vector, got {u!r}") from None
     if any(not isinstance(x, int) for x in u):
         raise ValueError("u must be an integer vector (half-integer vectors: double a lattice basis instead)")
     if not in_e8(u):

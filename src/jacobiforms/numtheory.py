@@ -74,8 +74,17 @@ def rational_str(x: Rat) -> str:
 
 
 def parse_rational(s: str) -> Rat:
-    """Inverse of :func:`rational_str`."""
-    return as_rational(Fraction(s))
+    """Inverse of :func:`rational_str`: the rational a str writes, as
+    Fraction reads it.  Anything but a str raises TypeError, since Fraction
+    would take a float's binary expansion; bad text raises ValueError."""
+    if not isinstance(s, str):
+        raise TypeError(f"parse_rational needs a str, got {s!r}")
+    try:
+        return as_rational(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError(f"parse_rational: zero denominator in {s!r}") from None
+    except ValueError:
+        raise ValueError(f"parse_rational: {s!r} is not a rational number") from None
 
 
 def require_ints(fn: str, *args) -> None:

@@ -171,6 +171,8 @@ def count_bruteforce(query: CountQuery) -> int:
     partial power, and of a product before the mask, counts tuples of at
     most m of the `total` values, so it is at most total^m < 2^b; slot n is
     the top slot the mask keeps."""
+    if not isinstance(query, CountQuery):
+        raise TypeError(f"count_bruteforce needs a CountQuery, got {query!r}")
     n, m = query.n, query.m
     values = _values(query)
     total = len(values)

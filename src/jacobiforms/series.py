@@ -25,7 +25,9 @@ Kronecker substitution packs each operand's rows into one integer, so that
 a product is one big-int multiply instead of a loop over term pairs.
 Slots of up to 8 bytes are machine words, packed and read by one struct
 call each; wider slots are byte slices.  A square packs its one operand
-once, and powers start from their first factor, never from a product by 1.
+once, and powers start from their first factor, never from a product by 1;
+a series keeps the squares and powers it makes, and its inverse, in a
+store of its own made on first use (`_powers`), so each is made once.
 
 Every binary operation takes its other operand through one step,
 `_operand`: a scalar becomes the constant series on the window it meets,
@@ -333,7 +335,7 @@ class _Series:
     one step, `_operand`.
     """
 
-    __slots__ = ("qscale", "prec", "_den", "_rows", "_gt", "_gr", "_stats", "_map")
+    __slots__ = ("qscale", "prec", "_den", "_rows", "_gt", "_gr", "_stats", "_map", "_pows")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, qscale: int, prec: int, terms: dict):
@@ -385,6 +387,7 @@ class _Series:
         _set(self, "_gr", gr)
         _set(self, "_stats", None)
         _set(self, "_map", None)
+        _set(self, "_pows", None)
 
     @classmethod
     def _make(cls, qscale, zscale, prec, den, rows, gt, gr, meta=(None, None, None)):
@@ -421,6 +424,15 @@ class _Series:
             m = MappingProxyType({k: _rational(c, den) for k, c in self._keyed()})
             _set(self, "_map", m)
         return m
+
+    def _powers(self) -> dict:
+        """The power store, exponent -> self^n, made on first use and written
+        only by `setdefault`; it lives and dies with this series."""
+        pows = self._pows
+        if pows is None:
+            pows = {}
+            _set(self, "_pows", pows)
+        return pows
 
     def _summary(self) -> tuple:
         """(count, sum |num|, max |num|, lowest r, highest r) of the nonzero
@@ -591,24 +603,33 @@ class _Series:
         return NotImplemented
 
     def __pow__(self, n: int):
-        """self^n; a negative n inverts a QSeries first.  For n >= 1, binary
-        powering from the first factor: starting from 1 would cost one more
+        """self^n; a negative n inverts a QSeries first.  For n >= 2, binary
+        powering from the first factor (starting from 1 would cost one more
         product and, for a base with negative q-exponents, narrow the
-        certified window by their depth."""
+        certified window by their depth), through the power store: the
+        squares self^(2^j) it makes and self^n are kept and returned again.
+        self ** 1 is self and self ** 0 a new `one`; neither is kept, so no
+        series holds itself."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0 and self._zeta:
             raise ValueError("negative powers of Fourier-Jacobi expansions are not supported")
+        if n == 1:
+            return self
         if n <= 0:
             return self.inverse() ** (-n) if n else self.one(self.prec_exponent)
-        result, base = None, self
+        pows = self._powers()
+        if n in pows:
+            return pows[n]
+        result, base, e, k = None, self, 1, n
         while True:
-            if n & 1:
+            if k & 1:
                 result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+            k >>= 1
+            if not k:
+                return pows.setdefault(n, result)
+            e *= 2
+            base = pows[e] if e in pows else pows.setdefault(e, base * base)
 
     def _mul(self, other):
         """The product by a scalar, or through `_product` by the `_operand`
@@ -750,12 +771,16 @@ class QSeries(_Series):
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series in q^(1/s): 1 divided
-        by this series through `FJExp.divide`, at zeta-index 0."""
+        by this series through `FJExp.divide`, at zeta-index 0, made once
+        and kept in the power store under -1, which `a / q` and `q ** -n` read."""
         if not self._rows:
             raise ZeroDivisionError("cannot invert a series with zero lowest coefficient")
-        # 1 is certified as far as the inverse of the unit part needs it
-        one = FJExp(self.qscale, 1, self.prec - self._rows[0][0], {(0, 0): 1})
-        return one.divide(self)._at_z0()
+        pows = self._powers()
+        if -1 not in pows:
+            # 1 is certified as far as the inverse of the unit part needs it
+            one = FJExp(self.qscale, 1, self.prec - self._rows[0][0], {(0, 0): 1})
+            pows.setdefault(-1, one.divide(self)._at_z0())
+        return pows[-1]
 
     def substituted(self, c: int) -> "QSeries":
         """q -> q^c for a positive integer c."""

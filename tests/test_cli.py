@@ -32,6 +32,13 @@ def test_cohen_precondition(capsys):
     assert code == 3 and "N >= 0" in err
 
 
+@pytest.mark.parametrize("text, reason", [("1/0", "zero denominator in '1/0'"),
+                                          ("abc", "'abc' is not a rational number")])
+def test_cohen_bad_rational_names_the_text(capsys, text, reason):
+    code, out, err = run(capsys, "cohen", "--r", "3", "--N", text)
+    assert code == 3 and out == "" and err == f"error: parse_rational: {reason}\n"
+
+
 def test_tau(capsys):
     code, out, _ = run(capsys, "tau", "--n", "1")
     assert code == 0 and out.strip() == "1"

@@ -117,6 +117,13 @@ def test_membership_and_primitivity():
         lattice.jacobi_theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("u", [None, 5, 2.5], ids=repr)
+def test_theta_e8_needs_a_vector(u):
+    with pytest.raises(TypeError) as err:
+        lattice.jacobi_theta_e8(u, 4)
+    assert str(err.value) == f"jacobi_theta_e8 needs u an integer vector, got {u!r}"
+
+
 @pytest.mark.parametrize("prec", [0, -1])
 def test_theta_e8_rejects_empty_precision(prec):
     with pytest.raises(ValueError, match=f"jacobi_theta_e8 needs prec >= 1, got {prec}"):

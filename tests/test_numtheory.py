@@ -443,6 +443,28 @@ def test_rational_strings():
     assert parse_rational("7") == 7
     for x in (Fraction(3, 7), Fraction(-11, 4), 0, -5):
         assert parse_rational(rational_str(x)) == x
+    # every text Fraction reads still parses, to the same value
+    for text in (" 3/6 ", "-0", "1.25", "1e-3", "+7/1"):
+        assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Fraction(1, 3), 3, None, b"1/2"], ids=repr)
+def test_parse_rational_takes_only_a_str(value):
+    # Fraction(0.1) is the binary expansion 3602879701896397/36028797018963968
+    with pytest.raises(TypeError) as err:
+        parse_rational(value)
+    assert str(err.value) == f"parse_rational needs a str, got {value!r}"
+
+
+@pytest.mark.parametrize("text, reason", [("1/0", "zero denominator in '1/0'"),
+                                          ("-3/0", "zero denominator in '-3/0'"),
+                                          ("abc", "'abc' is not a rational number"),
+                                          ("", "'' is not a rational number"),
+                                          ("1/2/3", "'1/2/3' is not a rational number")])
+def test_parse_rational_names_bad_text(text, reason):
+    with pytest.raises(ValueError) as err:
+        parse_rational(text)
+    assert str(err.value) == f"parse_rational: {reason}"
 
 
 def test_as_rational_keeps_fractions_and_collapses_integers():

@@ -191,6 +191,14 @@ def test_cone_points_are_exactly_the_lattice_points_of_the_cone():
         assert list(cone_points(c, slope, div, cone)) == scan, (c, slope, div, cone)
 
 
+@pytest.mark.parametrize("query", [None, ("squares", 8, 1), {"kind": "squares", "m": 8, "n": 1}],
+                         ids=["None", "tuple", "dict"])
+def test_count_bruteforce_needs_a_count_query(query):
+    with pytest.raises(TypeError) as err:
+        count_bruteforce(query)
+    assert str(err.value) == f"count_bruteforce needs a CountQuery, got {query!r}"
+
+
 def test_count_fixture_values():
     assert count_bruteforce(CountQuery("squares", 8, 1)) == 16
     assert count_bruteforce(CountQuery("triangular", 8, 1)) == 8

@@ -7,10 +7,12 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from jacobiforms import catalog, lattice
+from jacobiforms import catalog, identities, lattice, series
 from jacobiforms.numtheory import as_rational, cohen_h
 from jacobiforms.series import (
     CycloElt,
@@ -88,6 +90,159 @@ def test_powers_match_repeated_products():
             assert (x ** n).prec == x.prec + (n - 1) * lo
     for base in (catalog.theta(6), catalog.eta(6)):  # lowest exponent > 0
         assert base ** 3 == base * base * base and base ** 1 is base
+
+
+def same_series(x, y) -> bool:
+    """Bit-identical: the same class, scales, window, rows and metadata."""
+    return (type(x) is type(y) and (x.qscale, x.zscale, x.prec, x._meta(), x._data())
+            == (y.qscale, y.zscale, y.prec, y._meta(), y._data()))
+
+
+def test_stored_powers_match_product_chains():
+    # the power store hands back what binary powering from the first factor
+    # makes, which is the plain chain x * x * ... * x, window and metadata too
+    bases = [*laurent_bases(random.Random(2030)), catalog.theta(8), catalog.eta(8), catalog.phi(1, 8)]
+    assert catalog.eta(8).qscale == 24
+    for x in bases:
+        chain = x
+        for n in range(2, 13):
+            chain = chain * x
+            assert same_series(x ** n, chain), n
+        assert same_series(x ** 12, chain) and x ** 12 is x ** 12
+        fresh = x * 1  # an equal series with an empty store
+        assert fresh._pows is None and same_series(fresh ** 12, chain)
+        assert x ** 1 is x and 1 not in x._pows and 0 not in x._pows
+    for x in bases:
+        if isinstance(x, FJExp):
+            continue
+        inv = x.inverse()
+        assert same_series(inv, inverse_by_recurrence(x)) and x.inverse() is inv
+        assert x._pows[-1] is inv and x ** -1 is inv
+        chain = inv
+        for n in range(2, 5):
+            chain = chain * inv
+            assert same_series(x ** -n, chain) and x ** -n is x ** -n, n
+
+
+def test_powers_are_made_once_per_series(monkeypatch, clear_memos):
+    # theta^8 is three squarings; asked again it makes none, and theta^6
+    # = theta^2 * theta^4 makes one product from the stored squares
+    calls = []
+    product = series._product
+
+    def counted(a, b, bound):
+        calls.append(bound)
+        return product(a, b, bound)
+
+    monkeypatch.setattr(series, "_product", counted)
+    clear_memos()
+    for n, made in ((8, 3), (8, 0), (6, 1), (6, 0), (8, 0), (2, 0), (12, 1)):
+        calls.clear()
+        power = catalog.theta(12) ** n
+        assert len(calls) == made, n
+        assert same_series(power, reduce(mul, [catalog.theta(12)] * n)), n
+    assert sorted(catalog.theta(12)._pows) == [2, 4, 6, 8, 12]
+    # a quotient by q, q ** -n and inverse() divide once per q
+    divides = []
+    divide = FJExp.divide
+    monkeypatch.setattr(FJExp, "divide", lambda a, b: divides.append(b) or divide(a, b))
+    eta = catalog.eta(12)
+    quotients = [catalog.delta(12) / eta, eta ** -2, eta.inverse(), catalog.delta(12) / eta, eta ** -1]
+    assert divides == [eta] and eta._pows[-1] is eta.inverse() is quotients[-1] is quotients[2]
+    assert quotients[1] is eta ** -2 is eta.inverse() ** 2 and quotients[0] == quotients[3]
+
+
+@pytest.mark.parametrize("drop", ["higher build", "cache_clear"])
+def test_power_store_lives_and_dies_with_its_series(clear_memos, drop):
+    clear_memos()
+    old = catalog.theta(8) ** 8
+    assert catalog.theta(8) ** 8 is old
+    if drop == "higher build":
+        catalog.theta(12)  # replaces the kept build and drops its cuts
+    else:  # theta's series is theta_ab's: both memos let go of it
+        clear_memos()
+    new = catalog.theta(8) ** 8
+    assert new is not old and new == old and same_series(new, old)
+    assert catalog.theta(8) ** 8 is new
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_powers_under_threads(clear_memos, warm):
+    # 8 threads race to make theta(12)^8: each gets an equal series, and
+    # the store ends up holding one, which every later request returns;
+    # once the store exists (here made by theta^2), `setdefault` hands
+    # every racer that one object
+    clear_memos()
+    want = reduce(mul, [catalog.theta(12) * 1] * 8)
+    if warm:
+        catalog.theta(12) ** 2
+    start = threading.Barrier(8)
+
+    def power(_):
+        start.wait(timeout=60)
+        return catalog.theta(12) ** 8
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            powers = list(pool.map(power, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(same_series(p, want) for p in powers)
+    stored = catalog.theta(12)._pows[8]
+    assert not warm or all(p is stored for p in powers)
+    assert catalog.theta(12) ** 8 is stored and same_series(stored, want)
+    assert all(catalog.theta(12)._pows[e] is catalog.theta(12) ** e for e in (2, 4))
+
+
+def test_a_power_made_meanwhile_is_the_one_kept(monkeypatch, clear_memos):
+    # a race played out in one thread: while x^8 makes its last square,
+    # x^6 its one product x^2 * x^4, and q.inverse() its division, the same
+    # power is made and stored by another caller; `setdefault` keeps that
+    # first one and hands it to both
+    clear_memos()
+    x, q = catalog.theta(12), catalog.eta(12)
+    met, racers = [], {}
+    product, divide = series._product, FJExp.divide
+
+    def racing_product(a, b, bound):
+        met.append(bound)
+        if len(met) in (3, 5):  # x^4 * x^4, then x^2 * x^4
+            n = 8 if len(met) == 3 else 6
+            racers[n] = x ** n
+        return product(a, b, bound)
+
+    def racing_divide(a, b):
+        if -1 not in racers:
+            racers[-1] = None
+            racers[-1] = q.inverse()
+        return divide(a, b)
+
+    monkeypatch.setattr(series, "_product", racing_product)
+    monkeypatch.setattr(FJExp, "divide", racing_divide)
+    assert x ** 8 is racers[8] is x._pows[8] and len(met) == 4
+    assert x ** 6 is racers[6] is x._pows[6] and len(met) == 6
+    assert q.inverse() is racers[-1] is q._pows[-1]
+
+
+def test_a_patched_kernel_is_seen_once_the_memos_are_cleared(monkeypatch, clear_memos):
+    # stored powers belong to the memoized series, so clearing the memos
+    # is all it takes for a changed `_product` to reach every identity
+    p = 8
+    assert identities.verify("T31-theta8", p).status == "pass"
+    assert catalog.theta(p)._pows[8] is catalog.theta(p) ** 8
+    product = series._product
+
+    def halved(a, b, bound):
+        den, rows, grid = product(a, b, bound)
+        return 2 * den, rows, grid
+
+    monkeypatch.setattr(series, "_product", halved)
+    assert identities.verify("T31-theta8", p).status == "pass"  # every power is stored
+    clear_memos()
+    report = identities.verify("T31-theta8", p)
+    assert report.status == "fail" and report.first_mismatch is not None
 
 
 @pytest.mark.parametrize("cls", [QSeries, FJExp])
@@ -732,6 +887,9 @@ FLOAT_INPUTS = {
     "q_slice": lambda: catalog.theta(4).q_slice(0.125),
     "z_exp": lambda: catalog.theta(4).coefficient(Fraction(1, 8), 0.5),
     "in_e8": lambda: lattice.in_e8((0.5,) * 8),
+    "qseries_json_term": lambda: QSeries.from_json_dict({"qscale": 1, "prec": 2, "terms": [[0, 0.1]]}),
+    "fjexp_json_term": lambda: FJExp.from_json_dict({"qscale": 1, "zscale": 1, "prec": 2,
+                                                     "terms": [[0, 0, 0.1]]}),
 }
 
 
