@@ -27,18 +27,21 @@ Brute-force counting raises the generating polynomial of those values,
 taken with repetition and truncated at q^n, to the m-th power as one packed
 integer (Kronecker substitution): every coefficient is a non-negative count,
 so slots wide enough for the largest count never carry, and the power holds
-the count of every sum s <= n.
+the count of every sum s <= n.  One power is kept per (kind, m, a) and
+answers every n up to its top T; a request past T rebuilds at max(n, 2T).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from jacobiforms.numtheory import Rat, _h_num, _h_scale, _rational, divisors, require_ints, sigma
+from jacobiforms.series import CacheInfo
 
 
 def _sign(r: int) -> int:
@@ -56,9 +59,9 @@ _F_CONSTANTS = {3: (-511, 7), 5: (-1057, 1)}
 _F_DEN = {3: 504, 5: 1056}
 
 
-def _f_num(k: int, n: int, r: int) -> int:
-    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r times
-    _F_DEN[k]: an integer, from the integers H(k, N) * S_k."""
+@lru_cache(maxsize=None)
+def _f_num_even(k: int, n: int, r: int) -> int:
+    """`_f_num` at r >= 0, computed once per (k, n, r)."""
     disc = 16 * n - r * r
     if disc < 0 or n < 0:
         return 0
@@ -71,6 +74,13 @@ def _f_num(k: int, n: int, r: int) -> int:
         if g % d == 0 and disc % (d * d) == 0:
             acc += cd * d**k * _h_num(k, disc // (d * d))
     return acc
+
+
+def _f_num(k: int, n: int, r: int) -> int:
+    """The f4 (k = 3) or f6 (k = 5) coefficient at q^n zeta^r times
+    _F_DEN[k]: an integer, from the integers H(k, N) * S_k.  f is even in
+    r, so it is kept per (k, n, |r|)."""
+    return _f_num_even(k, n, -r if r < 0 else r)
 
 
 def _f_coeff(k: int, n: int, r: int) -> Rat:
@@ -124,7 +134,8 @@ class CountQuery:
     Every kind is f_a over an arithmetic progression of x (`_PROGRESSIONS`):
     "squares" is f_2 and "figurate" f_a (parameter a) over all integers x,
     "figurate_odd" is f_a over the odd x, and "triangular" is f_1 over
-    x >= 1, that is x(x+1)/2 over x >= 0 (the delta_k convention).
+    x >= 1, that is x(x+1)/2 over x >= 0 (the delta_k convention).  Only
+    "figurate" and "figurate_odd" take an a; the other two fix it.
     """
 
     kind: str
@@ -140,8 +151,11 @@ class CountQuery:
             raise ValueError(f"CountQuery expects n >= 0, got {self.n}")
         if self.kind not in _PROGRESSIONS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if _PROGRESSIONS[self.kind][0] is None and (self.a is None or self.a < 1):
+        fixed = _PROGRESSIONS[self.kind][0]
+        if fixed is None and (self.a is None or self.a < 1):
             raise ValueError(f"CountQuery expects a >= 1 for kind {self.kind!r}, got {self.a}")
+        if fixed is not None and self.a is not None:
+            raise ValueError(f"CountQuery takes no a for kind {self.kind!r}, got {self.a}")
 
 
 def _values(query: CountQuery) -> list:
@@ -161,18 +175,16 @@ def _values(query: CountQuery) -> list:
     return values
 
 
-def count_bruteforce(query: CountQuery) -> int:
-    """Exact representation count by one binary power of a packed integer.
+def _packed_power(query: CountQuery) -> tuple:
+    """(b, P): slot s of P, b bits wide, counts the m-tuples summing to s,
+    for every s <= n.
 
     The values, with repetition (one per x), are packed into slots of b bits,
     sum 2^(b v), so equal values add up in their slot, and the packed int is
     raised to the m-th power with every product masked to the n + 1 slots of
-    the sums s <= n; the count is slot n.  No slot carries: every slot of a
-    partial power, and of a product before the mask, counts tuples of at
-    most m of the `total` values, so it is at most total^m < 2^b; slot n is
-    the top slot the mask keeps."""
-    if not isinstance(query, CountQuery):
-        raise TypeError(f"count_bruteforce needs a CountQuery, got {query!r}")
+    the sums s <= n.  No slot carries: every slot of a partial power, and of
+    a product before the mask, counts tuples of at most m of the `total`
+    values, so it is at most total^m < 2^b."""
     n, m = query.n, query.m
     values = _values(query)
     total = len(values)
@@ -185,8 +197,51 @@ def count_bruteforce(query: CountQuery) -> int:
             acc = (acc * base) & mask
         m >>= 1
         if not m:
-            return acc >> (b * n)
+            return b, acc
         base = (base * base) & mask
+
+
+# (kind, m, a) -> (top, b, the packed power of `_packed_power` at n = top)
+_POWERS: dict = {}
+_POWER_COUNTS = [0, 0]  # hits, misses
+_POWER_LOCK = threading.Lock()
+
+
+def count_bruteforce(query: CountQuery) -> int:
+    """Exact representation count: slot n of one packed power.
+
+    One power is kept per (kind, m, a), the one built at the highest top T.
+    A request with n <= T reads slot n of it: every value is >= 0, so the
+    slots s <= n of the power masked at T are those of the power masked at
+    n.  A key's first request builds at exactly n, one above T at
+    max(n, 2T), so an ascending loop over n builds O(log n) powers.  Builds
+    run outside the lock, and a build replaces the kept power only if it is
+    higher.  `cache_info()` counts hits and misses (builds) as lru_cache
+    does; `cache_clear()` drops every power."""
+    if not isinstance(query, CountQuery):
+        raise TypeError(f"count_bruteforce needs a CountQuery, got {query!r}")
+    key, n = (query.kind, query.m, query.a), query.n
+    with _POWER_LOCK:
+        top, b, power = _POWERS.get(key, (-1, 0, 0))
+        hit = n <= top
+        _POWER_COUNTS[0 if hit else 1] += 1
+    if not hit:
+        top = n if top < 0 else max(n, 2 * top)
+        b, power = _packed_power(replace(query, n=top))
+        with _POWER_LOCK:
+            if top > _POWERS.get(key, (-1,))[0]:
+                _POWERS[key] = (top, b, power)
+    return (power >> (b * n)) & ((1 << b) - 1)
+
+
+def _powers_cache_clear() -> None:
+    with _POWER_LOCK:
+        _POWERS.clear()
+        _POWER_COUNTS[:] = [0, 0]
+
+
+count_bruteforce.cache_info = lambda: CacheInfo(*_POWER_COUNTS, None, len(_POWERS))
+count_bruteforce.cache_clear = _powers_cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +432,9 @@ def tau(n: int, route: str = "direct") -> Rat:
         raise ValueError("tau expects n >= 1")
     if route == "direct":
         from jacobiforms.catalog import delta
-        return delta(n + 1).coefficient(n)
+        # the precision ladder 2, 4, 8, ...: an ascending loop over n builds
+        # delta O(log n) times and cuts every other read from the kept build
+        return delta(1 << n.bit_length()).coefficient(n)
     if route in _MOMENT_ROUTES:
         k, power, divisor, n_power = _MOMENT_ROUTES[route]
         # f(n, -r) = f(n, r) and every power is even and positive: twice the sum over r >= 1
@@ -400,7 +457,10 @@ def tau(n: int, route: str = "direct") -> Rat:
 
 
 def tau_applicable_routes(n: int) -> list:
-    """Routes whose side conditions hold at n."""
+    """Routes whose side conditions hold at n >= 1."""
+    require_ints("tau_applicable_routes", n)
+    if n < 1:
+        raise ValueError(f"tau_applicable_routes expects n >= 1, got {n}")
     return [route for route in TAU_ROUTES if route not in _CLOSED_ROUTES or _odd_nonsquare(n)]
 
 

@@ -56,6 +56,13 @@ def test_tau_side_condition_exit(capsys):
     assert code == 3 and "odd" in err
 
 
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_tau_below_one_is_a_precondition(capsys, n):
+    # -3 used to fail inside math.isqrt with its own message
+    code, out, err = run(capsys, "tau", "--n", n)
+    assert code == 3 and out == "" and err == f"error: tau_applicable_routes expects n >= 1, got {n}\n"
+
+
 def test_expand_human_and_json(capsys):
     code, out, _ = run(capsys, "expand", "--form", "jacobi_eis:4,1", "--prec", "2")
     assert code == 0

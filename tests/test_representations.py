@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -215,6 +217,8 @@ def test_count_fixture_values():
     (("squares", 8, -1), "CountQuery expects n >= 0, got -1"),
     (("figurate", 8, 3, 0), "CountQuery expects a >= 1 for kind 'figurate', got 0"),
     (("figurate_odd", 8, 3), "CountQuery expects a >= 1 for kind 'figurate_odd', got None"),
+    (("squares", 8, 3, 5), "CountQuery takes no a for kind 'squares', got 5"),
+    (("triangular", 8, 3, 2), "CountQuery takes no a for kind 'triangular', got 2"),
 ])
 def test_count_query_preconditions_name_the_class(args, message):
     with pytest.raises(ValueError) as err:
@@ -301,6 +305,118 @@ def test_packed_power_matches_table_past_machine_words(kind):
     query = CountQuery(kind, 16, 2001)
     count = count_bruteforce(query)
     assert count > 2**64 and count == _count_by_table(query)
+
+
+# -- the store of packed powers ----------------------------------------------
+
+def test_ascending_count_loop_builds_logarithmically():
+    # one packed power per (kind, m, a), grown by doubling: the parent rebuilt it for every n
+    count_bruteforce.cache_clear()
+    keys = [("squares", 8, None), ("triangular", 16, None), ("figurate", 8, 3)]
+    for n in range(201):
+        for kind, m, a in keys:
+            count_bruteforce(CountQuery(kind, m, n, a=a))
+    info = count_bruteforce.cache_info()
+    # builds at n = 0, 1, 2, 4, ..., 256 for each key
+    assert info.misses == 10 * len(keys) and info.hits == 201 * len(keys) - info.misses
+    assert info.currsize == len(keys)
+
+
+def _fresh_count(query: CountQuery) -> int:
+    """The count from a power built for this query alone."""
+    count_bruteforce.cache_clear()
+    return count_bruteforce(query)
+
+
+# n in an order that hits, grows past the top and reads far below it
+STORE_ORDER = [3, 0, 1, 2, 5, 4, 9, 13, 12, 27, 26, 1, 40, 6, 55, 33, 0]
+
+
+@pytest.mark.parametrize("m", [1, 8, 16])
+@pytest.mark.parametrize("kind, a", COUNT_KINDS)
+def test_store_serves_what_a_fresh_build_gives(kind, a, m):
+    count_bruteforce.cache_clear()
+    served = [count_bruteforce(CountQuery(kind, m, n, a=a)) for n in STORE_ORDER]
+    assert count_bruteforce.cache_info().hits > 0
+    fresh = [_fresh_count(CountQuery(kind, m, n, a=a)) for n in STORE_ORDER]
+    assert served == fresh
+
+
+def test_a_cold_query_builds_at_exactly_n_and_grows_by_doubling():
+    count_bruteforce.cache_clear()
+    misses = []
+    for n in (37, 38, 74, 75, 148, 149):
+        count_bruteforce(CountQuery("squares", 8, n))
+        misses.append(count_bruteforce.cache_info().misses)
+    # 37 is built at 37, so 38 misses and builds at 74; 75 misses and builds at 148
+    assert misses == [1, 2, 2, 3, 3, 4]
+
+
+def test_store_is_keyed_by_kind_m_and_a():
+    count_bruteforce.cache_clear()
+    queries = [CountQuery("squares", 8, 20), CountQuery("squares", 16, 20),
+               CountQuery("triangular", 8, 20), CountQuery("figurate", 8, 20, a=3),
+               CountQuery("figurate", 8, 20, a=4), CountQuery("figurate_odd", 8, 20, a=3)]
+    served = [count_bruteforce(q) for q in queries]
+    assert count_bruteforce.cache_info().currsize == len(queries)
+    assert served == [_count_by_table(q) for q in queries]
+
+
+def test_threads_interleaving_n_get_the_sequential_values():
+    ns = list(range(0, 90, 3)) + list(range(1, 90, 7))
+    sequential = {n: _count_by_table(CountQuery("squares", 8, n)) for n in ns}
+    orders = [ns, ns[::-1], ns[1::2] + ns[::2], sorted(ns, key=lambda n: (n * 37) % 89)] * 2
+    count_bruteforce.cache_clear()
+    barrier = threading.Barrier(len(orders))
+    results, errors = [], []
+
+    def run(order):
+        try:
+            barrier.wait()
+            results.append({n: count_bruteforce(CountQuery("squares", 8, n)) for n in order})
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == len(orders)
+    assert all(got == sequential for got in results)
+    info = count_bruteforce.cache_info()
+    assert info.hits + info.misses == len(orders) * len(ns) and info.currsize == 1
+
+
+def test_tau_direct_builds_delta_logarithmically(clear_memos):
+    # tau(n, "direct") reads delta at the next power of two above n; the
+    # parent asked for delta(n + 1) and built it for every n
+    clear_memos()
+    values = [tau(n) for n in range(1, 200)]
+    assert cat.delta.cache_info().misses <= 9
+    assert values == [cat.delta(200).coefficient(n) for n in range(1, 200)]
+
+
+def test_f_num_is_kept_once_per_absolute_r():
+    import jacobiforms.representations as reps
+    reps._f_num_even.cache_clear()
+    assert [reps._f_num(3, 5, r) for r in (-3, 3)] == [reps._f_num(3, 5, 3)] * 2
+    assert [reps._f_num(5, 7, r) for r in (-4, 4)] == [reps._f_num(5, 7, 4)] * 2
+    info = reps._f_num_even.cache_info()
+    assert info.misses == 2 and info.hits == 4
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_tau_applicable_routes_refuses_n_below_one(n):
+    # -3 failed inside math.isqrt, 0 listed six routes that tau refuses
+    with pytest.raises(ValueError, match=f"^tau_applicable_routes expects n >= 1, got {n}$"):
+        tau_applicable_routes(n)
 
 
 @pytest.mark.parametrize("kind, a", COUNT_KINDS)
@@ -470,6 +586,7 @@ def test_tau_moment_routes_read_f4_at_call_time(monkeypatch):
 # fail inside (tau(2.0) asked delta for a precision of 3.0)
 COUNTING_NON_INTS = [
     (tau, (2,), (2.0,), "tau"),
+    (tau_applicable_routes, (2,), (2.0,), "tau_applicable_routes"),
     (r16, (3,), (3.0,), "r16"),
     (delta16, (3,), (3.0,), "delta16"),
     (r_a8_formula, (2, 3), (2, 3.0), "r_a8_formula"),
