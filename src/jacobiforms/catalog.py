@@ -4,8 +4,9 @@ the quasi-modular G_2 and the level-2 eps_2, the four weight-0 weak Jacobi
 generators phi_{0,1..4}, all built from the odd theta series, Jacobi-Eisenstein
 series E_{k,m}, and the product wp*theta^2 realized as eta^6 phi_{0,1} / 12.
 
-Each constructor builds by one route; E_{k,m} sums Cohen numbers coefficient
-by coefficient (Eichler-Zagier, Thm 2.1).  The second routes that cross-check
+Each constructor builds by one route; E_{k,m} sums Cohen numbers once per
+class (4nm - r^2, +-r mod 2m) of its coefficients (Eichler-Zagier, Thms 2.1
+and 2.2) and emits its rows directly.  The second routes that cross-check
 them (theta from the triple product, the naive Euler product, Delta as eta^24)
 live in `jacobiforms.checks`, the U_d V_l route to E_{k,m} in the tests; only
 the cheap normalization asserts of jacobi_eis and phi stay here.  Constructors
@@ -151,7 +152,11 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     with P = m^(1-k) prod_{p|m} p^(k-1) / (p^(k-1) + 1), gcd(0, 0, l) = l
     and H = 0 off the integers: E_{k,1} | U_d V_{m/d^2}, term by term.  The
     inner sums add the integers H(k-1, N) S_{k-1} (`numtheory._h_num`), and
-    the rows are built over the one denominator den(P / zeta(3-2k)) S_{k-1}."""
+    the rows are built over the one denominator den(P / zeta(3-2k)) S_{k-1}.
+    A coefficient of a Jacobi form of index m depends only on 4nm - r^2 and
+    r mod 2m (Thm 2.2), and E_{k,m} is even in r, so the sum is evaluated
+    once per class (4nm - r^2, +-r mod 2m) and each row n, symmetric in r,
+    is built from its half r >= 0."""
     require_ints("jacobi_eis", k, m)
     if m < 1:
         raise ValueError(f"jacobi_eis needs m >= 1, got {m}")
@@ -161,22 +166,32 @@ def jacobi_eis(k: int, m: int, prec: int) -> FJExp:
     pref = Fraction(math.prod(Fraction(p ** (k - 1), p ** (k - 1) + 1) for p, _ in factorize(m)),
                     m ** (k - 1)) / zeta_neg(3 - 2 * k)
     squares = [(d, mobius(d), m // (d * d)) for d in divisors(m) if m % (d * d) == 0 and mobius(d)]
-    nums = {}
+    classes = {}  # (4nm - r^2, +-r mod 2m) -> the numerator of c(n, r)
+    rows = []
     for n in range(prec):
+        half = []  # the numerators at r = 0, 1, ..., up to the last nonzero one
         for r in range(math.isqrt(4 * n * m) + 1):
-            disc, acc = 4 * n * m - r * r, 0
-            for d, mu, l in squares:
-                if r % d == 0:
-                    for e in divisors(math.gcd(n, r // d, l)):
-                        h, rest = divmod(disc, d * d * e * e)
-                        if not rest:
-                            acc += mu * e ** (k - 1) * _h_num(k - 1, h)
-            if acc:
-                nums[(n, r)] = nums[(n, -r)] = pref.numerator * acc
+            disc = 4 * n * m - r * r
+            key = (disc, min(r % (2 * m), -r % (2 * m)))
+            num = classes.get(key)
+            if num is None:
+                acc = 0
+                for d, mu, l in squares:
+                    if r % d == 0:
+                        for e in divisors(math.gcd(n, r // d, l)):
+                            h, rest = divmod(disc, d * d * e * e)
+                            if not rest:
+                                acc += mu * e ** (k - 1) * _h_num(k - 1, h)
+                num = classes[key] = pref.numerator * acc
+            half.append(num)
+        while half and not half[-1]:
+            half.pop()
+        if half:
+            rows.append((n, 1 - len(half), (*half[:0:-1], *half)))
     den = pref.denominator * _h_scale(k - 1)
-    if nums.get((0, 0)) != den:
+    if classes[0, 0] != den:
         raise RuntimeError(f"E_{{{k},{m}}} normalization check failed")
-    return FJExp._make(1, 1, prec, *FJExp._gridded(nums, den), (k, m, 0))
+    return FJExp._reduced(1, 1, prec, den, rows, 1, (k, m, 0))
 
 
 @memo_by_prec

@@ -48,9 +48,16 @@ cyclotomic_poly multiplies out the Moebius product.  There is one pull-back,
 FJExp._pullback, shared by FJExp.specialize and FJExp.eval_linear: it
 certifies the output window exactly from the expansion's support cone, and the
 planners prec_for_specialize and prec_for_eval_linear return the least input
-precision whose window reaches a target, decided by that same bound (_TailBound).
-It folds each phase into integer coordinates in the power basis of Q[x]/Phi_K(x),
-x a primitive K-th root of unity, one row per q-index of a CycloSeries, whose
+precision whose window reaches a target, decided by that same bound
+(_TailBound, integers over one denominator, which also refuses a negative
+index or a tau multiplier that is not a positive int, naming the entry
+point); the planners solve the bound for its root and step up from there.
+The pull-back reads the rows: along a row the q-index and the phase step
+evenly, so each phase class of a row is one slice of its numerators, summed
+at one q-index when the zeta-slope is 0 and otherwise added into a dense
+row per phase, and the window is one interval per row.  It folds each phase
+into integer coordinates in the power basis of Q[x]/Phi_K(x), x a
+primitive K-th root of unity, one row per q-index of a CycloSeries, whose
 `to_qseries` is the one exit of both; a CycloElt, one such element, is made
 only when a caller reads `CycloSeries.terms` or a NonRationalResult.
 """
@@ -1302,16 +1309,24 @@ class FJExp(_Series):
 
     # -- evaluation and specialization ---------------------------------------------------
 
-    def _pullback(self, c: int, lam: Fraction, shift: Fraction, mu: Fraction,
+    def _pullback(self, entry: str, c: int, lam: Fraction, shift: Fraction, mu: Fraction,
                   phase0: Fraction) -> CycloSeries:
         """The pull-back along (tau, z) -> (c*tau, lam*tau + mu), times
-        q^shift e^(2 pi i phase0), on its certified window: a term at
-        q^(t/s) zeta^(r/w) lands at q-exponent c*(t/s) + lam*(r/w) + shift
-        with phase e^(2 pi i (mu*(r/w) + phase0)).  The numerators at each
-        q-index and root power are summed, then folded into the integer
-        power-basis coordinates of `_root_power_rows`: a CycloSeries of one
-        integer row per q-index over this series' denominator."""
-        bound = _tail_bound(self.prec_exponent, c, lam, shift, self.index, self.cone_slack)
+        q^shift e^(2 pi i phase0), on its certified window, for the public
+        method `entry`: a term at q^(t/s) zeta^(r/w) lands at q-exponent
+        c*(t/s) + lam*(r/w) + shift with phase e^(2 pi i (mu*(r/w) + phase0)).
+
+        It reads the rows: along a row the q-index steps by step = g*e_r and
+        the phase repeats with period P, so each phase class of a row is one
+        slice nums[j0:hi:P], and the window is one j-interval per row, cut
+        at its high-j end when step > 0 and at its low-j end when step < 0.
+        With step = 0 (every lam = 0) a class adds its sum at one q-index;
+        otherwise it adds its slice into a dense row per phase.  The
+        numerators at each q-index and root power are then folded into the
+        integer power-basis coordinates of `_root_power_rows`: a CycloSeries
+        of one integer row per q-index over this series' denominator, on
+        the grids of the keys that nonzero terms reach."""
+        bound = _tail_bound(self.prec_exponent, c, lam, shift, self.index, self.cone_slack, entry)
         # a term's exponent and phase angle, as integers e and a over the
         # common denominators den_e and den_a
         den_e = math.lcm(self.qscale, self.zscale * lam.denominator, shift.denominator)
@@ -1321,21 +1336,57 @@ class FJExp(_Series):
         den_a = math.lcm(a_r.denominator, phase0.denominator)
         a_r, a_0 = (x.numerator * (den_a // x.denominator) for x in (a_r, phase0))
         top = bound.top(den_e)  # the window: e < top
-        sums: dict = {}
-        for (t, r), v in self._keyed():
-            e = t * e_t + r * e_r + e_0
-            if e < top:
-                key = (e, (r * a_r + a_0) % den_a)
-                sums[key] = sums.get(key, 0) + v
+        g = self._gr
+        step, period = g * e_r, den_a // math.gcd(g * a_r, den_a)
         # den_e // g_e and den_a // g_a: the lcms of the reduced denominators
-        g_e = math.gcd(den_e, top, *[e for e, _ in sums])
-        g_a = math.gcd(den_a, *[a for _, a in sums])
+        g_e, g_a = math.gcd(den_e, top), den_a
+        if not step:  # a row lands at one q-index, increasing with t
+            terms = []  # (e, a, numerator sum), each (e, a) once
+            for t, r, nums in self._rows:
+                e = t * e_t + r * e_r + e_0
+                if e >= top:
+                    break
+                g_e = math.gcd(g_e, e)
+                for j in range(min(period, len(nums))):
+                    part = nums[j::period]
+                    if any(part):
+                        a = ((r + g * j) * a_r + a_0) % den_a
+                        g_a = math.gcd(g_a, a)
+                        terms.append((e, a, sum(part)))
+        else:
+            cuts = []  # (e at j = 0, r, nums, lo, hi): the window j in [lo, hi)
+            for t, r, nums in self._rows:
+                e = t * e_t + r * e_r + e_0
+                lo, hi = (0, min(len(nums), (top - e - 1) // step + 1)) if step > 0 else (
+                    max(0, (e - top) // -step + 1), len(nums))
+                if lo < hi:
+                    cuts.append((e, r, nums, lo, hi))
+            base = min((e + step * (lo if step > 0 else hi - 1) for e, _, _, lo, hi in cuts), default=top)
+            dense: dict = {}  # a -> the numerators at q-indices base, base + 1, ..., top - 1
+            for e, r, nums, lo, hi in cuts:
+                for j in range(lo, min(lo + period, hi)):
+                    part = nums[j:hi:period]
+                    if not any(part):
+                        continue
+                    a = ((r + g * j) * a_r + a_0) % den_a
+                    g_a = math.gcd(g_a, a)
+                    e_j, by = e + step * j, step * period
+                    if by < 0:  # read the class from its lowest q-index up
+                        e_j, by, part = e_j + by * (len(part) - 1), -by, part[::-1]
+                    g_e = math.gcd(g_e, *compress(range(e_j, e_j + by * len(part), by), part))
+                    row = dense.get(a)
+                    if row is None:
+                        row = dense[a] = [0] * (top - base)
+                    at = slice(e_j - base, e_j - base + by * len(part), by)
+                    row[at] = map(add, row[at], part)
+            terms = ((base + i, a, row[i]) for a, row in dense.items()
+                     for i in compress(range(len(row)), row))
         conductor = den_a // g_a
         if conductor > 48:
             raise ValueError(f"phase conductor {conductor} exceeds the supported cap 48")
         basis = _root_power_rows(conductor)
         rows: dict = {}
-        for (e, a), v in sums.items():
+        for e, a, v in terms:
             row, xs = rows.get(e // g_e), basis[a // g_a]
             rows[e // g_e] = [v * x for x in xs] if row is None else [y + v * x for y, x in zip(row, xs)]
         return object.__new__(CycloSeries)._fill(conductor, den_e // g_e, top // g_e, self._den, tuple(
@@ -1345,7 +1396,8 @@ class FJExp(_Series):
         """The one-variable series of (tau, z) -> (c*tau, d*tau): each term
         c q^(t/s) zeta^(r/w) contributes at q-exponent c*(t/s) + d*(r/w)."""
         zero = Fraction(0)
-        return self._pullback(tau_mult, _fraction("z_mult", z_mult), zero, zero, zero).to_qseries()
+        return self._pullback("eval_linear", tau_mult, _fraction("z_mult", z_mult), zero, zero,
+                              zero).to_qseries()
 
     def specialize(self, lam: RatLike, mu: RatLike, cyclotomic: bool = False):
         """Pull back along z = lam*tau + mu, including the index-m automorphy
@@ -1362,7 +1414,7 @@ class FJExp(_Series):
             raise ValueError("an index is required to specialize (none in metadata)")
         m = Fraction(self.index)
         lam, mu = _fraction("lam", lam), _fraction("mu", mu)
-        result = self._pullback(1, lam, m * lam * lam, mu, mu * m * lam)
+        result = self._pullback("specialize", 1, lam, m * lam * lam, mu, mu * m * lam)
         return result if cyclotomic else result.to_qseries()
 
     # -- comparison ----------------------------------------------------------------------
@@ -1436,51 +1488,77 @@ def _by_row(x: FJExp, den: int) -> dict:
 # precision planning helpers and the precision memo of the form constructors
 # ---------------------------------------------------------------------------
 
-class _TailBound(namedtuple("_TailBound", "base root2")):
-    """B = base - sqrt(root2), base and root2 >= 0 rational, so decided exactly:
-    the least q-exponent at which a pull-back puts an unknown term."""
+class _TailBound(namedtuple("_TailBound", "num rad den")):
+    """B = (num - sqrt(rad)) / den in integers, rad >= 0 and den > 0, so
+    decided exactly: the least q-exponent at which a pull-back puts an
+    unknown term."""
 
     __slots__ = ()
 
     def admits(self, e: RatLike) -> bool:
-        """Whether e <= B, so that a window below q^e is certified."""
-        k = self.base - e
-        return k >= 0 and k * k >= self.root2
+        """Whether e <= B, so that a window below q^e is certified: for
+        e = p/q, k = num*q - p*den is at least sqrt(rad)*q."""
+        p, q = e.numerator, e.denominator
+        k = self.num * q - p * self.den
+        return k >= 0 and k * k >= self.rad * q * q
 
     def top(self, den: int) -> int:
-        """The largest T with T/den <= B: floor(B*den) is t or t - 1 below,
-        because isqrt(floor(root2*den^2)) is floor(sqrt(root2)*den)."""
-        t = math.floor(self.base * den) - math.isqrt(math.floor(self.root2 * den * den))
-        return t if self.admits(Fraction(t, den)) else t - 1
+        """The largest T with T/den <= B: T*self.den is at most num*den
+        less the ceiling of sqrt(rad*den^2), both sides being integers."""
+        y = self.rad * den * den
+        root = math.isqrt(y)
+        return (self.num * den - root - (root * root < y)) // self.den
 
 
-def _tail_bound(x0, c, d, shift, m, b) -> _TailBound:
+def _tail_bound(x0, c, d, shift, m, b, entry: str = "the pull-back") -> _TailBound:
     """The least value of c*x + d*rho + shift (c > 0) over the unknown region
     x >= x0 of an expansion with support cone |rho| <= 2*sqrt(m*x) + b (rho
-    the zeta-exponent).  Over rho it is c*x - |d|*(2*sqrt(m*x) + b) + shift,
-    which is least at x* = m*(d/c)^2."""
-    if not isinstance(c, int) or c <= 0:
-        raise ValueError("tau multiplier must be a positive integer")
-    ad = abs(Fraction(d))
-    if not ad:
-        return _TailBound(c * x0 + shift, 0)
+    the zeta-exponent), for rationals x0, d, shift and, unless d = 0, m >= 0
+    and b.  Over rho it is c*x - |d|*(2*sqrt(m*x) + b) + shift, which is
+    least at x* = m*(d/c)^2.  It is solved over the product of the
+    denominators; a bad argument raises ValueError naming `entry`."""
+    if type(c) is not int or c <= 0:
+        raise ValueError(f"{entry}: tau multiplier must be a positive int, got {c!r}")
+    xn, xd, sn, sd = x0.numerator, x0.denominator, shift.numerator, shift.denominator
+    if not d:
+        return _TailBound(c * xn * sd + sn * xd, 0, xd * sd)
     if m is None or b is None:
-        raise ValueError("cannot certify output precision: the expansion carries no "
-                         "support-cone metadata (index and cone_slack)")
-    if m and c * c * x0 <= ad * ad * m:  # x0 <= x*
-        return _TailBound(shift - ad * ad * m / c - ad * b, 0)
-    return _TailBound(c * x0 - ad * b + shift, 4 * ad * ad * m * x0)
+        raise ValueError(f"{entry}: cannot certify output precision: the expansion carries no "
+                         f"support-cone metadata (index and cone_slack)")
+    if m < 0:
+        raise ValueError(f"{entry}: the support cone needs an index >= 0, got {m}")
+    dn, dd, mn, md, bn, bd = abs(d.numerator), d.denominator, m.numerator, m.denominator, \
+        b.numerator, b.denominator
+    if mn and c * c * xn * dd * dd * md <= dn * dn * mn * xd:  # x0 <= x*
+        # shift - d^2*m/c - |d|*b
+        return _TailBound((sn * dd * dd * md * c - dn * dn * mn * sd) * bd - dn * bn * sd * dd * md * c,
+                          0, sd * dd * dd * md * c * bd)
+    # c*x0 - |d|*b + shift - sqrt(4*d^2*m*x0)
+    return _TailBound(c * xn * dd * bd * sd * md - dn * bn * xd * sd * md + sn * xd * dd * bd * md,
+                      4 * dn * dn * mn * xn * xd * md * (bd * sd) ** 2, xd * dd * bd * sd * md)
 
 
-def _least_prec(target: RatLike, c, d, shift, m, b) -> int:
+def _least_prec(target: RatLike, c, d, shift, m, b, entry: str) -> int:
     """The least whole-q precision P >= 1 at which _tail_bound(P, c, d, shift,
-    m, b) admits `target`.  Every branch of that bound is at most
-    c*P + shift - |d|*b, so the search starts at the least P that reaches
-    the target; the bound at P = 1 checks the arguments first."""
-    if _tail_bound(1, c, d, shift, m, b).admits(target):
+    m, b) admits `target`; the bound at P = 1 checks the arguments first.
+    The bound is nondecreasing in P, flat up to x* and then c*P - A -
+    2|d|*sqrt(m*P) with A = target + |d|*b - shift, so when P = 1 falls
+    short the answer is the larger root P+ = (u + sqrt(v)) / c^2 of
+    (c*P - A)^2 = 4*d^2*m*P, u = c*A + 2*d^2*m and v = 4*d^2*m*(c*A + d^2*m),
+    rounded up: the search starts at P+ taken from below with isqrt, over
+    the one denominator `den` of c*A and d^2*m, and steps up with `admits`."""
+    if _tail_bound(1, c, d, shift, m, b, entry).admits(target):
         return 1
-    p = max(2, -((shift - target - abs(d) * b) // c))
-    while not _tail_bound(p, c, d, shift, m, b).admits(target):
+    tn, td, sn, sd = target.numerator, target.denominator, shift.numerator, shift.denominator
+    dn, dd, mn, md, bn, bd = abs(d.numerator), d.denominator, m.numerator, m.denominator, \
+        b.numerator, b.denominator
+    ad = td * dd * bd * sd
+    an = tn * dd * bd * sd + dn * bn * td * sd - sn * td * dd * bd  # A = an / ad
+    q = dn * dn * mn * ad  # d^2*m over ad*dd^2*md
+    ca = c * an * dd * dd * md  # c*A over the same
+    den = ad * dd * dd * md
+    p = max(2, (ca + 2 * q + math.isqrt(max(0, 4 * q * (ca + q)))) // (den * c * c))
+    while not _tail_bound(p, c, d, shift, m, b, entry).admits(target):
         p += 1
     return p
 
@@ -1493,7 +1571,7 @@ def prec_for_specialize(target: RatLike, index: RatLike, lam: RatLike, slack: Ra
     and P - 1 does not."""
     lam, m = _fraction("lam", lam), _fraction("index", index)
     return _least_prec(_fraction("target", target), 1, lam, m * lam * lam, m,
-                       _fraction("slack", slack))
+                       _fraction("slack", slack), "prec_for_specialize")
 
 
 def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
@@ -1502,7 +1580,8 @@ def prec_for_eval_linear(target: RatLike, index: RatLike, tau_mult: int,
     `eval_linear(tau_mult, z_mult)` certifies its window up to `target`,
     decided by the certifier's own bound as in `prec_for_specialize`."""
     return _least_prec(_fraction("target", target), tau_mult, _fraction("z_mult", z_mult), 0,
-                       _fraction("index", index), _fraction("slack", slack))
+                       _fraction("index", index), _fraction("slack", slack),
+                       "prec_for_eval_linear")
 
 
 def require_prec(form: str, prec: int) -> None:

@@ -264,15 +264,17 @@ def eis_by_operators(k, m, prec):
 
 
 def test_jacobi_eis_against_operator_route(clear_memos):
-    # m = 4, 8, 9, 12 are the indices with a square divisor d > 1
+    # m = 4, 8, 9, 12 are the indices with a square divisor d > 1, and
+    # 16, 18, 25 those with d = 4, 3, 5: the build evaluates one value per
+    # class (4nm - r^2, +-r mod 2m), the operator route every (n, r)
     clear_memos()
+    cases = [(m, p) for m in range(1, 13) for p in (1, 3, 8)] + [(m, p) for m in (16, 18, 25) for p in (1, 4)]
     for k in (4, 6, 8, 10, 12):
-        for m in range(1, 13):
-            for p in (1, 3, 8):
-                new, old = cat.jacobi_eis(k, m, p), eis_by_operators(k, m, p)
-                assert dict(new.terms) == dict(old.terms), (k, m, p)
-                assert _fingerprint(new) == _fingerprint(old), (k, m, p)
-                assert (new.qscale, new.zscale, new.prec) == (old.qscale, old.zscale, old.prec)
+        for m, p in cases:
+            new, old = cat.jacobi_eis(k, m, p), eis_by_operators(k, m, p)
+            assert dict(new.terms) == dict(old.terms), (k, m, p)
+            assert _fingerprint(new) == _fingerprint(old), (k, m, p)
+            assert (new.qscale, new.zscale, new.prec) == (old.qscale, old.zscale, old.prec)
         assert _fingerprint(cat.jacobi_eis_m1(k, 8)) == _fingerprint(eis_by_operators(k, 1, 8))
 
 

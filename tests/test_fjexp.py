@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,12 +222,29 @@ def test_prec_planning_helpers():
     assert [prec_for_specialize(12, m, HALF, 0) for m in (1, 2, 4)] == [16, 18, 20]
     assert [prec_for_eval_linear(12, m, c, d, 0) for m, c, d in ((4, 3, 2), (1, 3, 1), (4, 2, 1))] == [14, 6, 14]
     # the bound grows with P only for a positive tau multiplier, and the
-    # exponents stay on one integer grid only for an integral one
-    for tau_mult in (0, -1, Fraction(3, 2)):
-        with pytest.raises(ValueError, match="tau multiplier"):
+    # exponents stay on one integer grid only for an integral one; a bool
+    # is refused as 2.0 is, where True was taken as the int 1
+    for tau_mult in (0, -1, Fraction(3, 2), 2.0, True):
+        with pytest.raises(ValueError, match=f"^prec_for_eval_linear: tau multiplier must be a positive int, "
+                                             f"got {re.escape(repr(tau_mult))}$"):
             prec_for_eval_linear(4, 1, tau_mult, 1, 0)
-        with pytest.raises(ValueError, match="tau multiplier"):
+        with pytest.raises(ValueError, match=f"^eval_linear: tau multiplier must be a positive int, got "
+                                             f"{re.escape(repr(tau_mult))}$"):
             cat.theta(4).eval_linear(tau_mult, 1)
+    assert prec_for_eval_linear(12, 4, 1, 1, 0) == 36
+
+
+def test_the_tail_bound_refuses_a_negative_index_naming_the_entry_point():
+    # a negative index made _TailBound.top fail with a bare "isqrt() argument
+    # must be nonnegative", and the planner answered a precision for it
+    with pytest.raises(ValueError, match="^specialize: the support cone needs an index >= 0, got -4$"):
+        (cat.theta(8) ** 8).with_meta(index=-4).specialize(HALF, 0)
+    with pytest.raises(ValueError, match="^prec_for_specialize: the support cone needs an index >= 0"):
+        prec_for_specialize(12, -1, HALF, 0)
+    with pytest.raises(ValueError, match="^prec_for_eval_linear: the support cone needs an index >= 0"):
+        prec_for_eval_linear(12, -1, 3, 2, 0)
+    # lam = 0 reads no cone, so the index does not enter the bound
+    assert prec_for_specialize(12, -1, 0, 0) == 12
 
 
 # a float pull-back parameter would be read by Fraction as its binary
@@ -295,6 +313,36 @@ def test_cyclo_scalar_products_by_ints_and_fractions():
     assert (elt * 3).coords == (0, 3, Fraction(3, 2), 0)
     assert (HALF * elt).coords == (0, HALF, Fraction(1, 4), 0)
     assert (elt * Fraction(4, 2)).coords == (0, 2, 1, 0) and type((elt * Fraction(4, 2)).coords[1]) is int
+
+
+def rational_tail_bound(x0, c, d, shift, m, b):
+    """The tail bound B = base - sqrt(root2) as (base, root2) in Fractions,
+    branch by branch: the oracle for the bound held in integers."""
+    ad = abs(d)
+    if not ad:
+        return c * x0 + shift, 0
+    if m and c * c * x0 <= ad * ad * m:  # x0 <= x* = m*(d/c)^2: the flat part
+        return shift - ad * ad * m / c - ad * b, 0
+    return c * x0 - ad * b + shift, 4 * ad * ad * m * x0
+
+
+def test_the_integer_tail_bound_equals_its_rational_form():
+    grid = itertools.product((0, 1, 5, Fraction(7, 3), Fraction(-1, 2)), (1, 2, 3),
+                             (0, HALF, Fraction(-1, 3), 2, Fraction(3, 4)), (0, Fraction(1, 4), Fraction(-2, 3)),
+                             (0, HALF, 1, 4, Fraction(9, 4)), (0, 1, Fraction(3, 2)))
+    for x0, c, d, shift, m, b in grid:
+        args = (x0, c, Fraction(d), Fraction(shift), Fraction(m), Fraction(b))
+        bound, (base, root2) = series._tail_bound(*args), rational_tail_bound(*args)
+        assert (Fraction(bound.num, bound.den), Fraction(bound.rad, bound.den ** 2)) == (base, root2), args
+
+        def admits(e):
+            return base - e >= 0 and (base - e) ** 2 >= root2
+
+        for den in (1, 8, 12):
+            top = bound.top(den)
+            assert admits(Fraction(top, den)) and not admits(Fraction(top + 1, den)), (args, den)
+            for e in (Fraction(top, den), Fraction(top + 1, den), Fraction(2 * top + 1, 2 * den)):
+                assert bound.admits(e) == admits(e), (args, e)
 
 
 def search_from_one(target, *bound):
@@ -777,29 +825,39 @@ def test_certified_windows_only_grow(target, extra):
 
 
 # the forms and the torsion points z = lam*tau + mu of the pull-back
-# cross-check: every lam, mu in TORSION is inside the conductor cap
+# cross-check: every lam, mu in TORSION is inside the conductor cap; the
+# slopes lam (and z-multipliers d) add two negative ones, whose rows the
+# window cuts at their low-j end, and theta(3z) theta^7 (index 8, a factor
+# on zeta-stride 3) has rows no catalog form has
 PULLBACK_FORMS = {
     "theta": cat.theta,
     "theta8": lambda p: cat.theta(p) ** 8,
+    "theta(3z)theta7": lambda p: cat.theta(p).ud(3) * cat.theta(p) ** 7,
     **{f"phi{j}": (lambda p, j=j: cat.phi(j, p)) for j in (1, 2, 3, 4)},
     "wp_theta2": cat.wp_theta2,
     **{f"E{k},{m}": (lambda p, k=k, m=m: cat.jacobi_eis(k, m, p)) for k, m in ((4, 1), (4, 4), (6, 3), (8, 2))},
 }
 TORSION = (Fraction(0), Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4))
+SLOPES = TORSION + (-HALF, Fraction(-1, 4))
 
 
 def reference_pullback(f, c, d, mu, shift, phase0, scale, prec):
     """The pull-back along (tau, z) -> (c*tau, d*tau + mu), times
     q^shift e^(2 pi i phase0), summed term by term from `terms` as
     coeff * CycloElt.from_root_power below q^(prec/scale): (conductor,
-    {q-index: nonzero CycloElt})."""
+    {q-index: nonzero CycloElt}).  The q-scale a pull-back must have is the
+    lcm of the denominators of its window and of the exponents its terms
+    reach, so it checks that `scale` is that lcm."""
     hits = []
+    dens = [Fraction(prec, scale).denominator]
     for (t, r), v in f.terms.items():
         z = Fraction(r, f.zscale)
-        e = (c * Fraction(t, f.qscale) + d * z + shift) * scale
-        if e < prec:
-            assert e.denominator == 1
-            hits.append((int(e), (mu * z + phase0) % 1, v))
+        x = c * Fraction(t, f.qscale) + d * z + shift
+        if x * scale < prec:
+            assert (x * scale).denominator == 1
+            dens.append(x.denominator)
+            hits.append((int(x * scale), (mu * z + phase0) % 1, v))
+    assert scale == math.lcm(*dens), (scale, math.lcm(*dens))
     k = math.lcm(*[a.denominator for _, a, _ in hits])
     out = {}
     for e, a, v in hits:
@@ -815,25 +873,55 @@ def rational_series(scale, prec, elts):
 @pytest.mark.parametrize("name", sorted(PULLBACK_FORMS))
 def test_pullbacks_against_the_term_by_term_reference(name):
     # specialize (both results) and eval_linear share one integer pull-back
-    # and one exit; each must equal the sum of CycloElt phases per term
-    f = PULLBACK_FORMS[name](8)
-    m = f.index
-    for lam, mu in itertools.product(TORSION, repeat=2):
-        cs = f.specialize(lam, mu, cyclotomic=True)
-        k, ref = reference_pullback(f, 1, lam, mu, m * lam * lam, mu * m * lam, cs.qscale, cs.prec)
-        assert cs.conductor == k and cs.terms == ref, (lam, mu)
-        lowest = next((e for e in sorted(ref) if not ref[e].is_rational()), None)
-        if lowest is None:
-            assert f.specialize(lam, mu) == rational_series(cs.qscale, cs.prec, ref), (lam, mu)
-        else:
-            with pytest.raises(NonRationalResult) as err:
-                f.specialize(lam, mu)
-            assert err.value.exponent == Fraction(lowest, cs.qscale), (lam, mu)
-            assert err.value.value == ref[lowest], (lam, mu)
-    for c, d in itertools.product((1, 2, 3), TORSION):
-        out = f.eval_linear(c, d)
-        _, ref = reference_pullback(f, c, d, 0, 0, 0, out.qscale, out.prec)
-        assert out == rational_series(out.qscale, out.prec, ref), (c, d)
+    # and one exit; each must equal the sum of CycloElt phases per term.
+    # At precision 16 the window cuts rows in the middle.
+    for prec in (8, 16):
+        f = PULLBACK_FORMS[name](prec)
+        m = f.index
+        for lam, mu in itertools.product(SLOPES, TORSION):
+            cs = f.specialize(lam, mu, cyclotomic=True)
+            k, ref = reference_pullback(f, 1, lam, mu, m * lam * lam, mu * m * lam, cs.qscale, cs.prec)
+            assert cs.conductor == k and cs.terms == ref, (prec, lam, mu)
+            lowest = next((e for e in sorted(ref) if not ref[e].is_rational()), None)
+            if lowest is None:
+                assert f.specialize(lam, mu) == rational_series(cs.qscale, cs.prec, ref), (prec, lam, mu)
+            else:
+                with pytest.raises(NonRationalResult) as err:
+                    f.specialize(lam, mu)
+                assert err.value.exponent == Fraction(lowest, cs.qscale), (prec, lam, mu)
+                assert err.value.value == ref[lowest], (prec, lam, mu)
+        for c, d in itertools.product((1, 2, 3), SLOPES):
+            out = f.eval_linear(c, d)
+            _, ref = reference_pullback(f, c, d, 0, 0, 0, out.qscale, out.prec)
+            assert out == rational_series(out.qscale, out.prec, ref), (prec, c, d)
+
+
+def sparse_in_cone(rng, prec):
+    """Two to four random terms of index 1 and cone slack 0 on the zeta-grid
+    1/4: sparse rows, so that where a window cuts a row decides which keys
+    the pull-back reaches, and so its q-scale and conductor."""
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        t = rng.randrange(prec)
+        rmax = math.isqrt(64 * t)  # |r/4| <= 2*sqrt(t)
+        terms[(t, rng.randint(-rmax, rmax))] = rng.choice((1, -1, 2))
+    return FJExp(1, 4, prec, terms, index=1, cone_slack=0)
+
+
+def test_pullbacks_of_sparse_series_against_the_term_by_term_reference():
+    # a term the window drops must reach no key: a cut one term too late at
+    # either end of a row, or none at all, changes the grids of the result
+    rng = random.Random(32)
+    for _ in range(150):
+        f = sparse_in_cone(rng, 9)
+        for lam, mu in itertools.product((-HALF, Fraction(-1, 4), HALF), (0, Fraction(1, 3))):
+            cs = f.specialize(lam, mu, cyclotomic=True)
+            k, ref = reference_pullback(f, 1, lam, mu, lam * lam, mu * lam, cs.qscale, cs.prec)
+            assert cs.conductor == k and cs.terms == ref, (f.terms, lam, mu)
+        for c, d in ((1, -HALF), (2, -HALF), (3, Fraction(-1, 4)), (2, HALF)):
+            out = f.eval_linear(c, d)
+            _, ref = reference_pullback(f, c, d, 0, 0, 0, out.qscale, out.prec)
+            assert out == rational_series(out.qscale, out.prec, ref), (f.terms, c, d)
 
 
 def test_specialize_refuses_conductors_above_the_cap():
