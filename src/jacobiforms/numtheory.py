@@ -14,8 +14,11 @@ in f.  L(1-r, chi_D) = -B_{r,chi_D}/r, and since chi_D(-1) = sign D and
 B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
 half range 1 <= a < |D|/2, in integers over one Bernoulli denominator, and
 reads chi_D there as two lists, the a with chi_D(a) = 1 and those with
-chi_D(a) = -1, cut out of the half range by byte masks (:func:`_chi_signs`);
-:func:`cohen_h` divides -B_{r,chi_D} times the Euler product by r once.
+chi_D(a) = -1, cut out of the half range by byte masks (:func:`_chi_signs`).
+The masks are kept per D in a bounded cache (:func:`_chi_masks`, 256
+entries of about |D| bytes each), so the weights r asked for one D build
+chi_D once; :func:`cohen_h` divides -B_{r,chi_D} times the Euler product
+by r once.
 H(r, N) is an integer over S_r = den zeta(1-2r) = den H(r, 0) (12, 120,
 252, 240, 132, ... for r = 1, 2, 3, 4, 5; tested for N <= 5000 at r <= 13),
 and the package's Cohen-number sums add the integers H(r, N) * S_r from
@@ -128,8 +131,18 @@ def factorize(n: int) -> tuple:
     return tuple(out)
 
 
+def _require_positive(fn: str, n: int) -> None:
+    """The precondition of an entry point that factorizes its n >= 1,
+    naming that entry point rather than :func:`factorize`."""
+    if type(n) is not int:  # inline: jacobi_eis calls divisors once per term
+        require_ints(fn, n)
+    if n < 1:
+        raise ValueError(f"{fn} expects n >= 1, got {n}")
+
+
 def divisors(n: int) -> list:
     """Sorted list of the positive divisors of n >= 1."""
+    _require_positive("divisors", n)
     divs = [1]
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -165,6 +178,7 @@ def sigma_rational(k: int, x: Rat) -> int:
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on squareful n, else (-1)^(number of prime factors)."""
+    _require_positive("mobius", n)
     fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
@@ -264,11 +278,14 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d == 1:
         return True
     if d % 4 == 1:
-        return mobius(abs(d)) != 0
-    if d % 4 == 0:
+        m = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
         m = d // 4
-        return m % 4 in (2, 3) and mobius(abs(m)) != 0
-    return False
+    else:
+        return False
+    if type(d) is not int:  # only where m is factorized
+        require_ints("is_fundamental_discriminant", d)
+    return all(e == 1 for _, e in factorize(abs(m)))  # m squarefree
 
 
 # chi_D of the 2-part D2 in {1, -4, 8, -8} of a fundamental D, on a mod |D2|,
@@ -278,15 +295,17 @@ _TWO_PART_MASKS = {1: (b"\0", b"\0"), -4: (b"\1\0\1\0", b"\0\0\0\1"),
                    -8: (b"\1\0" * 4, b"\0\0\0\0\0\1\0\1")}
 
 
-def _chi_signs(d: int, count: int) -> tuple:
-    """(plus, minus): the a in 1..count with chi_D(a) = 1 and with chi_D(a)
-    = -1, D fundamental.  chi_D is the product of the characters of the
-    prime discriminants p* = +-p = 1 mod 4 (a Legendre symbol mod each odd
-    p | D) and of the 2-part D / prod p*, each a zero mask and a sign mask
-    of bytes over one period; repeated over 1..count and read as integers,
-    the zero masks combine by OR and the sign masks by XOR, with no Python
-    step per a.  The primes come from the factorization that
-    :func:`is_fundamental_discriminant` has already cached."""
+@lru_cache(maxsize=256)  # bounded: an entry holds |D| bytes, and large windows ask many D once
+def _chi_masks(d: int, count: int) -> tuple:
+    """(plus, minus) as byte masks over a = 1..count: byte a - 1 is 1 where
+    chi_D(a) = 1, resp. chi_D(a) = -1, D fundamental.  chi_D is the product
+    of the characters of the prime discriminants p* = +-p = 1 mod 4 (a
+    Legendre symbol mod each odd p | D) and of the 2-part D / prod p*, each
+    a zero mask and a sign mask of bytes over one period; repeated over
+    1..count and read as integers, the zero masks combine by OR and the sign
+    masks by XOR, with no Python step per a.  The primes come from the
+    factorization that :func:`is_fundamental_discriminant` has already
+    cached.  One entry per D serves every weight r that asks for it."""
     m = abs(d)
     two, masks = d, []
     for p, _ in factorize(m if d % 2 else m // 4):
@@ -305,9 +324,16 @@ def _chi_signs(d: int, count: int) -> tuple:
         zero |= int.from_bytes((z * reps)[1:count + 1], "big")
         neg ^= int.from_bytes((s * reps)[1:count + 1], "big")
     live = int.from_bytes(b"\1" * count, "big") ^ zero  # chi_D(a) != 0
+    return (live & ~neg).to_bytes(count, "big"), (live & neg).to_bytes(count, "big")
+
+
+def _chi_signs(d: int, count: int) -> tuple:
+    """(plus, minus): the a in 1..count with chi_D(a) = 1 and with chi_D(a)
+    = -1, D fundamental, as lists compressed from the cached byte masks of
+    :func:`_chi_masks`."""
     a = range(1, count + 1)
-    return (list(compress(a, (live & ~neg).to_bytes(count, "big"))),
-            list(compress(a, (live & neg).to_bytes(count, "big"))))
+    plus, minus = _chi_masks(d, count)
+    return list(compress(a, plus)), list(compress(a, minus))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
@@ -328,12 +354,15 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     S'_j is the power sum over the a with chi_D(a) = 1 minus the one over
     the a with chi_D(a) = -1, two lists that :func:`_chi_signs` cuts out of
     the half range by byte masks of D's prime-discriminant characters (no
-    Kronecker symbol is evaluated), and S'_j is needed only where B_k != 0
-    (k = 0, 1 and even k), so the lists of a^j step from one such j to the
-    next by a^2, or by a to and from j = r - 1.  The full-range defining
+    Kronecker symbol is evaluated).  The masks are cached per D by
+    :func:`_chi_masks`, so every weight r asked for one D shares one chi_D;
+    the power ladder below stays per (r, D).  S'_j is needed only where
+    B_k != 0 (k = 0, 1 and even k), so the lists of a^j step from one such
+    j to the next by a^2, or by a to and from j = r - 1.  The full-range defining
     sum over :func:`bernoulli_poly` and :func:`kronecker` is the test oracle.
     """
-    require_ints("gen_bernoulli", r, d)
+    if type(r) is not int or type(d) is not int:  # inline: runs once per miss
+        require_ints("gen_bernoulli", r, d)
     if r < 1:
         raise ValueError(f"gen_bernoulli expects r >= 1, got {r}")
     if not is_fundamental_discriminant(d):
@@ -379,21 +408,25 @@ class DiscDecomp:
     f: int
 
 
-def fund_disc_decomp(delta: int) -> DiscDecomp:
-    """Split delta = 0,1 mod 4 (delta != 0) as D*f^2, D fundamental or 1."""
-    if delta == 0 or delta % 4 in (2, 3):
-        raise ValueError(f"{delta} is not a discriminant (need 0,1 mod 4, nonzero)")
-    sign = 1 if delta > 0 else -1
-    core = sign  # squarefree kernel, with sign
-    f = 1
+def _disc_split(delta: int) -> tuple:
+    """(D, f) with delta = D*f^2, D fundamental or 1, for an int delta = 0,1
+    mod 4, delta != 0: the one splitting :func:`fund_disc_decomp` and
+    :func:`cohen_h` share."""
+    core, f = (1 if delta > 0 else -1), 1  # squarefree kernel, with sign
     for p, e in factorize(abs(delta)):
         f *= p ** (e // 2)
         if e % 2:
             core *= p
-    if core % 4 == 1:
-        return DiscDecomp(core, f)
     # kernel = 2,3 mod 4: the fundamental discriminant is 4*kernel
-    return DiscDecomp(4 * core, f // 2)
+    return (core, f) if core % 4 == 1 else (4 * core, f // 2)
+
+
+def fund_disc_decomp(delta: int) -> DiscDecomp:
+    """Split delta = 0,1 mod 4 (delta != 0) as D*f^2, D fundamental or 1."""
+    if delta == 0 or delta % 4 in (2, 3):
+        raise ValueError(f"{delta} is not a discriminant (need 0,1 mod 4, nonzero)")
+    require_ints("fund_disc_decomp", delta)
+    return DiscDecomp(*_disc_split(delta))
 
 
 def cohen_h(r: int, n: Rat) -> Rat:
@@ -405,13 +438,16 @@ def cohen_h(r: int, n: Rat) -> Rat:
     Negative N raises.
     This is the uncached definition: the package's sums read H through
     :func:`_h_num`, which caches each value once, as an integer, and calls
-    this function by its module-global name on a miss.
+    this function by its module-global name on a miss.  That miss path
+    passes an int N, so it skips :func:`as_rational`, splits (-1)^r N =
+    D*f^2 without a :class:`DiscDecomp` and factorizes f only when f > 1.
     """
     if type(r) is not int:  # inline: called once per cold H value
         require_ints("cohen_h", r)
     if r < 1:
         raise ValueError(f"cohen_h expects r >= 1, got {r}")
-    n = as_rational(n)
+    if not isinstance(n, int):
+        n = as_rational(n)
     if n < 0:
         raise ValueError(f"cohen_h expects N >= 0, got {n}")
     if not isinstance(n, int):
@@ -421,13 +457,14 @@ def cohen_h(r: int, n: Rat) -> Rat:
     dn = n if r % 2 == 0 else -n
     if dn % 4 in (2, 3):
         return 0
-    dec = fund_disc_decomp(dn)
+    d, f = _disc_split(dn)
     acc = 1
-    for p, e in factorize(dec.f):
-        k = p ** (2 * r - 1)
-        below = (k**e - 1) // (k - 1)  # sigma_{2r-1}(p^(e-1)); sigma(p^e) = k * below + 1
-        acc *= k * below + 1 - kronecker(dec.d, p) * p ** (r - 1) * below
-    b = gen_bernoulli(r, dec.d)  # H = L(1-r, chi_D) * acc = -B_{r,chi_D} * acc / r
+    if f > 1:
+        for p, e in factorize(f):
+            k = p ** (2 * r - 1)
+            below = (k**e - 1) // (k - 1)  # sigma_{2r-1}(p^(e-1)); sigma(p^e) = k * below + 1
+            acc *= k * below + 1 - kronecker(d, p) * p ** (r - 1) * below
+    b = gen_bernoulli(r, d)  # H = L(1-r, chi_D) * acc = -B_{r,chi_D} * acc / r
     return _rational(-b.numerator * acc, b.denominator * r)
 
 
@@ -440,11 +477,14 @@ def _h_scale(r: int) -> int:
 @lru_cache(maxsize=None)  # untyped: every caller passes ints, r >= 1 and N >= 0
 def _h_num(r: int, n: int) -> int:
     """H(r, N) * S_r, the integer numerator of H(r, N) over :func:`_h_scale`;
-    the one cache of Cohen numbers.  A miss calls `cohen_h`, and a value
-    that is not an integer over S_r raises ArithmeticError naming (r, N):
-    no sum built on this cache ever rounds."""
+    the one cache of Cohen numbers.  A miss calls `cohen_h`: an int H gives
+    H * S_r at once, and any other value is divided exactly, so a value that
+    is not an integer over S_r raises ArithmeticError naming (r, N): no sum
+    built on this cache ever rounds."""
     h = cohen_h(r, n)
     s = _h_scale(r)
+    if type(h) is int:
+        return h * s
     num, rem = divmod(h.numerator * s, h.denominator)
     if rem:
         raise ArithmeticError(f"H({r}, {n}) = {h} is not an integer over den zeta({1 - 2 * r}) = {s}")

@@ -76,7 +76,8 @@ from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
-from jacobiforms.numtheory import Rat, _rational, as_rational, divisors, mobius, parse_rational, rational_str
+from jacobiforms.numtheory import (Rat, _rational, _require_positive, as_rational, divisors, mobius, parse_rational,
+                                   rational_str)
 
 RatLike = Union[int, Fraction]
 
@@ -820,7 +821,8 @@ class QSeries(_Series):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        return cls(data["qscale"], data["prec"], {t: parse_rational(c) for t, c in data["terms"]})
+        qscale, prec, terms = _json_fields(cls, data, ("qscale", "prec", "terms"))
+        return cls(qscale, prec, {t: parse_rational(c) for t, c in terms})
 
     # -- display --------------------------------------------------------------------
 
@@ -835,6 +837,15 @@ class QSeries(_Series):
 
     def __repr__(self) -> str:
         return f"QSeries(qscale={self.qscale}, prec={self.prec}, {len(self.terms)} terms)"
+
+
+def _json_fields(cls, data: dict, keys: tuple) -> list:
+    """The values of `keys` in a `to_json_dict` record; a missing key raises
+    ValueError naming `from_json_dict` and the key."""
+    try:
+        return [data[k] for k in keys]
+    except KeyError as e:
+        raise ValueError(f"{cls.__name__}.from_json_dict: missing key {e.args[0]!r}") from None
 
 
 def _exp_str(e: Fraction) -> str:
@@ -867,6 +878,7 @@ def cyclotomic_poly(n: int) -> tuple:
     multiplied out as a power series through its degree phi(n)."""
     if n == 1:
         return (-1, 1)
+    _require_positive("cyclotomic_poly", n)
     factors = [(d, mu) for d in divisors(n) if (mu := mobius(n // d))]
     size = sum(mu * d for d, mu in factors) + 1  # phi(n) + 1
     out = [1] + [0] * (size - 1)
@@ -1125,6 +1137,8 @@ class FJExp(_Series):
 
     @classmethod
     def from_qseries(cls, qs: QSeries) -> "FJExp":
+        if not isinstance(qs, QSeries):
+            raise TypeError(f"FJExp.from_qseries needs a QSeries, got {qs!r}")
         lo = qs.lowest_exponent()
         slack = 0 if (lo is None or lo >= 0) else None
         rows = tuple((t, 0, (c,)) for t, c in qs._keyed())
@@ -1433,8 +1447,8 @@ class FJExp(_Series):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FJExp":
-        return cls(data["qscale"], data["zscale"], data["prec"],
-                   {(t, r): parse_rational(c) for t, r, c in data["terms"]})
+        qscale, zscale, prec, terms = _json_fields(cls, data, ("qscale", "zscale", "prec", "terms"))
+        return cls(qscale, zscale, prec, {(t, r): parse_rational(c) for t, r, c in terms})
 
     # -- display ---------------------------------------------------------------------------------
 

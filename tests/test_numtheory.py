@@ -29,6 +29,7 @@ from jacobiforms.numtheory import (
     sigma_rational,
     zeta_neg,
 )
+from jacobiforms.series import cyclotomic_poly
 
 
 # -- Kronecker symbol ---------------------------------------------------------
@@ -248,6 +249,51 @@ def test_gen_bernoulli_beyond_ten_thousand_against_defining_sum():
         for r in (3, 7, 11):
             got = gen_bernoulli(r, d)
             assert got and got == defining_sum(r, d), (r, d)
+
+
+def clear_cohen_caches():
+    for cache in (numtheory._h_num, numtheory._h_scale, gen_bernoulli, numtheory._chi_masks,
+                  numtheory._bernoulli_over_lcm, bernoulli, numtheory.factorize):
+        cache.cache_clear()
+
+
+def test_weights_share_one_character_per_discriminant():
+    # five odd weights over one set of D < 0 build each chi_D once
+    ds = [d for d in range(-400, 0) if is_fundamental_discriminant(d)]
+    assert len(ds) < numtheory._chi_masks.cache_parameters()["maxsize"]
+    clear_cohen_caches()
+    for r in (3, 5, 7, 9, 11):
+        for d in ds:
+            gen_bernoulli(r, d)
+    info = numtheory._chi_masks.cache_info()
+    assert (info.misses, info.hits) == (len(ds), 4 * len(ds))
+
+
+def test_character_cache_is_bounded_and_rebuilds_an_evicted_discriminant():
+    maxsize = numtheory._chi_masks.cache_parameters()["maxsize"]
+    ds = [d for d in range(-3, -2000, -1) if is_fundamental_discriminant(d)][:maxsize + 20]
+    assert len(ds) == maxsize + 20
+    clear_cohen_caches()
+    for d in ds:
+        gen_bernoulli(3, d)
+    assert numtheory._chi_masks.cache_info().currsize == maxsize
+    first = ds[0]  # the least recently used: evicted
+    misses = numtheory._chi_masks.cache_info().misses
+    assert gen_bernoulli(5, first) == defining_sum(5, first)
+    assert numtheory._chi_masks.cache_info().misses == misses + 1
+    gen_bernoulli.cache_clear()
+    assert gen_bernoulli(3, first) == defining_sum(3, first)
+    assert numtheory._chi_masks.cache_info().currsize == maxsize
+
+
+def test_h_num_against_l_values_whichever_weight_comes_first():
+    # every cache cleared before each weight, weights ascending and descending
+    for weights in (range(2, 12), range(11, 1, -1)):
+        for r in weights:
+            clear_cohen_caches()
+            s = numtheory._h_scale(r)
+            for n in range(201):
+                assert numtheory._h_num(r, n) == cohen_h_via_l_values(r, n) * s, (r, n)
 
 
 # -- discriminant decomposition -------------------------------------------------------
@@ -486,8 +532,9 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
 # formula_r8(2.5) returned (-250-16j) and bernoulli(3.0) returned 0.  The
 # cached ones (bernoulli, gen_bernoulli, f4_coeff, f6_coeff) have typed
 # lru_cache keys, so (1.0, 0) misses (1, 0); cohen_h, uncached, checks r
-# first.  The TypeError names the entry point, except
-# where it hands its argument straight to factorize
+# first.  The TypeError names the entry point; divisors, mobius,
+# fund_disc_decomp and is_fundamental_discriminant named factorize, which
+# they hand their argument to
 NON_INT_CALLS = [
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (6.0,)),
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (Fraction(6),)),
@@ -500,6 +547,8 @@ NON_INT_CALLS = [
     (kronecker, (5, 3), -1, (2.5, 3)),
     (kronecker, (5, 3), -1, (5, 3.0)),
     (fund_disc_decomp, (5,), DiscDecomp(5, 1), (5.0,)),
+    (is_fundamental_discriminant, (5,), True, (5.0,)),
+    (is_fundamental_discriminant, (-8,), True, (-8.0,)),
     (representations.formula_r8, (6,), 3136, (6.0,)),
     (representations.formula_r8, (2,), 112, (2.5,)),
     (representations.formula_delta8, (2,), 28, (2.5,)),
@@ -521,6 +570,33 @@ NON_INT_CALLS = [
 def test_integer_entry_points_refuse_non_integers(fn, good, value, bad):
     got = fn(*good)
     assert got == value and type(got) is type(value)
-    name = "factorize" if fn in (divisors, mobius, fund_disc_decomp) else fn.__name__
-    with pytest.raises(TypeError, match=f"^{name} expects integers, got"):
+    with pytest.raises(TypeError, match=f"^{fn.__name__} expects integers, got"):
         fn(*bad)
+
+
+# (entry point, a good n, its value, an n below 1): each raised "factorize
+# expects n >= 1" from the factorization it reads
+BELOW_ONE_CALLS = [
+    (divisors, 12, [1, 2, 3, 4, 6, 12], 0),
+    (divisors, 12, [1, 2, 3, 4, 6, 12], -4),
+    (mobius, 30, -1, 0),
+    (mobius, 30, -1, -3),
+    (cyclotomic_poly, 6, (1, -1, 1), 0),
+    (cyclotomic_poly, 6, (1, -1, 1), -3),
+]
+
+
+@pytest.mark.parametrize("fn, good, value, bad", BELOW_ONE_CALLS,
+                         ids=[f"{fn.__name__}({bad})" for fn, _, _, bad in BELOW_ONE_CALLS])
+def test_factorizing_entry_points_name_themselves_below_one(fn, good, value, bad):
+    assert fn(good) == value
+    with pytest.raises(ValueError, match=f"^{fn.__name__} expects n >= 1, got {bad}$"):
+        fn(bad)
+
+
+def test_values_off_the_integers_that_were_answered_still_are():
+    # the integer checks stand only where the argument reaches factorize
+    assert [is_fundamental_discriminant(x) for x in (1.0, 2.0, 4.0, 6.5)] == [True, False, False, False]
+    assert cyclotomic_poly(1.0) == (-1, 1)
+    with pytest.raises(ValueError, match="^2.0 is not a discriminant"):
+        fund_disc_decomp(2.0)

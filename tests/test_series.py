@@ -917,6 +917,33 @@ def test_scales_and_precision_must_be_ints(entry):
         NON_INT_GRIDS[entry]()
 
 
+def test_from_qseries_needs_a_qseries():
+    # an int raised AttributeError: 'int' object has no attribute 'lowest_exponent'
+    for bad in (3, catalog.theta(3), None):
+        with pytest.raises(TypeError, match=r"^FJExp\.from_qseries needs a QSeries, got "):
+            FJExp.from_qseries(bad)
+
+
+# a record without one of to_json_dict's keys raised a bare KeyError
+MISSING_JSON_KEYS = [
+    (QSeries, {"qscale": 1}, "prec"),
+    (QSeries, {"prec": 3, "terms": []}, "qscale"),
+    (QSeries, {"qscale": 1, "prec": 3}, "terms"),
+    (FJExp, {"qscale": 1}, "zscale"),
+    (FJExp, {"qscale": 1, "zscale": 1, "terms": []}, "prec"),
+    (FJExp, {"qscale": 1, "zscale": 1, "prec": 3}, "terms"),
+]
+
+
+@pytest.mark.parametrize("cls, data, key", MISSING_JSON_KEYS,
+                         ids=[f"{cls.__name__}-{key}" for cls, _, key in MISSING_JSON_KEYS])
+def test_from_json_dict_names_a_missing_key(cls, data, key):
+    expected = f"{cls.__name__}.from_json_dict: missing key {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        cls.from_json_dict(data)
+    assert cls.from_json_dict({"qscale": 1, "zscale": 1, "prec": 3, "terms": [], **data}).terms == {}
+
+
 # rescaled took any multiple of the old scale: 0 made qscale 0 and prec 0,
 # 2.0 a float qscale, and (8, 0) a zscale of 0
 BAD_RESCALES = {
