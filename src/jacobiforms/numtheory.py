@@ -14,9 +14,9 @@ in f.  L(1-r, chi_D) = -B_{r,chi_D}/r, and since chi_D(-1) = sign D and
 B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
 half range 1 <= a < |D|/2, in integers over one Bernoulli denominator, and
 reads chi_D there as two lists, the a with chi_D(a) = 1 and those with
-chi_D(a) = -1, cut out of the half range by byte masks (:func:`_chi_signs`).
-The masks are kept per D in a bounded cache (:func:`_chi_masks`, 256
-entries of about |D| bytes each), so the weights r asked for one D build
+chi_D(a) = -1, cut out of the half range by one byte mask (:func:`_chi_signs`).
+The mask is kept per D in a bounded cache (:func:`_chi_masks`, 256
+entries of about |D|/2 bytes each), so the weights r asked for one D build
 chi_D once; :func:`cohen_h` divides -B_{r,chi_D} times the Euler product
 by r once.
 H(r, N) is an integer over S_r = den zeta(1-2r) = den H(r, 0) (12, 120,
@@ -92,9 +92,9 @@ def parse_rational(s: str) -> Rat:
 
 def require_ints(fn: str, *args) -> None:
     """TypeError for a non-int argument, as :func:`as_rational` refuses a
-    float: an integer entry point must not answer a float or a Fraction."""
+    float: an integer entry point must not answer a float, a Fraction or a bool."""
     for x in args:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise TypeError(f"{fn} expects integers, got {x!r}")
 
 
@@ -293,15 +293,17 @@ def is_fundamental_discriminant(d: int) -> bool:
 _TWO_PART_MASKS = {1: (b"\0", b"\0"), -4: (b"\1\0\1\0", b"\0\0\0\1"),
                    8: (b"\1\0" * 4, b"\0\0\0\1\0\1\0\0"),
                    -8: (b"\1\0" * 4, b"\0\0\0\0\0\1\0\1")}
+# `bytes.translate` tables that keep the bytes of chi_D(a) = 1, resp. -1, of a `_chi_masks` mask
+_PLUS, _MINUS = bytes.maketrans(b"\2", b"\0"), bytes.maketrans(b"\1", b"\0")
 
 
-@lru_cache(maxsize=256)  # bounded: an entry holds |D| bytes, and large windows ask many D once
-def _chi_masks(d: int, count: int) -> tuple:
-    """(plus, minus) as byte masks over a = 1..count: byte a - 1 is 1 where
-    chi_D(a) = 1, resp. chi_D(a) = -1, D fundamental.  chi_D is the product
-    of the characters of the prime discriminants p* = +-p = 1 mod 4 (a
-    Legendre symbol mod each odd p | D) and of the 2-part D / prod p*, each
-    a zero mask and a sign mask of bytes over one period; repeated over
+@lru_cache(maxsize=256)  # bounded: an entry holds |D|/2 bytes, and large windows ask many D once
+def _chi_masks(d: int, count: int) -> bytes:
+    """chi_D over a = 1..count as one byte mask, D fundamental: byte a - 1
+    is 1 where chi_D(a) = 1, 2 where chi_D(a) = -1, else 0.  chi_D is the
+    product of the characters of the prime discriminants p* = +-p = 1 mod 4
+    (a Legendre symbol mod each odd p | D) and of the 2-part D / prod p*,
+    each a zero mask and a sign mask of bytes over one period; repeated over
     1..count and read as integers, the zero masks combine by OR and the sign
     masks by XOR, with no Python step per a.  The primes come from the
     factorization that :func:`is_fundamental_discriminant` has already
@@ -324,16 +326,16 @@ def _chi_masks(d: int, count: int) -> tuple:
         zero |= int.from_bytes((z * reps)[1:count + 1], "big")
         neg ^= int.from_bytes((s * reps)[1:count + 1], "big")
     live = int.from_bytes(b"\1" * count, "big") ^ zero  # chi_D(a) != 0
-    return (live & ~neg).to_bytes(count, "big"), (live & neg).to_bytes(count, "big")
+    return (live + (live & neg)).to_bytes(count, "big")  # bytes of 0/1 add with no carry
 
 
 def _chi_signs(d: int, count: int) -> tuple:
     """(plus, minus): the a in 1..count with chi_D(a) = 1 and with chi_D(a)
-    = -1, D fundamental, as lists compressed from the cached byte masks of
+    = -1, D fundamental, as lists compressed from the cached byte mask of
     :func:`_chi_masks`."""
     a = range(1, count + 1)
-    plus, minus = _chi_masks(d, count)
-    return list(compress(a, plus)), list(compress(a, minus))
+    mask = _chi_masks(d, count)
+    return list(compress(a, mask.translate(_PLUS))), list(compress(a, mask.translate(_MINUS)))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
@@ -354,7 +356,7 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     S'_j is the power sum over the a with chi_D(a) = 1 minus the one over
     the a with chi_D(a) = -1, two lists that :func:`_chi_signs` cuts out of
     the half range by byte masks of D's prime-discriminant characters (no
-    Kronecker symbol is evaluated).  The masks are cached per D by
+    Kronecker symbol is evaluated).  The mask is cached per D by
     :func:`_chi_masks`, so every weight r asked for one D shares one chi_D;
     the power ladder below stays per (r, D).  S'_j is needed only where
     B_k != 0 (k = 0, 1 and even k), so the lists of a^j step from one such

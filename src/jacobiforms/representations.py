@@ -27,21 +27,20 @@ Brute-force counting raises the generating polynomial of those values,
 taken with repetition and truncated at q^n, to the m-th power as one packed
 integer (Kronecker substitution): every coefficient is a non-negative count,
 so slots wide enough for the largest count never carry, and the power holds
-the count of every sum s <= n.  One power is kept per (kind, m, a) and
-answers every n up to its top T; a request past T rebuilds at max(n, 2T).
+the count of every sum s <= n.  `series.memo_by_prec` keeps one power per
+(kind, m, a), built on the precision ladder 1, 2, 4, ... in slots.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from jacobiforms.numtheory import Rat, _h_num, _h_scale, _rational, divisors, require_ints, sigma
-from jacobiforms.series import CacheInfo
+from jacobiforms.series import memo_by_prec
 
 
 def _sign(r: int) -> int:
@@ -112,7 +111,7 @@ def f6_coeff(n: int, r: int) -> Rat:
 def figurate(a: int, x: int) -> int:
     """The figurate value f_a(x) = (a x^2 + (a-2) x) / 2 (triangular at a=1,
     squares at a=2); x ranges over all integers."""
-    if not (isinstance(a, int) and isinstance(x, int)):  # inline: `_values` calls it per x
+    if not (type(a) is int and type(x) is int):  # inline: `_values` calls it per x
         require_ints("figurate", a, x)
     return (a * x * x + (a - 2) * x) // 2
 
@@ -201,47 +200,41 @@ def _packed_power(query: CountQuery) -> tuple:
         base = (base * base) & mask
 
 
-# (kind, m, a) -> (top, b, the packed power of `_packed_power` at n = top)
-_POWERS: dict = {}
-_POWER_COUNTS = [0, 0]  # hits, misses
-_POWER_LOCK = threading.Lock()
+@dataclass(frozen=True)
+class _Slots:
+    """The packed power of `_packed_power` for the sums s < prec, as
+    `memo_by_prec` keeps it: a precision in slots, qscale 1, an exact cut."""
+
+    prec: int
+    b: int
+    power: int
+    qscale = 1
+
+    def _cut(self, prec: int) -> "_Slots":  # no value >= prec reaches a slot below it
+        return _Slots(prec, self.b, self.power & ((1 << (self.b * prec)) - 1))
+
+
+@memo_by_prec
+def _slots(kind: str, m: int, a: Optional[int], prec: int) -> _Slots:
+    """The packed power of (kind, m, a) over every sum s < prec."""
+    return _Slots(prec, *_packed_power(CountQuery(kind, m, prec - 1, a)))
 
 
 def count_bruteforce(query: CountQuery) -> int:
-    """Exact representation count: slot n of one packed power.
-
-    One power is kept per (kind, m, a), the one built at the highest top T.
-    A request with n <= T reads slot n of it: every value is >= 0, so the
-    slots s <= n of the power masked at T are those of the power masked at
-    n.  A key's first request builds at exactly n, one above T at
-    max(n, 2T), so an ascending loop over n builds O(log n) powers.  Builds
-    run outside the lock, and a build replaces the kept power only if it is
-    higher.  `cache_info()` counts hits and misses (builds) as lru_cache
-    does; `cache_clear()` drops every power."""
+    """Exact representation count: slot n of the query's packed power at
+    precision 2^bit_length(n), the ladder 1, 2, 4, ... of `tau(n, "direct")`,
+    so an ascending loop over n builds O(log n) powers.  `cache_info`,
+    `cache_clear` and `cache_precisions` are those of its memo."""
     if not isinstance(query, CountQuery):
         raise TypeError(f"count_bruteforce needs a CountQuery, got {query!r}")
-    key, n = (query.kind, query.m, query.a), query.n
-    with _POWER_LOCK:
-        top, b, power = _POWERS.get(key, (-1, 0, 0))
-        hit = n <= top
-        _POWER_COUNTS[0 if hit else 1] += 1
-    if not hit:
-        top = n if top < 0 else max(n, 2 * top)
-        b, power = _packed_power(replace(query, n=top))
-        with _POWER_LOCK:
-            if top > _POWERS.get(key, (-1,))[0]:
-                _POWERS[key] = (top, b, power)
-    return (power >> (b * n)) & ((1 << b) - 1)
+    n = query.n
+    slots = _slots(query.kind, query.m, query.a, 1 << n.bit_length())
+    return (slots.power >> (slots.b * n)) & ((1 << slots.b) - 1)
 
 
-def _powers_cache_clear() -> None:
-    with _POWER_LOCK:
-        _POWERS.clear()
-        _POWER_COUNTS[:] = [0, 0]
-
-
-count_bruteforce.cache_info = lambda: CacheInfo(*_POWER_COUNTS, None, len(_POWERS))
-count_bruteforce.cache_clear = _powers_cache_clear
+count_bruteforce.cache_info = _slots.cache_info
+count_bruteforce.cache_clear = _slots.cache_clear
+count_bruteforce.cache_precisions = _slots.cache_precisions
 
 
 # ---------------------------------------------------------------------------

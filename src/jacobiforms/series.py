@@ -1611,15 +1611,18 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def memo_by_prec(build):
-    """Memoize a pure constructor `build(*args, prec)` whose series is
-    certified below prec + c, c fixed per form: keep one build per `args`,
-    keyed by type as well as value (as lru_cache(typed=True), so 4.0 never
-    meets the build of 4), the one at the highest precision `top`, and
-    answer any request with an int 1 <= prec <= top from it; any other
-    request (a non-int precision too, True included) goes to `build`, whose
-    own check decides.  A hit returns a shared, already-canonical cut: the
-    kept build holds at most one cut per precision it has served, made
-    once (in integer q-indices) and returned as the same object after.
+    """Memoize a pure constructor `build(*args, prec)` of a series certified
+    below prec + c, c fixed per form, or of any immutable value with a
+    `prec` in units of 1/`qscale` and a `_cut` that is exact, equal to a
+    build at the lower precision (the packed powers of
+    `representations.count_bruteforce`): keep one build per `args`, keyed by
+    type as well as value (as lru_cache(typed=True), so 4.0 never meets the
+    build of 4), the one at the highest precision `top`, and answer any
+    request with an int 1 <= prec <= top from it; any other request (a
+    non-int precision too, True included) goes to `build`, whose own check
+    decides.  A hit returns a shared, already-canonical cut: the kept build
+    holds at most one cut per precision it has served, made once (in whole
+    steps of prec) and returned as the same object after.
     Builds and cuts run outside the lock (constructors call each other); a
     build replaces the kept one, and drops its cuts, only if higher.
     `cache_info` and `cache_clear` are as in lru_cache; `cache_precisions()`

@@ -158,7 +158,7 @@ NON_INT_ARG_FORMS = {
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("name", sorted(NON_INT_ARG_FORMS))
-@pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "fraction"])
+@pytest.mark.parametrize("kind", [float, Fraction, bool], ids=["float", "fraction", "bool"])
 def test_non_integer_form_argument_fails_cold_and_warm(clear_memos, name, warm, kind):
     # the memo must neither answer an equal int's build nor keep one under it
     build, args, prec = NON_INT_ARG_FORMS[name]

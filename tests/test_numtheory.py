@@ -526,7 +526,7 @@ def test_as_rational_keeps_fractions_and_collapses_integers():
 # -- integer entry points refuse non-integers -----------------------------------
 
 # (entry point, int arguments, the exact value of the int call, the same
-# arguments with a float or a Fraction): each is called with its ints first,
+# arguments with a float, a Fraction or a bool): each is called with its ints first,
 # so that a cache entry for the int value must not answer the float, and the
 # int call must return exactly the value, of its type; before the refusal
 # formula_r8(2.5) returned (-250-16j) and bernoulli(3.0) returned 0.  The
@@ -539,7 +539,8 @@ NON_INT_CALLS = [
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (6.0,)),
     (numtheory.factorize, (6,), ((2, 1), (3, 1)), (Fraction(6),)),
     (numtheory.factorize, (5,), ((5, 1),), (2.5,)),
-    (numtheory.factorize, (True,), (), (1.0,)),  # (True,) == (1.0,) as untyped cache keys
+    (numtheory.factorize, (1,), (), (1.0,)),  # (1,) == (1.0,) as untyped cache keys
+    (numtheory.factorize, (1,), (), (True,)),  # and (1,) == (True,)
     (divisors, (6,), [1, 2, 3, 6], (6.0,)),
     (mobius, (6,), 1, (6.0,)),
     (sigma, (2, 6), 50, (2.0, 6)),
@@ -562,6 +563,13 @@ NON_INT_CALLS = [
     (cohen_h_via_l_values, (3, 0), Fraction(-1, 252), (3, 0.0)),
     (representations.f4_coeff, (1, 0), 70, (1.0, 0)),
     (representations.f6_coeff, (1, 0), -170, (1.0, 0)),
+    # a bool is refused like a float, cached or not: before, each was answered
+    (sigma, (1, 6), 12, (True, 6)),
+    (numtheory.gen_bernoulli, (1, 1), Fraction(1, 2), (True, 1)),
+    (numtheory.cohen_h, (3, 4), Fraction(-1, 2), (True, 4)),
+    (representations.figurate, (3, 1), 2, (3, True)),
+    (representations.f4_coeff, (1, 0), 70, (True, 0)),
+    (representations.tau, (1,), 1, (True,)),
 ]
 
 

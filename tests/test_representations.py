@@ -309,17 +309,31 @@ def test_packed_power_matches_table_past_machine_words(kind):
 
 # -- the store of packed powers ----------------------------------------------
 
-def test_ascending_count_loop_builds_logarithmically():
-    # one packed power per (kind, m, a), grown by doubling: the parent rebuilt it for every n
+ASCENDING_KEYS = [("squares", 8, None), ("triangular", 16, None), ("figurate", 8, 3)]
+
+
+def _ascending_count_loop():
     count_bruteforce.cache_clear()
-    keys = [("squares", 8, None), ("triangular", 16, None), ("figurate", 8, 3)]
     for n in range(201):
-        for kind, m, a in keys:
+        for kind, m, a in ASCENDING_KEYS:
             count_bruteforce(CountQuery(kind, m, n, a=a))
+
+
+def test_ascending_count_loop_builds_logarithmically():
+    # one packed power per (kind, m, a) on the ladder 2^bit_length(n)
+    _ascending_count_loop()
     info = count_bruteforce.cache_info()
-    # builds at n = 0, 1, 2, 4, ..., 256 for each key
-    assert info.misses == 10 * len(keys) and info.hits == 201 * len(keys) - info.misses
-    assert info.currsize == len(keys)
+    # builds at the rungs 1, 2, 4, ..., 256 (slots s < rung) for each key
+    keys = len(ASCENDING_KEYS)
+    assert info.misses == 9 * keys and info.hits == 201 * keys - info.misses
+    assert info.currsize == keys
+
+
+def test_ascending_count_loop_keeps_each_key_at_the_top_rung():
+    _ascending_count_loop()
+    assert count_bruteforce.cache_precisions() == {key: 256 for key in ASCENDING_KEYS}
+    count_bruteforce.cache_clear()
+    assert count_bruteforce.cache_precisions() == {}
 
 
 def _fresh_count(query: CountQuery) -> int:
@@ -342,14 +356,14 @@ def test_store_serves_what_a_fresh_build_gives(kind, a, m):
     assert served == fresh
 
 
-def test_a_cold_query_builds_at_exactly_n_and_grows_by_doubling():
+def test_a_cold_query_builds_at_the_next_rung_of_the_ladder():
     count_bruteforce.cache_clear()
     misses = []
     for n in (37, 38, 74, 75, 148, 149):
         count_bruteforce(CountQuery("squares", 8, n))
         misses.append(count_bruteforce.cache_info().misses)
-    # 37 is built at 37, so 38 misses and builds at 74; 75 misses and builds at 148
-    assert misses == [1, 2, 2, 3, 3, 4]
+    # 37 builds rung 64, which serves 38; 74 builds 128 for 75; 148 builds 256 for 149
+    assert misses == [1, 1, 2, 2, 3, 3]
 
 
 def test_store_is_keyed_by_kind_m_and_a():
