@@ -15,10 +15,10 @@ B_r(1-x) = (-1)^r B_r(x), :func:`gen_bernoulli` sums B_{r,chi_D} over the
 half range 1 <= a < |D|/2, in integers over one Bernoulli denominator, and
 reads chi_D there as two lists, the a with chi_D(a) = 1 and those with
 chi_D(a) = -1, cut out of the half range by one byte mask (:func:`_chi_signs`).
-The mask is kept per D in a bounded cache (:func:`_chi_masks`, 256
-entries of about |D|/2 bytes each), so the weights r asked for one D build
-chi_D once; :func:`cohen_h` divides -B_{r,chi_D} times the Euler product
-by r once.
+The mask of the half range is kept per D (:func:`_chi_masks`, at most
+4 MiB of masks in all, the least recently used dropped first), so the
+weights r asked for one D build chi_D once; :func:`cohen_h` divides
+-B_{r,chi_D} times the Euler product by r once.
 H(r, N) is an integer over S_r = den zeta(1-2r) = den H(r, 0) (12, 120,
 252, 240, 132, ... for r = 1, 2, 3, 4, 5; tested for N <= 5000 at r <= 13),
 and the package's Cohen-number sums add the integers H(r, N) * S_r from
@@ -29,12 +29,15 @@ enters only where a denominator can arise (a Bernoulli number, a division),
 and each rational-valued public function returns through :func:`as_rational`
 or :func:`_rational` once, so an integer result is an `int` and any other
 is a `Fraction` with denominator > 1.  All functions are pure and safe to
-call from several threads: the memo caches are `functools.lru_cache`.
+call from several threads: the memo caches are `functools.lru_cache`, and
+the byte-bounded :func:`_chi_masks` takes a lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +46,7 @@ from operator import mul
 from typing import Union
 
 Rat = Union[int, Fraction]
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def as_rational(x) -> Rat:
@@ -293,12 +297,11 @@ def is_fundamental_discriminant(d: int) -> bool:
 _TWO_PART_MASKS = {1: (b"\0", b"\0"), -4: (b"\1\0\1\0", b"\0\0\0\1"),
                    8: (b"\1\0" * 4, b"\0\0\0\1\0\1\0\0"),
                    -8: (b"\1\0" * 4, b"\0\0\0\0\0\1\0\1")}
-# `bytes.translate` tables that keep the bytes of chi_D(a) = 1, resp. -1, of a `_chi_masks` mask
+# `bytes.translate` tables that keep the bytes of chi_D(a) = 1, resp. -1, of a `_chi_mask` mask
 _PLUS, _MINUS = bytes.maketrans(b"\2", b"\0"), bytes.maketrans(b"\1", b"\0")
 
 
-@lru_cache(maxsize=256)  # bounded: an entry holds |D|/2 bytes, and large windows ask many D once
-def _chi_masks(d: int, count: int) -> bytes:
+def _chi_mask(d: int, count: int) -> bytes:
     """chi_D over a = 1..count as one byte mask, D fundamental: byte a - 1
     is 1 where chi_D(a) = 1, 2 where chi_D(a) = -1, else 0.  chi_D is the
     product of the characters of the prime discriminants p* = +-p = 1 mod 4
@@ -307,7 +310,7 @@ def _chi_masks(d: int, count: int) -> bytes:
     1..count and read as integers, the zero masks combine by OR and the sign
     masks by XOR, with no Python step per a.  The primes come from the
     factorization that :func:`is_fundamental_discriminant` has already
-    cached.  One entry per D serves every weight r that asks for it."""
+    cached."""
     m = abs(d)
     two, masks = d, []
     for p, _ in factorize(m if d % 2 else m // 4):
@@ -329,12 +332,54 @@ def _chi_masks(d: int, count: int) -> bytes:
     return (live + (live & neg)).to_bytes(count, "big")  # bytes of 0/1 add with no carry
 
 
-def _chi_signs(d: int, count: int) -> tuple:
-    """(plus, minus): the a in 1..count with chi_D(a) = 1 and with chi_D(a)
-    = -1, D fundamental, as lists compressed from the cached byte mask of
-    :func:`_chi_masks`."""
-    a = range(1, count + 1)
-    mask = _chi_masks(d, count)
+# the bytes of chi_D masks that `_chi_masks` holds at most (256 masks at |D| = 32768): a
+# window of large N asks most D once, so the masks are bounded by their bytes, not their count
+_CHI_MASK_BYTES = 1 << 22
+_chi_kept: OrderedDict = OrderedDict()  # D -> its mask, the least recently used first
+_chi_counts = [0, 0, 0]  # hits, misses, bytes held
+_chi_lock = threading.Lock()
+
+
+def _chi_masks(d: int) -> bytes:
+    """The mask of :func:`_chi_mask` over the half range 1 <= a < |D|/2
+    that :func:`gen_bernoulli` reads, kept per D so that every weight r
+    asked for one D builds chi_D once.  The masks kept hold at most
+    _CHI_MASK_BYTES bytes, the least recently used dropped first; the build
+    runs outside the lock.  `cache_info()` and `cache_clear()` are as in
+    lru_cache, with maxsize and currsize in bytes."""
+    with _chi_lock:
+        mask = _chi_kept.get(d)
+        if mask is not None:
+            _chi_counts[0] += 1
+            _chi_kept.move_to_end(d)
+            return mask
+        _chi_counts[1] += 1
+    mask = _chi_mask(d, (abs(d) - 1) // 2)
+    with _chi_lock:
+        if d not in _chi_kept and len(mask) <= _CHI_MASK_BYTES:
+            _chi_kept[d] = mask
+            _chi_counts[2] += len(mask)
+            while _chi_counts[2] > _CHI_MASK_BYTES:
+                _chi_counts[2] -= len(_chi_kept.popitem(last=False)[1])
+    return mask
+
+
+def _chi_masks_clear() -> None:
+    with _chi_lock:
+        _chi_kept.clear()
+        _chi_counts[:] = [0, 0, 0]
+
+
+_chi_masks.cache_info = lambda: CacheInfo(_chi_counts[0], _chi_counts[1], _CHI_MASK_BYTES, _chi_counts[2])
+_chi_masks.cache_clear = _chi_masks_clear
+
+
+def _chi_signs(d: int) -> tuple:
+    """(plus, minus): the a in the half range 1 <= a < |D|/2 with chi_D(a)
+    = 1 and with chi_D(a) = -1, D fundamental, as lists compressed from the
+    kept byte mask of :func:`_chi_masks`."""
+    mask = _chi_masks(d)
+    a = range(1, len(mask) + 1)
     return list(compress(a, mask.translate(_PLUS))), list(compress(a, mask.translate(_MINUS)))
 
 
@@ -374,7 +419,7 @@ def gen_bernoulli(r: int, d: int) -> Rat:
     if (d < 0) != (r % 2 == 1):
         return 0
     m = abs(d)
-    plus, minus = _chi_signs(d, (m - 1) // 2)
+    plus, minus = _chi_signs(d)
     den, *nums = _bernoulli_over_lcm(r)
     acc = nums[r] * m**r * (len(plus) - len(minus))  # j = 0
     pos, neg, i, sq = plus, minus, 1, None  # a^i where chi_D(a) = 1, -1; a^2

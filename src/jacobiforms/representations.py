@@ -28,7 +28,7 @@ taken with repetition and truncated at q^n, to the m-th power as one packed
 integer (Kronecker substitution): every coefficient is a non-negative count,
 so slots wide enough for the largest count never carry, and the power holds
 the count of every sum s <= n.  `series.memo_by_prec` keeps one power per
-(kind, m, a), built on the precision ladder 1, 2, 4, ... in slots.
+(kind, m, a), with its precision in slots, and grows it by doubling.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from jacobiforms.numtheory import Rat, _h_num, _h_scale, _rational, divisors, require_ints, sigma
 from jacobiforms.series import memo_by_prec
@@ -200,8 +200,7 @@ def _packed_power(query: CountQuery) -> tuple:
         base = (base * base) & mask
 
 
-@dataclass(frozen=True)
-class _Slots:
+class _Slots(NamedTuple):
     """The packed power of `_packed_power` for the sums s < prec, as
     `memo_by_prec` keeps it: a precision in slots, qscale 1, an exact cut."""
 
@@ -221,14 +220,13 @@ def _slots(kind: str, m: int, a: Optional[int], prec: int) -> _Slots:
 
 
 def count_bruteforce(query: CountQuery) -> int:
-    """Exact representation count: slot n of the query's packed power at
-    precision 2^bit_length(n), the ladder 1, 2, 4, ... of `tau(n, "direct")`,
-    so an ascending loop over n builds O(log n) powers.  `cache_info`,
-    `cache_clear` and `cache_precisions` are those of its memo."""
+    """Exact representation count: slot n of the query's packed power over
+    the sums s <= n, which its memo grows by doubling (an ascending loop
+    builds O(log n) powers) and whose cache_* functions it carries."""
     if not isinstance(query, CountQuery):
         raise TypeError(f"count_bruteforce needs a CountQuery, got {query!r}")
     n = query.n
-    slots = _slots(query.kind, query.m, query.a, 1 << n.bit_length())
+    slots = _slots(query.kind, query.m, query.a, n + 1)
     return (slots.power >> (slots.b * n)) & ((1 << slots.b) - 1)
 
 
@@ -415,19 +413,18 @@ def tau(n: int, route: str = "direct") -> Rat:
     """The q^n coefficient of the weight-12 discriminant cusp form, computed
     by the requested route; all routes agree and return an integer.
 
-    Moment routes (via_f4, via_f6 and their n*tau variants) sum r^k f(n, r)
-    over the full window r^2 <= 16n, as twice the sum over r >= 1, since f
-    is even in r and k is even; via_h11 is the weight-12 Cohen-number
-    route; the closed H(3)/H(5) routes require n odd and not an odd square.
+    The direct route reads `catalog.delta(n + 1)`.  Moment routes (via_f4,
+    via_f6 and their n*tau variants) sum r^k f(n, r) over the full window
+    r^2 <= 16n, as twice the sum over r >= 1, since f is even in r and k is
+    even; via_h11 is the weight-12 Cohen-number route; the closed H(3)/H(5)
+    routes require n odd and not an odd square.
     """
     require_ints("tau", n)
     if n < 1:
         raise ValueError("tau expects n >= 1")
     if route == "direct":
         from jacobiforms.catalog import delta
-        # the precision ladder 2, 4, 8, ...: an ascending loop over n builds
-        # delta O(log n) times and cuts every other read from the kept build
-        return delta(1 << n.bit_length()).coefficient(n)
+        return delta(n + 1).coefficient(n)
     if route in _MOMENT_ROUTES:
         k, power, divisor, n_power = _MOMENT_ROUTES[route]
         # f(n, -r) = f(n, r) and every power is even and positive: twice the sum over r >= 1

@@ -76,8 +76,8 @@ from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Optional, Union
 
-from jacobiforms.numtheory import (Rat, _rational, _require_positive, as_rational, divisors, mobius, parse_rational,
-                                   rational_str)
+from jacobiforms.numtheory import (CacheInfo, Rat, _rational, _require_positive, as_rational, divisors, mobius,
+                                   parse_rational, rational_str)
 
 RatLike = Union[int, Fraction]
 
@@ -1607,50 +1607,52 @@ def require_prec(form: str, prec: int) -> None:
         raise ValueError(f"{form} needs prec >= 1, got {prec}")
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_PLAIN_ARGS = frozenset((int, str, type(None)))  # no two of these types hold equal values
 
 
 def memo_by_prec(build):
     """Memoize a pure constructor `build(*args, prec)` of a series certified
     below prec + c, c fixed per form, or of any immutable value with a
-    `prec` in units of 1/`qscale` and a `_cut` that is exact, equal to a
-    build at the lower precision (the packed powers of
-    `representations.count_bruteforce`): keep one build per `args`, keyed by
-    type as well as value (as lru_cache(typed=True), so 4.0 never meets the
-    build of 4), the one at the highest precision `top`, and answer any
-    request with an int 1 <= prec <= top from it; any other request (a
-    non-int precision too, True included) goes to `build`, whose own check
-    decides.  A hit returns a shared, already-canonical cut: the kept build
-    holds at most one cut per precision it has served, made once (in whole
-    steps of prec) and returned as the same object after.
-    Builds and cuts run outside the lock (constructors call each other); a
-    build replaces the kept one, and drops its cuts, only if higher.
-    `cache_info` and `cache_clear` are as in lru_cache; `cache_precisions()`
-    maps each kept `args` to its precision."""
-    kept: dict = {}  # (args before the precision, their types) -> (top, {prec: cut})
+    `prec` in units of 1/`qscale` and an exact `_cut` (a packed count of
+    `representations`): keep one build per `args`, the one at the highest
+    precision `top`, and answer an int 1 <= prec <= top with a shared cut
+    of it, made once per prec.  A key's first build is at exactly prec; one
+    above top is at max(prec, 2 top) for a one-variable series or packed
+    count (cost near-linear in prec: an ascending loop builds O(log prec)
+    times), at prec for an `FJExp` (cost ~ prec^2.5).  Any other prec
+    (non-int, True, < 1) goes to `build`, whose check decides.  `args` not
+    all exactly int, str or None are keyed by type too (lru_cache(typed=True)).
+    The kept (top, cuts) is read without the lock; builds and cuts run
+    outside it.  `cache_info` (each request counted once) and `cache_clear`
+    are as in lru_cache; `cache_precisions()` maps `args` to top."""
+    kept: dict = {}  # key of the args before the precision -> (top, {prec: cut}, args)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()
 
     @wraps(build)
     def memo(*args):
-        key, prec = (args[:-1], tuple(map(type, args[:-1]))), args[-1]
-        with lock:
-            top, cuts = kept.get(key, (0, None))
-            hit = type(prec) is int and 1 <= prec <= top
-            counts[0 if hit else 1] += 1
-            series = cuts.get(prec) if hit else None
-        if series is not None:
-            return series
-        if hit:
+        key, prec = args[:-1], args[-1]
+        for arg in key:
+            if type(arg) not in _PLAIN_ARGS:
+                key = (key, tuple(map(type, key)))
+                break
+        top, cuts, _ = kept.get(key, (0, None, None))
+        hit = type(prec) is int and 0 < prec <= top
+        if not hit:
+            with lock:
+                counts[1] += 1
+            grow = type(prec) is int and 0 < top < prec and not isinstance(cuts[top], FJExp)
+            top = max(prec, 2 * top) if grow else prec
+            cuts = {top: build(*args[:-1], top)}
+        series = cuts.get(prec)
+        if series is None:
             series = cuts[top]
             series = series._cut(series.prec - (top - prec) * series.qscale)
-            with lock:  # if a higher build has replaced `cuts` meanwhile, it drops this too
-                return cuts.setdefault(prec, series)
-        series = build(*args)
-        with lock:
-            if prec > kept.get(key, (0,))[0]:
-                kept[key] = (prec, {prec: series})
-        return series
+        with lock:  # a build is kept only if higher; one that is drops the old cuts
+            if not hit and top > kept.get(key, (0,))[0]:
+                kept[key] = (top, cuts, args[:-1])
+            counts[0] += hit  # a miss counted before its build, so a failed one counts too
+            return cuts.setdefault(prec, series)
 
     def cache_clear() -> None:
         with lock:
@@ -1659,7 +1661,7 @@ def memo_by_prec(build):
 
     def cache_precisions() -> dict:
         with lock:
-            return {args: top for (args, _), (top, _) in kept.items()}
+            return {args: top for top, _, args in kept.values()}
 
     memo.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(kept))
     memo.cache_clear = cache_clear

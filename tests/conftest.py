@@ -4,9 +4,10 @@ import signal
 
 import pytest
 
-from jacobiforms import catalog, lattice
+from jacobiforms import catalog, lattice, representations
 
-# every constructor behind series.memo_by_prec
+# every form constructor behind series.memo_by_prec; `clear_memos` also clears the
+# other one, the packed powers of `representations.count_bruteforce`
 PREC_MEMOS = [
     obj for obj in vars(catalog).values()
     if hasattr(obj, "cache_clear") and obj.__module__ == catalog.__name__
@@ -16,10 +17,11 @@ PREC_MEMOS = [
 @pytest.fixture
 def clear_memos():
     """A function that empties every precision memo, so the next call of
-    each constructor builds from scratch."""
+    each constructor, and of `count_bruteforce`, builds from scratch."""
     def clear():
         for memo in PREC_MEMOS:
             memo.cache_clear()
+        representations.count_bruteforce.cache_clear()
     return clear
 
 

@@ -104,16 +104,18 @@ def test_served_build_equals_fresh_build(clear_memos):
         cat.theta_ab(0, 0, 0)
 
 
-@pytest.mark.parametrize("memo, args", [(cat.theta, ()), (cat.eta, ()), (cat.phi, (1,)),
-                                        (lattice._jacobi_theta_e8_cached, (lattice.U2,))],
+# (memo, arguments, the precision a request for 6 builds at above a kept 5):
+# a one-variable series doubles past the kept top, an FJExp builds exactly
+@pytest.mark.parametrize("memo, args, grown", [(cat.theta, (), 6), (cat.eta, (), 10), (cat.phi, (1,), 6),
+                                               (lattice._jacobi_theta_e8_cached, (lattice.U2,), 6)],
                          ids=["theta", "eta", "phi", "e8"])
-def test_a_higher_build_drops_the_served_cuts(clear_memos, memo, args):
+def test_a_higher_build_drops_the_served_cuts(clear_memos, memo, args, grown):
     clear_memos()
     memo(*args, 5)
     old = memo(*args, 3)
     assert memo(*args, 3) is old
     memo(*args, 6)  # kept in place of the build at 5, whose cuts go with it
-    assert memo.cache_precisions()[args] == 6
+    assert memo.cache_precisions()[args] == grown
     new = memo(*args, 3)
     assert new is not old and _fingerprint(new) == _fingerprint(old) and memo(*args, 3) is new
     memo.cache_clear()
@@ -122,6 +124,33 @@ def test_a_higher_build_drops_the_served_cuts(clear_memos, memo, args):
     again = memo(*args, 3)
     assert again is not new and _fingerprint(again) == _fingerprint(new)
     assert memo.cache_info() == (1, 1, None, 1)
+
+
+def test_a_one_variable_build_doubles_and_an_fjexp_builds_what_is_asked(clear_memos):
+    clear_memos()
+    cat.phi(1, 12)
+    cat.phi(1, 19)
+    assert cat.phi.cache_precisions()[(1,)] == 19
+    cat.delta(12)
+    served = cat.delta(13)
+    assert cat.delta.cache_precisions() == {(): 24}
+    assert served.prec_exponent == 13 and served == cat.delta(24).truncated(13)
+    assert cat.delta(13) is served and cat.delta.cache_info().misses == 2
+    cat.delta.cache_clear()
+    for n in range(200):  # asked for n + 1, built at 1, 2, 4, ..., 256
+        cat.delta(n + 1)
+    assert cat.delta.cache_info().misses == 9 and cat.delta.cache_precisions() == {(): 256}
+
+
+@pytest.mark.parametrize("prec", [0, 2.5], ids=["zero", "float"])
+def test_a_refused_precision_leaves_the_kept_top(clear_memos, prec):
+    clear_memos()
+    cat.eta(5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^eta needs"):
+            cat.eta(prec)
+    assert cat.eta.cache_precisions() == {(): 5}
+    assert cat.eta.cache_info()[:2] == (0, 3)
 
 
 NON_INT_PREC_FORMS = {

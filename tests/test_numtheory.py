@@ -199,17 +199,23 @@ def test_l_values():
         gen_bernoulli(3, -6)  # -6 is not a fundamental discriminant
 
 
+MASK_BYTE = {1: 1, -1: 2, 0: 0}  # chi_D(a) -> byte a - 1 of a chi_D mask
+
+
 def test_character_table_against_kronecker():
-    # the sign lists from the byte masks are the a with chi_D(a) = (D|a) = +-1
-    # on 1..count, over the whole period and over the half range gen_bernoulli reads
+    # the byte mask is chi_D(a) = (D|a) over the whole period, and the sign
+    # lists are the a with chi_D(a) = +-1 over the half range gen_bernoulli reads
     fundamentals = [d for d in range(-1000, 1001) if d and is_fundamental_discriminant(d)]
     assert 1 in fundamentals
     for d in fundamentals:
         period = [kronecker(d, a) for a in range(1, abs(d) + 1)]
-        for count in (abs(d), (abs(d) - 1) // 2):
-            plus = [a for a, chi in enumerate(period[:count], 1) if chi == 1]
-            minus = [a for a, chi in enumerate(period[:count], 1) if chi == -1]
-            assert numtheory._chi_signs(d, count) == (plus, minus), (d, count)
+        assert numtheory._chi_mask(d, abs(d)) == bytes(MASK_BYTE[chi] for chi in period), d
+        if d == 1:
+            continue  # gen_bernoulli reads no chi_1
+        half = (abs(d) - 1) // 2
+        plus = [a for a, chi in enumerate(period[:half], 1) if chi == 1]
+        minus = [a for a, chi in enumerate(period[:half], 1) if chi == -1]
+        assert numtheory._chi_signs(d) == (plus, minus), d
 
 
 def defining_sum(r, d):
@@ -260,7 +266,7 @@ def clear_cohen_caches():
 def test_weights_share_one_character_per_discriminant():
     # five odd weights over one set of D < 0 build each chi_D once
     ds = [d for d in range(-400, 0) if is_fundamental_discriminant(d)]
-    assert len(ds) < numtheory._chi_masks.cache_parameters()["maxsize"]
+    assert sum((-d - 1) // 2 for d in ds) < numtheory._chi_masks.cache_info().maxsize
     clear_cohen_caches()
     for r in (3, 5, 7, 9, 11):
         for d in ds:
@@ -270,20 +276,64 @@ def test_weights_share_one_character_per_discriminant():
 
 
 def test_character_cache_is_bounded_and_rebuilds_an_evicted_discriminant():
-    maxsize = numtheory._chi_masks.cache_parameters()["maxsize"]
-    ds = [d for d in range(-3, -2000, -1) if is_fundamental_discriminant(d)][:maxsize + 20]
-    assert len(ds) == maxsize + 20
+    # D = -p for primes p = 3 mod 4 near 2*10^5: masks of ~100 KB, more of
+    # them than the byte bound holds; each mask is checked against (D|a) at
+    # sampled a, and the kept bytes never pass the bound
+    ds = [-p for p in range(200003, 300000, 4) if is_fundamental_discriminant(-p)][:60]
+    assert len(ds) == 60 and sum((-d - 1) // 2 for d in ds) > numtheory._chi_masks.cache_info().maxsize
     clear_cohen_caches()
+    rng = random.Random(7)
     for d in ds:
-        gen_bernoulli(3, d)
-    assert numtheory._chi_masks.cache_info().currsize == maxsize
+        mask = numtheory._chi_masks(d)
+        assert len(mask) == (-d - 1) // 2
+        for a in rng.sample(range(1, len(mask) + 1), 50):
+            assert mask[a - 1] == MASK_BYTE[kronecker(d, a)], (d, a)
+        info = numtheory._chi_masks.cache_info()
+        assert info.currsize == sum(map(len, numtheory._chi_kept.values())) <= info.maxsize
+    assert info.currsize > info.maxsize - len(mask) and info.misses == len(ds) and info.hits == 0
     first = ds[0]  # the least recently used: evicted
-    misses = numtheory._chi_masks.cache_info().misses
-    assert gen_bernoulli(5, first) == defining_sum(5, first)
-    assert numtheory._chi_masks.cache_info().misses == misses + 1
-    gen_bernoulli.cache_clear()
-    assert gen_bernoulli(3, first) == defining_sum(3, first)
-    assert numtheory._chi_masks.cache_info().currsize == maxsize
+    assert first not in numtheory._chi_kept and ds[-1] in numtheory._chi_kept
+    plus, minus = numtheory._chi_signs(first)
+    assert numtheory._chi_masks.cache_info().misses == len(ds) + 1
+    assert numtheory._chi_signs(first) == (plus, minus)
+    assert numtheory._chi_masks.cache_info().hits == 1
+    assert len(plus) - len(minus) == (2 - kronecker(first, 2)) * numtheory.cohen_h(1, -first)  # class numbers
+    assert numtheory._chi_masks.cache_info().currsize <= numtheory._chi_masks.cache_info().maxsize
+
+
+def test_character_cache_under_threads(monkeypatch):
+    # a bound of a few small masks, so threads evict while others read and keep
+    monkeypatch.setattr(numtheory, "_CHI_MASK_BYTES", 2000)
+    ds = [d for d in range(-3, -1500, -1) if is_fundamental_discriminant(d)]
+    expected = {d: numtheory._chi_mask(d, (-d - 1) // 2) for d in ds}
+    orders = [ds, ds[::-1], ds[1::2] + ds[::2], sorted(ds, key=lambda d: d * 37 % 101)] * 2
+    clear_cohen_caches()
+    barrier = threading.Barrier(len(orders))
+    results, errors = [], []
+
+    def run(order):
+        try:
+            barrier.wait()
+            results.append(all(numtheory._chi_masks(d) == expected[d] for d in order))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and results == [True] * len(orders)
+    info = numtheory._chi_masks.cache_info()
+    assert info.hits + info.misses == len(orders) * len(ds) and info.maxsize == 2000
+    assert info.currsize == sum(map(len, numtheory._chi_kept.values())) <= 2000
+    clear_cohen_caches()
 
 
 def test_h_num_against_l_values_whichever_weight_comes_first():

@@ -356,14 +356,18 @@ def test_store_serves_what_a_fresh_build_gives(kind, a, m):
     assert served == fresh
 
 
-def test_a_cold_query_builds_at_the_next_rung_of_the_ladder():
+def test_a_cold_query_builds_at_n_plus_one_and_grows_by_doubling():
     count_bruteforce.cache_clear()
     misses = []
     for n in (37, 38, 74, 75, 148, 149):
         count_bruteforce(CountQuery("squares", 8, n))
         misses.append(count_bruteforce.cache_info().misses)
-    # 37 builds rung 64, which serves 38; 74 builds 128 for 75; 148 builds 256 for 149
-    assert misses == [1, 1, 2, 2, 3, 3]
+    # 37 builds the slots s < 38; 38 builds 76, which serves 74 and 75; 148 builds 152 for 149
+    assert misses == [1, 2, 2, 2, 3, 3]
+    assert count_bruteforce.cache_precisions() == {("squares", 8, None): 152}
+    query = CountQuery("squares", 16, 1025)
+    assert count_bruteforce(query) == r16(1025)
+    assert count_bruteforce.cache_precisions()[("squares", 16, None)] == 1026
 
 
 def test_store_is_keyed_by_kind_m_and_a():
@@ -409,12 +413,21 @@ def test_threads_interleaving_n_get_the_sequential_values():
 
 
 def test_tau_direct_builds_delta_logarithmically(clear_memos):
-    # tau(n, "direct") reads delta at the next power of two above n; the
-    # parent asked for delta(n + 1) and built it for every n
+    # tau(n, "direct") asks for delta(n + 1), and the memo grows the kept
+    # delta by doubling, so the ascending loop builds it at 2, 4, ..., 256
     clear_memos()
     values = [tau(n) for n in range(1, 200)]
     assert cat.delta.cache_info().misses <= 9
     assert values == [cat.delta(200).coefficient(n) for n in range(1, 200)]
+
+
+def test_a_cold_tau_builds_delta_at_n_plus_one(clear_memos):
+    clear_memos()
+    powers = [1, -24]  # tau(2^(k+1)) = tau(2) tau(2^k) - 2^11 tau(2^(k-1))
+    while len(powers) < 12:
+        powers.append(-24 * powers[-1] - 2**11 * powers[-2])
+    assert tau(2048) == powers[11]
+    assert cat.delta.cache_precisions() == {(): 2049}
 
 
 def test_f_num_is_kept_once_per_absolute_r():
